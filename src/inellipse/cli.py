@@ -342,8 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except InEllipseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    # serialize first so a failure never leaves half a document on stdout
+    text = json.dumps(out, indent=2)
+    sys.stdout.write(text + "\n")
     return 0
 
 

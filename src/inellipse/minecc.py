@@ -9,8 +9,10 @@ with A, B, C the frame conic's coefficient polynomials.  Minimizing the
 eccentricity means maximizing G.  The critical points of G are the roots of
 the quartic p = 2*M*O' - O*M'; for a type-1 midpoint diagonal frame p
 factors through an explicit quadratic whose unique root in (0,1) is the
-optimizer, which is how the closed-form solver works.  A grid-plus-bisection
-root isolator on p provides the independent numeric path.
+optimizer, which is how the closed-form solver works.  The numeric path
+takes the real roots of p as companion-matrix eigenvalues and polishes them
+by Newton steps.  The centered-parallelogram family has the same form with
+A, B, C linear in its parameter, so one solver serves both families.
 """
 
 from __future__ import annotations
@@ -19,19 +21,89 @@ import math
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .affine import normalize_to_qstvw
-from .conic import ConicCoeffs, Point, geometry
+from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval, inscribe,
-                     qstvw_coeff_polys, _square_to_original, square_inellipse_conic)
+                     qstvw_coeff_polys, _square_to_original)
 from .quad import (Quadrilateral, classify, check_qstvw_region, f_values,
                    mdq_type_qstvw)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
+
+
+def _mul(p, q) -> list[float]:
+    """Product of two ascending coefficient sequences, in plain floats."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _horner(coeffs, r):
+    """Ascending coefficients evaluated at r (a float or a numpy array)."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+def _ecc_polys(pa, pb, pc):
+    """O (degree 2), M and N (degree 4) and p (degree 4) of a family.
+
+    `pa`, `pb`, `pc` are the ascending coefficients (degree <= 2) of the
+    quadratic part A, B, C of the family conic.
+    """
+    a, b, c = ((tuple(x) + (0.0, 0.0))[:3] for x in (pa, pb, pc))
+    o = [a[i] + c[i] for i in range(3)]
+    diff = [a[i] - c[i] for i in range(3)]
+    m = [x + y for x, y in zip(_mul(diff, diff), _mul(b, b))]
+    n = [x - y for x, y in zip(_mul(o, o), m)]
+    do = [o[1], 2.0 * o[2]]
+    dm = [m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4]]
+    p = [2.0 * x - y for x, y in zip(_mul(m, do), _mul(o, dm))]
+    top = max(abs(x) for x in p)
+    # the degree-5 terms cancel identically; drop the roundoff residue
+    if abs(p[5]) > 1e-9 * top:
+        raise InEllipseError("critical-point polynomial has degree > 4")
+    return tuple(o), tuple(m), tuple(n), tuple(p[:5])
+
+
+def _family_argmax(pa, pb, pc, lo: float, hi: float) -> tuple[float, float]:
+    """Maximizer of G over (lo, hi) and G there, for the family with A, B, C.
+
+    The candidates are the real parts of the roots of p (companion-matrix
+    eigenvalues) that fall inside the interval, each polished by a few
+    Newton steps on p that reduce |p| and stay inside.
+    """
+    o, m, _, p = _ecc_polys(pa, pb, pc)
+    dp = [k * p[k] for k in range(1, 5)]
+    best = None
+    for root in np.roots(p[::-1]).real:
+        r = float(root)
+        if not lo < r < hi:
+            continue
+        pr = _horner(p, r)
+        for _ in range(3):
+            slope = _horner(dp, r)
+            if slope == 0.0:
+                break
+            nxt = r - pr / slope
+            pn = _horner(p, nxt)
+            if not (lo < nxt < hi and abs(pn) < abs(pr)):
+                break
+            r, pr = nxt, pn
+        on, root_m = _horner(o, r), math.sqrt(max(_horner(m, r), 0.0))
+        g = (on - root_m) / (on + root_m)
+        if best is None or g > best[1]:
+            best = (r, g)
+    if best is None:
+        raise NoRootInJ("no critical point of G found in the open interval")
+    return best
 
 
 class EccFunctional:
@@ -42,44 +114,20 @@ class EccFunctional:
         check_qstvw_region(s, t, v, w, require_f3=require_f3)
         self.s, self.t, self.v, self.w = s, t, v, w
         pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
-        a = np.asarray(pa, float)
-        b = np.asarray(pb, float)
-        c = np.asarray(pc, float)
-
-        def pad(coeffs, length):
-            # numpy's polynomial ops trim exact trailing zeros; fixed shapes
-            # keep downstream coefficientwise comparisons simple
-            out = np.zeros(length)
-            out[:len(coeffs)] = coeffs
-            return out
-
-        self.o_coeffs = pad(npoly.polyadd(a, c), 3)
-        diff = npoly.polysub(a, c)
-        self.m_coeffs = pad(npoly.polyadd(npoly.polymul(diff, diff),
-                                          npoly.polymul(b, b)), 5)
-        self.n_coeffs = pad(
-            npoly.polysub(npoly.polymul(self.o_coeffs, self.o_coeffs),
-                          self.m_coeffs), 5)
-        p_full = pad(npoly.polysub(
-            2.0 * npoly.polymul(self.m_coeffs, npoly.polyder(self.o_coeffs)),
-            npoly.polymul(self.o_coeffs, npoly.polyder(self.m_coeffs))), 6)
-        top = np.max(np.abs(p_full))
-        # the degree-5 terms cancel identically; drop the roundoff residue
-        if abs(p_full[5]) > 1e-9 * top:
-            raise InEllipseError("critical-point polynomial has degree > 4")
-        self.p_coeffs = p_full[:5]
+        self.o_coeffs, self.m_coeffs, self.n_coeffs, self.p_coeffs = \
+            _ecc_polys(pa, pb, pc)
 
     def o(self, r):
-        return npoly.polyval(r, self.o_coeffs)
+        return _horner(self.o_coeffs, r)
 
     def m(self, r):
-        return npoly.polyval(r, self.m_coeffs)
+        return _horner(self.m_coeffs, r)
 
     def n(self, r):
-        return npoly.polyval(r, self.n_coeffs)
+        return _horner(self.n_coeffs, r)
 
     def p(self, r):
-        return npoly.polyval(r, self.p_coeffs)
+        return _horner(self.p_coeffs, r)
 
     def g(self, r):
         """Squared axis ratio (b/a)^2 of the family member at r."""
@@ -111,18 +159,18 @@ def N_factorization(s: float, t: float, v: float, w: float,
             if abs(roots[i] - roots[j]) <= tol * scale:
                 raise ParamOutOfRegion("roots of N are not distinct")
     func = EccFunctional(s, t, v, w)
-    expanded = 16.0 * s * s * v * v * npoly.polymul(
-        npoly.polymul([0.0, 1.0], [1.0, -1.0]),
-        npoly.polymul([v, s - v], [f2, s - v]))
-    top = max(np.max(np.abs(expanded)), np.max(np.abs(func.n_coeffs)))
-    if np.max(np.abs(npoly.polysub(expanded, func.n_coeffs))) > tol * top:
+    k = 16.0 * s * s * v * v
+    expanded = [k * x for x in _mul(_mul([0.0, 1.0], [1.0, -1.0]),
+                                    _mul([v, s - v], [f2, s - v]))]
+    top = max(abs(x) for x in expanded + list(func.n_coeffs))
+    if max(abs(x - y) for x, y in zip(expanded, func.n_coeffs)) > tol * top:
         raise InEllipseError("N does not match its factorization")
     return roots
 
 
 def p_quartic(s: float, t: float, v: float, w: float) -> tuple[float, ...]:
     """Ascending coefficients (degree <= 4) of p = 2*M*O' - O*M'."""
-    return tuple(EccFunctional(s, t, v, w).p_coeffs)
+    return EccFunctional(s, t, v, w).p_coeffs
 
 
 def alpha_coeffs(s: float, v: float, w: float) -> tuple[float, float, float]:
@@ -196,43 +244,6 @@ class T3Report(NamedTuple):
     closed_form_len_sq: Optional[tuple[float, float]]
 
 
-def _bisect_poly(coeffs, lo: float, hi: float, xtol: float = 1e-12) -> float:
-    flo = npoly.polyval(lo, coeffs)
-    if flo == 0.0:
-        return lo
-    fhi = npoly.polyval(hi, coeffs)
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise NoRootInJ("no sign change in bracket")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = npoly.polyval(mid, coeffs)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _critical_points(func: EccFunctional, grid: int = 1024) -> list[float]:
-    """Roots of p inside (0,1), isolated on a sign grid and bisected."""
-    xs = np.linspace(J_MARGIN, 1.0 - J_MARGIN, grid + 1)
-    vals = func.p(xs)
-    roots = []
-    for i in range(grid):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(_bisect_poly(func.p_coeffs, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
-
-
 def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
     """Center, radius and side tangency points of the inscribed circle."""
     a1, a2, a3, a4 = quad.vertices
@@ -283,38 +294,17 @@ def _incircle_result(quad: Quadrilateral) -> MinEccResult:
     return MinEccResult(param, ellipse, 0.0, 1.0, "incircle")
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
 def _parallelogram_result(quad: Quadrilateral) -> MinEccResult:
+    # quadratic part of square_inellipse_conic(v) = (1, 2v, 1, 0, 0, v^2-1)
+    # pulled back to the quad: linear in v, so p has degree <= 2
     _, sq_to_orig = _square_to_original(quad)
-
-    def ratio(v: float) -> float:
-        conic = sq_to_orig.apply_to_conic(square_inellipse_conic(v))
-        return geometry(conic).axis_ratio_sq
-
-    lo, hi = -1.0 + J_MARGIN, 1.0 - J_MARGIN
-    xs = np.linspace(lo, hi, 1025)
-    vals = [ratio(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    v_star = _golden_max(ratio, xs[max(i - 1, 0)], xs[min(i + 1, 1024)])
-    ellipse = inscribe(quad, v_star)
-    geo = geometry(ellipse.conic)
-    return MinEccResult(v_star, ellipse, geo.eccentricity, geo.axis_ratio_sq,
+    (i00, i01), (i10, i11) = sq_to_orig.invert().linear
+    pa = (i00 * i00 + i10 * i10, 2.0 * i00 * i10)
+    pb = (2.0 * (i00 * i01 + i10 * i11), 2.0 * (i00 * i11 + i01 * i10))
+    pc = (i01 * i01 + i11 * i11, 2.0 * i01 * i11)
+    v_star, ratio = _family_argmax(pa, pb, pc, -1.0 + J_MARGIN, 1.0 - J_MARGIN)
+    ecc = math.sqrt(max(1.0 - ratio, 0.0))
+    return MinEccResult(v_star, inscribe(quad, v_star), ecc, ratio,
                         "parallelogram_numeric")
 
 
@@ -367,23 +357,18 @@ def min_ecc(quad: Quadrilateral) -> MinEccResult:
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver (independent of the closed form).
 
-    Maximizes G over (0,1) by isolating all sign changes of the critical
-    quartic p on a 1024-interval grid, bisecting each bracket to 1e-12,
-    and comparing G at every critical point found.
+    Maximizes G over (0,1) by comparing G at every real root of the
+    critical quartic p in the interval, found as companion-matrix
+    eigenvalues and polished by Newton steps on p.
     """
     if classify(quad).parallelogram:
         raise ParamOutOfRegion("numeric solver requires a non-parallelogram")
     fr = normalize_to_qstvw(quad)
-    func = EccFunctional(fr.s, fr.t, fr.v, fr.w)
-    roots = _critical_points(func)
-    if not roots:
-        raise NoRootInJ("no critical point of G found in (0,1)")
-    ratios = [float(func.g(r)) for r in roots]
-    best = max(range(len(roots)), key=lambda i: ratios[i])
-    r_star = roots[best]
+    pa, pb, pc, _, _, _ = qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)
+    r_star, ratio = _family_argmax(pa, pb, pc, J_MARGIN, 1.0 - J_MARGIN)
     ellipse = _pullback_ellipse(quad, r_star, quad, 0)
-    ecc = math.sqrt(max(1.0 - ratios[best], 0.0))
-    return MinEccResult(r_star, ellipse, ecc, ratios[best], "quartic_numeric")
+    ecc = math.sqrt(max(1.0 - ratio, 0.0))
+    return MinEccResult(r_star, ellipse, ecc, ratio, "quartic_numeric")
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,

@@ -122,6 +122,16 @@ class TestMinEcc:
         assert doc["min_ecc"]["method"] == "quartic_numeric"
         assert "verification" not in doc
 
+    def test_offset_parallelogram_whole_document(self, capsys, tmp_path):
+        path = tmp_path / "parallelogram.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [1, 2], [4, 2], [3, 0]]}))
+        code = main(["min-ecc", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["min_ecc"]["method"] == "parallelogram_numeric"
+        assert doc["verification"]["t3_equal_lengths"] is True
+
     def test_exploratory_angle_block(self, capsys, example_file, tmp_path):
         _, doc = run_json(capsys, ["min-ecc", example_file])
         block = doc["min_ecc"]

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from inellipse.conic import center, geometry, proportional
 from inellipse.diameters import equal_conjugate_diameters, parallel_margin
 from inellipse.errors import NotMDQ, ParamOutOfRegion
+from inellipse.family import _square_to_original, inscribe, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
@@ -225,6 +226,47 @@ class TestMinEccNumeric:
             best = float(func.g(r1))
             xs = np.linspace(1e-6, 1 - 1e-6, 100_000)
             assert float(np.max(func.g(xs))) <= best + 1e-9
+
+
+    def test_matches_closed_form_on_mdq_frames(self):
+        # the paper's closed form cross-checks the unified numeric solver
+        rng = np.random.default_rng(57)
+        for i in range(200):
+            frame = (random_type1_frame(rng) if i % 2 == 0
+                     else random_type2_frame(rng))
+            quad = frame_quad(*frame)
+            closed = min_ecc(quad)
+            assert closed.method == "alpha_closed_form"
+            num = min_ecc_numeric(quad)
+            assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-10
+
+
+class TestParallelogramProperty:
+    def test_random_parallelograms_reach_dense_maximum(self):
+        # parallelograms anywhere in the plane; the reference maximizes the
+        # axis ratio of the family members over a grid on (-1, 1), refined
+        # around its best point, built with the map `inscribe` uses
+        rng = np.random.default_rng(58)
+        for _ in range(300):
+            quad = random_parallelogram(rng)
+            res = min_ecc(quad)
+            assert res.method == "parallelogram_numeric"
+            assert_inscribed(res.ellipse, 1e-7)
+            _, sq_to_orig = _square_to_original(quad)
+
+            def ratio(v):
+                conic = sq_to_orig.apply_to_conic(square_inellipse_conic(v))
+                return geometry(conic).axis_ratio_sq
+
+            coarse = np.linspace(-1.0, 1.0, 401)[1:-1]
+            v0 = coarse[int(np.argmax([ratio(float(v)) for v in coarse]))]
+            fine = np.linspace(max(v0 - 0.005, -0.999), min(v0 + 0.005, 0.999), 201)
+            vals = [ratio(float(v)) for v in fine]
+            best = int(np.argmax(vals))
+            assert proportional(inscribe(quad, float(fine[best])).conic,
+                                sq_to_orig.apply_to_conic(
+                                    square_inellipse_conic(float(fine[best]))))
+            assert res.axis_ratio_sq >= vals[best] - 1e-9
 
 
 class TestPolynomialPositivity:
