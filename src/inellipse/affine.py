@@ -5,10 +5,10 @@ Two normalizations are provided.  `normalize_to_qst` sends (A1, A2, A4) to
 region {s,t > 0, s+t > 1, s != 1}.  `normalize_to_qstvw` uses a similarity
 only (translation, rotation, uniform positive scaling), sending A1 to (0,0)
 and A2 to (0,1); similarities preserve eccentricity, which is what the
-minimal-eccentricity solver needs.  Quads whose sides A1A2 and A3A4 are
-parallel are pre-rotated by 90 degrees and relabeled, which moves the
-parallel pair out of the offending position; the returned `shift` records
-the relabeling.
+minimal-eccentricity solver needs.  The only frame choice is a cyclic label
+shift k (frame A_i is the original A_(i+k)); the returned `shift` records
+it.  An odd shift swaps the roles of the two diagonals, so a type-2 MDQ is
+a type-1 MDQ in the labeling shifted by one vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .conic import ConicCoeffs, Direction, Point, scale_normalized
-from .errors import IsParallelogram, NonConvexInput, SingularMap, ParamOutOfRegion
+from .errors import IsParallelogram, SingularMap, ParamOutOfRegion
 from .quad import Quadrilateral, canonicalize, classify, check_qstvw_region, in_region_g
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
@@ -107,7 +107,6 @@ class AffineMap:
 
 
 IDENTITY = AffineMap(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
-ROT90_CCW = AffineMap(((0.0, -1.0), (1.0, 0.0)), (0.0, 0.0))
 
 
 def translation(tx: float, ty: float) -> AffineMap:
@@ -145,24 +144,6 @@ class QstvwFrame(NamedTuple):
         return math.hypot(m00, m10)
 
 
-def _relabel_after_rot90(quad: Quadrilateral) -> tuple[Quadrilateral, int]:
-    """Rotate the quad 90 degrees CCW and re-canonicalize.
-
-    Returns the relabeled quad together with the cyclic shift k such that
-    the new A_i is the image of the original A_(i+k).
-    """
-    images = [ROT90_CCW.apply(p) for p in quad.vertices]
-    relabeled = canonicalize(images)
-    shift = None
-    for k in range(4):
-        if math.dist(relabeled.a1, images[k]) <= 1e-12 * (quad.diameter() + 1.0):
-            shift = k
-            break
-    if shift is None:
-        raise NonConvexInput("lost vertex correspondence after rotation")
-    return relabeled, shift
-
-
 def _qst_map(quad: Quadrilateral) -> tuple[AffineMap, float, float]:
     a1, a2, a3, a4 = quad.vertices
     u = (a2[0] - a1[0], a2[1] - a1[1])  # -> (0, 1)
@@ -179,20 +160,16 @@ def _qst_map(quad: Quadrilateral) -> tuple[AffineMap, float, float]:
 def normalize_to_qst(quad: Quadrilateral, tol: float = 1e-9) -> QstFrame:
     """Affine reduction to the frame with vertices (0,0),(0,1),(s,t),(1,0).
 
-    Raises IsParallelogram for parallelograms.  When the direct reduction
-    gives s = 1 (sides A1A2 and A3A4 parallel), the quad is rotated 90
-    degrees counterclockwise and relabeled first.
+    When the direct reduction gives s = 1 (sides A1A2 and A3A4 parallel),
+    the labels are shifted one step; if that labeling gives s = 1 too, both
+    side pairs are parallel and IsParallelogram is raised.
     """
-    if classify(quad).parallelogram:
-        raise IsParallelogram("parallelograms admit no (s,t) frame")
-    m, s, t = _qst_map(quad)
-    shift = 0
-    if abs(s - 1.0) <= tol * (1.0 + abs(s)):
-        relabeled, shift = _relabel_after_rot90(quad)
-        m2, s, t = _qst_map(relabeled)
-        if abs(s - 1.0) <= tol * (1.0 + abs(s)):
-            raise IsParallelogram("both side pairs parallel")
-        m = m2.compose(ROT90_CCW)
+    for shift in (0, 1):
+        m, s, t = _qst_map(quad.rotate_labels(shift))
+        if abs(s - 1.0) > tol * (1.0 + abs(s)):
+            break
+    else:
+        raise IsParallelogram("both side pairs parallel")
     if not in_region_g(s, t, tol):
         raise ParamOutOfRegion(f"normalized (s,t)=({s},{t}) outside region G")
     return QstFrame(m, s, t, shift)
@@ -212,30 +189,31 @@ def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
                        require_f3: bool = False) -> QstvwFrame:
     """Similarity reduction to the frame with vertices (0,0),(0,1),(s,t),(v,w).
 
-    The similarity preserves eccentricities of inscribed ellipses.  When
-    sides A1A2 and A3A4 are parallel (s = v), the quad is pre-rotated by
-    90 degrees and relabeled.  A trapezoid whose parallel pair is S2/S4
-    yields f3 = 0, which no relabeling can avoid; by default such frames
-    are returned (the inscribed family is still well defined) and only
-    operations that divide by f3 reject them, via `require_f3`.
+    The similarity preserves eccentricities of inscribed ellipses.  The
+    frame is the first admissible one among the label shifts 0, 2, 1, 3;
+    even shifts come first because they keep each diagonal's role, so a
+    type-1 frame stays type 1.  A shift is inadmissible when sides A1A2 and
+    A3A4 are parallel (s = v) or t <= w; when every shift has s = v both
+    side pairs are parallel and IsParallelogram is raised.  A trapezoid
+    whose parallel pair is S2/S4 yields f3 = 0 in its admissible frames; by
+    default such frames are returned (the inscribed family is still well
+    defined) and only operations that divide by f3 reject them, via
+    `require_f3`.
     """
-    if classify(quad).parallelogram:
-        raise IsParallelogram("parallelograms admit no (s,t,v,w) frame")
-    m = _similarity_map(quad)
-    s, t = m.apply(quad.a3)
-    v, w = m.apply(quad.a4)
-    shift = 0
-    scale = max(abs(s), abs(v), 1.0)
-    if abs(s - v) <= tol * scale:
-        relabeled, shift = _relabel_after_rot90(quad)
-        m2 = _similarity_map(relabeled)
-        s, t = m2.apply(relabeled.a3)
-        v, w = m2.apply(relabeled.a4)
-        if abs(s - v) <= tol * max(abs(s), abs(v), 1.0):
-            raise IsParallelogram("both side pairs parallel")
-        m = m2.compose(ROT90_CCW)
-    check_qstvw_region(s, t, v, w, require_f3=require_f3, tol=tol)
-    return QstvwFrame(m, s, t, v, w, shift)
+    failed = []
+    for shift in (0, 2, 1, 3):
+        labeled = quad.rotate_labels(shift)
+        m = _similarity_map(labeled)
+        (s, t), (v, w) = m.apply(labeled.a3), m.apply(labeled.a4)
+        try:
+            check_qstvw_region(s, t, v, w, require_f3=require_f3, tol=tol)
+        except ParamOutOfRegion as exc:
+            failed.append((s, v, exc))
+            continue
+        return QstvwFrame(m, s, t, v, w, shift)
+    if all(abs(s - v) <= tol * max(abs(s), abs(v), 1.0) for s, v, _ in failed):
+        raise IsParallelogram("both side pairs parallel")
+    raise failed[0][2]
 
 
 class ParallelogramFrame(NamedTuple):
@@ -264,6 +242,17 @@ def _parallelogram_frame_for_labels(quad: Quadrilateral,
     return ParallelogramFrame(m, l, k, d, shift)
 
 
+def _parallelogram_frame(quad: Quadrilateral) -> ParallelogramFrame:
+    """`parallelogram_frame` for a quad already classified as a parallelogram."""
+    frame = _parallelogram_frame_for_labels(quad, 0)
+    if frame.shear < frame.half_width * (1.0 - 1e-12):
+        return frame
+    frame = _parallelogram_frame_for_labels(quad.rotate_labels(1), 1)
+    if not frame.shear < frame.half_width:
+        raise ParamOutOfRegion("no labeling gives an admissible frame")
+    return frame
+
+
 def parallelogram_frame(quad: Quadrilateral) -> ParallelogramFrame:
     """Rigid motion taking a parallelogram to the centered frame with
     vertices (-l-d, -k), (-l+d, k), (l+d, k), (l-d, -k).
@@ -275,10 +264,4 @@ def parallelogram_frame(quad: Quadrilateral) -> ParallelogramFrame:
     """
     if not classify(quad).parallelogram:
         raise ParamOutOfRegion("quad is not a parallelogram")
-    frame = _parallelogram_frame_for_labels(quad, 0)
-    if frame.shear < frame.half_width * (1.0 - 1e-12):
-        return frame
-    frame = _parallelogram_frame_for_labels(quad.rotate_labels(1), 1)
-    if not frame.shear < frame.half_width:
-        raise ParamOutOfRegion("no labeling gives an admissible frame")
-    return frame
+    return _parallelogram_frame(quad)

@@ -27,7 +27,8 @@ from .errors import (InEllipseError, IsCircle, NonConvexInput, NotMDQ,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
 from .minecc import NEAR_CIRCLE_ECC, min_ecc, verify_T3
-from .quad import Quadrilateral, canonicalize, classify, diagonals
+from .quad import (ClassificationReport, Quadrilateral, canonicalize, classify,
+                   diagonals)
 from .sampling import random_similarity
 from .svgfig import Figure
 
@@ -70,8 +71,8 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
     return quad, label if isinstance(label, str) else None
 
 
-def _classification_block(quad: Quadrilateral, tol: float) -> dict:
-    rep = classify(quad, tol)
+def _classification_block(quad: Quadrilateral,
+                          rep: ClassificationReport) -> dict:
     dd = diagonals(quad)
     return {
         "vertices": [list(p) for p in quad.vertices],
@@ -108,7 +109,7 @@ def _ellipse_block(ie: InscribedEllipse) -> dict:
 
 
 def cmd_classify(quad: Quadrilateral, label: str | None, tol: float) -> dict:
-    out = {"classification": _classification_block(quad, tol)}
+    out = {"classification": _classification_block(quad, classify(quad, tol))}
     if label:
         out["label"] = label
     return out
@@ -120,7 +121,7 @@ def cmd_inscribe(quad: Quadrilateral, label: str | None, tol: float,
         ie = inscribe(quad, param)
     except ParamOutOfRegion as exc:
         raise _CliError(EXIT_PARAM, str(exc))
-    out = {"classification": _classification_block(quad, tol),
+    out = {"classification": _classification_block(quad, classify(quad, tol)),
            "ellipse": _ellipse_block(ie)}
     if label:
         out["label"] = label
@@ -134,9 +135,10 @@ def _smallest_angle(u, v) -> float:
 
 
 def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
+    rep = classify(quad, tol)
     res = min_ecc(quad)
     out = {
-        "classification": _classification_block(quad, tol),
+        "classification": _classification_block(quad, rep),
         "ellipse": _ellipse_block(res.ellipse),
         "min_ecc": {
             "r_star": res.r_star,
@@ -151,17 +153,14 @@ def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
     if res.eccentricity >= NEAR_CIRCLE_ECC:
         try:
             pair = equal_conjugate_diameters(res.ellipse.conic)
-            a1, a2, a3, a4 = quad.vertices
-            d1 = (a3[0] - a1[0], a3[1] - a1[1])
-            d2 = (a4[0] - a2[0], a4[1] - a2[1])
             out["min_ecc"]["equal_conjugate_angle"] = _smallest_angle(
                 pair.dir1, pair.dir2)
-            out["min_ecc"]["diagonal_angle"] = _smallest_angle(d1, d2)
+            out["min_ecc"]["diagonal_angle"] = _smallest_angle(
+                *quad.diagonal_vectors())
         except IsCircle:
             pass
-    rep = classify(quad, tol)
     if rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram:
-        t3 = verify_T3(quad)
+        t3 = verify_T3(res)
         out["verification"] = {
             "t3_parallel": t3.parallel,
             "t3_equal_lengths": t3.equal_len,

@@ -131,9 +131,7 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     q1, q2, q3, q4 = ie.tangency
     chords = {"q1q2": (q1, q2), "q2q3": (q2, q3),
               "q3q4": (q3, q4), "q1q4": (q1, q4)}
-    a1, a2, a3, a4 = quad.vertices
-    d1 = (a3[0] - a1[0], a3[1] - a1[1])
-    d2 = (a4[0] - a2[0], a4[1] - a2[1])
+    d1, d2 = quad.diagonal_vectors()
     margins_d1, margins_d2 = {}, {}
     for name, (p, q) in chords.items():
         u = (q[0] - p[0], q[1] - p[1])
@@ -146,9 +144,7 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
 
 def t1_margin(quad: Quadrilateral, conic: ConicCoeffs) -> float:
     """Angle margin between conj(direction of D1) and the direction of D2."""
-    a1, a2, a3, a4 = quad.vertices
-    d1 = (a3[0] - a1[0], a3[1] - a1[1])
-    d2 = (a4[0] - a2[0], a4[1] - a2[1])
+    d1, d2 = quad.diagonal_vectors()
     return parallel_margin(conjugate_direction(conic, d1), d2)
 
 

@@ -21,7 +21,7 @@ import cmath
 from dataclasses import dataclass
 
 from .conic import ConicCoeffs, Point, line_intersect
-from .affine import AffineMap, normalize_to_qstvw, parallelogram_frame
+from .affine import AffineMap, QstvwFrame, _parallelogram_frame, normalize_to_qstvw
 from .errors import (CollinearTriangle, NonPositiveWeights, ParamOutOfRegion,
                      TangencyNotFound)
 from .quad import Quadrilateral, classify, check_qstvw_region, f_values, in_region_g
@@ -199,11 +199,32 @@ def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
 
 
 def _square_to_original(quad: Quadrilateral):
-    """(parallelogram frame, square->original map) for a parallelogram."""
-    frame = parallelogram_frame(quad)
+    """(parallelogram frame, square->original map) for a parallelogram.
+
+    Callers have classified `quad` as a parallelogram already.
+    """
+    frame = _parallelogram_frame(quad)
     squeeze = AffineMap(((frame.half_width, frame.shear),
                          (0.0, frame.half_height)), (0.0, 0.0))
     return frame, frame.map.invert().compose(squeeze)
+
+
+def _pull_back(frame, pts) -> tuple[Point, Point, Point, Point]:
+    """Frame points on sides S1..S4 mapped back, in the original's side order."""
+    inv = frame.map.invert()
+    out = [None] * 4
+    for i, p in enumerate(pts):
+        out[(i + frame.shift) % 4] = inv.apply(p)
+    return tuple(out)
+
+
+def _inscribe_in_frame(quad: Quadrilateral, fr: QstvwFrame,
+                       r: float) -> InscribedEllipse:
+    """The (s,t,v,w) family member at r in the frame `fr` of `quad`."""
+    frame_conic = qstvw_conic(fr.s, fr.t, fr.v, fr.w, r)
+    frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r, conic=frame_conic)
+    conic = fr.map.invert().apply_to_conic(frame_conic)
+    return InscribedEllipse(conic, r, _pull_back(fr, frame_pts), "qstvw", quad)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -218,21 +239,9 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
         conic = sq_to_orig.apply_to_conic(square_inellipse_conic(param))
         pts = parallelogram_tangency(frame.half_width, frame.half_height,
                                      frame.shear, param)
-        inv = frame.map.invert()
-        tangency = [None] * 4
-        for i, p in enumerate(pts):
-            tangency[(i + frame.shift) % 4] = inv.apply(p)
-        return InscribedEllipse(conic, param, tuple(tangency),
+        return InscribedEllipse(conic, param, _pull_back(frame, pts),
                                 "parallelogram", quad)
-    fr = normalize_to_qstvw(quad)
-    frame_conic = qstvw_conic(fr.s, fr.t, fr.v, fr.w, param)
-    frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, param, conic=frame_conic)
-    inv = fr.map.invert()
-    conic = inv.apply_to_conic(frame_conic)
-    tangency = [None] * 4
-    for i, p in enumerate(frame_pts):
-        tangency[(i + fr.shift) % 4] = inv.apply(p)
-    return InscribedEllipse(conic, param, tuple(tangency), "qstvw", quad)
+    return _inscribe_in_frame(quad, normalize_to_qstvw(quad), param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

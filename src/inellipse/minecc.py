@@ -27,9 +27,9 @@ from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval, inscribe,
-                     qstvw_coeff_polys, _square_to_original)
-from .quad import (Quadrilateral, classify, check_qstvw_region, f_values,
-                   mdq_type_qstvw)
+                     qstvw_coeff_polys, _inscribe_in_frame, _square_to_original)
+from .quad import (ClassificationReport, Quadrilateral, classify,
+                   check_qstvw_region, f_values, mdq_type_qstvw)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -278,11 +278,11 @@ def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
     return (cx, cy), radius, tuple(feet)
 
 
-def _incircle_result(quad: Quadrilateral) -> MinEccResult:
+def _incircle_result(quad: Quadrilateral, parallelogram: bool) -> MinEccResult:
     (cx, cy), radius, feet = _incircle(quad)
     conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
                         cx * cx + cy * cy - radius * radius)
-    if classify(quad).parallelogram:
+    if parallelogram:
         pframe, sq_to_orig = _square_to_original(quad)
         param = sq_to_orig.invert().apply(feet[pframe.shift])[1]
         frame = "parallelogram"
@@ -308,50 +308,48 @@ def _parallelogram_result(quad: Quadrilateral) -> MinEccResult:
                         "parallelogram_numeric")
 
 
-def _pullback_ellipse(quad: Quadrilateral, r: float, original: Quadrilateral,
-                      label_shift: int) -> InscribedEllipse:
-    """Inscribe at r in the frame of `quad`, reported on `original`'s labels."""
-    ie = inscribe(quad, r)
-    if label_shift == 0:
-        return ie
-    tangency = [None] * 4
-    for i, p in enumerate(ie.tangency):
-        tangency[(i + label_shift) % 4] = p
-    return InscribedEllipse(ie.conic, r, tuple(tangency), ie.frame, original)
-
-
-def _type1_result(quad: Quadrilateral, original: Quadrilateral,
-                  label_shift: int) -> MinEccResult:
-    fr = normalize_to_qstvw(quad)
-    type1, _ = mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)
-    if not type1:
-        raise NotMDQ("frame does not satisfy the type-1 identity")
-    r1 = alpha_root(fr.s, fr.v, fr.w)
-    ellipse = _pullback_ellipse(quad, r1, original, label_shift)
-    ratio = G_value(fr.s, fr.t, fr.v, fr.w, r1)
+def _frame_result(quad: Quadrilateral, shift: int, mdq: bool) -> MinEccResult:
+    """Optimum over the (s,t,v,w) family of `quad` with its labels shifted by
+    `shift`: the closed form when the quad is an MDQ and the frame satisfies
+    the type-1 identity, the critical-quartic solver otherwise."""
+    fr = normalize_to_qstvw(quad.rotate_labels(shift))
+    fr = fr._replace(shift=(fr.shift + shift) % 4)
+    s, t, v, w = fr.s, fr.t, fr.v, fr.w
+    if mdq and mdq_type_qstvw(s, t, v, w, tol=1e-6)[0]:
+        r_star = alpha_root(s, v, w)
+        ratio = G_value(s, t, v, w, r_star)
+        method = "alpha_closed_form"
+    else:
+        pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
+        r_star, ratio = _family_argmax(pa, pb, pc, J_MARGIN, 1.0 - J_MARGIN)
+        method = "quartic_numeric"
     ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    return MinEccResult(r1, ellipse, ecc, ratio, "alpha_closed_form")
+    return MinEccResult(r_star, _inscribe_in_frame(quad, fr, r_star), ecc,
+                        ratio, method)
+
+
+def _type1_shift(rep: ClassificationReport) -> int:
+    """Label shift that reads an MDQ as type 1: one step for type 2 only."""
+    return int(rep.mdq_type2 and not rep.mdq_type1)
 
 
 def min_ecc(quad: Quadrilateral) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse.
 
-    Dispatch: tangential MDQs get their inscribed circle; type-1 MDQs the
-    closed-form optimizer; type-2 MDQs are reduced to type 1 by shifting
-    the labels one step (which swaps the diagonals); parallelograms are
-    minimized numerically over their own family; everything else falls
-    back to the quartic root isolation of `min_ecc_numeric`.
+    The quad is classified once.  Tangential MDQs get their inscribed
+    circle and parallelograms are minimized numerically over their own
+    family.  Other MDQs are solved in a type-1 labeling (type 2 shifts the
+    labels one step, which swaps the diagonals) by the closed-form
+    optimizer, as long as the first admissible frame of that labeling keeps
+    the type-1 identity; everything else, and an MDQ whose admissible frame
+    does not, gets the critical-quartic solver of `min_ecc_numeric`.
     """
     rep = classify(quad)
-    if rep.tangential and (rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram):
-        return _incircle_result(quad)
+    if rep.tangential and (rep.mdq or rep.parallelogram):
+        return _incircle_result(quad, rep.parallelogram)
     if rep.parallelogram:
         return _parallelogram_result(quad)
-    if rep.mdq_type1:
-        return _type1_result(quad, quad, 0)
-    if rep.mdq_type2:
-        return _type1_result(quad.rotate_labels(1), quad, 1)
-    return min_ecc_numeric(quad)
+    return _frame_result(quad, _type1_shift(rep), rep.mdq)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
@@ -363,12 +361,7 @@ def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """
     if classify(quad).parallelogram:
         raise ParamOutOfRegion("numeric solver requires a non-parallelogram")
-    fr = normalize_to_qstvw(quad)
-    pa, pb, pc, _, _, _ = qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)
-    r_star, ratio = _family_argmax(pa, pb, pc, J_MARGIN, 1.0 - J_MARGIN)
-    ellipse = _pullback_ellipse(quad, r_star, quad, 0)
-    ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    return MinEccResult(r_star, ellipse, ecc, ratio, "quartic_numeric")
+    return _frame_result(quad, 0, False)
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,
@@ -386,25 +379,28 @@ def closed_form_diameter_len_sq(s: float, v: float, w: float,
     return len1, len2
 
 
-def verify_T3(quad: Quadrilateral, tol: float = 1e-7) -> T3Report:
+def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report:
     """Check that the minimal ellipse's diagonal-parallel diameters are equal.
 
-    Computes the minimal-eccentricity ellipse, verifies that the conjugate
-    of its D1-parallel diameter is parallel to D2 and that the two
-    diameters have equal length.  Near-circular optima (eccentricity below
-    1e-6) are reported as vacuously true with the `near_circle` flag, as
-    equal conjugate diameters degenerate there.  For non-parallelogram
-    MDQs the squared lengths are also cross-checked against their frame
-    closed forms.
+    `quad` is a quadrilateral, whose minimal-eccentricity ellipse is
+    computed here, or a `MinEccResult` from `min_ecc`, which is checked as
+    it stands.  Verifies that the conjugate of the ellipse's D1-parallel
+    diameter is parallel to D2 and that the two diameters have equal
+    length.  Near-circular optima (eccentricity below 1e-6) are reported as
+    vacuously true with the `near_circle` flag, as equal conjugate
+    diameters degenerate there.  For non-parallelogram MDQs the squared
+    lengths are also cross-checked against their frame closed forms.
     """
+    res = quad if isinstance(quad, MinEccResult) else None
+    if res is not None:
+        quad = res.ellipse.quad
     rep = classify(quad)
     if not (rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram):
         raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
-    res = min_ecc(quad)
+    if res is None:
+        res = min_ecc(quad)
     conic = res.ellipse.conic
-    a1, a2, a3, a4 = quad.vertices
-    d1 = (a3[0] - a1[0], a3[1] - a1[1])
-    d2 = (a4[0] - a2[0], a4[1] - a2[1])
+    d1, d2 = quad.diagonal_vectors()
     if res.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0, None)
 
@@ -417,12 +413,12 @@ def verify_T3(quad: Quadrilateral, tol: float = 1e-7) -> T3Report:
 
     closed: Optional[tuple[float, float]] = None
     if not rep.parallelogram and res.method == "alpha_closed_form":
-        labeled = quad if rep.mdq_type1 else quad.rotate_labels(1)
-        fr = normalize_to_qstvw(labeled)
+        shift = _type1_shift(rep)
+        fr = normalize_to_qstvw(quad.rotate_labels(shift))
         cf1, cf2 = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, res.r_star)
         unit = 1.0 / fr.scale
         cf1, cf2 = cf1 * unit * unit, cf2 * unit * unit
-        # frame D1 is the original D1 for type 1, the original D2 for type 2
-        closed = (cf1, cf2) if rep.mdq_type1 else (cf2, cf1)
+        # an odd total label shift makes the frame's D1 the original D2
+        closed = (cf1, cf2) if (shift + fr.shift) % 2 == 0 else (cf2, cf1)
     return T3Report(par_margin <= tol, len_margin <= tol, len1, len2,
                     False, par_margin, len_margin, closed)

@@ -73,6 +73,11 @@ class Quadrilateral:
         v = self.vertices
         return max(_dist(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
 
+    def diagonal_vectors(self) -> tuple[Point, Point]:
+        """Direction vectors (A3 - A1, A4 - A2) of the diagonals D1 and D2."""
+        a1, a2, a3, a4 = self.vertices
+        return (a3[0] - a1[0], a3[1] - a1[1]), (a4[0] - a2[0], a4[1] - a2[1])
+
     def rotate_labels(self, k: int) -> "Quadrilateral":
         """Cyclically shift the labels by k positions (A1 <- A1+k).
 

@@ -3,18 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from inellipse.affine import (AffineMap, IDENTITY, ROT90_CCW, normalize_to_qst,
+from inellipse.affine import (AffineMap, IDENTITY, normalize_to_qst,
                               normalize_to_qstvw, parallelogram_frame, rotation,
                               scaling, translation)
 from inellipse.conic import ConicCoeffs, center, proportional
 from inellipse.diameters import conjugate_direction, parallel_margin
-from inellipse.errors import IsParallelogram, SingularMap
-from inellipse.quad import canonicalize, classify, quadrilateral
-from inellipse.sampling import (frame_quad, random_affine, random_ellipse,
-                                random_frame, random_similarity,
-                                random_type1_frame, random_type2_frame)
+from inellipse.errors import IsParallelogram, ParamOutOfRegion, SingularMap
+from inellipse.quad import (canonicalize, check_qstvw_region, classify,
+                            quadrilateral)
+from inellipse.sampling import (frame_quad, random_affine, random_convex_quad,
+                                random_ellipse, random_frame, random_similarity,
+                                random_tangential_quad, random_type1_frame,
+                                random_type2_frame)
 
 from conftest import assert_points_close
+
+
+def _s1s3_trapezoid(rng):
+    """A trapezoid whose sides S1 = A1A2 and S3 = A3A4 are parallel."""
+    x1, x2 = sorted(rng.uniform(-3.0, 3.0, 2))
+    x3, x4 = sorted(rng.uniform(-3.0, 3.0, 2))
+    x2, x4 = x2 + 0.2, x4 + 0.2
+    h = rng.uniform(0.1, 3.0)
+    sim = random_similarity(rng)
+    # top base left to right, then the bottom base right to left: clockwise
+    raw = [(x3, h), (x4, h), (x2, 0.0), (x1, 0.0)]
+    return quadrilateral([sim.apply(p) for p in raw])
 
 
 class TestAffineMapBasics:
@@ -169,6 +183,37 @@ class TestNormalizeToQstvw:
         quad = canonicalize([(0, 0), (0, 1), (1, 0.5), (1, 0)])
         fr = normalize_to_qstvw(quad)
         assert abs(fr.s - fr.v) > 1e-9
+
+    def test_s1s3_trapezoids_shift_one_step(self):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            quad = _s1s3_trapezoid(rng)
+            assert normalize_to_qst(quad).shift == 1
+            a1, a2, a3, a4 = quad.vertices
+            s2 = (a3[0] - a2[0], a3[1] - a2[1])
+            s4 = (a1[0] - a4[0], a1[1] - a4[1])
+            try:
+                fr = normalize_to_qstvw(quad)
+            except ParamOutOfRegion:
+                # legs leaning the same way: no label shift gives t > w
+                assert s2[0] * s4[0] + s2[1] * s4[1] >= 0.0
+                continue
+            assert fr.shift in (1, 3)
+            check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
+
+    def test_every_non_parallelogram_gets_an_admissible_frame(self):
+        for draw in (random_convex_quad, random_tangential_quad):
+            rng = np.random.default_rng(0)
+            for _ in range(2000):
+                quad = draw(rng)
+                if classify(quad).parallelogram:
+                    continue
+                fr = normalize_to_qstvw(quad)
+                check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
+                labeled = quad.rotate_labels(fr.shift)
+                expect = [(0.0, 0.0), (0.0, 1.0), (fr.s, fr.t), (fr.v, fr.w)]
+                for p, e in zip(labeled.vertices, expect):
+                    assert_points_close(fr.map.apply(p), e, 1e-9)
 
 
 class TestParallelogramFrame:

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import inellipse
+from inellipse import minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
 
@@ -21,6 +23,14 @@ def example_file(tmp_path):
 def square_file(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}))
+    return str(path)
+
+
+@pytest.fixture
+def trapezoid_file(tmp_path):
+    # S1 and S3 parallel in the lower-left labeling
+    path = tmp_path / "trapezoid.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 1], [3, 2], [1, 0]]}))
     return str(path)
 
 
@@ -131,6 +141,32 @@ class TestMinEcc:
         doc = json.loads(out)
         assert doc["min_ecc"]["method"] == "parallelogram_numeric"
         assert doc["verification"]["t3_equal_lengths"] is True
+
+    def test_s1s3_trapezoid(self, capsys, trapezoid_file):
+        code, doc = run_json(capsys, ["min-ecc", trapezoid_file])
+        assert code == 0
+        assert doc["min_ecc"]["method"] == "quartic_numeric"
+        code, doc = run_json(capsys, ["inscribe", "--param", "0.5", trapezoid_file])
+        assert code == 0
+        assert doc["ellipse"]["param"] == 0.5
+
+    def test_solves_once_and_classifies_at_most_three_times(
+            self, capsys, example_file, monkeypatch):
+        # rebind the functions in every module namespace that holds them,
+        # so calls between modules are counted too
+        calls = {"classify": 0, "min_ecc": 0}
+        for name, fn in (("classify", quad.classify), ("min_ecc", minecc.min_ecc)):
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            for module in [inellipse] + [getattr(inellipse, m) for m in dir(inellipse)]:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        code, doc = run_json(capsys, ["min-ecc", example_file])
+        assert code == 0
+        assert doc["verification"]["t3_equal_lengths"] is True
+        assert calls["min_ecc"] == 1
+        assert calls["classify"] <= 3
 
     def test_exploratory_angle_block(self, capsys, example_file, tmp_path):
         _, doc = run_json(capsys, ["min-ecc", example_file])

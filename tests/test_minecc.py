@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from inellipse.affine import normalize_to_qstvw
 from inellipse.conic import center, geometry, proportional
 from inellipse.diameters import equal_conjugate_diameters, parallel_margin
 from inellipse.errors import NotMDQ, ParamOutOfRegion
-from inellipse.family import _square_to_original, inscribe, square_inellipse_conic
+from inellipse.family import (_square_to_original, inscribe, qstvw_conic,
+                              square_inellipse_conic)
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
@@ -15,8 +17,8 @@ from inellipse.minecc import (EccFunctional, G_value, N_factorization,
 from inellipse.quad import canonicalize, diagonals, quadrilateral
 from inellipse.sampling import (frame_quad, random_frame, random_kite,
                                 random_nonmdq_frame, random_parallelogram,
-                                random_similarity, random_type1_frame,
-                                random_type2_frame)
+                                random_similarity, random_tangential_quad,
+                                random_type1_frame, random_type2_frame)
 
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
@@ -168,11 +170,30 @@ class TestMinEcc:
         assert_inscribed(res.ellipse, 1e-7)
 
     def test_trapezoid_with_parallel_s1_s3(self):
-        # normalization relabels through the 90-degree rotation branch
+        # normalization shifts the labels one step
         quad = canonicalize([(0, 0), (0, 1), (1, 0.7), (1, 0)])
         res = min_ecc(quad)
         assert res.method == "quartic_numeric"
         assert_inscribed(res.ellipse, 1e-7)
+
+    def test_trapezoid_whose_lower_left_frame_has_s_equal_v(self):
+        # S1 and S3 parallel in the lower-left labeling; the frame is the
+        # labeling shifted by one vertex
+        quad = canonicalize([(0, 0), (1, 1), (3, 2), (1, 0)])
+        res = min_ecc(quad)
+        assert_inscribed(res.ellipse)
+        fr = normalize_to_qstvw(quad)
+        assert fr.shift == 1
+        grid = [(k + 1) / 4002 for k in range(4001)]
+        best = max(geometry(qstvw_conic(fr.s, fr.t, fr.v, fr.w, r)).axis_ratio_sq
+                   for r in grid)
+        assert res.axis_ratio_sq >= best - 1e-9
+
+    def test_random_tangential_quads_return_inscribed(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            res = min_ecc(random_tangential_quad(rng))
+            assert_inscribed(res.ellipse, 1e-7)
 
     def test_scale_invariance(self, example_quad):
         res = min_ecc(example_quad)
@@ -309,6 +330,16 @@ class TestVerifyT3:
     def test_square_vacuous(self):
         rep = verify_T3(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
         assert rep.parallel and rep.equal_len and rep.near_circle
+
+    def test_checks_a_given_result_as_it_stands(self, example_quad):
+        rng = np.random.default_rng(59)
+        quads = [example_quad, frame_quad(*random_type2_frame(rng)),
+                 random_parallelogram(rng)]
+        for quad in quads:
+            assert verify_T3(min_ecc(quad)) == verify_T3(quad)
+        res = min_ecc(example_quad)
+        moved = res._replace(ellipse=inscribe(example_quad, EXAMPLE_R))
+        assert not verify_T3(moved).equal_len
 
     def test_non_mdq_rejected(self):
         rng = np.random.default_rng(52)
