@@ -1,14 +1,13 @@
 """Affine maps on points, quads, conics and directions; canonical-frame reduction.
 
-Two normalizations are provided.  `normalize_to_qst` sends (A1, A2, A4) to
-(0,0), (0,1), (1,0) with a general affine map, so A3 lands at (s, t) in the
-region {s,t > 0, s+t > 1, s != 1}.  `normalize_to_qstvw` uses a similarity
-only (translation, rotation, uniform positive scaling), sending A1 to (0,0)
-and A2 to (0,1); similarities preserve eccentricity, which is what the
+Two frames are provided.  `normalize_to_qstvw` uses a similarity only
+(translation, rotation, uniform positive scaling), sending A1 to (0,0) and
+A2 to (0,1); similarities preserve eccentricity, which is what the
 minimal-eccentricity solver needs.  The only frame choice is a cyclic label
 shift k (frame A_i is the original A_(i+k)); the returned `shift` records
 it.  An odd shift swaps the roles of the two diagonals, so a type-2 MDQ is
-a type-1 MDQ in the labeling shifted by one vertex.
+a type-1 MDQ in the labeling shifted by one vertex.  `parallelogram_frame`
+centers a parallelogram by a rigid motion.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 from .conic import ConicCoeffs, Direction, Point, scale_normalized
 from .errors import IsParallelogram, SingularMap, ParamOutOfRegion
-from .quad import Quadrilateral, canonicalize, classify, check_qstvw_region, in_region_g
+from .quad import Quadrilateral, canonicalize, classify, check_qstvw_region
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -122,13 +121,6 @@ def scaling(k: float) -> AffineMap:
     return AffineMap(((k, 0.0), (0.0, k)), (0.0, 0.0))
 
 
-class QstFrame(NamedTuple):
-    map: AffineMap          # original coords -> frame coords
-    s: float
-    t: float
-    shift: int              # frame A_i corresponds to original A_(i+shift)
-
-
 class QstvwFrame(NamedTuple):
     map: AffineMap
     s: float
@@ -142,37 +134,6 @@ class QstvwFrame(NamedTuple):
         """Uniform length contraction applied by the similarity."""
         (m00, m01), (m10, m11) = self.map.linear
         return math.hypot(m00, m10)
-
-
-def _qst_map(quad: Quadrilateral) -> tuple[AffineMap, float, float]:
-    a1, a2, a3, a4 = quad.vertices
-    u = (a2[0] - a1[0], a2[1] - a1[1])  # -> (0, 1)
-    v = (a4[0] - a1[0], a4[1] - a1[1])  # -> (1, 0)
-    det = u[0] * v[1] - u[1] * v[0]
-    # L = [[0,1],[1,0]] @ inverse of the column matrix [u v]
-    lin = ((-u[1] / det, u[0] / det), (v[1] / det, -v[0] / det))
-    m = AffineMap(lin, (-(lin[0][0] * a1[0] + lin[0][1] * a1[1]),
-                        -(lin[1][0] * a1[0] + lin[1][1] * a1[1])))
-    s, t = m.apply(a3)
-    return m, s, t
-
-
-def normalize_to_qst(quad: Quadrilateral, tol: float = 1e-9) -> QstFrame:
-    """Affine reduction to the frame with vertices (0,0),(0,1),(s,t),(1,0).
-
-    When the direct reduction gives s = 1 (sides A1A2 and A3A4 parallel),
-    the labels are shifted one step; if that labeling gives s = 1 too, both
-    side pairs are parallel and IsParallelogram is raised.
-    """
-    for shift in (0, 1):
-        m, s, t = _qst_map(quad.rotate_labels(shift))
-        if abs(s - 1.0) > tol * (1.0 + abs(s)):
-            break
-    else:
-        raise IsParallelogram("both side pairs parallel")
-    if not in_region_g(s, t, tol):
-        raise ParamOutOfRegion(f"normalized (s,t)=({s},{t}) outside region G")
-    return QstFrame(m, s, t, shift)
 
 
 def _similarity_map(quad: Quadrilateral) -> AffineMap:
@@ -222,6 +183,10 @@ class ParallelogramFrame(NamedTuple):
     half_height: float      # k: half the vertical extent
     shear: float            # d: horizontal offset of the top side
     shift: int              # frame A_i corresponds to original A_(i+shift)
+
+
+#: either frame an inscribed family is written in
+Frame = QstvwFrame | ParallelogramFrame
 
 
 def _parallelogram_frame_for_labels(quad: Quadrilateral,

@@ -29,7 +29,6 @@ from .family import InscribedEllipse, inscribe
 from .minecc import NEAR_CIRCLE_ECC, min_ecc, verify_T3
 from .quad import (ClassificationReport, Quadrilateral, canonicalize, classify,
                    diagonals)
-from .sampling import random_similarity
 from .svgfig import Figure
 
 EXIT_PARSE = 2
@@ -203,9 +202,18 @@ def _verify_t2_trial(quad: Quadrilateral, rng, tol: float) -> dict:
     return {"param": r, "margin": max(margins), "passed": bool(ok)}
 
 
+def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
+    """`quad` under a random rotation, positive uniform scaling and translation."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    k = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+    tx, ty = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    c, s = math.cos(angle) * k, math.sin(angle) * k
+    return canonicalize([(c * x - s * y + tx, s * x + c * y + ty)
+                         for x, y in quad.vertices])
+
+
 def _verify_t3_trial(quad: Quadrilateral, rng, tol: float) -> dict:
-    sim = random_similarity(rng)
-    moved = canonicalize([sim.apply(p) for p in quad.vertices])
+    moved = _similar_quad(quad, rng)
     try:
         rep = verify_T3(moved, tol=max(tol, 1e-7))
     except NotMDQ:

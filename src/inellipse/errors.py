@@ -29,10 +29,6 @@ class IsCircle(InEllipseError):
     """Equal conjugate diameters are ambiguous for a circle."""
 
 
-class TangencyNotFound(InEllipseError):
-    """Double-root extraction failed; the line is not tangent to the conic."""
-
-
 class CollinearTriangle(InEllipseError):
     """Triangle vertices for the focus construction are collinear."""
 

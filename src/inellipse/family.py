@@ -3,16 +3,22 @@
 Three frames are covered:
 
 * the (s,t) frame with vertices (0,0), (0,1), (s,t), (1,0), parametrized by
-  the bottom-side tangency abscissa q in (0,1);
+  the bottom-side tangency abscissa q in (0,1) (the paper's closed forms;
+  no runtime path reduces a quad to this frame);
 * the (s,t,v,w) frame with vertices (0,0), (0,1), (s,t), (v,w), parametrized
   by the left-side tangency ordinate r in (0,1);
 * the centered parallelogram frame with vertices (-l-d,-k), (-l+d,k),
   (l+d,k), (l-d,-k), parametrized by v in (-1,1) (v = 0 gives the ellipse
   tangent at the side midpoints).
 
-`inscribe` composes frame normalization with these families to inscribe an
-ellipse in an arbitrary convex quadrilateral.  `marden_foci` locates the
-foci of the ellipse inscribed in a triangle from weighted pole placement.
+The last two families are written the same way, as six coefficient
+polynomials of degree <= 2 in the parameter (`qstvw_coeff_polys`,
+`parallelogram_coeff_polys`).  `inscribe` takes the quad's frame, evaluates
+the family member there, takes the frame's closed-form tangency points (on
+a side tangent by construction, the vertex of the conic restricted to the
+side line) and pulls the conic and the points back to the quad.
+`marden_foci` locates the foci of the ellipse inscribed in a triangle from
+weighted pole placement.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .conic import ConicCoeffs, Point, line_intersect
-from .affine import AffineMap, QstvwFrame, _parallelogram_frame, normalize_to_qstvw
-from .errors import (CollinearTriangle, NonPositiveWeights, ParamOutOfRegion,
-                     TangencyNotFound)
+from .conic import ConicCoeffs, Point, _line_quadratic
+from .affine import (Frame, ParallelogramFrame, _parallelogram_frame,
+                     normalize_to_qstvw)
+from .errors import CollinearTriangle, NonPositiveWeights, ParamOutOfRegion
 from .quad import Quadrilateral, classify, check_qstvw_region, f_values, in_region_g
 
 #: margin keeping family parameters strictly inside their open interval
@@ -124,6 +130,20 @@ def square_inellipse_conic(v: float) -> ConicCoeffs:
     return ConicCoeffs(1.0, 2.0 * v, 1.0, 0.0, 0.0, v * v - 1.0)
 
 
+def parallelogram_coeff_polys(l: float, k: float,
+                              d: float) -> tuple[tuple[float, ...], ...]:
+    """Coefficient polynomials (ascending powers of v) of the centered
+    parallelogram family.
+
+    `square_inellipse_conic(v)` under the squeeze (X, Y) -> (lX + dY, kY),
+    scaled by l^2 k^2: A = k^2, B = 2k(lv - d), C = l^2 + d^2 - 2dlv,
+    D = E = 0, F = l^2 k^2 (v^2 - 1).
+    """
+    lk_sq = l * l * k * k
+    return ((k * k,), (-2.0 * k * d, 2.0 * k * l), (l * l + d * d, -2.0 * d * l),
+            (0.0,), (0.0,), (-lk_sq, 0.0, lk_sq))
+
+
 def qstvw_coeff_polys(s: float, t: float, v: float,
                       w: float) -> tuple[tuple[float, ...], ...]:
     """Coefficient polynomials (ascending powers of r) of the (s,t,v,w) family.
@@ -155,25 +175,23 @@ def qstvw_conic(s: float, t: float, v: float, w: float, r: float,
     """
     check_qstvw_region(s, t, v, w, require_f3=require_f3)
     check_unit_interval(r, "r")
-    poly_a, poly_b, poly_c, poly_d, poly_e, poly_f = qstvw_coeff_polys(s, t, v, w)
-
-    def ev(poly):
-        acc = 0.0
-        for coeff in reversed(poly):
-            acc = acc * r + coeff
-        return acc
-
-    return ConicCoeffs(ev(poly_a), ev(poly_b), ev(poly_c),
-                       ev(poly_d), ev(poly_e), ev(poly_f))
+    return ConicCoeffs(*(_horner(poly, r) for poly in qstvw_coeff_polys(s, t, v, w)))
 
 
-def _tangent_point(conic: ConicCoeffs, p0: Point, direction: Point,
-                   side: str) -> Point:
-    pts = line_intersect(conic, p0, direction)
-    if len(pts) != 1:
-        raise TangencyNotFound(
-            f"side {side}: expected a double root, got {len(pts)} intersections")
-    return pts[0]
+def _horner(coeffs, x):
+    """Ascending coefficients evaluated at x (a float or a numpy array)."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _tangent_point(conic: ConicCoeffs, p0: Point, direction: Point) -> Point:
+    """Contact point of a line tangent to `conic` by construction: the vertex
+    t = -qb/(2qa) of the conic restricted to p0 + t*direction."""
+    qa, qb = _line_quadratic(conic, p0, direction)
+    t = -qb / (2.0 * qa)
+    return (p0[0] + t * direction[0], p0[1] + t * direction[1])
 
 
 def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
@@ -182,8 +200,8 @@ def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
     """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r.
 
     S1 and S4 have closed forms, (0, r) and (q, (w/v)q) with
-    q = svr/((s - f2)r + f2); the S2 and S3 points are recovered as the
-    double root of the side line against the conic.
+    q = svr/((s - f2)r + f2); the S2 and S3 points are the vertices of the
+    conic restricted to their side lines, which are tangent by construction.
     """
     check_qstvw_region(s, t, v, w, require_f3=False)
     check_unit_interval(r, "r")
@@ -193,55 +211,66 @@ def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
     qq = s * v * r / ((s - f2) * r + f2)
     p1 = (0.0, r)
     p4 = (qq, (w / v) * qq)
-    p2 = _tangent_point(conic, (0.0, 1.0), (s, t - 1.0), "S2")
-    p3 = _tangent_point(conic, (s, t), (v - s, w - t), "S3")
+    p2 = _tangent_point(conic, (0.0, 1.0), (s, t - 1.0))
+    p3 = _tangent_point(conic, (s, t), (v - s, w - t))
     return p1, p2, p3, p4
 
 
-def _square_to_original(quad: Quadrilateral):
-    """(parallelogram frame, square->original map) for a parallelogram.
+def _frame(quad: Quadrilateral, parallelogram: bool, shift: int = 0) -> Frame:
+    """The frame of `quad`'s inscribed family.
 
-    Callers have classified `quad` as a parallelogram already.
+    A parallelogram gets its centered frame; any other quad gets the first
+    admissible (s,t,v,w) frame of its labeling shifted by `shift`, with
+    `shift` folded into the frame's own.
     """
-    frame = _parallelogram_frame(quad)
-    squeeze = AffineMap(((frame.half_width, frame.shear),
-                         (0.0, frame.half_height)), (0.0, 0.0))
-    return frame, frame.map.invert().compose(squeeze)
+    if parallelogram:
+        return _parallelogram_frame(quad)
+    fr = normalize_to_qstvw(quad.rotate_labels(shift))
+    return fr._replace(shift=(fr.shift + shift) % 4)
 
 
-def _pull_back(frame, pts) -> tuple[Point, Point, Point, Point]:
-    """Frame points on sides S1..S4 mapped back, in the original's side order."""
-    inv = frame.map.invert()
-    out = [None] * 4
-    for i, p in enumerate(pts):
-        out[(i + frame.shift) % 4] = inv.apply(p)
-    return tuple(out)
+def _family(fr: Frame) -> tuple[str, tuple[tuple[float, ...], ...], float, float]:
+    """Name, coefficient polynomials and open parameter interval (lo, hi) of
+    the inscribed family in frame `fr`."""
+    if isinstance(fr, ParallelogramFrame):
+        return ("parallelogram",
+                parallelogram_coeff_polys(fr.half_width, fr.half_height, fr.shear),
+                -1.0, 1.0)
+    return "qstvw", qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w), 0.0, 1.0
 
 
-def _inscribe_in_frame(quad: Quadrilateral, fr: QstvwFrame,
-                       r: float) -> InscribedEllipse:
-    """The (s,t,v,w) family member at r in the frame `fr` of `quad`."""
-    frame_conic = qstvw_conic(fr.s, fr.t, fr.v, fr.w, r)
-    frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r, conic=frame_conic)
-    conic = fr.map.invert().apply_to_conic(frame_conic)
-    return InscribedEllipse(conic, r, _pull_back(fr, frame_pts), "qstvw", quad)
+def _inscribe_in_frame(quad: Quadrilateral, fr: Frame,
+                       param: float) -> InscribedEllipse:
+    """The family member at `param` in the frame `fr` of `quad`, pulled back.
+
+    Tangency points are listed in `quad`'s own side order.
+    """
+    name, polys, lo, hi = _family(fr)
+    if not lo + J_MARGIN <= param <= hi - J_MARGIN:
+        raise ParamOutOfRegion(f"param={param} not in ({lo:g}, {hi:g})")
+    frame_conic = ConicCoeffs(*(_horner(poly, param) for poly in polys))
+    if name == "parallelogram":
+        frame_pts = parallelogram_tangency(fr.half_width, fr.half_height,
+                                           fr.shear, param)
+    else:
+        frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, param, conic=frame_conic)
+    inv = fr.map.invert()
+    pts = [None] * 4
+    for i, p in enumerate(frame_pts):
+        pts[(i + fr.shift) % 4] = inv.apply(p)
+    return InscribedEllipse(inv.apply_to_conic(frame_conic), param, tuple(pts),
+                            name, quad)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     """Inscribe the family member at `param` in an arbitrary convex quad.
 
-    Parallelograms use the centered-parallelogram family (param in (-1,1));
-    all other quads are normalized by a similarity to the (s,t,v,w) frame
-    (param in (0,1)) and the conic and tangency points are pulled back.
+    Parallelograms use the centered-parallelogram family (param in (-1,1))
+    in their rigid frame; all other quads use the (s,t,v,w) family (param
+    in (0,1)) in their similarity frame.  The conic and the tangency points
+    are pulled back to the quad.
     """
-    if classify(quad).parallelogram:
-        frame, sq_to_orig = _square_to_original(quad)
-        conic = sq_to_orig.apply_to_conic(square_inellipse_conic(param))
-        pts = parallelogram_tangency(frame.half_width, frame.half_height,
-                                     frame.shear, param)
-        return InscribedEllipse(conic, param, _pull_back(frame, pts),
-                                "parallelogram", quad)
-    return _inscribe_in_frame(quad, normalize_to_qstvw(quad), param)
+    return _inscribe_in_frame(quad, _frame(quad, classify(quad).parallelogram), param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

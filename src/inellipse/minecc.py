@@ -1,18 +1,19 @@
 """Eccentricity functional over the inscribed family and its minimizer.
 
-For the (s,t,v,w) frame the squared axis ratio of the family member at r is
+For a family whose conic has coefficient polynomials A, B, C, ... in its
+parameter r, the squared axis ratio of the member at r is
 
     G(r) = (O(r) - sqrt(M(r))) / (O(r) + sqrt(M(r))),
-    O = A + C,   M = (A - C)^2 + B^2,
+    O = A + C,   M = (A - C)^2 + B^2.
 
-with A, B, C the frame conic's coefficient polynomials.  Minimizing the
-eccentricity means maximizing G.  The critical points of G are the roots of
-the quartic p = 2*M*O' - O*M'; for a type-1 midpoint diagonal frame p
-factors through an explicit quadratic whose unique root in (0,1) is the
-optimizer, which is how the closed-form solver works.  The numeric path
-takes the real roots of p as companion-matrix eigenvalues and polishes them
-by Newton steps.  The centered-parallelogram family has the same form with
-A, B, C linear in its parameter, so one solver serves both families.
+Minimizing the eccentricity means maximizing G.  The critical points of G
+are the roots of p = 2*M*O' - O*M', a quartic for the (s,t,v,w) family and
+of degree <= 2 for the centered-parallelogram family, whose A, B, C are
+linear in v.  One solver serves both: it takes the real roots of p as
+companion-matrix eigenvalues, polishes them by Newton steps and compares G
+at each.  For a type-1 midpoint diagonal frame p factors through an
+explicit quadratic whose unique root in (0,1) is the optimizer, which is
+how the closed-form solver works.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine import normalize_to_qstvw
+from .affine import Frame, ParallelogramFrame
 from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
-from .family import (InscribedEllipse, J_MARGIN, check_unit_interval, inscribe,
-                     qstvw_coeff_polys, _inscribe_in_frame, _square_to_original)
+from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
+                     qstvw_coeff_polys, _family, _frame, _horner,
+                     _inscribe_in_frame)
 from .quad import (ClassificationReport, Quadrilateral, classify,
                    check_qstvw_region, f_values, mdq_type_qstvw)
 
@@ -42,14 +44,6 @@ def _mul(p, q) -> list[float]:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
-
-
-def _horner(coeffs, r):
-    """Ascending coefficients evaluated at r (a float or a numpy array)."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
 
 
 def _ecc_polys(pa, pb, pc):
@@ -73,14 +67,19 @@ def _ecc_polys(pa, pb, pc):
     return tuple(o), tuple(m), tuple(n), tuple(p[:5])
 
 
-def _family_argmax(pa, pb, pc, lo: float, hi: float) -> tuple[float, float]:
-    """Maximizer of G over (lo, hi) and G there, for the family with A, B, C.
+def _g_at(o, m, r: float) -> float:
+    """G at r from the ascending coefficients of O and M."""
+    on, root_m = _horner(o, r), math.sqrt(max(_horner(m, r), 0.0))
+    return (on - root_m) / (on + root_m)
+
+
+def _family_argmax(o, m, p, lo: float, hi: float) -> tuple[float, float]:
+    """Maximizer of G over (lo, hi) and G there, for a family's O, M and p.
 
     The candidates are the real parts of the roots of p (companion-matrix
     eigenvalues) that fall inside the interval, each polished by a few
     Newton steps on p that reduce |p| and stay inside.
     """
-    o, m, _, p = _ecc_polys(pa, pb, pc)
     dp = [k * p[k] for k in range(1, 5)]
     best = None
     for root in np.roots(p[::-1]).real:
@@ -97,8 +96,7 @@ def _family_argmax(pa, pb, pc, lo: float, hi: float) -> tuple[float, float]:
             if not (lo < nxt < hi and abs(pn) < abs(pr)):
                 break
             r, pr = nxt, pn
-        on, root_m = _horner(o, r), math.sqrt(max(_horner(m, r), 0.0))
-        g = (on - root_m) / (on + root_m)
+        g = _g_at(o, m, r)
         if best is None or g > best[1]:
             best = (r, g)
     if best is None:
@@ -231,6 +229,7 @@ class MinEccResult(NamedTuple):
     eccentricity: float
     axis_ratio_sq: float
     method: str
+    frame: Frame  # the frame `r_star` is a family parameter of
 
 
 class T3Report(NamedTuple):
@@ -278,54 +277,36 @@ def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
     return (cx, cy), radius, tuple(feet)
 
 
-def _incircle_result(quad: Quadrilateral, parallelogram: bool) -> MinEccResult:
+def _incircle_result(quad: Quadrilateral, fr: Frame) -> MinEccResult:
+    """The inscribed circle, with its param read off the S1 contact in `fr`."""
     (cx, cy), radius, feet = _incircle(quad)
     conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
                         cx * cx + cy * cy - radius * radius)
-    if parallelogram:
-        pframe, sq_to_orig = _square_to_original(quad)
-        param = sq_to_orig.invert().apply(feet[pframe.shift])[1]
-        frame = "parallelogram"
+    _, y = fr.map.apply(feet[fr.shift])
+    if isinstance(fr, ParallelogramFrame):
+        param, name = y / fr.half_height, "parallelogram"
     else:
-        fr = normalize_to_qstvw(quad)
-        param = fr.map.apply(feet[fr.shift])[1]
-        frame = "qstvw"
-    ellipse = InscribedEllipse(conic, param, feet, frame, quad)
-    return MinEccResult(param, ellipse, 0.0, 1.0, "incircle")
+        param, name = y, "qstvw"
+    ellipse = InscribedEllipse(conic, param, feet, name, quad)
+    return MinEccResult(param, ellipse, 0.0, 1.0, "incircle", fr)
 
 
-def _parallelogram_result(quad: Quadrilateral) -> MinEccResult:
-    # quadratic part of square_inellipse_conic(v) = (1, 2v, 1, 0, 0, v^2-1)
-    # pulled back to the quad: linear in v, so p has degree <= 2
-    _, sq_to_orig = _square_to_original(quad)
-    (i00, i01), (i10, i11) = sq_to_orig.invert().linear
-    pa = (i00 * i00 + i10 * i10, 2.0 * i00 * i10)
-    pb = (2.0 * (i00 * i01 + i10 * i11), 2.0 * (i00 * i11 + i01 * i10))
-    pc = (i01 * i01 + i11 * i11, 2.0 * i01 * i11)
-    v_star, ratio = _family_argmax(pa, pb, pc, -1.0 + J_MARGIN, 1.0 - J_MARGIN)
-    ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    return MinEccResult(v_star, inscribe(quad, v_star), ecc, ratio,
-                        "parallelogram_numeric")
-
-
-def _frame_result(quad: Quadrilateral, shift: int, mdq: bool) -> MinEccResult:
-    """Optimum over the (s,t,v,w) family of `quad` with its labels shifted by
-    `shift`: the closed form when the quad is an MDQ and the frame satisfies
-    the type-1 identity, the critical-quartic solver otherwise."""
-    fr = normalize_to_qstvw(quad.rotate_labels(shift))
-    fr = fr._replace(shift=(fr.shift + shift) % 4)
-    s, t, v, w = fr.s, fr.t, fr.v, fr.w
-    if mdq and mdq_type_qstvw(s, t, v, w, tol=1e-6)[0]:
-        r_star = alpha_root(s, v, w)
-        ratio = G_value(s, t, v, w, r_star)
-        method = "alpha_closed_form"
+def _frame_result(quad: Quadrilateral, fr: Frame, mdq: bool) -> MinEccResult:
+    """Optimum over the inscribed family of `quad` in its frame `fr`: the
+    closed form when the quad is an MDQ and `fr` is an (s,t,v,w) frame that
+    satisfies the type-1 identity, the critical-point solver otherwise."""
+    name, polys, lo, hi = _family(fr)
+    o, m, _, p = _ecc_polys(*polys[:3])
+    if (mdq and name == "qstvw"
+            and mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)[0]):
+        r_star = alpha_root(fr.s, fr.v, fr.w)
+        ratio, method = _g_at(o, m, r_star), "alpha_closed_form"
     else:
-        pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
-        r_star, ratio = _family_argmax(pa, pb, pc, J_MARGIN, 1.0 - J_MARGIN)
-        method = "quartic_numeric"
+        r_star, ratio = _family_argmax(o, m, p, lo + J_MARGIN, hi - J_MARGIN)
+        method = "quartic_numeric" if name == "qstvw" else "parallelogram_numeric"
     ecc = math.sqrt(max(1.0 - ratio, 0.0))
     return MinEccResult(r_star, _inscribe_in_frame(quad, fr, r_star), ecc,
-                        ratio, method)
+                        ratio, method, fr)
 
 
 def _type1_shift(rep: ClassificationReport) -> int:
@@ -336,20 +317,19 @@ def _type1_shift(rep: ClassificationReport) -> int:
 def min_ecc(quad: Quadrilateral) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse.
 
-    The quad is classified once.  Tangential MDQs get their inscribed
-    circle and parallelograms are minimized numerically over their own
+    The quad is classified once.  Tangential quads get their inscribed
+    circle.  Parallelograms are minimized numerically over their own
     family.  Other MDQs are solved in a type-1 labeling (type 2 shifts the
     labels one step, which swaps the diagonals) by the closed-form
     optimizer, as long as the first admissible frame of that labeling keeps
     the type-1 identity; everything else, and an MDQ whose admissible frame
-    does not, gets the critical-quartic solver of `min_ecc_numeric`.
+    does not, gets the critical-point solver of `min_ecc_numeric`.
     """
     rep = classify(quad)
-    if rep.tangential and (rep.mdq or rep.parallelogram):
-        return _incircle_result(quad, rep.parallelogram)
-    if rep.parallelogram:
-        return _parallelogram_result(quad)
-    return _frame_result(quad, _type1_shift(rep), rep.mdq)
+    if rep.tangential:
+        return _incircle_result(quad, _frame(quad, rep.parallelogram))
+    return _frame_result(quad, _frame(quad, rep.parallelogram, _type1_shift(rep)),
+                         rep.mdq)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
@@ -361,7 +341,7 @@ def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """
     if classify(quad).parallelogram:
         raise ParamOutOfRegion("numeric solver requires a non-parallelogram")
-    return _frame_result(quad, 0, False)
+    return _frame_result(quad, _frame(quad, False), False)
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,
@@ -382,22 +362,21 @@ def closed_form_diameter_len_sq(s: float, v: float, w: float,
 def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report:
     """Check that the minimal ellipse's diagonal-parallel diameters are equal.
 
-    `quad` is a quadrilateral, whose minimal-eccentricity ellipse is
-    computed here, or a `MinEccResult` from `min_ecc`, which is checked as
-    it stands.  Verifies that the conjugate of the ellipse's D1-parallel
-    diameter is parallel to D2 and that the two diameters have equal
-    length.  Near-circular optima (eccentricity below 1e-6) are reported as
-    vacuously true with the `near_circle` flag, as equal conjugate
-    diameters degenerate there.  For non-parallelogram MDQs the squared
-    lengths are also cross-checked against their frame closed forms.
+    `quad` is an MDQ, whose minimal-eccentricity ellipse is computed here,
+    or a `MinEccResult` from `min_ecc`, which is checked as it stands,
+    without classifying the quad again.  Verifies that the conjugate of the
+    ellipse's D1-parallel diameter is parallel to D2 and that the two
+    diameters have equal length.  Near-circular optima (eccentricity below
+    1e-6) are reported as vacuously true with the `near_circle` flag, as
+    equal conjugate diameters degenerate there.  For closed-form optima the
+    squared lengths are also cross-checked against their frame closed forms.
     """
-    res = quad if isinstance(quad, MinEccResult) else None
-    if res is not None:
-        quad = res.ellipse.quad
-    rep = classify(quad)
-    if not (rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram):
-        raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
-    if res is None:
+    if isinstance(quad, MinEccResult):
+        res, quad = quad, quad.ellipse.quad
+    else:
+        rep = classify(quad)
+        if not (rep.mdq or rep.parallelogram):
+            raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad)
     conic = res.ellipse.conic
     d1, d2 = quad.diagonal_vectors()
@@ -412,13 +391,12 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     len_margin = abs(len1 - len2) / max(len1, len2)
 
     closed: Optional[tuple[float, float]] = None
-    if not rep.parallelogram and res.method == "alpha_closed_form":
-        shift = _type1_shift(rep)
-        fr = normalize_to_qstvw(quad.rotate_labels(shift))
+    if res.method == "alpha_closed_form":
+        fr = res.frame
         cf1, cf2 = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, res.r_star)
         unit = 1.0 / fr.scale
         cf1, cf2 = cf1 * unit * unit, cf2 * unit * unit
         # an odd total label shift makes the frame's D1 the original D2
-        closed = (cf1, cf2) if (shift + fr.shift) % 2 == 0 else (cf2, cf1)
+        closed = (cf1, cf2) if fr.shift % 2 == 0 else (cf2, cf1)
     return T3Report(par_margin <= tol, len_margin <= tol, len1, len2,
                     False, par_margin, len_margin, closed)

@@ -225,18 +225,6 @@ def in_region_g(s: float, t: float, tol: float = CLASSIFY_TOL) -> bool:
     return s > 0.0 and t > 0.0 and s + t > 1.0 and abs(s - 1.0) > tol
 
 
-def mdq_type_qst(s: float, t: float, tol: float = CLASSIFY_TOL) -> tuple[bool, bool]:
-    """MDQ types of the frame with vertices (0,0),(0,1),(s,t),(1,0).
-
-    Type 1 holds iff s = t, type 2 iff s + t = 2 (within `tol`, relative
-    to the parameter scale).
-    """
-    if not in_region_g(s, t, tol):
-        raise ParamOutOfRegion(f"(s,t)=({s},{t}) outside region G")
-    scale = abs(s) + abs(t) + 1.0
-    return (abs(s - t) <= tol * scale, abs(s + t - 2.0) <= tol * scale)
-
-
 def f_values(s: float, t: float, v: float, w: float) -> tuple[float, float, float]:
     """Auxiliary frame quantities (f1, f2, f3).
 

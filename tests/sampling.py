@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from .affine import AffineMap, rotation, scaling, translation
-from .conic import ConicCoeffs
-from .quad import Quadrilateral, canonicalize, f_values, quadrilateral
+from inellipse.affine import AffineMap, rotation, scaling, translation
+from inellipse.conic import ConicCoeffs
+from inellipse.minecc import G_value, alpha_root
+from inellipse.quad import Quadrilateral, canonicalize, f_values, quadrilateral
 
 Frame = tuple[float, float, float, float]
 
@@ -61,8 +62,6 @@ def random_frame(rng: np.random.Generator, max_tries: int = 1000) -> Frame:
 def random_type1_frame(rng: np.random.Generator, min_ecc: float = 0.0,
                        max_tries: int = 1000) -> Frame:
     """A type-1 MDQ frame (vt = (w+1)s), optionally bounded away from circles."""
-    from .minecc import G_value, alpha_root  # lazy: avoid import-time cost
-
     for _ in range(max_tries):
         s = rng.uniform(0.6, 4.0)
         v = rng.uniform(0.6, 4.0)

@@ -22,12 +22,11 @@ from inellipse.minecc import (EccFunctional, G_value, alpha_coeffs, alpha_root,
                               min_ecc, min_ecc_numeric, verify_T3)
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 from inellipse.conic import line_intersect
-from inellipse.sampling import (frame_quad, mdq_frame_margins, random_frame,
-                                random_kite, random_nonmdq_frame,
-                                random_orthodiagonal_quad,
-                                random_tangential_quad, random_type1_frame,
-                                random_type2_frame)
 
+from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,
+                      random_nonmdq_frame, random_orthodiagonal_quad,
+                      random_tangential_quad, random_type1_frame,
+                      random_type2_frame)
 from conftest import (EXAMPLE_CONIC, EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC,
                       EXAMPLE_R, EXAMPLE_R_STAR, EXAMPLE_VERTICES,
                       assert_on_open_segment, assert_points_close,

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from inellipse.affine import (AffineMap, IDENTITY, normalize_to_qst,
-                              normalize_to_qstvw, parallelogram_frame, rotation,
-                              scaling, translation)
+from inellipse.affine import (AffineMap, IDENTITY, normalize_to_qstvw,
+                              parallelogram_frame, rotation, scaling, translation)
 from inellipse.conic import ConicCoeffs, center, proportional
 from inellipse.diameters import conjugate_direction, parallel_margin
 from inellipse.errors import IsParallelogram, ParamOutOfRegion, SingularMap
 from inellipse.quad import (canonicalize, check_qstvw_region, classify,
                             quadrilateral)
-from inellipse.sampling import (frame_quad, random_affine, random_convex_quad,
-                                random_ellipse, random_frame, random_similarity,
-                                random_tangential_quad, random_type1_frame,
-                                random_type2_frame)
 
+from sampling import (frame_quad, random_affine, random_convex_quad,
+                      random_ellipse, random_frame, random_similarity,
+                      random_tangential_quad, random_type1_frame,
+                      random_type2_frame)
 from conftest import assert_points_close
 
 
@@ -94,46 +93,6 @@ class TestApplyToConic:
             assert parallel_margin(conjugate_direction(image, cu), cv) <= 1e-9
 
 
-class TestNormalizeToQst:
-    def test_already_canonical(self):
-        quad = quadrilateral([(0, 0), (0, 1), (2, 2), (1, 0)])
-        fr = normalize_to_qst(quad)
-        assert (fr.s, fr.t) == (pytest.approx(2.0), pytest.approx(2.0))
-        for p in quad.vertices:
-            assert_points_close(fr.map.apply(p), p, 1e-12)
-
-    def test_example_quad(self, example_quad):
-        fr = normalize_to_qst(example_quad)
-        images = [fr.map.apply(p) for p in example_quad.vertices]
-        assert_points_close(images[0], (0, 0), 1e-12)
-        assert_points_close(images[1], (0, 1), 1e-12)
-        assert_points_close(images[3], (1, 0), 1e-12)
-        assert_points_close(images[2], (fr.s, fr.t), 1e-12)
-        assert fr.s + fr.t > 1 and abs(fr.s - 1) > 1e-9
-
-    def test_parallel_vertical_sides_rotated(self):
-        t = 0.5
-        quad = canonicalize([(0, 0), (0, 1), (1, t), (1, 0)])
-        fr = normalize_to_qst(quad)
-        assert abs(fr.s - 1.0) > 1e-9
-        assert fr.shift != 0 or abs(fr.s - 1.0) > 1e-9
-
-    def test_parallelogram_rejected(self):
-        with pytest.raises(IsParallelogram):
-            normalize_to_qst(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
-
-    def test_round_trip_vertices(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            quad = frame_quad(*random_frame(rng))
-            fr = normalize_to_qst(quad)
-            inv = fr.map.invert()
-            frame_pts = [(0.0, 0.0), (0.0, 1.0), (fr.s, fr.t), (1.0, 0.0)]
-            recovered = {tuple(np.round(inv.apply(p), 6)) for p in frame_pts}
-            original = {tuple(np.round(p, 6)) for p in quad.vertices}
-            assert recovered == original
-
-
 class TestNormalizeToQstvw:
     def test_example_identity(self, example_quad):
         fr = normalize_to_qstvw(example_quad)
@@ -188,7 +147,6 @@ class TestNormalizeToQstvw:
         rng = np.random.default_rng(9)
         for _ in range(500):
             quad = _s1s3_trapezoid(rng)
-            assert normalize_to_qst(quad).shift == 1
             a1, a2, a3, a4 = quad.vertices
             s2 = (a3[0] - a2[0], a3[1] - a2[1])
             s4 = (a1[0] - a4[0], a1[1] - a4[1])
@@ -225,7 +183,7 @@ class TestParallelogramFrame:
 
     def test_maps_vertices_to_frame_corners(self):
         rng = np.random.default_rng(7)
-        from inellipse.sampling import random_parallelogram
+        from sampling import random_parallelogram
         for _ in range(30):
             quad = random_parallelogram(rng)
             fr = parallelogram_frame(quad)

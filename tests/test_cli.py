@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +41,21 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Calls of `classify` and `min_ecc`, counted in every module namespace
+    that holds them, so calls between modules are counted too."""
+    calls = {"classify": 0, "min_ecc": 0}
+    for name, fn in (("classify", quad.classify), ("min_ecc", minecc.min_ecc)):
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in [inellipse] + [getattr(inellipse, m) for m in dir(inellipse)]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestClassify:
@@ -151,22 +169,31 @@ class TestMinEcc:
         assert doc["ellipse"]["param"] == 0.5
 
     def test_solves_once_and_classifies_at_most_three_times(
-            self, capsys, example_file, monkeypatch):
-        # rebind the functions in every module namespace that holds them,
-        # so calls between modules are counted too
-        calls = {"classify": 0, "min_ecc": 0}
-        for name, fn in (("classify", quad.classify), ("min_ecc", minecc.min_ecc)):
-            def counted(*args, _name=name, _fn=fn, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            for module in [inellipse] + [getattr(inellipse, m) for m in dir(inellipse)]:
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counted)
+            self, capsys, example_file, call_counts):
         code, doc = run_json(capsys, ["min-ecc", example_file])
         assert code == 0
         assert doc["verification"]["t3_equal_lengths"] is True
-        assert calls["min_ecc"] == 1
-        assert calls["classify"] <= 3
+        assert call_counts["min_ecc"] == 1
+        assert call_counts["classify"] <= 3
+
+    def test_classifies_at_most_twice(self, capsys, example_file, call_counts):
+        # once for the report at --tol, once for the dispatch in min_ecc;
+        # the verification checks the result it is given
+        code, _ = run_json(capsys, ["min-ecc", example_file])
+        assert code == 0
+        assert call_counts["classify"] <= 2
+
+    def test_tol_that_only_the_report_sees(self, capsys, tmp_path):
+        # an MDQ at --tol 1e-5 but not at the dispatch's 1e-9: the
+        # verification block checks the quartic optimum instead of failing
+        path = tmp_path / "near_mdq.json"
+        path.write_text(json.dumps(
+            {"vertices": [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]]}))
+        code, doc = run_json(capsys, ["--tol", "1e-5", "min-ecc", str(path)])
+        assert code == 0
+        assert doc["classification"]["mdq_type1"] or doc["classification"]["mdq_type2"]
+        assert doc["min_ecc"]["method"] == "quartic_numeric"
+        assert "t3_equal_lengths" in doc["verification"]
 
     def test_exploratory_angle_block(self, capsys, example_file, tmp_path):
         _, doc = run_json(capsys, ["min-ecc", example_file])
@@ -180,6 +207,18 @@ class TestMinEcc:
         # reported for non-MDQs too, with no equality claim
         assert "equal_conjugate_angle" in doc["min_ecc"]
         assert "diagonal_angle" in doc["min_ecc"]
+
+
+class TestImport:
+    def test_cli_does_not_load_test_generators(self):
+        src = os.path.dirname(os.path.dirname(inellipse.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, inellipse.cli; print('inellipse.sampling' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestVerify:

@@ -8,8 +8,8 @@ from inellipse.conic import (ConicCoeffs, center, discriminants, evaluate,
                              geometry, gradient, is_ellipse, line_intersect,
                              proportional, scale_normalized, sign_normalized)
 from inellipse.errors import InEllipseError
-from inellipse.sampling import random_ellipse
 
+from sampling import random_ellipse
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)

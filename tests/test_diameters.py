@@ -12,9 +12,9 @@ from inellipse.diameters import (check_T1, check_T2, conjugate_direction,
 from inellipse.errors import IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
-from inellipse.sampling import (frame_quad, random_ellipse, random_frame,
-                                random_nonmdq_frame, random_parallelogram)
 
+from sampling import (frame_quad, random_ellipse, random_frame,
+                      random_nonmdq_frame, random_parallelogram)
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)

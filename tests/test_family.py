@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from inellipse.affine import AffineMap
 from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
 from inellipse.errors import (CollinearTriangle, NonPositiveWeights,
                               ParamOutOfRegion)
-from inellipse.family import (inscribe, marden_foci, parallelogram_tangency,
-                              qst_center_param, qst_conic, qst_newton_line,
-                              qst_tangency, qstvw_conic, qstvw_tangency,
-                              square_inellipse_conic)
+from inellipse.family import (inscribe, marden_foci, parallelogram_coeff_polys,
+                              parallelogram_tangency, qst_center_param,
+                              qst_conic, qst_newton_line, qst_tangency,
+                              qstvw_conic, qstvw_tangency, square_inellipse_conic)
 from inellipse.quad import canonicalize, diagonals, quadrilateral
-from inellipse.sampling import (frame_quad, random_frame, random_parallelogram,
-                                random_similarity)
 
+from sampling import (frame_quad, random_frame, random_parallelogram,
+                      random_similarity)
 from conftest import (EXAMPLE_CONIC, EXAMPLE_R, assert_inscribed,
                       assert_on_open_segment, assert_points_close,
                       assert_tangent_at)
@@ -129,6 +130,22 @@ class TestParallelogramFamily:
             assert is_ellipse(conic)
             for p in parallelogram_tangency(1.0, 1.0, 0.0, v):
                 assert abs(evaluate(conic, p)) <= 1e-12
+
+    def test_coeff_polys_are_the_squeezed_square_family(self):
+        # the unit-square family pushed through (X, Y) -> (lX + dY, kY)
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            l = rng.uniform(0.5, 3.0)
+            k = rng.uniform(0.5, 3.0)
+            d = rng.uniform(-0.9, 0.9) * l
+            v = rng.uniform(-0.95, 0.95)
+            conic = ConicCoeffs(*(sum(c * v ** i for i, c in enumerate(poly))
+                                  for poly in parallelogram_coeff_polys(l, k, d)))
+            squeeze = AffineMap(((l, d), (0.0, k)), (0.0, 0.0))
+            assert proportional(conic, squeeze.apply_to_conic(square_inellipse_conic(v)),
+                                1e-12)
+            for p in parallelogram_tangency(l, k, d, v):
+                assert abs(evaluate(conic, p)) <= 1e-12 * max(abs(x) for x in conic)
 
     def test_chord_slopes_independent_of_param(self):
         rng = np.random.default_rng(16)

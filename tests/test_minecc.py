@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.affine import normalize_to_qstvw
+from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
 from inellipse.conic import center, geometry, proportional
 from inellipse.diameters import equal_conjugate_diameters, parallel_margin
 from inellipse.errors import NotMDQ, ParamOutOfRegion
-from inellipse.family import (_square_to_original, inscribe, qstvw_conic,
-                              square_inellipse_conic)
+from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
                               min_ecc_numeric, p_quartic, verify_T3)
 from inellipse.quad import canonicalize, diagonals, quadrilateral
-from inellipse.sampling import (frame_quad, random_frame, random_kite,
-                                random_nonmdq_frame, random_parallelogram,
-                                random_similarity, random_tangential_quad,
-                                random_type1_frame, random_type2_frame)
 
+from sampling import (frame_quad, random_convex_quad, random_frame,
+                      random_kite, random_nonmdq_frame, random_parallelogram,
+                      random_similarity, random_tangential_quad,
+                      random_type1_frame, random_type2_frame)
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
                       assert_points_close)
@@ -43,7 +42,7 @@ class TestGValue:
         # a kite normalized by similarity is tangential: ratio 1 at the optimum
         # (M vanishes there, so cancellation limits the check to ~sqrt(eps))
         kite = canonicalize([(0, 0), (-1, 2), (0, 5), (1, 2)])
-        from inellipse.affine import normalize_to_qstvw
+        from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
         fr = normalize_to_qstvw(kite)
         res = min_ecc(kite)
         assert G_value(fr.s, fr.t, fr.v, fr.w, res.r_star) == pytest.approx(1.0, abs=1e-6)
@@ -190,9 +189,22 @@ class TestMinEcc:
         assert res.axis_ratio_sq >= best - 1e-9
 
     def test_random_tangential_quads_return_inscribed(self):
+        # MDQ or not, the inscribed circle is the optimum of a tangential
+        # quad, and the reported ratio is that of the returned conic
         rng = np.random.default_rng(0)
         for _ in range(2000):
             res = min_ecc(random_tangential_quad(rng))
+            assert res.method == "incircle"
+            assert_inscribed(res.ellipse, 1e-7)
+            ratio = geometry(res.ellipse.conic).axis_ratio_sq
+            assert abs(res.axis_ratio_sq - ratio) <= 1e-9
+
+    def test_random_convex_quads_return_inscribed(self):
+        # contacts on sides S2 and S3 are the vertices of the restricted
+        # conic, so no near-double root can make them disappear
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            res = min_ecc(random_convex_quad(rng))
             assert_inscribed(res.ellipse, 1e-7)
 
     def test_scale_invariance(self, example_quad):
@@ -222,7 +234,7 @@ class TestMinEccNumeric:
         rng = np.random.default_rng(47)
         quad = frame_quad(*random_nonmdq_frame(rng))
         res = min_ecc_numeric(quad)
-        from inellipse.affine import normalize_to_qstvw
+        from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
         fr = normalize_to_qstvw(quad)
         func = EccFunctional(fr.s, fr.t, fr.v, fr.w)
         eps = 1e-6
@@ -266,14 +278,18 @@ class TestParallelogramProperty:
     def test_random_parallelograms_reach_dense_maximum(self):
         # parallelograms anywhere in the plane; the reference maximizes the
         # axis ratio of the family members over a grid on (-1, 1), refined
-        # around its best point, built with the map `inscribe` uses
+        # around its best point, built from the unit-square family pushed
+        # through the squeeze (X, Y) -> (lX + dY, kY) and the frame's inverse
         rng = np.random.default_rng(58)
         for _ in range(300):
             quad = random_parallelogram(rng)
             res = min_ecc(quad)
             assert res.method == "parallelogram_numeric"
             assert_inscribed(res.ellipse, 1e-7)
-            _, sq_to_orig = _square_to_original(quad)
+            fr = parallelogram_frame(quad)
+            squeeze = AffineMap(((fr.half_width, fr.shear), (0.0, fr.half_height)),
+                                (0.0, 0.0))
+            sq_to_orig = fr.map.invert().compose(squeeze)
 
             def ratio(v):
                 conic = sq_to_orig.apply_to_conic(square_inellipse_conic(v))

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from inellipse.errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
 from inellipse.quad import (canonicalize, classify, diagonals, f_values,
-                            mdq_type_qst, mdq_type_qstvw, quadrilateral)
-from inellipse.sampling import (frame_quad, random_affine, random_kite,
-                                random_mdq_quad, random_orthodiagonal_quad,
-                                random_parallelogram, random_tangential_quad,
-                                random_type1_frame, random_type2_frame)
+                            mdq_type_qstvw, quadrilateral)
 
+from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
+                      random_orthodiagonal_quad, random_parallelogram,
+                      random_tangential_quad, random_type1_frame,
+                      random_type2_frame)
 from conftest import EXAMPLE_VERTICES, assert_points_close
 
 
@@ -117,36 +117,6 @@ class TestClassify:
     def test_trapezoid_not_mdq(self):
         rep = classify(canonicalize([(0, 0), (0, 1), (1, 0.5), (1, 0)]))
         assert rep.trapezoid and not rep.mdq and not rep.parallelogram
-
-
-class TestMdqTypeQst:
-    def test_type1_iff_s_equals_t(self):
-        assert mdq_type_qst(2.0, 2.0) == (True, False)
-
-    def test_type2_iff_sum_two(self):
-        assert mdq_type_qst(1.5, 0.5) == (False, True)
-
-    def test_neither(self):
-        assert mdq_type_qst(2.0, 3.0) == (False, False)
-
-    def test_region_rejected(self):
-        with pytest.raises(ParamOutOfRegion):
-            mdq_type_qst(1.0, 2.0)
-        with pytest.raises(ParamOutOfRegion):
-            mdq_type_qst(0.3, 0.3)
-
-    def test_matches_classify(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            s = rng.uniform(0.2, 3.0)
-            t = rng.uniform(0.2, 3.0)
-            if s + t <= 1.05 or abs(s - 1.0) < 0.02:
-                continue
-            quad = quadrilateral([(0, 0), (0, 1), (s, t), (1, 0)])
-            rep = classify(quad)
-            type1, type2 = mdq_type_qst(s, t)
-            assert rep.mdq_type1 == type1
-            assert rep.mdq_type2 == type2
 
 
 class TestMdqTypeQstvw:
