@@ -11,11 +11,9 @@ from .conic import (ConicCoeffs, EllipseGeometry, center, discriminants,
 from .quad import (ClassificationReport, DiagonalData, Quadrilateral,
                    canonicalize, classify, diagonals, f_values, mdq_type_qstvw,
                    quadrilateral)
-from .affine import AffineMap, QstvwFrame, normalize_to_qstvw, parallelogram_frame
-from .family import (InscribedEllipse, inscribe, marden_foci,
-                     parallelogram_coeff_polys, parallelogram_tangency,
-                     qst_center_param, qst_conic, qst_tangency, qstvw_conic,
-                     qstvw_tangency)
+from .affine import AffineMap, QstvwFrame, normalize_to_qstvw
+from .family import (InscribedEllipse, inscribe, marden_foci, qst_center_param,
+                     qst_conic, qst_tangency, qstvw_conic, qstvw_tangency)
 from .diameters import (DiameterPair, TangencyChords, check_T1, check_T2,
                         conjugate_direction, diameter_endpoints,
                         equal_conjugate_diameters, tangency_chords)

@@ -1,13 +1,13 @@
 """Affine maps on points, quads, conics and directions; canonical-frame reduction.
 
-Two frames are provided.  `normalize_to_qstvw` uses a similarity only
-(translation, rotation, uniform positive scaling), sending A1 to (0,0) and
-A2 to (0,1); similarities preserve eccentricity, which is what the
-minimal-eccentricity solver needs.  The only frame choice is a cyclic label
-shift k (frame A_i is the original A_(i+k)); the returned `shift` records
-it.  An odd shift swaps the roles of the two diagonals, so a type-2 MDQ is
-a type-1 MDQ in the labeling shifted by one vertex.  `parallelogram_frame`
-centers a parallelogram by a rigid motion.
+Every convex quad, parallelograms included, has one frame:
+`normalize_to_qstvw` uses a similarity only (translation, rotation, uniform
+positive scaling), sending A1 to (0,0) and A2 to (0,1); similarities
+preserve eccentricity, which is what the minimal-eccentricity solver
+needs.  The only frame choice is a cyclic label shift k (frame A_i is the
+original A_(i+k)); the returned `shift` records it.  An odd shift swaps
+the roles of the two diagonals, so a type-2 MDQ is a type-1 MDQ in the
+labeling shifted by one vertex.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .conic import ConicCoeffs, Direction, Point, scale_normalized
-from .errors import IsParallelogram, SingularMap, ParamOutOfRegion
-from .quad import Quadrilateral, canonicalize, classify, check_qstvw_region
+from .errors import SingularMap, ParamOutOfRegion
+from .quad import Quadrilateral, canonicalize, check_qstvw_region
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -153,15 +153,14 @@ def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
     The similarity preserves eccentricities of inscribed ellipses.  The
     frame is the first admissible one among the label shifts 0, 2, 1, 3;
     even shifts come first because they keep each diagonal's role, so a
-    type-1 frame stays type 1.  A shift is inadmissible when sides A1A2 and
-    A3A4 are parallel (s = v) or t <= w; when every shift has s = v both
-    side pairs are parallel and IsParallelogram is raised.  A trapezoid
-    whose parallel pair is S2/S4 yields f3 = 0 in its admissible frames; by
-    default such frames are returned (the inscribed family is still well
-    defined) and only operations that divide by f3 reject them, via
-    `require_f3`.
+    type-1 frame stays type 1.  A shift is inadmissible when t <= w; s = v
+    (S1 || S3) is admissible, so a parallelogram always gets its shift-0
+    frame (s, t, s, t - 1).  A trapezoid whose parallel pair is S2/S4 yields
+    f3 = 0 in its admissible frames; by default such frames are returned
+    (the inscribed family is still well defined) and only operations that
+    divide by f3 reject them, via `require_f3`.
     """
-    failed = []
+    first_error = None
     for shift in (0, 2, 1, 3):
         labeled = quad.rotate_labels(shift)
         m = _similarity_map(labeled)
@@ -169,64 +168,7 @@ def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
         try:
             check_qstvw_region(s, t, v, w, require_f3=require_f3, tol=tol)
         except ParamOutOfRegion as exc:
-            failed.append((s, v, exc))
+            first_error = first_error or exc
             continue
         return QstvwFrame(m, s, t, v, w, shift)
-    if all(abs(s - v) <= tol * max(abs(s), abs(v), 1.0) for s, v, _ in failed):
-        raise IsParallelogram("both side pairs parallel")
-    raise failed[0][2]
-
-
-class ParallelogramFrame(NamedTuple):
-    map: AffineMap          # original coords -> centered frame coords
-    half_width: float       # l: half the horizontal extent of a lateral side pair
-    half_height: float      # k: half the vertical extent
-    shear: float            # d: horizontal offset of the top side
-    shift: int              # frame A_i corresponds to original A_(i+shift)
-
-
-#: either frame an inscribed family is written in
-Frame = QstvwFrame | ParallelogramFrame
-
-
-def _parallelogram_frame_for_labels(quad: Quadrilateral,
-                                    shift: int) -> ParallelogramFrame:
-    a1, a4 = quad.a1, quad.a4
-    angle = math.atan2(a4[1] - a1[1], a4[0] - a1[0])
-    rot = rotation(-angle)
-    cx = sum(p[0] for p in quad.vertices) / 4.0
-    cy = sum(p[1] for p in quad.vertices) / 4.0
-    m = rot.compose(translation(-cx, -cy))
-    p1 = m.apply(quad.a1)
-    p4 = m.apply(quad.a4)
-    k = -p1[1]
-    l = 0.5 * (p4[0] - p1[0])
-    d = -0.5 * (p1[0] + p4[0])
-    if k <= 0.0 or l <= 0.0:
-        raise ParamOutOfRegion("degenerate parallelogram frame")
-    return ParallelogramFrame(m, l, k, d, shift)
-
-
-def _parallelogram_frame(quad: Quadrilateral) -> ParallelogramFrame:
-    """`parallelogram_frame` for a quad already classified as a parallelogram."""
-    frame = _parallelogram_frame_for_labels(quad, 0)
-    if frame.shear < frame.half_width * (1.0 - 1e-12):
-        return frame
-    frame = _parallelogram_frame_for_labels(quad.rotate_labels(1), 1)
-    if not frame.shear < frame.half_width:
-        raise ParamOutOfRegion("no labeling gives an admissible frame")
-    return frame
-
-
-def parallelogram_frame(quad: Quadrilateral) -> ParallelogramFrame:
-    """Rigid motion taking a parallelogram to the centered frame with
-    vertices (-l-d, -k), (-l+d, k), (l+d, k), (l-d, -k).
-
-    The frame requires shear d < l; when the given labeling violates that,
-    the labels are rotated one step (using the lateral side pair as the
-    base instead), which always yields d < 0 < l.  `shift` records the
-    relabeling.
-    """
-    if not classify(quad).parallelogram:
-        raise ParamOutOfRegion("quad is not a parallelogram")
-    return _parallelogram_frame(quad)
+    raise first_error

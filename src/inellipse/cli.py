@@ -300,7 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inscribe", help="inscribe one family member")
     add_input(p)
     p.add_argument("--param", type=float, required=True,
-                   help="family parameter (in (0,1), or (-1,1) for parallelograms)")
+                   help="family parameter r in (0,1); for a parallelogram "
+                        "v = 2r - 1 in (-1,1), where r is the contact's "
+                        "fraction along side A1A2")
 
     p = sub.add_parser("min-ecc", help="minimal-eccentricity ellipse")
     add_input(p)

@@ -21,10 +21,6 @@ class SingularMap(InEllipseError):
     """Affine map is not invertible."""
 
 
-class IsParallelogram(InEllipseError):
-    """Operation requires a non-parallelogram quadrilateral."""
-
-
 class IsCircle(InEllipseError):
     """Equal conjugate diameters are ambiguous for a circle."""
 

@@ -1,22 +1,20 @@
 """One-parameter families of ellipses inscribed in canonical quadrilateral frames.
 
-Three frames are covered:
+Two frames are covered:
 
 * the (s,t) frame with vertices (0,0), (0,1), (s,t), (1,0), parametrized by
   the bottom-side tangency abscissa q in (0,1) (the paper's closed forms;
   no runtime path reduces a quad to this frame);
 * the (s,t,v,w) frame with vertices (0,0), (0,1), (s,t), (v,w), parametrized
-  by the left-side tangency ordinate r in (0,1);
-* the centered parallelogram frame with vertices (-l-d,-k), (-l+d,k),
-  (l+d,k), (l-d,-k), parametrized by v in (-1,1) (v = 0 gives the ellipse
-  tangent at the side midpoints).
+  by the left-side tangency ordinate r in (0,1).
 
-The last two families are written the same way, as six coefficient
-polynomials of degree <= 2 in the parameter (`qstvw_coeff_polys`,
-`parallelogram_coeff_polys`).  `inscribe` takes the quad's frame, evaluates
-the family member there, takes the frame's closed-form tangency points (on
-a side tangent by construction, the vertex of the conic restricted to the
-side line) and pulls the conic and the points back to the quad.
+Every convex quad, parallelograms included, is inscribed in its (s,t,v,w)
+frame, whose family is six coefficient polynomials of degree <= 2 in r
+(`qstvw_coeff_polys`); a parallelogram's frame is (s, t, s, t - 1) and its
+public parameter is v = 2r - 1 in (-1, 1), v = 0 touching the side
+midpoints.  `inscribe` evaluates the member in the quad's frame, takes the
+closed-form tangency points (on a side tangent by construction, the vertex
+of the conic restricted to the side line) and pulls both back to the quad.
 `marden_foci` locates the foci of the ellipse inscribed in a triangle from
 weighted pole placement.
 """
@@ -24,11 +22,10 @@ weighted pole placement.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .conic import ConicCoeffs, Point, _line_quadratic
-from .affine import (Frame, ParallelogramFrame, _parallelogram_frame,
-                     normalize_to_qstvw)
+from .affine import QstvwFrame, normalize_to_qstvw
 from .errors import CollinearTriangle, NonPositiveWeights, ParamOutOfRegion
 from .quad import Quadrilateral, classify, check_qstvw_region, f_values, in_region_g
 
@@ -46,8 +43,9 @@ class InscribedEllipse:
     """An inscribed ellipse together with its provenance.
 
     `tangency` lists one point per side, in side order S1..S4 of `quad`'s
-    labeling.  `param` is the family parameter in the frame named by
-    `frame` ("qstvw" or "parallelogram").
+    labeling.  `param` is the family parameter named by `frame`: the
+    (s,t,v,w) frame's r in (0,1) for "qstvw", or a parallelogram's
+    v = 2r - 1 in (-1,1) for "parallelogram".
     """
 
     conic: ConicCoeffs
@@ -104,21 +102,6 @@ def qst_tangency(s: float, t: float, q: float) -> tuple[Point, Point, Point, Poi
     return q1, q2, q3, q4
 
 
-def parallelogram_tangency(l: float, k: float, d: float,
-                           v: float) -> tuple[Point, Point, Point, Point]:
-    """Tangency points of the inscribed family on the centered parallelogram.
-
-    The admissible parameter range is v in (-1, 1); the endpoints collapse
-    the tangency points into opposite vertices.
-    """
-    if not (l > 0.0 and k > 0.0 and d < l):
-        raise ParamOutOfRegion("parallelogram frame requires l, k > 0 and d < l")
-    if not (abs(v) <= 1.0 - J_MARGIN):
-        raise ParamOutOfRegion(f"v={v} not in (-1, 1)")
-    return ((-l + d * v, k * v), (-l * v + d, k),
-            (l - d * v, -k * v), (l * v - d, -k))
-
-
 def square_inellipse_conic(v: float) -> ConicCoeffs:
     """Inscribed-ellipse coefficients for the square [-1,1]^2 at parameter v.
 
@@ -128,20 +111,6 @@ def square_inellipse_conic(v: float) -> ConicCoeffs:
     if not (abs(v) <= 1.0 - J_MARGIN):
         raise ParamOutOfRegion(f"v={v} not in (-1, 1)")
     return ConicCoeffs(1.0, 2.0 * v, 1.0, 0.0, 0.0, v * v - 1.0)
-
-
-def parallelogram_coeff_polys(l: float, k: float,
-                              d: float) -> tuple[tuple[float, ...], ...]:
-    """Coefficient polynomials (ascending powers of v) of the centered
-    parallelogram family.
-
-    `square_inellipse_conic(v)` under the squeeze (X, Y) -> (lX + dY, kY),
-    scaled by l^2 k^2: A = k^2, B = 2k(lv - d), C = l^2 + d^2 - 2dlv,
-    D = E = 0, F = l^2 k^2 (v^2 - 1).
-    """
-    lk_sq = l * l * k * k
-    return ((k * k,), (-2.0 * k * d, 2.0 * k * l), (l * l + d * d, -2.0 * d * l),
-            (0.0,), (0.0,), (-lk_sq, 0.0, lk_sq))
 
 
 def qstvw_coeff_polys(s: float, t: float, v: float,
@@ -216,61 +185,51 @@ def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
     return p1, p2, p3, p4
 
 
-def _frame(quad: Quadrilateral, parallelogram: bool, shift: int = 0) -> Frame:
-    """The frame of `quad`'s inscribed family.
-
-    A parallelogram gets its centered frame; any other quad gets the first
-    admissible (s,t,v,w) frame of its labeling shifted by `shift`, with
-    `shift` folded into the frame's own.
-    """
-    if parallelogram:
-        return _parallelogram_frame(quad)
+def _frame(quad: Quadrilateral, shift: int = 0) -> QstvwFrame:
+    """The first admissible (s,t,v,w) frame of `quad`'s labeling shifted by
+    `shift`, with `shift` folded into the frame's own."""
     fr = normalize_to_qstvw(quad.rotate_labels(shift))
     return fr._replace(shift=(fr.shift + shift) % 4)
 
 
-def _family(fr: Frame) -> tuple[str, tuple[tuple[float, ...], ...], float, float]:
-    """Name, coefficient polynomials and open parameter interval (lo, hi) of
-    the inscribed family in frame `fr`."""
-    if isinstance(fr, ParallelogramFrame):
-        return ("parallelogram",
-                parallelogram_coeff_polys(fr.half_width, fr.half_height, fr.shear),
-                -1.0, 1.0)
-    return "qstvw", qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w), 0.0, 1.0
-
-
-def _inscribe_in_frame(quad: Quadrilateral, fr: Frame,
-                       param: float) -> InscribedEllipse:
-    """The family member at `param` in the frame `fr` of `quad`, pulled back.
+def _inscribe_in_frame(quad: Quadrilateral, fr: QstvwFrame,
+                       r: float) -> InscribedEllipse:
+    """The family member at `r` in the frame `fr` of `quad`, pulled back.
 
     Tangency points are listed in `quad`'s own side order.
     """
-    name, polys, lo, hi = _family(fr)
-    if not lo + J_MARGIN <= param <= hi - J_MARGIN:
-        raise ParamOutOfRegion(f"param={param} not in ({lo:g}, {hi:g})")
-    frame_conic = ConicCoeffs(*(_horner(poly, param) for poly in polys))
-    if name == "parallelogram":
-        frame_pts = parallelogram_tangency(fr.half_width, fr.half_height,
-                                           fr.shear, param)
-    else:
-        frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, param, conic=frame_conic)
+    check_unit_interval(r, "param")
+    frame_conic = ConicCoeffs(*(_horner(poly, r)
+                                for poly in qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)))
+    frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r, conic=frame_conic)
     inv = fr.map.invert()
     pts = [None] * 4
     for i, p in enumerate(frame_pts):
         pts[(i + fr.shift) % 4] = inv.apply(p)
-    return InscribedEllipse(inv.apply_to_conic(frame_conic), param, tuple(pts),
-                            name, quad)
+    return InscribedEllipse(inv.apply_to_conic(frame_conic), r, tuple(pts),
+                            "qstvw", quad)
+
+
+def _named_by_v(ie: InscribedEllipse, v: float) -> InscribedEllipse:
+    """A parallelogram's family member `ie`, named by v = 2r - 1."""
+    return replace(ie, param=v, frame="parallelogram")
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     """Inscribe the family member at `param` in an arbitrary convex quad.
 
-    Parallelograms use the centered-parallelogram family (param in (-1,1))
-    in their rigid frame; all other quads use the (s,t,v,w) family (param
-    in (0,1)) in their similarity frame.  The conic and the tangency points
-    are pulled back to the quad.
+    Every quad uses the (s,t,v,w) family in its similarity frame.  `param`
+    is that family's r in (0,1), except for a parallelogram, whose
+    parameter is v = 2r - 1 in (-1,1): r is the S1 contact's fraction
+    along A1->A2, so v = 0 touches the side midpoints.  The conic and the
+    tangency points are pulled back to the quad.
     """
-    return _inscribe_in_frame(quad, _frame(quad, classify(quad).parallelogram), param)
+    if not classify(quad).parallelogram:
+        return _inscribe_in_frame(quad, _frame(quad), param)
+    if not abs(param) <= 1.0 - 2.0 * J_MARGIN:
+        raise ParamOutOfRegion(f"v={param} not in (-1, 1)")
+    return _named_by_v(_inscribe_in_frame(quad, _frame(quad), (1.0 + param) / 2.0),
+                       param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

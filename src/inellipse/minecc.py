@@ -7,34 +7,37 @@ parameter r, the squared axis ratio of the member at r is
     O = A + C,   M = (A - C)^2 + B^2.
 
 Minimizing the eccentricity means maximizing G.  The critical points of G
-are the roots of p = 2*M*O' - O*M', a quartic for the (s,t,v,w) family and
-of degree <= 2 for the centered-parallelogram family, whose A, B, C are
-linear in v.  One solver serves both: it takes the real roots of p as
-companion-matrix eigenvalues, polishes them by Newton steps and compares G
-at each.  For a type-1 midpoint diagonal frame p factors through an
-explicit quadratic whose unique root in (0,1) is the optimizer, which is
-how the closed-form solver works.
+are the roots of p = 2*M*O' - O*M', a quartic for the (s,t,v,w) family; on
+a parallelogram's frame A, B, C are linear in r and p has degree <= 2.  One
+solver serves every quad: it takes the real roots of p as companion-matrix
+eigenvalues, polishes them by Newton steps and compares G at each.  For a
+type-1 midpoint diagonal frame p factors through an explicit quadratic
+(linear on a parallelogram) whose unique root in (0,1) is the optimizer,
+which is how the closed-form solver works.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine import Frame, ParallelogramFrame
+from .affine import QstvwFrame
 from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
-                     qstvw_coeff_polys, _family, _frame, _horner,
-                     _inscribe_in_frame)
+                     qstvw_coeff_polys, _frame, _horner, _inscribe_in_frame,
+                     _named_by_v)
 from .quad import (ClassificationReport, Quadrilateral, classify,
                    check_qstvw_region, f_values, mdq_type_qstvw)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
+#: relative rounding bound below which a coefficient of p is taken as zero
+P_ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
 def _mul(p, q) -> list[float]:
@@ -46,25 +49,41 @@ def _mul(p, q) -> list[float]:
     return out
 
 
+def _sq(x) -> list[float]:
+    """`_mul(x, x)` of a degree-2 x, with the same sums in the same order."""
+    x0, x1, x2 = x
+    c01, c02, c12 = x0 * x1, x0 * x2, x1 * x2
+    return [x0 * x0, c01 + c01, c02 + x1 * x1 + c02, c12 + c12, x2 * x2]
+
+
+def _m_and_p(o, diff, b, sign: float):
+    """M = diff^2 + B^2 and 2*M*O' + sign*O*M' (degree 5), ascending."""
+    m = [x + y for x, y in zip(_sq(diff), _sq(b))]
+    do = (o[1], 2.0 * o[2])
+    dm = (m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4])
+    return m, [2.0 * x + sign * y for x, y in zip(_mul(m, do), _mul(o, dm))]
+
+
 def _ecc_polys(pa, pb, pc):
-    """O (degree 2), M and N (degree 4) and p (degree 4) of a family.
+    """O (degree 2), M (degree 4) and p = 2*M*O' - O*M' (degree 4) of a family.
 
     `pa`, `pb`, `pc` are the ascending coefficients (degree <= 2) of the
     quadratic part A, B, C of the family conic.
     """
     a, b, c = ((tuple(x) + (0.0, 0.0))[:3] for x in (pa, pb, pc))
     o = [a[i] + c[i] for i in range(3)]
-    diff = [a[i] - c[i] for i in range(3)]
-    m = [x + y for x, y in zip(_mul(diff, diff), _mul(b, b))]
-    n = [x - y for x, y in zip(_mul(o, o), m)]
-    do = [o[1], 2.0 * o[2]]
-    dm = [m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4]]
-    p = [2.0 * x - y for x, y in zip(_mul(m, do), _mul(o, dm))]
+    m, p = _m_and_p(o, [a[i] - c[i] for i in range(3)], b, -1.0)
     top = max(abs(x) for x in p)
     # the degree-5 terms cancel identically; drop the roundoff residue
     if abs(p[5]) > 1e-9 * top:
         raise InEllipseError("critical-point polynomial has degree > 4")
-    return tuple(o), tuple(m), tuple(n), tuple(p[:5])
+    # a coefficient below its rounding bound (the same products taken on
+    # absolute values) is residue of a cancellation, as in the degree 2-4
+    # terms of a parallelogram's p; left in, it moves p's roots
+    abs_o = [abs(a[i]) + abs(c[i]) for i in range(3)]
+    _, bound = _m_and_p(abs_o, abs_o, [abs(x) for x in b], 1.0)
+    p = [0.0 if abs(x) <= P_ROUNDOFF * y else x for x, y in zip(p[:5], bound)]
+    return tuple(o), tuple(m), tuple(p)
 
 
 def _g_at(o, m, r: float) -> float:
@@ -112,8 +131,8 @@ class EccFunctional:
         check_qstvw_region(s, t, v, w, require_f3=require_f3)
         self.s, self.t, self.v, self.w = s, t, v, w
         pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
-        self.o_coeffs, self.m_coeffs, self.n_coeffs, self.p_coeffs = \
-            _ecc_polys(pa, pb, pc)
+        self.o_coeffs, self.m_coeffs, self.p_coeffs = _ecc_polys(pa, pb, pc)
+        self.n_coeffs = tuple(x - y for x, y in zip(_sq(self.o_coeffs), self.m_coeffs))
 
     def o(self, r):
         return _horner(self.o_coeffs, r)
@@ -146,9 +165,12 @@ def N_factorization(s: float, t: float, v: float, w: float,
 
     N must factor as 16 s^2 v^2 r (1-r) ((s-v)r + v) ((s-v)r + f2); the
     roots are all distinct for an admissible frame (f3 = 0 would merge the
-    last two, which is rejected).
+    last two, which is rejected).  The last two divide by v - s, so sides
+    S1 and S3 must not be parallel.
     """
     check_qstvw_region(s, t, v, w, require_f3=True)
+    if abs(s - v) <= tol * max(abs(s), abs(t), abs(v), abs(w), 1.0):
+        raise ParamOutOfRegion("roots of N require s != v (parallel sides S1, S3)")
     _, f2, _ = f_values(s, t, v, w)
     roots = (0.0, 1.0, f2 / (v - s), v / (v - s))
     scale = max(1.0, *(abs(r) for r in roots))
@@ -180,27 +202,25 @@ def alpha_coeffs(s: float, v: float, w: float) -> tuple[float, float, float]:
     return (-s * (v * v + (w + 1.0) ** 2), 2.0 * v * k, 2.0 * (s - v) * k)
 
 
-def alpha_root(s: float, v: float, w: float, tol: float = 1e-9) -> float:
+def alpha_root(s: float, v: float, w: float) -> float:
     """Unique root in (0,1) of the type-1 optimizer quadratic.
 
     Valid for type-1 frames, where t is determined by t = s(w+1)/v; the
-    admissibility conditions reduce to s, v > 0, s != v and 2s - v > 0.
-    alpha(0) < 0 < alpha(1) guarantees the root exists.
+    admissibility conditions reduce to s, v > 0 and 2s - v > 0.
+    alpha(0) < 0 < alpha(1) guarantees the root exists.  On a
+    parallelogram's frame s = v, and alpha is linear with root -a0/a1.
     """
-    scale = max(abs(s), abs(v), 1.0)
     if not (s > 0.0 and v > 0.0):
         raise ParamOutOfRegion("type-1 frame requires s, v > 0")
-    if abs(s - v) <= tol * scale:
-        raise ParamOutOfRegion("type-1 frame requires s != v")
     if not 2.0 * s - v > 0.0:
         raise ParamOutOfRegion("type-1 frame requires 2s - v > 0")
     a0, a1, a2 = alpha_coeffs(s, v, w)
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0.0:
         raise NoRootInJ("optimizer quadratic has no real root")
-    root = math.sqrt(disc)
-    q = -0.5 * (a1 + math.copysign(root, a1))
-    candidates = [q / a2, a0 / q] if q != 0.0 else [-a1 / a2, 0.0]
+    # a1 > 0, so q < 0 and a0/q is the root that does not cancel
+    q = -0.5 * (a1 + math.sqrt(disc))
+    candidates = [q / a2, a0 / q] if a2 != 0.0 else [a0 / q]
     in_j = [r for r in candidates if 0.0 < r < 1.0]
     if len(in_j) == 1:
         return in_j[0]
@@ -224,12 +244,12 @@ def alpha_root(s: float, v: float, w: float, tol: float = 1e-9) -> float:
 
 
 class MinEccResult(NamedTuple):
-    r_star: float
+    r_star: float  # family parameter of the optimum, as `ellipse.param`
     ellipse: InscribedEllipse
     eccentricity: float
     axis_ratio_sq: float
     method: str
-    frame: Frame  # the frame `r_star` is a family parameter of
+    frame: QstvwFrame  # the frame the optimum was found in
 
 
 class T3Report(NamedTuple):
@@ -277,36 +297,36 @@ def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
     return (cx, cy), radius, tuple(feet)
 
 
-def _incircle_result(quad: Quadrilateral, fr: Frame) -> MinEccResult:
+def _incircle_result(quad: Quadrilateral, fr: QstvwFrame) -> MinEccResult:
     """The inscribed circle, with its param read off the S1 contact in `fr`."""
     (cx, cy), radius, feet = _incircle(quad)
     conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
                         cx * cx + cy * cy - radius * radius)
-    _, y = fr.map.apply(feet[fr.shift])
-    if isinstance(fr, ParallelogramFrame):
-        param, name = y / fr.half_height, "parallelogram"
-    else:
-        param, name = y, "qstvw"
-    ellipse = InscribedEllipse(conic, param, feet, name, quad)
-    return MinEccResult(param, ellipse, 0.0, 1.0, "incircle", fr)
+    _, r = fr.map.apply(feet[fr.shift])
+    ellipse = InscribedEllipse(conic, r, feet, "qstvw", quad)
+    return MinEccResult(r, ellipse, 0.0, 1.0, "incircle", fr)
 
 
-def _frame_result(quad: Quadrilateral, fr: Frame, mdq: bool) -> MinEccResult:
+def _frame_result(quad: Quadrilateral, fr: QstvwFrame, mdq: bool) -> MinEccResult:
     """Optimum over the inscribed family of `quad` in its frame `fr`: the
-    closed form when the quad is an MDQ and `fr` is an (s,t,v,w) frame that
-    satisfies the type-1 identity, the critical-point solver otherwise."""
-    name, polys, lo, hi = _family(fr)
-    o, m, _, p = _ecc_polys(*polys[:3])
-    if (mdq and name == "qstvw"
-            and mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)[0]):
+    closed form when the quad is an MDQ and `fr` satisfies the type-1
+    identity, the critical-point solver otherwise."""
+    o, m, p = _ecc_polys(*qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)[:3])
+    if mdq and mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)[0]:
         r_star = alpha_root(fr.s, fr.v, fr.w)
         ratio, method = _g_at(o, m, r_star), "alpha_closed_form"
     else:
-        r_star, ratio = _family_argmax(o, m, p, lo + J_MARGIN, hi - J_MARGIN)
-        method = "quartic_numeric" if name == "qstvw" else "parallelogram_numeric"
+        r_star, ratio = _family_argmax(o, m, p, J_MARGIN, 1.0 - J_MARGIN)
+        method = "quartic_numeric"
     ecc = math.sqrt(max(1.0 - ratio, 0.0))
     return MinEccResult(r_star, _inscribe_in_frame(quad, fr, r_star), ecc,
                         ratio, method, fr)
+
+
+def _named_by_v_result(res: MinEccResult) -> MinEccResult:
+    """A parallelogram's optimum, named by its public parameter v = 2r - 1."""
+    v = 2.0 * res.r_star - 1.0
+    return res._replace(r_star=v, ellipse=_named_by_v(res.ellipse, v))
 
 
 def _type1_shift(rep: ClassificationReport) -> int:
@@ -318,30 +338,31 @@ def min_ecc(quad: Quadrilateral) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse.
 
     The quad is classified once.  Tangential quads get their inscribed
-    circle.  Parallelograms are minimized numerically over their own
-    family.  Other MDQs are solved in a type-1 labeling (type 2 shifts the
-    labels one step, which swaps the diagonals) by the closed-form
-    optimizer, as long as the first admissible frame of that labeling keeps
-    the type-1 identity; everything else, and an MDQ whose admissible frame
-    does not, gets the critical-point solver of `min_ecc_numeric`.
+    circle.  MDQs are solved in a type-1 labeling (type 2 shifts the labels
+    one step, which swaps the diagonals) by the closed-form optimizer, as
+    long as the first admissible frame of that labeling keeps the type-1
+    identity; a parallelogram's frame always does.  Everything else, and an
+    MDQ whose admissible frame does not, gets the critical-point solver of
+    `min_ecc_numeric`.  A parallelogram's `r_star` is its v = 2r - 1.
     """
     rep = classify(quad)
     if rep.tangential:
-        return _incircle_result(quad, _frame(quad, rep.parallelogram))
-    return _frame_result(quad, _frame(quad, rep.parallelogram, _type1_shift(rep)),
-                         rep.mdq)
+        res = _incircle_result(quad, _frame(quad))
+    else:
+        res = _frame_result(quad, _frame(quad, _type1_shift(rep)), rep.mdq)
+    return _named_by_v_result(res) if rep.parallelogram else res
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver (independent of the closed form).
 
     Maximizes G over (0,1) by comparing G at every real root of the
-    critical quartic p in the interval, found as companion-matrix
-    eigenvalues and polished by Newton steps on p.
+    critical polynomial p in the interval, found as companion-matrix
+    eigenvalues and polished by Newton steps on p.  A parallelogram's
+    `r_star` is its v = 2r - 1, as in `min_ecc`.
     """
-    if classify(quad).parallelogram:
-        raise ParamOutOfRegion("numeric solver requires a non-parallelogram")
-    return _frame_result(quad, _frame(quad, False), False)
+    res = _frame_result(quad, _frame(quad), False)
+    return _named_by_v_result(res) if classify(quad).parallelogram else res
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,
@@ -393,7 +414,9 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     closed: Optional[tuple[float, float]] = None
     if res.method == "alpha_closed_form":
         fr = res.frame
-        cf1, cf2 = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, res.r_star)
+        # the closed form takes the frame's r; a parallelogram reports v = 2r - 1
+        r1 = res.r_star if res.ellipse.frame == "qstvw" else (1.0 + res.r_star) / 2.0
+        cf1, cf2 = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, r1)
         unit = 1.0 / fr.scale
         cf1, cf2 = cf1 * unit * unit, cf2 * unit * unit
         # an odd total label shift makes the frame's D1 the original D2

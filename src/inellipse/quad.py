@@ -242,16 +242,16 @@ def check_qstvw_region(s: float, t: float, v: float, w: float,
                        require_f3: bool = True, tol: float = CLASSIFY_TOL) -> None:
     """Raise ParamOutOfRegion unless (s,t,v,w) is an admissible frame.
 
-    Checks s,v > 0, t > w, s != v and f1, f2 > 0; `require_f3` adds the
-    no-parallel-S2S4 condition f3 != 0 needed by the root formulas.
+    Checks s,v > 0, t > w and f1, f2 > 0; `require_f3` adds the
+    no-parallel-S2S4 condition f3 != 0 needed by the root formulas.  Sides
+    S1 and S3 may be parallel (s = v): a parallelogram or an S1 || S3
+    trapezoid has an admissible frame like any other convex quad.
     """
     scale = max(abs(s), abs(t), abs(v), abs(w), 1.0)
     if not (s > 0.0 and v > 0.0):
         raise ParamOutOfRegion("frame requires s, v > 0")
     if not t > w:
         raise ParamOutOfRegion("frame requires t > w")
-    if abs(s - v) <= tol * scale:
-        raise ParamOutOfRegion("frame requires s != v (parallel vertical sides)")
     f1, f2, f3 = f_values(s, t, v, w)
     if f1 <= 0.0 or f2 <= 0.0:
         raise ParamOutOfRegion("frame is not convex (f1, f2 must be positive)")

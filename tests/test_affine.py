@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from inellipse.affine import (AffineMap, IDENTITY, normalize_to_qstvw,
-                              parallelogram_frame, rotation, scaling, translation)
+                              rotation, scaling, translation)
 from inellipse.conic import ConicCoeffs, center, proportional
 from inellipse.diameters import conjugate_direction, parallel_margin
-from inellipse.errors import IsParallelogram, ParamOutOfRegion, SingularMap
+from inellipse.errors import SingularMap
+from inellipse.minecc import EccFunctional, min_ecc
 from inellipse.quad import (canonicalize, check_qstvw_region, classify,
                             quadrilateral)
 
@@ -134,30 +135,32 @@ class TestNormalizeToQstvw:
                 got = mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-7)
                 assert got == (type1, not type1)
 
-    def test_parallelogram_rejected(self):
-        with pytest.raises(IsParallelogram):
-            normalize_to_qstvw(canonicalize([(0, 0), (0, 2), (3, 2), (3, 0)]))
+    def test_parallelogram_gets_its_shift_zero_frame(self):
+        fr = normalize_to_qstvw(canonicalize([(0, 0), (0, 2), (3, 2), (3, 0)]))
+        assert fr.shift == 0
+        assert np.allclose((fr.s, fr.t, fr.v, fr.w), (1.5, 1.0, 1.5, 0.0),
+                           rtol=0.0, atol=1e-12)
 
-    def test_s1s3_parallel_trapezoid_relabels(self):
+    def test_s1s3_parallel_trapezoid_keeps_its_labels(self):
+        # parallel sides S1 and S3 (s = v) no longer force a label shift
         quad = canonicalize([(0, 0), (0, 1), (1, 0.5), (1, 0)])
         fr = normalize_to_qstvw(quad)
-        assert abs(fr.s - fr.v) > 1e-9
+        assert fr.shift == 0
+        assert (fr.s, fr.t, fr.v, fr.w) == (1.0, 0.5, 1.0, 0.0)
 
-    def test_s1s3_trapezoids_shift_one_step(self):
+    def test_s1s3_trapezoids_get_admissible_frames(self):
+        # including those whose legs lean the same way, which no label
+        # shift with s != v admits; min_ecc reaches the dense maximum of G
+        # over the frame's family
         rng = np.random.default_rng(9)
+        grid = np.linspace(0.0, 1.0, 4003)[1:-1]
         for _ in range(500):
             quad = _s1s3_trapezoid(rng)
-            a1, a2, a3, a4 = quad.vertices
-            s2 = (a3[0] - a2[0], a3[1] - a2[1])
-            s4 = (a1[0] - a4[0], a1[1] - a4[1])
-            try:
-                fr = normalize_to_qstvw(quad)
-            except ParamOutOfRegion:
-                # legs leaning the same way: no label shift gives t > w
-                assert s2[0] * s4[0] + s2[1] * s4[1] >= 0.0
-                continue
-            assert fr.shift in (1, 3)
+            fr = normalize_to_qstvw(quad)
             check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
+            res = min_ecc(quad)
+            best = float(np.max(EccFunctional(fr.s, fr.t, fr.v, fr.w).g(grid)))
+            assert res.axis_ratio_sq >= best - 1e-9
 
     def test_every_non_parallelogram_gets_an_admissible_frame(self):
         for draw in (random_convex_quad, random_tangential_quad):
@@ -176,20 +179,21 @@ class TestNormalizeToQstvw:
 
 class TestParallelogramFrame:
     def test_unit_square(self):
-        frame = parallelogram_frame(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
-        assert frame.half_width == pytest.approx(0.5)
-        assert frame.half_height == pytest.approx(0.5)
-        assert frame.shear == pytest.approx(0.0)
+        frame = normalize_to_qstvw(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
+        assert frame.shift == 0
+        assert (frame.s, frame.t, frame.v, frame.w) == (1.0, 1.0, 1.0, 0.0)
 
     def test_maps_vertices_to_frame_corners(self):
+        # every parallelogram's first admissible frame is its shift-0 frame
+        # (s, t, s, t - 1)
         rng = np.random.default_rng(7)
         from sampling import random_parallelogram
         for _ in range(30):
             quad = random_parallelogram(rng)
-            fr = parallelogram_frame(quad)
-            l, k, d = fr.half_width, fr.half_height, fr.shear
-            assert d < l
-            expect = [(-l - d, -k), (-l + d, k), (l + d, k), (l - d, -k)]
-            labeled = quad.rotate_labels(fr.shift)
-            for p, e in zip(labeled.vertices, expect):
+            fr = normalize_to_qstvw(quad)
+            assert fr.shift == 0
+            assert fr.v == pytest.approx(fr.s, rel=1e-9)
+            assert fr.w == pytest.approx(fr.t - 1.0, abs=1e-9)
+            expect = [(0.0, 0.0), (0.0, 1.0), (fr.s, fr.t), (fr.s, fr.t - 1.0)]
+            for p, e in zip(quad.vertices, expect):
                 assert_points_close(fr.map.apply(p), e, 1e-9)

@@ -37,6 +37,15 @@ def trapezoid_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def leaning_trapezoid_file(tmp_path):
+    # S1 || S3 with both legs leaning the same way: only frames with s = v
+    # are admissible
+    path = tmp_path / "leaning_trapezoid.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [6, 1], [-5, 1]]}))
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -157,14 +166,26 @@ class TestMinEcc:
         out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
-        assert doc["min_ecc"]["method"] == "parallelogram_numeric"
+        assert doc["min_ecc"]["method"] == "alpha_closed_form"
         assert doc["verification"]["t3_equal_lengths"] is True
+        assert doc["ellipse"]["frame"] == "parallelogram"
+        cf = doc["verification"]["closed_form_len_sq"]
+        assert cf == pytest.approx(doc["verification"]["diameter_len_sq"], rel=1e-8)
 
     def test_s1s3_trapezoid(self, capsys, trapezoid_file):
         code, doc = run_json(capsys, ["min-ecc", trapezoid_file])
         assert code == 0
         assert doc["min_ecc"]["method"] == "quartic_numeric"
         code, doc = run_json(capsys, ["inscribe", "--param", "0.5", trapezoid_file])
+        assert code == 0
+        assert doc["ellipse"]["param"] == 0.5
+
+    def test_leaning_s1s3_trapezoid(self, capsys, leaning_trapezoid_file):
+        code, doc = run_json(capsys, ["min-ecc", leaning_trapezoid_file])
+        assert code == 0
+        assert doc["min_ecc"]["method"] == "quartic_numeric"
+        code, doc = run_json(capsys, ["inscribe", "--param", "0.5",
+                                      leaning_trapezoid_file])
         assert code == 0
         assert doc["ellipse"]["param"] == 0.5
 

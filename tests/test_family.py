@@ -8,10 +8,10 @@ from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
 from inellipse.errors import (CollinearTriangle, NonPositiveWeights,
                               ParamOutOfRegion)
-from inellipse.family import (inscribe, marden_foci, parallelogram_coeff_polys,
-                              parallelogram_tangency, qst_center_param,
+from inellipse.family import (inscribe, marden_foci, qst_center_param,
                               qst_conic, qst_newton_line, qst_tangency,
-                              qstvw_conic, qstvw_tangency, square_inellipse_conic)
+                              qstvw_coeff_polys, qstvw_conic, qstvw_tangency,
+                              square_inellipse_conic)
 from inellipse.quad import canonicalize, diagonals, quadrilateral
 
 from sampling import (frame_quad, random_frame, random_parallelogram,
@@ -117,10 +117,22 @@ class TestDerivationConsistency:
                                 qst_conic(s, t, q), 1e-9)
 
 
+#: the square [-1, 1]^2, labeled clockwise from its lower-left corner
+SQUARE = quadrilateral([(-1, -1), (-1, 1), (1, 1), (1, -1)])
+
+
+def _centered_parallelogram(l, k, d):
+    """Vertices (-l-d, -k), (-l+d, k), (l+d, k), (l-d, -k), in that order."""
+    return quadrilateral([(-l - d, -k), (-l + d, k), (l + d, k), (l - d, -k)])
+
+
 class TestParallelogramFamily:
+    # a parallelogram's member at v touches S1 at the fraction (1 + v)/2
+    # along A1 -> A2
     def test_square_midpoint_tangency(self):
-        pts = parallelogram_tangency(1.0, 1.0, 0.0, 0.0)
-        assert pts == ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0))
+        pts = inscribe(SQUARE, 0.0).tangency
+        for got, expect in zip(pts, ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0))):
+            assert_points_close(got, expect, 1e-12)
 
     def test_square_family_matches_formula(self):
         rng = np.random.default_rng(15)
@@ -128,23 +140,29 @@ class TestParallelogramFamily:
             v = rng.uniform(-0.95, 0.95)
             conic = square_inellipse_conic(v)
             assert is_ellipse(conic)
-            for p in parallelogram_tangency(1.0, 1.0, 0.0, v):
-                assert abs(evaluate(conic, p)) <= 1e-12
+            ie = inscribe(SQUARE, v)
+            assert ie.param == v and ie.frame == "parallelogram"
+            assert proportional(ie.conic, conic, 1e-12)
+            for got, expect in zip(ie.tangency, ((-1.0, v), (-v, 1.0), (1.0, -v), (v, -1.0))):
+                assert_points_close(got, expect, 1e-12)
+                assert abs(evaluate(conic, got)) <= 1e-12
 
     def test_coeff_polys_are_the_squeezed_square_family(self):
-        # the unit-square family pushed through (X, Y) -> (lX + dY, kY)
+        # the (s,t,v,w) family of the frame (s, t, s, t - 1) at r is the
+        # unit-square family at v = 2r - 1 pushed through the map taking
+        # the square's corners to the frame's
         rng = np.random.default_rng(24)
         for _ in range(50):
-            l = rng.uniform(0.5, 3.0)
-            k = rng.uniform(0.5, 3.0)
-            d = rng.uniform(-0.9, 0.9) * l
-            v = rng.uniform(-0.95, 0.95)
-            conic = ConicCoeffs(*(sum(c * v ** i for i, c in enumerate(poly))
-                                  for poly in parallelogram_coeff_polys(l, k, d)))
-            squeeze = AffineMap(((l, d), (0.0, k)), (0.0, 0.0))
-            assert proportional(conic, squeeze.apply_to_conic(square_inellipse_conic(v)),
-                                1e-12)
-            for p in parallelogram_tangency(l, k, d, v):
+            s = rng.uniform(0.3, 3.0)
+            t = rng.uniform(0.2, 3.0)
+            r = rng.uniform(0.025, 0.975)
+            conic = ConicCoeffs(*(sum(c * r ** i for i, c in enumerate(poly))
+                                  for poly in qstvw_coeff_polys(s, t, s, t - 1.0)))
+            square_to_frame = AffineMap(((s / 2.0, 0.0), (t / 2.0 - 0.5, 0.5)),
+                                        (s / 2.0, t / 2.0))
+            assert proportional(conic, square_to_frame.apply_to_conic(
+                square_inellipse_conic(2.0 * r - 1.0)), 1e-12)
+            for p in qstvw_tangency(s, t, s, t - 1.0, r):
                 assert abs(evaluate(conic, p)) <= 1e-12 * max(abs(x) for x in conic)
 
     def test_chord_slopes_independent_of_param(self):
@@ -154,23 +172,25 @@ class TestParallelogramFamily:
             k = rng.uniform(0.5, 3.0)
             d = rng.uniform(-0.9, 0.9) * l
             v = rng.uniform(-0.9, 0.9)
-            q1, q2, q3, q4 = parallelogram_tangency(l, k, d, v)
+            q1, q2, q3, q4 = inscribe(_centered_parallelogram(l, k, d), v).tangency
+            assert_points_close(q1, (-l + d * v, k * v), 1e-12)
             slope12 = (q2[1] - q1[1]) / (q2[0] - q1[0])
             slope23 = (q3[1] - q2[1]) / (q3[0] - q2[0])
             assert slope12 == pytest.approx(k / (l + d), rel=1e-10)
             assert slope23 == pytest.approx(k / (d - l), rel=1e-10)
 
     def test_param_range_open(self):
-        with pytest.raises(ParamOutOfRegion):
-            parallelogram_tangency(1.0, 1.0, 0.0, 1.0)
+        for v in (1.0, -1.0, 1.5):
+            with pytest.raises(ParamOutOfRegion):
+                inscribe(SQUARE, v)
         with pytest.raises(ParamOutOfRegion):
             square_inellipse_conic(-1.0)
 
     def test_tangency_interior_across_range(self):
         # the (-1, 1) range keeps every tangency point strictly inside its side
         for v in np.linspace(-0.999, 0.999, 41):
-            pts = parallelogram_tangency(1.0, 1.0, 0.0, float(v))
-            square = [(-1, -1), (-1, 1), (1, 1), (1, -1)]
+            pts = inscribe(SQUARE, float(v)).tangency
+            square = SQUARE.vertices
             for p, i in zip(pts, range(4)):
                 assert_on_open_segment(p, square[i], square[(i + 1) % 4], 1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
+from inellipse.affine import AffineMap, normalize_to_qstvw
 from inellipse.conic import center, geometry, proportional
 from inellipse.diameters import equal_conjugate_diameters, parallel_margin
 from inellipse.errors import NotMDQ, ParamOutOfRegion
@@ -42,7 +42,7 @@ class TestGValue:
         # a kite normalized by similarity is tangential: ratio 1 at the optimum
         # (M vanishes there, so cancellation limits the check to ~sqrt(eps))
         kite = canonicalize([(0, 0), (-1, 2), (0, 5), (1, 2)])
-        from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
+        from inellipse.affine import normalize_to_qstvw
         fr = normalize_to_qstvw(kite)
         res = min_ecc(kite)
         assert G_value(fr.s, fr.t, fr.v, fr.w, res.r_star) == pytest.approx(1.0, abs=1e-6)
@@ -112,7 +112,18 @@ class TestAlphaRoot:
 
     def test_degenerate_rejected(self):
         with pytest.raises(ParamOutOfRegion):
-            alpha_root(2.0, 2.0, 0.5)  # s = v
+            alpha_root(1.0, 2.0, 0.5)  # 2s - v = 0
+        with pytest.raises(ParamOutOfRegion):
+            alpha_root(0.0, 2.0, 0.5)
+
+    def test_linear_on_parallelogram_frames(self):
+        # s = v: alpha is linear and its root is -a0/a1
+        rng = np.random.default_rng(60)
+        for _ in range(50):
+            s, w = rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0)
+            a0, a1, a2 = alpha_coeffs(s, s, w)
+            assert a2 == 0.0
+            assert alpha_root(s, s, w) == -a0 / a1
 
 
 class TestMinEcc:
@@ -137,11 +148,12 @@ class TestMinEcc:
             assert res.method == "incircle"
             assert_inscribed(res.ellipse, 1e-7)
 
-    def test_parallelogram_numeric(self):
+    def test_rectangle_closed_form(self):
         rect = canonicalize([(0, 0), (0, 1), (3, 1), (3, 0)])
         res = min_ecc(rect)
-        assert res.method == "parallelogram_numeric"
-        # the optimum for a rectangle is the axis-aligned midpoint ellipse
+        assert res.method == "alpha_closed_form"
+        # the optimum for a rectangle is the axis-aligned midpoint ellipse,
+        # v = 0 of the parallelogram parameter
         assert abs(res.r_star) <= 1e-6
         assert res.eccentricity == pytest.approx(math.sqrt(1 - 1 / 9), abs=1e-9)
         assert_inscribed(res.ellipse, 1e-7)
@@ -169,20 +181,19 @@ class TestMinEcc:
         assert_inscribed(res.ellipse, 1e-7)
 
     def test_trapezoid_with_parallel_s1_s3(self):
-        # normalization shifts the labels one step
+        # its shift-0 frame has s = v
         quad = canonicalize([(0, 0), (0, 1), (1, 0.7), (1, 0)])
         res = min_ecc(quad)
         assert res.method == "quartic_numeric"
         assert_inscribed(res.ellipse, 1e-7)
 
     def test_trapezoid_whose_lower_left_frame_has_s_equal_v(self):
-        # S1 and S3 parallel in the lower-left labeling; the frame is the
-        # labeling shifted by one vertex
+        # S1 and S3 parallel in the lower-left labeling, which is the frame
         quad = canonicalize([(0, 0), (1, 1), (3, 2), (1, 0)])
         res = min_ecc(quad)
         assert_inscribed(res.ellipse)
         fr = normalize_to_qstvw(quad)
-        assert fr.shift == 1
+        assert fr.shift == 0 and fr.s == pytest.approx(fr.v, rel=1e-12)
         grid = [(k + 1) / 4002 for k in range(4001)]
         best = max(geometry(qstvw_conic(fr.s, fr.t, fr.v, fr.w, r)).axis_ratio_sq
                    for r in grid)
@@ -234,7 +245,7 @@ class TestMinEccNumeric:
         rng = np.random.default_rng(47)
         quad = frame_quad(*random_nonmdq_frame(rng))
         res = min_ecc_numeric(quad)
-        from inellipse.affine import AffineMap, normalize_to_qstvw, parallelogram_frame
+        from inellipse.affine import normalize_to_qstvw
         fr = normalize_to_qstvw(quad)
         func = EccFunctional(fr.s, fr.t, fr.v, fr.w)
         eps = 1e-6
@@ -246,9 +257,18 @@ class TestMinEccNumeric:
         assert res.axis_ratio_sq > G_value(8, 4, 6, 2, 1e-6)
         assert res.axis_ratio_sq > G_value(8, 4, 6, 2, 1 - 1e-6)
 
-    def test_parallelogram_rejected(self):
-        with pytest.raises(ParamOutOfRegion):
-            min_ecc_numeric(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
+    def test_agrees_with_alpha_root_on_parallelograms(self):
+        # on a parallelogram's frame p is linear; the roundoff left in its
+        # degree 2-4 coefficients must not move or remove the root
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            quad = random_parallelogram(rng)
+            closed = min_ecc(quad)
+            assert closed.method == "alpha_closed_form"
+            num = min_ecc_numeric(quad)
+            assert num.method == "quartic_numeric"
+            assert abs(num.r_star - closed.r_star) <= 1e-9
+            assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-10
 
     def test_optimizer_is_global_argmax_on_grid(self):
         rng = np.random.default_rng(48)
@@ -274,36 +294,58 @@ class TestMinEccNumeric:
             assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-10
 
 
+def _near_parallelogram(rng):
+    """A random parallelogram with A3 moved by 10^U(-8.5,-5) of its diameter."""
+    quad = random_parallelogram(rng)
+    a1, a2, a3, a4 = quad.vertices
+    size = 10.0 ** rng.uniform(-8.5, -5.0) * quad.diameter()
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    a3 = (a3[0] + size * math.cos(angle), a3[1] + size * math.sin(angle))
+    return quadrilateral([a1, a2, a3, a4])
+
+
 class TestParallelogramProperty:
     def test_random_parallelograms_reach_dense_maximum(self):
-        # parallelograms anywhere in the plane; the reference maximizes the
-        # axis ratio of the family members over a grid on (-1, 1), refined
-        # around its best point, built from the unit-square family pushed
-        # through the squeeze (X, Y) -> (lX + dY, kY) and the frame's inverse
+        # parallelograms anywhere in the plane; the reference family is the
+        # unit-square family pushed through (X, Y) -> c + X(A4 - A1)/2 +
+        # Y(A2 - A1)/2, which takes the square's corners to A1..A4, so its
+        # member at v touches S1 at the fraction (1 + v)/2 along A1 -> A2
         rng = np.random.default_rng(58)
         for _ in range(300):
             quad = random_parallelogram(rng)
             res = min_ecc(quad)
-            assert res.method == "parallelogram_numeric"
+            assert res.method == "alpha_closed_form"
             assert_inscribed(res.ellipse, 1e-7)
-            fr = parallelogram_frame(quad)
-            squeeze = AffineMap(((fr.half_width, fr.shear), (0.0, fr.half_height)),
-                                (0.0, 0.0))
-            sq_to_orig = fr.map.invert().compose(squeeze)
+            a1, a2, a3, a4 = quad.vertices
+            c = ((a1[0] + a3[0]) / 2.0, (a1[1] + a3[1]) / 2.0)
+            square_to_quad = AffineMap(
+                (((a4[0] - a1[0]) / 2.0, (a2[0] - a1[0]) / 2.0),
+                 ((a4[1] - a1[1]) / 2.0, (a2[1] - a1[1]) / 2.0)), c)
 
-            def ratio(v):
-                conic = sq_to_orig.apply_to_conic(square_inellipse_conic(v))
-                return geometry(conic).axis_ratio_sq
+            def member(v):
+                return square_to_quad.apply_to_conic(square_inellipse_conic(v))
 
             coarse = np.linspace(-1.0, 1.0, 401)[1:-1]
-            v0 = coarse[int(np.argmax([ratio(float(v)) for v in coarse]))]
+            v0 = coarse[int(np.argmax([geometry(member(float(v))).axis_ratio_sq
+                                       for v in coarse]))]
             fine = np.linspace(max(v0 - 0.005, -0.999), min(v0 + 0.005, 0.999), 201)
-            vals = [ratio(float(v)) for v in fine]
-            best = int(np.argmax(vals))
-            assert proportional(inscribe(quad, float(fine[best])).conic,
-                                sq_to_orig.apply_to_conic(
-                                    square_inellipse_conic(float(fine[best]))))
-            assert res.axis_ratio_sq >= vals[best] - 1e-9
+            vals = [geometry(member(float(v))).axis_ratio_sq for v in fine]
+            assert res.axis_ratio_sq >= max(vals) - 1e-9
+            for v in (-0.9, -0.5, 0.0, 0.5, 0.9, res.r_star):
+                assert proportional(inscribe(quad, v).conic, member(v))
+
+    def test_near_parallelograms_reach_dense_maximum(self):
+        # MDQs or not, these are not parallelograms, and their frames have
+        # s within 1e-5 of v
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 1.0, 4003)[1:-1]
+        for _ in range(2000):
+            quad = _near_parallelogram(rng)
+            res = min_ecc(quad)
+            assert_inscribed(res.ellipse, 1e-7)
+            fr = res.frame
+            best = float(np.max(EccFunctional(fr.s, fr.t, fr.v, fr.w).g(grid)))
+            assert res.axis_ratio_sq >= best - 1e-9
 
 
 class TestPolynomialPositivity:
@@ -401,10 +443,13 @@ class TestVerifyT3:
             assert parallel_margin(d1, nl) <= 1e-9
 
     def test_closed_forms_match_direct_lengths(self):
+        # type-1 and type-2 MDQs, and parallelograms, whose closed form
+        # takes the frame's r = (1 + v)/2
         rng = np.random.default_rng(56)
-        for _ in range(50):
-            s, t, v, w = random_type1_frame(rng, min_ecc=1e-3)
-            quad = frame_quad(s, t, v, w)
+        quads = ([frame_quad(*random_type1_frame(rng, min_ecc=1e-3)) for _ in range(50)]
+                 + [frame_quad(*random_type2_frame(rng)) for _ in range(50)]
+                 + [random_parallelogram(rng) for _ in range(50)])
+        for quad in quads:
             rep = verify_T3(quad)
             cf1, cf2 = rep.closed_form_len_sq
             assert rep.len1_sq == pytest.approx(cf1, rel=1e-8)

@@ -129,7 +129,7 @@ class TestMdqTypeQstvw:
 
     def test_region_rejected(self):
         with pytest.raises(ParamOutOfRegion):
-            mdq_type_qstvw(2, 3, 2, 1)  # s = v
+            mdq_type_qstvw(2, 1, 3, 1)  # t = w
 
     def test_matches_classify_on_random_frames(self):
         rng = np.random.default_rng(11)
