@@ -8,13 +8,19 @@ Subcommands:
     verify --theorem T         sampled theorem checks (t1 | t2 | t3)
     plot --params R1,R2 --out  SVG figure
 
-Exit codes: 0 success, 2 parse error, 3 non-convex input, 4 parameter out
-of range, 5 unwritable output path.
+Exit codes: 0 success, 2 parse error (including input that is not UTF-8
+JSON and a non-numeric `--params` entry), 3 non-convex input, 4 parameter
+out of range, 5 unwritable output path.
+
+`main(argv)` is the in-process entry point: it returns the exit code and
+may be called any number of times in one process. The argument parser is
+built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,7 +56,10 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bytes that are not UTF-8 (UnicodeDecodeError), text
+    # that is not JSON (JSONDecodeError) and integers past the digit limit;
+    # RecursionError covers arrays or objects nested too deep to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read input: {exc}")
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise _CliError(EXIT_PARSE, "input must be an object with a 'vertices' key")
@@ -182,20 +191,28 @@ def _verify_t1_trial(quad: Quadrilateral, rng, tol: float) -> dict:
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
 
 
-def _verify_t2_trial(quad: Quadrilateral, rng, tol: float) -> dict:
+def _t2_expected_chords(quad: Quadrilateral) -> tuple[set, set] | None:
+    """The tangency chords that T2 makes parallel to d1 and to d2, or None
+    when the quad is neither an MDQ nor a parallelogram."""
+    cls = classify(quad)
+    if cls.parallelogram:
+        return {"q1q2", "q3q4"}, {"q2q3", "q1q4"}
+    if cls.mdq_type1:
+        return set(), {"q2q3", "q1q4"}
+    if cls.mdq_type2:
+        return {"q1q2", "q3q4"}, set()
+    return None
+
+
+def _verify_t2_trial(quad: Quadrilateral, rng, tol: float,
+                     expected: tuple[set, set] | None) -> dict:
     r = rng.uniform(0.02, 0.98)
     ie = inscribe(quad, r)
     rep = check_T2(quad, ie, tol)
-    cls = classify(quad)
-    if cls.parallelogram:
-        expected1, expected2 = {"q1q2", "q3q4"}, {"q2q3", "q1q4"}
-    elif cls.mdq_type1:
-        expected1, expected2 = set(), {"q2q3", "q1q4"}
-    elif cls.mdq_type2:
-        expected1, expected2 = {"q1q2", "q3q4"}, set()
-    else:
+    if expected is None:
         margin = min(min(rep.margins_d1.values()), min(rep.margins_d2.values()))
         return {"param": r, "margin": margin, "passed": False}
+    expected1, expected2 = expected
     ok = expected1 <= rep.parallel_to_d1 and expected2 <= rep.parallel_to_d2
     margins = ([rep.margins_d1[n] for n in expected1]
                + [rep.margins_d2[n] for n in expected2])
@@ -224,8 +241,11 @@ def _verify_t3_trial(quad: Quadrilateral, rng, tol: float) -> dict:
 
 def cmd_verify(quad: Quadrilateral, label: str | None, tol: float,
                theorem: str, trials: int, seed: int) -> dict:
-    runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
-              "t3": _verify_t3_trial}[theorem]
+    if theorem == "t2":
+        runner = functools.partial(_verify_t2_trial,
+                                   expected=_t2_expected_chords(quad))
+    else:
+        runner = {"t1": _verify_t1_trial, "t3": _verify_t3_trial}[theorem]
     results = []
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
@@ -283,7 +303,11 @@ def cmd_plot(quad: Quadrilateral, params: list[float], out_path: str,
         raise _CliError(EXIT_OUTPUT, f"cannot write SVG: {exc}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused: parse_args
+    # keeps no state between calls, and building costs more than a
+    # closed-form min-ecc report
     parser = argparse.ArgumentParser(
         prog="inellipse",
         description="Inscribed ellipses in convex quadrilaterals")
@@ -337,7 +361,10 @@ def main(argv: list[str] | None = None) -> int:
             out = cmd_verify(quad, label, args.tol, args.theorem,
                              args.trials, args.seed)
         elif args.command == "plot":
-            params = [float(x) for x in args.params.split(",") if x.strip()]
+            try:
+                params = [float(x) for x in args.params.split(",") if x.strip()]
+            except ValueError as exc:
+                raise _CliError(EXIT_PARSE, f"--params: {exc}")
             cmd_plot(quad, params, args.out, args.tol)
             return 0
         else:  # pragma: no cover

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -98,6 +99,19 @@ class TestClassify:
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1]]}))
         assert main(["classify", str(path)]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00{}",
+                                         b'{"vertices": ' + b"[" * 100000,
+                                         b'{"vertices": ' + b"1" * 5000 + b"}"],
+                             ids=["not_utf8", "nested_too_deep", "long_integer"])
+    def test_undecodable_input_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(content)
+        assert main(["min-ecc", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read input: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestInscribe:
@@ -265,6 +279,15 @@ class TestVerify:
                                       example_file])
         assert doc["passes"] == 5
 
+    def test_t2_classifies_once_per_command(self, capsys, example_file,
+                                            call_counts):
+        # one classify in each trial's inscribe, one for the expected chords
+        code, doc = run_json(capsys, ["verify", "--theorem", "t2",
+                                      "--trials", "5", example_file])
+        assert code == 0
+        assert doc["passes"] == 5
+        assert call_counts["classify"] <= 6
+
     def test_deterministic(self, capsys, example_file):
         _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
                                     "10", "--seed", "5", example_file])
@@ -301,6 +324,68 @@ class TestPlot:
         assert svg.count('class="ellipse"') == 0
         assert svg.count('class="diagonal"') == 2
 
+    def test_non_numeric_params_exit_2(self, capsys, tmp_path, example_file):
+        out = tmp_path / "x.svg"
+        assert main(["plot", "--params", "abc", "--out", str(out),
+                     example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --params: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_unwritable_exit_5(self, example_file):
         assert main(["plot", "--params", "0.5",
                      "--out", "/nonexistent-dir/x.svg", example_file]) == 5
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def near_mdq_file(self, tmp_path):
+        # an MDQ at --tol 1e-5 but not at the default 1e-9, so a --tol that
+        # leaked from one call into the next would change the report
+        path = tmp_path / "near_mdq.json"
+        path.write_text(json.dumps(
+            {"vertices": [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]]}))
+        return str(path)
+
+    def test_calls_in_one_process_match_fresh_interpreters(
+            self, capsys, near_mdq_file):
+        src = os.path.dirname(os.path.dirname(inellipse.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argvs = [["inscribe", "--param", "0.3", near_mdq_file],
+                 ["inscribe", near_mdq_file],
+                 ["--tol", "1e-5", "min-ecc", near_mdq_file],
+                 ["min-ecc", near_mdq_file],
+                 ["classify", near_mdq_file]]
+        codes, raised = [], []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                raised.append(argv)
+            out = capsys.readouterr().out
+            fresh = subprocess.run([sys.executable, "-m", "inellipse.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0]
+        assert raised == [argvs[1]]
+
+    def test_parser_built_once(self, monkeypatch, capsys, example_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(10):
+            assert main(["min-ecc", example_file]) == 0
+        capsys.readouterr()
+        # one root parser and five subcommand parsers, or none if an
+        # earlier test in this process already built them
+        assert len(built) <= 6
