@@ -129,14 +129,20 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     a non-MDQ quad all four sets are empty.
     """
     q1, q2, q3, q4 = ie.tangency
-    chords = {"q1q2": (q1, q2), "q2q3": (q2, q3),
-              "q3q4": (q3, q4), "q1q4": (q1, q4)}
-    d1, d2 = quad.diagonal_vectors()
+    (d1x, d1y), (d2x, d2y) = quad.diagonal_vectors()
+    n1, n2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
     margins_d1, margins_d2 = {}, {}
-    for name, (p, q) in chords.items():
-        u = (q[0] - p[0], q[1] - p[1])
-        margins_d1[name] = parallel_margin(u, d1)
-        margins_d2[name] = parallel_margin(u, d2)
+    # each margin is `parallel_margin(chord, diagonal)`, raising as it does,
+    # with the diagonal norms taken once
+    for name, (p, q) in zip(_CHORD_NAMES, ((q1, q2), (q2, q3), (q3, q4), (q1, q4))):
+        ux, uy = q[0] - p[0], q[1] - p[1]
+        nu = math.hypot(ux, uy)
+        if nu == 0.0 or n1 == 0.0:
+            raise InEllipseError("zero direction")
+        margins_d1[name] = abs(ux * d1y - uy * d1x) / (nu * n1)
+        if n2 == 0.0:
+            raise InEllipseError("zero direction")
+        margins_d2[name] = abs(ux * d2y - uy * d2x) / (nu * n2)
     par1 = frozenset(n for n, m in margins_d1.items() if m <= tol)
     par2 = frozenset(n for n, m in margins_d2.items() if m <= tol)
     return T2Report(par1, par2, margins_d1, margins_d2)

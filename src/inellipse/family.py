@@ -15,6 +15,18 @@ public parameter is v = 2r - 1 in (-1, 1), v = 0 touching the side
 midpoints.  `inscribe` evaluates the member in the quad's frame, takes the
 closed-form tangency points (on a side tangent by construction, the vertex
 of the conic restricted to the side line) and pulls both back to the quad.
+
+What does not depend on the parameter (the classification, the frame, its
+inverse map and the coefficient polynomials) is computed once per quad and
+labeling and held in a small memo that `inscribe` and `minecc` share, so
+the members of one quad's family cost only their own evaluation.  The memo
+keys on the quad object itself and is kept off the quad.  It is bounded
+(`functools.lru_cache` of 4 entries per table): it serves the calls of one
+job on one quad (a sweep, a plot, a verify run), which need one report and
+at most two frames, not a pass over many quads.  It is kept that small
+because each entry it holds is more for the garbage collector to scan:
+at 32 entries that slowed the work that solves each quad only once.
+
 `marden_foci` locates the foci of the ellipse inscribed in a triangle from
 weighted pole placement.
 """
@@ -22,15 +34,21 @@ weighted pole placement.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conic import ConicCoeffs, Point, _line_quadratic
-from .affine import QstvwFrame, normalize_to_qstvw
+from .affine import AffineMap, QstvwFrame, _substitute, normalize_to_qstvw
 from .errors import CollinearTriangle, NonPositiveWeights, ParamOutOfRegion
-from .quad import Quadrilateral, classify, check_qstvw_region, f_values, in_region_g
+from .quad import (ClassificationReport, Quadrilateral, classify,
+                   check_qstvw_region, f_values, in_region_g)
 
 #: margin keeping family parameters strictly inside their open interval
 J_MARGIN = 1e-9
+#: entries per memo table: one job on one quad uses one report and at most
+#: two frames (label shifts 0 and 1); see the module docstring
+_MEMO_SIZE = 4
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -163,6 +181,17 @@ def _tangent_point(conic: ConicCoeffs, p0: Point, direction: Point) -> Point:
     return (p0[0] + t * direction[0], p0[1] + t * direction[1])
 
 
+def _contacts(conic: ConicCoeffs, s: float, t: float, v: float, w: float,
+              f2: float, r: float) -> tuple[Point, Point, Point, Point]:
+    """Tangency points on S1..S4 of the (s,t,v,w) frame's member `conic` at r."""
+    qq = s * v * r / ((s - f2) * r + f2)
+    p1 = (0.0, r)
+    p4 = (qq, (w / v) * qq)
+    p2 = _tangent_point(conic, (0.0, 1.0), (s, t - 1.0))
+    p3 = _tangent_point(conic, (s, t), (v - s, w - t))
+    return p1, p2, p3, p4
+
+
 def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
                    conic: ConicCoeffs | None = None
                    ) -> tuple[Point, Point, Point, Point]:
@@ -177,42 +206,82 @@ def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
     if conic is None:
         conic = qstvw_conic(s, t, v, w, r)
     _, f2, _ = f_values(s, t, v, w)
-    qq = s * v * r / ((s - f2) * r + f2)
-    p1 = (0.0, r)
-    p4 = (qq, (w / v) * qq)
-    p2 = _tangent_point(conic, (0.0, 1.0), (s, t - 1.0))
-    p3 = _tangent_point(conic, (s, t), (v - s, w - t))
-    return p1, p2, p3, p4
+    return _contacts(conic, s, t, v, w, f2, r)
 
 
-def _frame(quad: Quadrilateral, shift: int = 0) -> QstvwFrame:
-    """The first admissible (s,t,v,w) frame of `quad`'s labeling shifted by
-    `shift`, with `shift` folded into the frame's own."""
-    fr = normalize_to_qstvw(quad.rotate_labels(shift))
-    return fr._replace(shift=(fr.shift + shift) % 4)
+class _Prepared(NamedTuple):
+    """What a quad's family in one labeling needs that no parameter changes."""
+
+    frame: QstvwFrame  # first admissible frame, its shift counted from the quad
+    inverse: AffineMap  # frame -> quad, for points
+    # `inverse.invert()`, the map `inverse.apply_to_conic` substitutes, kept
+    # rather than `frame.map` so pulled-back conics round as they always did
+    pull: AffineMap
+    polys: tuple[tuple[float, ...], ...]  # `qstvw_coeff_polys` of the frame
+    f2: float
 
 
-def _inscribe_in_frame(quad: Quadrilateral, fr: QstvwFrame,
-                       r: float) -> InscribedEllipse:
-    """The family member at `r` in the frame `fr` of `quad`, pulled back.
+class _Same:
+    """A quad as the memo's key, equal only to the same object.
 
-    Tangency points are listed in `quad`'s own side order.
+    An equal quad built anew (say, by each `canonicalize` of the same
+    vertices) gets an entry of its own, so the memo never hands one
+    object's work to another, such as a copy whose zeros differ in sign.
     """
+
+    __slots__ = ("quad",)
+
+    def __init__(self, quad: Quadrilateral):
+        self.quad = quad
+
+    def __hash__(self) -> int:
+        return id(self.quad)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Same) and self.quad is other.quad
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _classified(key: _Same) -> ClassificationReport:
+    return classify(key.quad)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _framed(key: _Same, shift: int) -> _Prepared:
+    fr = normalize_to_qstvw(key.quad.rotate_labels(shift))
+    fr = fr._replace(shift=(fr.shift + shift) % 4)
+    inverse = fr.map.invert()
+    return _Prepared(fr, inverse, inverse.invert(),
+                     qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w),
+                     f_values(fr.s, fr.t, fr.v, fr.w)[1])
+
+
+def _report(quad: Quadrilateral) -> ClassificationReport:
+    """`classify(quad)`, held in the memo."""
+    return _classified(_Same(quad))
+
+
+def _prepared(quad: Quadrilateral, shift: int) -> _Prepared:
+    """The family of `quad`'s labeling shifted by `shift`, held in the memo.
+
+    A quad with no admissible frame raises `ParamOutOfRegion` on every
+    call, as `lru_cache` keeps no exception.
+    """
+    return _framed(_Same(quad), shift)
+
+
+def _member(quad: Quadrilateral, prep: _Prepared, r: float, param: float,
+            frame: str) -> InscribedEllipse:
+    """The member at `r` of the family `prep` of `quad`, pulled back and named
+    `param` in `frame`.  Tangency points are listed in `quad`'s side order."""
     check_unit_interval(r, "param")
-    frame_conic = ConicCoeffs(*(_horner(poly, r)
-                                for poly in qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)))
-    frame_pts = qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r, conic=frame_conic)
-    inv = fr.map.invert()
+    fr = prep.frame
+    conic = ConicCoeffs(*(_horner(poly, r) for poly in prep.polys))
     pts = [None] * 4
-    for i, p in enumerate(frame_pts):
-        pts[(i + fr.shift) % 4] = inv.apply(p)
-    return InscribedEllipse(inv.apply_to_conic(frame_conic), r, tuple(pts),
-                            "qstvw", quad)
-
-
-def _named_by_v(ie: InscribedEllipse, v: float) -> InscribedEllipse:
-    """A parallelogram's family member `ie`, named by v = 2r - 1."""
-    return replace(ie, param=v, frame="parallelogram")
+    for i, p in enumerate(_contacts(conic, fr.s, fr.t, fr.v, fr.w, prep.f2, r)):
+        pts[(i + fr.shift) % 4] = prep.inverse.apply(p)
+    return InscribedEllipse(_substitute(conic, prep.pull), param, tuple(pts),
+                            frame, quad)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -224,12 +293,12 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     along A1->A2, so v = 0 touches the side midpoints.  The conic and the
     tangency points are pulled back to the quad.
     """
-    if not classify(quad).parallelogram:
-        return _inscribe_in_frame(quad, _frame(quad), param)
+    if not _report(quad).parallelogram:
+        return _member(quad, _prepared(quad, 0), param, param, "qstvw")
     if not abs(param) <= 1.0 - 2.0 * J_MARGIN:
         raise ParamOutOfRegion(f"v={param} not in (-1, 1)")
-    return _named_by_v(_inscribe_in_frame(quad, _frame(quad), (1.0 + param) / 2.0),
-                       param)
+    return _member(quad, _prepared(quad, 0), (1.0 + param) / 2.0, param,
+                   "parallelogram")
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

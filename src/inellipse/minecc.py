@@ -29,8 +29,8 @@ from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
-                     qstvw_coeff_polys, _frame, _horner, _inscribe_in_frame,
-                     _named_by_v)
+                     qstvw_coeff_polys, _Prepared, _horner, _member, _prepared,
+                     _report)
 from .quad import (ClassificationReport, Quadrilateral, classify,
                    check_qstvw_region, f_values, mdq_type_qstvw)
 
@@ -297,21 +297,31 @@ def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
     return (cx, cy), radius, tuple(feet)
 
 
-def _incircle_result(quad: Quadrilateral, fr: QstvwFrame) -> MinEccResult:
+def _named(r: float, parallelogram: bool) -> tuple[float, str]:
+    """Public parameter and frame name of the member at r: a parallelogram's
+    is v = 2r - 1."""
+    return (2.0 * r - 1.0, "parallelogram") if parallelogram else (r, "qstvw")
+
+
+def _incircle_result(quad: Quadrilateral, fr: QstvwFrame,
+                     parallelogram: bool) -> MinEccResult:
     """The inscribed circle, with its param read off the S1 contact in `fr`."""
     (cx, cy), radius, feet = _incircle(quad)
     conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
                         cx * cx + cy * cy - radius * radius)
     _, r = fr.map.apply(feet[fr.shift])
-    ellipse = InscribedEllipse(conic, r, feet, "qstvw", quad)
-    return MinEccResult(r, ellipse, 0.0, 1.0, "incircle", fr)
+    param, name = _named(r, parallelogram)
+    ellipse = InscribedEllipse(conic, param, feet, name, quad)
+    return MinEccResult(param, ellipse, 0.0, 1.0, "incircle", fr)
 
 
-def _frame_result(quad: Quadrilateral, fr: QstvwFrame, mdq: bool) -> MinEccResult:
-    """Optimum over the inscribed family of `quad` in its frame `fr`: the
-    closed form when the quad is an MDQ and `fr` satisfies the type-1
-    identity, the critical-point solver otherwise."""
-    o, m, p = _ecc_polys(*qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w)[:3])
+def _frame_result(quad: Quadrilateral, prep: _Prepared, mdq: bool,
+                  parallelogram: bool) -> MinEccResult:
+    """Optimum over the inscribed family `prep` of `quad`: the closed form
+    when the quad is an MDQ and the frame satisfies the type-1 identity, the
+    critical-point solver otherwise."""
+    fr = prep.frame
+    o, m, p = _ecc_polys(*prep.polys[:3])
     if mdq and mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)[0]:
         r_star = alpha_root(fr.s, fr.v, fr.w)
         ratio, method = _g_at(o, m, r_star), "alpha_closed_form"
@@ -319,14 +329,9 @@ def _frame_result(quad: Quadrilateral, fr: QstvwFrame, mdq: bool) -> MinEccResul
         r_star, ratio = _family_argmax(o, m, p, J_MARGIN, 1.0 - J_MARGIN)
         method = "quartic_numeric"
     ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    return MinEccResult(r_star, _inscribe_in_frame(quad, fr, r_star), ecc,
+    param, name = _named(r_star, parallelogram)
+    return MinEccResult(param, _member(quad, prep, r_star, param, name), ecc,
                         ratio, method, fr)
-
-
-def _named_by_v_result(res: MinEccResult) -> MinEccResult:
-    """A parallelogram's optimum, named by its public parameter v = 2r - 1."""
-    v = 2.0 * res.r_star - 1.0
-    return res._replace(r_star=v, ellipse=_named_by_v(res.ellipse, v))
 
 
 def _type1_shift(rep: ClassificationReport) -> int:
@@ -337,7 +342,8 @@ def _type1_shift(rep: ClassificationReport) -> int:
 def min_ecc(quad: Quadrilateral) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse.
 
-    The quad is classified once.  Tangential quads get their inscribed
+    The quad is classified and framed once, in the memo that `inscribe`
+    shares (see `inellipse.family`).  Tangential quads get their inscribed
     circle.  MDQs are solved in a type-1 labeling (type 2 shifts the labels
     one step, which swaps the diagonals) by the closed-form optimizer, as
     long as the first admissible frame of that labeling keeps the type-1
@@ -345,12 +351,11 @@ def min_ecc(quad: Quadrilateral) -> MinEccResult:
     MDQ whose admissible frame does not, gets the critical-point solver of
     `min_ecc_numeric`.  A parallelogram's `r_star` is its v = 2r - 1.
     """
-    rep = classify(quad)
+    rep = _report(quad)
     if rep.tangential:
-        res = _incircle_result(quad, _frame(quad))
-    else:
-        res = _frame_result(quad, _frame(quad, _type1_shift(rep)), rep.mdq)
-    return _named_by_v_result(res) if rep.parallelogram else res
+        return _incircle_result(quad, _prepared(quad, 0).frame, rep.parallelogram)
+    return _frame_result(quad, _prepared(quad, _type1_shift(rep)), rep.mdq,
+                         rep.parallelogram)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
@@ -361,8 +366,8 @@ def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     eigenvalues and polished by Newton steps on p.  A parallelogram's
     `r_star` is its v = 2r - 1, as in `min_ecc`.
     """
-    res = _frame_result(quad, _frame(quad), False)
-    return _named_by_v_result(res) if classify(quad).parallelogram else res
+    return _frame_result(quad, _prepared(quad, 0), False,
+                         _report(quad).parallelogram)
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,

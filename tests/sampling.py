@@ -220,6 +220,18 @@ def random_parallelogram(rng: np.random.Generator,
     raise RuntimeError("parallelogram sampling failed")
 
 
+def random_s1s3_trapezoid(rng: np.random.Generator) -> Quadrilateral:
+    """A trapezoid whose sides S1 = A1A2 and S3 = A3A4 are parallel."""
+    x1, x2 = sorted(rng.uniform(-3.0, 3.0, 2))
+    x3, x4 = sorted(rng.uniform(-3.0, 3.0, 2))
+    x2, x4 = x2 + 0.2, x4 + 0.2
+    h = rng.uniform(0.1, 3.0)
+    sim = random_similarity(rng)
+    # top base left to right, then the bottom base right to left: clockwise
+    raw = [(x3, h), (x4, h), (x2, 0.0), (x1, 0.0)]
+    return quadrilateral([sim.apply(p) for p in raw])
+
+
 def random_mdq_quad(rng: np.random.Generator, type1: bool = True) -> Quadrilateral:
     """Random MDQ in general position (frame pushed through a similarity)."""
     frame = random_type1_frame(rng) if type1 else random_type2_frame(rng)

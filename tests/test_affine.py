@@ -13,22 +13,10 @@ from inellipse.quad import (canonicalize, check_qstvw_region, classify,
                             quadrilateral)
 
 from sampling import (frame_quad, random_affine, random_convex_quad,
-                      random_ellipse, random_frame, random_similarity,
-                      random_tangential_quad, random_type1_frame,
-                      random_type2_frame)
+                      random_ellipse, random_frame, random_s1s3_trapezoid,
+                      random_similarity, random_tangential_quad,
+                      random_type1_frame, random_type2_frame)
 from conftest import assert_points_close
-
-
-def _s1s3_trapezoid(rng):
-    """A trapezoid whose sides S1 = A1A2 and S3 = A3A4 are parallel."""
-    x1, x2 = sorted(rng.uniform(-3.0, 3.0, 2))
-    x3, x4 = sorted(rng.uniform(-3.0, 3.0, 2))
-    x2, x4 = x2 + 0.2, x4 + 0.2
-    h = rng.uniform(0.1, 3.0)
-    sim = random_similarity(rng)
-    # top base left to right, then the bottom base right to left: clockwise
-    raw = [(x3, h), (x4, h), (x2, 0.0), (x1, 0.0)]
-    return quadrilateral([sim.apply(p) for p in raw])
 
 
 class TestAffineMapBasics:
@@ -155,7 +143,7 @@ class TestNormalizeToQstvw:
         rng = np.random.default_rng(9)
         grid = np.linspace(0.0, 1.0, 4003)[1:-1]
         for _ in range(500):
-            quad = _s1s3_trapezoid(rng)
+            quad = random_s1s3_trapezoid(rng)
             fr = normalize_to_qstvw(quad)
             check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
             res = min_ecc(quad)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import inellipse
-from inellipse import minecc, quad
+from inellipse import affine, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
 
@@ -55,10 +55,13 @@ def run_json(capsys, argv):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of `classify` and `min_ecc`, counted in every module namespace
-    that holds them, so calls between modules are counted too."""
-    calls = {"classify": 0, "min_ecc": 0}
-    for name, fn in (("classify", quad.classify), ("min_ecc", minecc.min_ecc)):
+    """Calls of `classify`, `normalize_to_qstvw` and `min_ecc`, counted in
+    every module namespace that holds them, so calls between modules are
+    counted too."""
+    calls = {"classify": 0, "normalize_to_qstvw": 0, "min_ecc": 0}
+    for name, fn in (("classify", quad.classify),
+                     ("normalize_to_qstvw", affine.normalize_to_qstvw),
+                     ("min_ecc", minecc.min_ecc)):
         def counted(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -288,6 +291,15 @@ class TestVerify:
         assert doc["passes"] == 5
         assert call_counts["classify"] <= 6
 
+    def test_t1_frames_once_per_command(self, capsys, example_file,
+                                        call_counts):
+        # five trials inscribe five members of one family
+        code, doc = run_json(capsys, ["verify", "--theorem", "t1",
+                                      "--trials", "5", example_file])
+        assert code == 0
+        assert doc["passes"] == 5
+        assert call_counts["normalize_to_qstvw"] == 1
+
     def test_deterministic(self, capsys, example_file):
         _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
                                     "10", "--seed", "5", example_file])
@@ -308,6 +320,16 @@ class TestPlot:
         assert svg.count('class="diagonal"') == 2
         assert svg.count('class="newton"') == 1
         assert svg.count('class="diameter"') == 2
+
+    def test_frames_once_per_command(self, tmp_path, example_file,
+                                     call_counts):
+        # three members and the type-1 optimum share one frame
+        out = tmp_path / "fig.svg"
+        assert main(["plot", "--params", "0.2,0.4,0.6", "--out", str(out),
+                     example_file]) == 0
+        assert out.read_text().count('class="ellipse"') == 3
+        assert call_counts["normalize_to_qstvw"] == 1
+        assert call_counts["min_ecc"] == 1
 
     def test_square_incircle_plot(self, tmp_path, square_file):
         out = tmp_path / "sq.svg"

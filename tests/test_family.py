@@ -3,22 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from inellipse import family
 from inellipse.affine import AffineMap
 from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
-from inellipse.errors import (CollinearTriangle, NonPositiveWeights,
-                              ParamOutOfRegion)
+from inellipse.errors import (CollinearTriangle, InEllipseError,
+                              NonPositiveWeights, ParamOutOfRegion)
 from inellipse.family import (inscribe, marden_foci, qst_center_param,
                               qst_conic, qst_newton_line, qst_tangency,
                               qstvw_coeff_polys, qstvw_conic, qstvw_tangency,
                               square_inellipse_conic)
-from inellipse.quad import canonicalize, diagonals, quadrilateral
+from inellipse.minecc import min_ecc, min_ecc_numeric
+from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
-from sampling import (frame_quad, random_frame, random_parallelogram,
-                      random_similarity)
-from conftest import (EXAMPLE_CONIC, EXAMPLE_R, assert_inscribed,
-                      assert_on_open_segment, assert_points_close,
-                      assert_tangent_at)
+from sampling import (frame_quad, random_convex_quad, random_frame, random_kite,
+                      random_mdq_quad, random_parallelogram,
+                      random_s1s3_trapezoid, random_similarity)
+from conftest import (EXAMPLE_CONIC, EXAMPLE_R, EXAMPLE_VERTICES,
+                      assert_inscribed, assert_on_open_segment,
+                      assert_points_close, assert_tangent_at,
+                      clear_family_memo)
 
 
 def random_g_region(rng):
@@ -315,6 +319,121 @@ class TestInscribe:
                 assert_points_close(c, dd.m1, 1e-9 * quad.diameter())
             else:
                 assert_on_open_segment(c, dd.m1, dd.m2, 1e-9)
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Calls the memo makes of `classify` and `normalize_to_qstvw`, counted
+    from an empty memo."""
+    clear_family_memo()
+    calls = {"classify": 0, "normalize_to_qstvw": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(family, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(family, name, counted)
+    yield calls
+    clear_family_memo()
+
+
+class TestMemo:
+    def test_sixteen_members_classify_and_frame_once(self, example_quad,
+                                                       layer_calls):
+        members = [inscribe(example_quad, k / 17) for k in range(1, 17)]
+        assert layer_calls == {"classify": 1, "normalize_to_qstvw": 1}
+        assert len({m.conic for m in members}) == 16
+
+    def test_memo_is_bounded(self, example_quad, layer_calls):
+        rng = np.random.default_rng(31)
+        inscribe(example_quad, EXAMPLE_R)
+        for _ in range(family._framed.cache_info().maxsize + 1):
+            inscribe(frame_quad(*random_frame(rng)), 0.5)
+        framed = layer_calls["normalize_to_qstvw"]
+        inscribe(example_quad, EXAMPLE_R)
+        assert layer_calls["normalize_to_qstvw"] == framed + 1
+
+    def test_bad_param_raises_on_every_call(self, example_quad, layer_calls):
+        square = canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)])
+        for _ in range(3):
+            with pytest.raises(ParamOutOfRegion):
+                inscribe(example_quad, 1.5)
+            with pytest.raises(ParamOutOfRegion):
+                inscribe(square, 1.0)
+        # the frames are kept, the failures are not
+        assert_inscribed(inscribe(example_quad, EXAMPLE_R))
+        assert_inscribed(inscribe(square, 0.5))
+        assert layer_calls["normalize_to_qstvw"] == 2
+
+    def test_no_admissible_frame_raises_on_every_call(self, layer_calls):
+        # counterclockwise labels, past `canonicalize`: no shift is admissible
+        quad = Quadrilateral(((0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.1, 0.8)))
+        for n in range(1, 4):
+            with pytest.raises(ParamOutOfRegion):
+                inscribe(quad, 0.3)
+            assert layer_calls["normalize_to_qstvw"] == n
+        for solve in (min_ecc, min_ecc_numeric):
+            with pytest.raises(ParamOutOfRegion):
+                solve(quad)
+        assert family._framed.cache_info().currsize == 0
+
+    def test_warm_result_carries_callers_quad(self, layer_calls):
+        quad = canonicalize(EXAMPLE_VERTICES)
+        inscribe(quad, EXAMPLE_R)
+        assert inscribe(quad, 0.5).quad is quad
+        assert min_ecc(quad).ellipse.quad is quad
+        assert layer_calls["normalize_to_qstvw"] == 1
+
+    def test_equal_quad_built_anew_gets_its_own_entry(self, layer_calls):
+        first = canonicalize(EXAMPLE_VERTICES)
+        second = canonicalize(EXAMPLE_VERTICES)
+        assert first == second and first is not second
+        cold = inscribe(first, EXAMPLE_R)
+        again = inscribe(second, EXAMPLE_R)
+        assert layer_calls == {"classify": 2, "normalize_to_qstvw": 2}
+        assert again.quad is second and cold.quad is first
+        assert again == cold
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InEllipseError as exc:
+        return type(exc), str(exc)
+
+
+class TestWarmEqualsCold:
+    @staticmethod
+    def _quads():
+        rng = np.random.default_rng(41)
+        makers = (lambda: random_convex_quad(rng),
+                  lambda: random_mdq_quad(rng, type1=True),
+                  lambda: random_mdq_quad(rng, type1=False),
+                  lambda: random_parallelogram(rng),
+                  lambda: random_kite(rng),
+                  lambda: random_s1s3_trapezoid(rng))
+        return [make() for _ in range(84) for make in makers]
+
+    def test_results_equal_with_and_without_the_memo(self):
+        # 0.3 is a parameter of every family: r in (0,1), a parallelogram's v
+        calls = ((inscribe, 0.3), (inscribe, 0.7), (min_ecc,), (min_ecc_numeric,))
+        for quad in self._quads():
+            cold = []
+            for fn, *args in calls:
+                clear_family_memo()
+                cold.append(_outcome(fn, quad, *args))
+            for _ in range(2):
+                assert [_outcome(fn, quad, *args) for fn, *args in calls] == cold
+        clear_family_memo()
+
+    def test_type2_min_ecc_between_inscribes(self, layer_calls):
+        rng = np.random.default_rng(42)
+        for n in range(1, 21):
+            quad = random_mdq_quad(rng, type1=False)
+            before = inscribe(quad, 0.3)
+            res = min_ecc(quad)  # solved in the labeling shifted by one
+            assert res.method == "alpha_closed_form"
+            assert inscribe(quad, 0.3) == before
+            assert layer_calls["normalize_to_qstvw"] == 2 * n
 
 
 class TestMarden:
