@@ -1,13 +1,14 @@
-"""Affine maps on points, quads, conics and directions; canonical-frame reduction.
+"""Affine maps on points, quads, conics and directions; the paper's frame reduction.
 
-Every convex quad, parallelograms included, has one frame:
-`normalize_to_qstvw` uses a similarity only (translation, rotation, uniform
-positive scaling), sending A1 to (0,0) and A2 to (0,1); similarities
-preserve eccentricity, which is what the minimal-eccentricity solver
-needs.  The only frame choice is a cyclic label shift k (frame A_i is the
-original A_(i+k)); the returned `shift` records it.  An odd shift swaps
-the roles of the two diagonals, so a type-2 MDQ is a type-1 MDQ in the
-labeling shifted by one vertex.
+`normalize_to_qstvw` reduces a convex quad, parallelograms included, to the
+paper's (s,t,v,w) frame by a similarity only (translation, rotation,
+uniform positive scaling), sending A1 to (0,0) and A2 to (0,1);
+similarities preserve eccentricity.  The only frame choice is a cyclic
+label shift k (frame A_i is the original A_(i+k)); the returned `shift`
+records it.  An odd shift swaps the roles of the two diagonals, so a
+type-2 MDQ is a type-1 MDQ in the labeling shifted by one vertex.  The
+frame is the paper's coordinate system, which the tests check the dual
+pencil of `inellipse.family` against; no runtime path reduces a quad to it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,30 @@ class AffineMap:
         Substitutes the inverse map into the quadratic form via congruence
         of the homogeneous 3x3 conic matrix.
         """
-        return _substitute(conic, self.invert())
+        inv = self.invert()
+        (i00, i01), (i10, i11) = inv.linear
+        tx, ty = inv.translation
+        a, b, c, d, e, f = conic
+        # rows of Hinv: (i00, i01, tx), (i10, i11, ty), (0, 0, 1)
+        # new_M = Hinv^T M Hinv with M the symmetric matrix of the conic
+        m00, m01, m02 = a, b / 2.0, d / 2.0
+        m11, m12, m22 = c, e / 2.0, f
+        # columns of (M @ Hinv); third components against Hinv's zero row drop out
+        q00 = m00 * i00 + m01 * i10
+        q10 = m01 * i00 + m11 * i10
+        q01 = m00 * i01 + m01 * i11
+        q11 = m01 * i01 + m11 * i11
+        q02 = m00 * tx + m01 * ty + m02
+        q12 = m01 * tx + m11 * ty + m12
+        q22 = m02 * tx + m12 * ty + m22
+        n00 = i00 * q00 + i10 * q10
+        n01 = i00 * q01 + i10 * q11
+        n02 = i00 * q02 + i10 * q12
+        n11 = i01 * q01 + i11 * q11
+        n12 = i01 * q02 + i11 * q12
+        n22 = tx * q02 + ty * q12 + q22
+        return scale_normalized(
+            ConicCoeffs(n00, 2.0 * n01, n11, 2.0 * n02, 2.0 * n12, n22))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """Map equal to applying `inner` first, then self."""
@@ -80,38 +104,6 @@ class AffineMap:
         tx, ty = self.translation
         return AffineMap(lin, (-(lin[0][0] * tx + lin[0][1] * ty),
                                -(lin[1][0] * tx + lin[1][1] * ty)))
-
-
-def _substitute(conic: ConicCoeffs, m: AffineMap) -> ConicCoeffs:
-    """Coefficients (max-abs normalized) of the conic x -> conic(m(x)).
-
-    This is the image of `conic` under the inverse of `m`, computed by
-    congruence of the homogeneous 3x3 conic matrix; callers that already
-    hold the inverse of the map they push through pass it here directly.
-    """
-    (h00, h01), (h10, h11) = m.linear
-    tx, ty = m.translation
-    a, b, c, d, e, f = conic
-    # rows of H: (h00, h01, tx), (h10, h11, ty), (0, 0, 1)
-    # new_M = H^T M H with M the symmetric matrix of the conic
-    m00, m01, m02 = a, b / 2.0, d / 2.0
-    m11, m12, m22 = c, e / 2.0, f
-    # columns of (M @ H); third components against H's zero row drop out
-    q00 = m00 * h00 + m01 * h10
-    q10 = m01 * h00 + m11 * h10
-    q01 = m00 * h01 + m01 * h11
-    q11 = m01 * h01 + m11 * h11
-    q02 = m00 * tx + m01 * ty + m02
-    q12 = m01 * tx + m11 * ty + m12
-    q22 = m02 * tx + m12 * ty + m22
-    n00 = h00 * q00 + h10 * q10
-    n01 = h00 * q01 + h10 * q11
-    n02 = h00 * q02 + h10 * q12
-    n11 = h01 * q01 + h11 * q11
-    n12 = h01 * q02 + h11 * q12
-    n22 = tx * q02 + ty * q12 + q22
-    return scale_normalized(
-        ConicCoeffs(n00, 2.0 * n01, n11, 2.0 * n02, 2.0 * n12, n22))
 
 
 IDENTITY = AffineMap(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))

@@ -146,18 +146,6 @@ def gradient(conic: ConicCoeffs, p: Point) -> Direction:
     return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
 
 
-def _line_quadratic(conic: ConicCoeffs, p0: Point,
-                    direction: Direction) -> tuple[float, float]:
-    """Leading and linear coefficients (qa, qb) of the quadratic in t that
-    the conic restricts to on the line p0 + t*direction."""
-    a, b, c, d, e, _ = conic
-    (x0, y0), (dx, dy) = p0, direction
-    qa = a * dx * dx + b * dx * dy + c * dy * dy
-    qb = (2.0 * a * x0 * dx + b * (x0 * dy + y0 * dx) + 2.0 * c * y0 * dy
-          + d * dx + e * dy)
-    return qa, qb
-
-
 def line_intersect(conic: ConicCoeffs, p0: Point, direction: Direction,
                    tol: float = TANGENT_TOL) -> list[Point]:
     """Real intersections of the parametric line p0 + t*direction with the conic.
@@ -170,8 +158,11 @@ def line_intersect(conic: ConicCoeffs, p0: Point, direction: Direction,
     dx, dy = direction
     if dx == 0.0 and dy == 0.0:
         raise InEllipseError("line direction must be nonzero")
+    a, b, c, d, e, f = conic
     x0, y0 = p0
-    qa, qb = _line_quadratic(conic, p0, direction)
+    qa = a * dx * dx + b * dx * dy + c * dy * dy
+    qb = (2.0 * a * x0 * dx + b * (x0 * dy + y0 * dx) + 2.0 * c * y0 * dy
+          + d * dx + e * dy)
     qc = evaluate(conic, p0)
     scale_sq = qb * qb + 4.0 * abs(qa) * abs(qc)
     if qa == 0.0:

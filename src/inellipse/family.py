@@ -1,54 +1,46 @@
-"""One-parameter families of ellipses inscribed in canonical quadrilateral frames.
+"""The ellipses inscribed in a convex quadrilateral, as one dual pencil.
 
-Two frames are covered:
+The ellipses inscribed in a convex quad A1A2A3A4 are the line conics
+C*(lam) = lam (A1 A3' + A3 A1') + (1 - lam) (A2 A4' + A4 A2'), lam in (0, 1),
+A_i = (x_i, y_i, 1).  `inscribe` builds each member from the quad's own
+vertices, about the diagonal intersection P = A1 + a u1 = A2 + b u2 of the
+diagonals u1 = A3 - A1, u2 = A4 - A2, with the diagonal midpoints
+M1 = P + p u1, M2 = P + q u2 (p = 1/2 - a, q = 1/2 - b).  The member is the
+ellipse (x - c)' S^-1 (x - c) = 1 with centre c = lam M1 + mu M2
+(mu = 1 - lam) and shape
 
-* the (s,t) frame with vertices (0,0), (0,1), (s,t), (1,0), parametrized by
-  the bottom-side tangency abscissa q in (0,1) (the paper's closed forms;
-  no runtime path reduces a quad to this frame);
-* the (s,t,v,w) frame with vertices (0,0), (0,1), (s,t), (v,w), parametrized
-  by the left-side tangency ordinate r in (0,1).
+    S = (lam^2 p^2 + lam a(1-a)) u1u1' + (mu^2 q^2 + mu b(1-b)) u2u2'
+        + lam mu p q (u1u2' + u2u1'),
+    det S = lam mu (lam p^2 b(1-b) + mu q^2 a(1-a) + a(1-a) b(1-b)) (u1 x u2)^2.
 
-Every convex quad, parallelograms included, is inscribed in its (s,t,v,w)
-frame, whose family is six coefficient polynomials of degree <= 2 in r
-(`qstvw_coeff_polys`); a parallelogram's frame is (s, t, s, t - 1) and its
-public parameter is v = 2r - 1 in (-1, 1), v = 0 touching the side
-midpoints.  `inscribe` evaluates the member in the quad's frame, takes the
-closed-form tangency points (on a side tangent by construction, the vertex
-of the conic restricted to the side line) and pulls both back to the quad.
+Every entry of S has degree <= 2 in lam.  The member touches each side at
+C*(lam) l_i, a weighted mean of the side's two vertices.  The public
+parameter r in (0, 1) is the S1 contact's fraction along A1->A2 on every
+quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
+(-1, 1), v = 0 touching the side midpoints.
 
-What does not depend on the parameter (the classification, the frame, its
-inverse map and the coefficient polynomials) is computed once per quad and
-labeling and held in a small memo that `inscribe` and `minecc` share, so
-the members of one quad's family cost only their own evaluation.  The memo
-keys on the quad object itself and is kept off the quad.  It is bounded
-(`functools.lru_cache` of 4 entries per table): it serves the calls of one
-job on one quad (a sweep, a plot, a verify run), which need one report and
-at most two frames, not a pass over many quads.  It is kept that small
-because each entry it holds is more for the garbage collector to scan:
-at 32 entries that slowed the work that solves each quad only once.
-
-`marden_foci` locates the foci of the ellipse inscribed in a triangle from
-weighted pole placement.
+The paper's closed forms stay as formulas the tests check the pencil
+against, on no runtime path: the (s,t) frame (0,0), (0,1), (s,t), (1,0),
+parametrized by the bottom-side tangency abscissa q, and the (s,t,v,w) frame
+(0,0), (0,1), (s,t), (v,w), whose family is six coefficient polynomials of
+degree <= 2 in the left-side tangency ordinate r, the pencil's r when the
+quad's own labeling is admissible.  `marden_foci` locates the foci of the
+ellipse inscribed in a triangle from weighted pole placement.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .conic import ConicCoeffs, Point, _line_quadratic
-from .affine import AffineMap, QstvwFrame, _substitute, normalize_to_qstvw
+from .conic import ConicCoeffs, Point, scale_normalized
 from .errors import CollinearTriangle, NonPositiveWeights, ParamOutOfRegion
-from .quad import (ClassificationReport, Quadrilateral, classify,
-                   check_qstvw_region, f_values, in_region_g)
+from .quad import (Quadrilateral, _midpoint, _midpoints_meet,
+                   check_qstvw_region, in_region_g)
 
 #: margin keeping family parameters strictly inside their open interval
 J_MARGIN = 1e-9
-#: entries per memo table: one job on one quad uses one report and at most
-#: two frames (label shifts 0 and 1); see the module docstring
-_MEMO_SIZE = 4
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -61,9 +53,9 @@ class InscribedEllipse:
     """An inscribed ellipse together with its provenance.
 
     `tangency` lists one point per side, in side order S1..S4 of `quad`'s
-    labeling.  `param` is the family parameter named by `frame`: the
-    (s,t,v,w) frame's r in (0,1) for "qstvw", or a parallelogram's
-    v = 2r - 1 in (-1,1) for "parallelogram".
+    labeling.  `param` is named by `frame`: r in (0,1), the S1 contact's
+    fraction along A1->A2, for "qstvw", or a parallelogram's v = 2r - 1 in
+    (-1,1) for "parallelogram".
     """
 
     conic: ConicCoeffs
@@ -173,132 +165,138 @@ def _horner(coeffs, x):
     return acc
 
 
-def _tangent_point(conic: ConicCoeffs, p0: Point, direction: Point) -> Point:
-    """Contact point of a line tangent to `conic` by construction: the vertex
-    t = -qb/(2qa) of the conic restricted to p0 + t*direction."""
-    qa, qb = _line_quadratic(conic, p0, direction)
-    t = -qb / (2.0 * qa)
-    return (p0[0] + t * direction[0], p0[1] + t * direction[1])
-
-
-def _contacts(conic: ConicCoeffs, s: float, t: float, v: float, w: float,
-              f2: float, r: float) -> tuple[Point, Point, Point, Point]:
-    """Tangency points on S1..S4 of the (s,t,v,w) frame's member `conic` at r."""
-    qq = s * v * r / ((s - f2) * r + f2)
-    p1 = (0.0, r)
-    p4 = (qq, (w / v) * qq)
-    p2 = _tangent_point(conic, (0.0, 1.0), (s, t - 1.0))
-    p3 = _tangent_point(conic, (s, t), (v - s, w - t))
-    return p1, p2, p3, p4
-
-
-def qstvw_tangency(s: float, t: float, v: float, w: float, r: float,
-                   conic: ConicCoeffs | None = None
-                   ) -> tuple[Point, Point, Point, Point]:
+def qstvw_tangency(s: float, t: float, v: float, w: float,
+                   r: float) -> tuple[Point, Point, Point, Point]:
     """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r.
 
-    S1 and S4 have closed forms, (0, r) and (q, (w/v)q) with
-    q = svr/((s - f2)r + f2); the S2 and S3 points are the vertices of the
-    conic restricted to their side lines, which are tangent by construction.
+    These are the contacts of the frame quad's pencil member whose S1
+    contact is (0, r); on S4 they agree with the paper's closed form
+    (q, (w/v)q), q = svr/((s - f2)r + f2).
     """
     check_qstvw_region(s, t, v, w, require_f3=False)
     check_unit_interval(r, "r")
-    if conic is None:
-        conic = qstvw_conic(s, t, v, w, r)
-    _, f2, _ = f_values(s, t, v, w)
-    return _contacts(conic, s, t, v, w, f2, r)
+    pen = _pencil(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
+    return _pencil_contacts(pen, r, *_weights(pen, r))
 
 
-class _Prepared(NamedTuple):
-    """What a quad's family in one labeling needs that no parameter changes."""
+class _Pencil(NamedTuple):
+    """A quad's dual pencil about its diagonal intersection P."""
 
-    frame: QstvwFrame  # first admissible frame, its shift counted from the quad
-    inverse: AffineMap  # frame -> quad, for points
-    # `inverse.invert()`, the map `inverse.apply_to_conic` substitutes, kept
-    # rather than `frame.map` so pulled-back conics round as they always did
-    pull: AffineMap
-    polys: tuple[tuple[float, ...], ...]  # `qstvw_coeff_polys` of the frame
-    f2: float
-
-
-class _Same:
-    """A quad as the memo's key, equal only to the same object.
-
-    An equal quad built anew (say, by each `canonicalize` of the same
-    vertices) gets an entry of its own, so the memo never hands one
-    object's work to another, such as a copy whose zeros differ in sign.
-    """
-
-    __slots__ = ("quad",)
-
-    def __init__(self, quad: Quadrilateral):
-        self.quad = quad
-
-    def __hash__(self) -> int:
-        return id(self.quad)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Same) and self.quad is other.quad
+    quad: Quadrilateral
+    origin: Point  # P = A1 + a u1 = A2 + b u2
+    u1: Point  # A3 - A1
+    u2: Point  # A4 - A2
+    a: float
+    b: float
+    p: float  # M1 = P + p u1; 0 on a parallelogram
+    q: float  # M2 = P + q u2; 0 on a parallelogram
+    parallelogram: bool
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _classified(key: _Same) -> ClassificationReport:
-    return classify(key.quad)
+def _pencil(quad: Quadrilateral) -> _Pencil:
+    """The pencil of `quad`.  On a parallelogram (`classify`'s predicate, which
+    also decides the v = 2r - 1 relabel) M1 and M2 are snapped together: the
+    rounding residue of M1 - M2 on S's lam^2 terms would hide G's maximum."""
+    a1, a2, a3, a4 = quad.vertices
+    u1 = (a3[0] - a1[0], a3[1] - a1[1])
+    u2 = (a4[0] - a2[0], a4[1] - a2[1])
+    ex, ey = a2[0] - a1[0], a2[1] - a1[1]
+    cross = u1[0] * u2[1] - u1[1] * u2[0]
+    a, b = (ex * u2[1] - ey * u2[0]) / cross, (ex * u1[1] - ey * u1[0]) / cross
+    par = _midpoints_meet(_midpoint(a1, a3), _midpoint(a2, a4), quad.diameter())
+    p, q = (0.0, 0.0) if par else (0.5 - a, 0.5 - b)
+    return _Pencil(quad, (a1[0] + a * u1[0], a1[1] + a * u1[1]), u1, u2,
+                   a, b, p, q, par)
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _framed(key: _Same, shift: int) -> _Prepared:
-    fr = normalize_to_qstvw(key.quad.rotate_labels(shift))
-    fr = fr._replace(shift=(fr.shift + shift) % 4)
-    inverse = fr.map.invert()
-    return _Prepared(fr, inverse, inverse.invert(),
-                     qstvw_coeff_polys(fr.s, fr.t, fr.v, fr.w),
-                     f_values(fr.s, fr.t, fr.v, fr.w)[1])
+def _weights(pen: _Pencil, r: float) -> tuple[float, float]:
+    """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
+    wa, wb = pen.a * (1.0 - r), pen.b * r
+    return wa / (wa + wb), wb / (wa + wb)
 
 
-def _report(quad: Quadrilateral) -> ClassificationReport:
-    """`classify(quad)`, held in the memo."""
-    return _classified(_Same(quad))
+def _shape(pen: _Pencil, lam: float,
+           mu: float) -> tuple[Point, float, float, float, float]:
+    """c - P, (Sxx, 2 Sxy, Syy) and det S of the member at (lam, mu = 1 - lam),
+    from S = c c' + lam a(1-a) u1u1' + mu b(1-b) u2u2' about P."""
+    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    cx, cy = lam * pen.p * x1 + mu * pen.q * x2, lam * pen.p * y1 + mu * pen.q * y2
+    cross = x1 * y2 - y1 * x2
+    det = (lam * mu * (lam * pen.p * pen.p * be + mu * pen.q * pen.q * al + al * be)
+           * cross * cross)
+    return ((cx, cy), cx * cx + lam * al * x1 * x1 + mu * be * x2 * x2,
+            2.0 * (cx * cy + lam * al * x1 * y1 + mu * be * x2 * y2),
+            cy * cy + lam * al * y1 * y1 + mu * be * y2 * y2, det)
 
 
-def _prepared(quad: Quadrilateral, shift: int) -> _Prepared:
-    """The family of `quad`'s labeling shifted by `shift`, held in the memo.
+def _shape_polys(pen: _Pencil) -> tuple[tuple[float, ...], ...]:
+    """Ascending coefficients in lam of Sxx, 2 Sxy and Syy, with
+    c - P = c0 + lam c1."""
+    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    u1, u2 = pen.u1, pen.u2
+    c0 = (pen.q * u2[0], pen.q * u2[1])
+    c1 = (pen.p * u1[0] - c0[0], pen.p * u1[1] - c0[1])
 
-    A quad with no admissible frame raises `ParamOutOfRegion` on every
-    call, as `lru_cache` keeps no exception.
-    """
-    return _framed(_Same(quad), shift)
+    def entry(i: int, j: int, k: float) -> tuple[float, float, float]:
+        bu = be * u2[i] * u2[j]
+        return (k * (c0[i] * c0[j] + bu),
+                k * (c0[i] * c1[j] + c1[i] * c0[j] + al * u1[i] * u1[j] - bu),
+                k * c1[i] * c1[j])
+    return entry(0, 0, 1.0), entry(0, 1, 2.0), entry(1, 1, 1.0)
 
 
-def _member(quad: Quadrilateral, prep: _Prepared, r: float, param: float,
-            frame: str) -> InscribedEllipse:
-    """The member at `r` of the family `prep` of `quad`, pulled back and named
-    `param` in `frame`.  Tangency points are listed in `quad`'s side order."""
-    check_unit_interval(r, "param")
-    fr = prep.frame
-    conic = ConicCoeffs(*(_horner(poly, r) for poly in prep.polys))
-    pts = [None] * 4
-    for i, p in enumerate(_contacts(conic, fr.s, fr.t, fr.v, fr.w, prep.f2, r)):
-        pts[(i + fr.shift) % 4] = prep.inverse.apply(p)
-    return InscribedEllipse(_substitute(conic, prep.pull), param, tuple(pts),
-                            frame, quad)
+def _along(p: Point, q: Point, f: float) -> Point:
+    return (p[0] + f * (q[0] - p[0]), p[1] + f * (q[1] - p[1]))
+
+
+def _pencil_contacts(pen: _Pencil, r: float, lam: float,
+                     mu: float) -> tuple[Point, Point, Point, Point]:
+    """Contacts C*(lam) l_i on S1..S4: means of each side's two vertices,
+    weighted lam b, mu a on S1 (the fraction r along A1->A2); lam b,
+    mu (1 - a) on S2; lam (1 - b), mu (1 - a) on S3 and lam (1 - b), mu a
+    on S4, the lam weight on A1 or A3."""
+    a1, a2, a3, a4 = pen.quad.vertices
+    lb, lb1 = lam * pen.b, lam * (1.0 - pen.b)
+    ma, ma1 = mu * pen.a, mu * (1.0 - pen.a)
+    return (_along(a1, a2, r), _along(a2, a3, lb / (lb + ma1)),
+            _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
+
+
+def _inscribed(pen: _Pencil, r: float, param: float,
+               circle: bool = False) -> InscribedEllipse:
+    """The member touching S1 at the fraction r along A1->A2, named `param`:
+    the ellipse (x - c)' adj(S) (x - c) = det S, or, as a `circle`,
+    (x - c)^2 = tr S / 2."""
+    lam, mu = _weights(pen, r)
+    (cx, cy), sxx, sxy2, syy, det = _shape(pen, lam, mu)
+    cx, cy = pen.origin[0] + cx, pen.origin[1] + cy
+    if circle:
+        conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
+                            cx * cx + cy * cy - 0.5 * (sxx + syy))
+    else:
+        conic = scale_normalized(ConicCoeffs(
+            syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
+            syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det))
+    return InscribedEllipse(conic, param, _pencil_contacts(pen, r, lam, mu),
+                            "parallelogram" if pen.parallelogram else "qstvw",
+                            pen.quad)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     """Inscribe the family member at `param` in an arbitrary convex quad.
 
-    Every quad uses the (s,t,v,w) family in its similarity frame.  `param`
-    is that family's r in (0,1), except for a parallelogram, whose
-    parameter is v = 2r - 1 in (-1,1): r is the S1 contact's fraction
-    along A1->A2, so v = 0 touches the side midpoints.  The conic and the
-    tangency points are pulled back to the quad.
+    `param` is r in (0,1), the fraction along A1->A2 at which the member
+    touches S1, except on a parallelogram, whose parameter is v = 2r - 1
+    in (-1,1), so that v = 0 touches the side midpoints.
     """
-    if not _report(quad).parallelogram:
-        return _member(quad, _prepared(quad, 0), param, param, "qstvw")
+    pen = _pencil(quad)
+    if not pen.parallelogram:
+        check_unit_interval(param, "param")
+        return _inscribed(pen, param, param)
     if not abs(param) <= 1.0 - 2.0 * J_MARGIN:
         raise ParamOutOfRegion(f"v={param} not in (-1, 1)")
-    return _member(quad, _prepared(quad, 0), (1.0 + param) / 2.0, param,
-                   "parallelogram")
+    return _inscribed(pen, (1.0 + param) / 2.0, param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

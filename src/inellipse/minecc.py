@@ -1,19 +1,18 @@
 """Eccentricity functional over the inscribed family and its minimizer.
 
 For a family whose conic has coefficient polynomials A, B, C, ... in its
-parameter r, the squared axis ratio of the member at r is
+parameter, the squared axis ratio of the member there is
 
-    G(r) = (O(r) - sqrt(M(r))) / (O(r) + sqrt(M(r))),
-    O = A + C,   M = (A - C)^2 + B^2.
+    G = (O - sqrt(M)) / (O + sqrt(M)),   O = A + C,   M = (A - C)^2 + B^2.
 
-Minimizing the eccentricity means maximizing G.  The critical points of G
-are the roots of p = 2*M*O' - O*M', a quartic for the (s,t,v,w) family; on
-a parallelogram's frame A, B, C are linear in r and p has degree <= 2.  One
-solver serves every quad: it takes the real roots of p as companion-matrix
-eigenvalues, polishes them by Newton steps and compares G at each.  For a
-type-1 midpoint diagonal frame p factors through an explicit quadratic
-(linear on a parallelogram) whose unique root in (0,1) is the optimizer,
-which is how the closed-form solver works.
+Minimizing the eccentricity means maximizing G, whose critical points are
+the roots of p = 2*M*O' - O*M', a quartic when A, B, C are quadratic, as
+the entries Sxx, 2 Sxy, Syy of the dual pencil's shape are in lam.  One
+solver takes p's real roots as companion-matrix eigenvalues, polishes them
+by Newton steps and compares G at each.  An MDQ's optimum is the member
+whose diagonal-parallel diameters are equal (the paper's T3), the root of
+a quadratic in lam.  The paper's (s,t,v,w) formulas (`EccFunctional`,
+`G_value`, `N_factorization`, `alpha_root`) stay as cross-checks.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine import QstvwFrame
-from .conic import ConicCoeffs, Point
 from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
-                     qstvw_coeff_polys, _Prepared, _horner, _member, _prepared,
-                     _report)
-from .quad import (ClassificationReport, Quadrilateral, classify,
-                   check_qstvw_region, f_values, mdq_type_qstvw)
+                     qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil,
+                     _shape, _shape_polys, _weights)
+from .quad import Quadrilateral, classify, check_qstvw_region, f_values
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -249,7 +245,6 @@ class MinEccResult(NamedTuple):
     eccentricity: float
     axis_ratio_sq: float
     method: str
-    frame: QstvwFrame  # the frame the optimum was found in
 
 
 class T3Report(NamedTuple):
@@ -263,111 +258,73 @@ class T3Report(NamedTuple):
     closed_form_len_sq: Optional[tuple[float, float]]
 
 
-def _incircle(quad: Quadrilateral) -> tuple[Point, float, tuple[Point, ...]]:
-    """Center, radius and side tangency points of the inscribed circle."""
-    a1, a2, a3, a4 = quad.vertices
+def _t3_root(pen: _Pencil) -> float:
+    """The lam in (0,1) whose member has equal diameters parallel to the
+    two diagonals (T3): the closed-form optimum of an MDQ.
 
-    def unit(p, q):
-        n = math.dist(p, q)
-        return ((q[0] - p[0]) / n, (q[1] - p[1]) / n)
-
-    u1 = unit(a1, a2)
-    u2 = unit(a1, a4)
-    b1 = (u1[0] + u2[0], u1[1] + u2[1])
-    u3 = unit(a2, a1)
-    u4 = unit(a2, a3)
-    b2 = (u3[0] + u4[0], u3[1] + u4[1])
-    det = b1[0] * (-b2[1]) - (-b2[0]) * b1[1]
-    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
-    alpha = (rx * (-b2[1]) - (-b2[0]) * ry) / det
-    cx, cy = a1[0] + alpha * b1[0], a1[1] + alpha * b1[1]
-
-    sides = ((a1, a2), (a2, a3), (a3, a4), (a4, a1))
-    feet, dists = [], []
-    for p, q in sides:
-        ux, uy = q[0] - p[0], q[1] - p[1]
-        nn = ux * ux + uy * uy
-        lam = ((cx - p[0]) * ux + (cy - p[1]) * uy) / nn
-        foot = (p[0] + lam * ux, p[1] + lam * uy)
-        feet.append(foot)
-        dists.append(math.dist((cx, cy), foot))
-    radius = sum(dists) / 4.0
-    if max(dists) - min(dists) > 1e-7 * quad.diameter():
-        raise ParamOutOfRegion("quad has no inscribed circle")
-    return (cx, cy), radius, tuple(feet)
+    The lengths 4|u|^2 det S / (u' adj(S) u) are equal where
+    |u1|^2 k1 = |u2|^2 k2, with k1 = lam (lam p^2 + a(1-a)) and
+    k2 = mu (mu q^2 + b(1-b)) the diagonal of S in the basis u1, u2: a
+    quadratic in lam, -|u2|^2/4 at 0 and |u1|^2/4 at 1, with one root between.
+    """
+    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    pp, qq = pen.p * pen.p, pen.q * pen.q
+    c2, c1, c0 = n1 * pp - n2 * qq, n1 * al + n2 * (2.0 * qq + be), n2 * (qq + be)
+    # c2 lam^2 + c1 lam - c0 with c1, c0 > 0: the root that does not cancel
+    return 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 + 4.0 * c2 * c0, 0.0)))
 
 
-def _named(r: float, parallelogram: bool) -> tuple[float, str]:
-    """Public parameter and frame name of the member at r: a parallelogram's
-    is v = 2r - 1."""
-    return (2.0 * r - 1.0, "parallelogram") if parallelogram else (r, "qstvw")
+def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
+    """The member at lam as a result, built as `inscribe` builds it from its
+    parameter, so that `inscribe(quad, r_star)` returns the same ellipse; an
+    "incircle" is written as the circle it is."""
+    wa, wb = lam * pen.b, (1.0 - lam) * pen.a
+    r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
+    param = 2.0 * r - 1.0 if pen.parallelogram else r
+    if method == "incircle":
+        return MinEccResult(param, _inscribed(pen, r, param, circle=True),
+                            0.0, 1.0, method)
+    _, sxx, sxy2, syy, det = _shape(pen, *_weights(pen, r))
+    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
+    return MinEccResult(param, _inscribed(pen, r, param),
+                        math.sqrt(max(1.0 - ratio, 0.0)), ratio, method)
 
 
-def _incircle_result(quad: Quadrilateral, fr: QstvwFrame,
-                     parallelogram: bool) -> MinEccResult:
-    """The inscribed circle, with its param read off the S1 contact in `fr`."""
-    (cx, cy), radius, feet = _incircle(quad)
-    conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
-                        cx * cx + cy * cy - radius * radius)
-    _, r = fr.map.apply(feet[fr.shift])
-    param, name = _named(r, parallelogram)
-    ellipse = InscribedEllipse(conic, param, feet, name, quad)
-    return MinEccResult(param, ellipse, 0.0, 1.0, "incircle", fr)
-
-
-def _frame_result(quad: Quadrilateral, prep: _Prepared, mdq: bool,
-                  parallelogram: bool) -> MinEccResult:
-    """Optimum over the inscribed family `prep` of `quad`: the closed form
-    when the quad is an MDQ and the frame satisfies the type-1 identity, the
-    critical-point solver otherwise."""
-    fr = prep.frame
-    o, m, p = _ecc_polys(*prep.polys[:3])
-    if mdq and mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-6)[0]:
-        r_star = alpha_root(fr.s, fr.v, fr.w)
-        ratio, method = _g_at(o, m, r_star), "alpha_closed_form"
-    else:
-        r_star, ratio = _family_argmax(o, m, p, J_MARGIN, 1.0 - J_MARGIN)
-        method = "quartic_numeric"
-    ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    param, name = _named(r_star, parallelogram)
-    return MinEccResult(param, _member(quad, prep, r_star, param, name), ecc,
-                        ratio, method, fr)
-
-
-def _type1_shift(rep: ClassificationReport) -> int:
-    """Label shift that reads an MDQ as type 1: one step for type 2 only."""
-    return int(rep.mdq_type2 and not rep.mdq_type1)
+def _numeric(pen: _Pencil) -> MinEccResult:
+    o, m, p = _ecc_polys(*_shape_polys(pen))
+    lam, _ = _family_argmax(o, m, p, J_MARGIN, 1.0 - J_MARGIN)
+    return _optimum(pen, lam, "quartic_numeric")
 
 
 def min_ecc(quad: Quadrilateral) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse.
 
-    The quad is classified and framed once, in the memo that `inscribe`
-    shares (see `inellipse.family`).  Tangential quads get their inscribed
-    circle.  MDQs are solved in a type-1 labeling (type 2 shifts the labels
-    one step, which swaps the diagonals) by the closed-form optimizer, as
-    long as the first admissible frame of that labeling keeps the type-1
-    identity; a parallelogram's frame always does.  Everything else, and an
-    MDQ whose admissible frame does not, gets the critical-point solver of
-    `min_ecc_numeric`.  A parallelogram's `r_star` is its v = 2r - 1.
+    The quad is classified once and solved in its dual pencil.  Tangential
+    quads get their inscribed circle.  MDQs, parallelograms included, get
+    the closed-form T3 member (`_t3_root`).  Every other quad gets the
+    critical-point solver of `min_ecc_numeric`.  A parallelogram's `r_star`
+    is its v = 2r - 1.
     """
-    rep = _report(quad)
-    if rep.tangential:
-        return _incircle_result(quad, _prepared(quad, 0).frame, rep.parallelogram)
-    return _frame_result(quad, _prepared(quad, _type1_shift(rep)), rep.mdq,
-                         rep.parallelogram)
+    rep = classify(quad)
+    pen = _pencil(quad)
+    if rep.tangential or rep.mdq:
+        # an inscribed circle has equal diameters along both diagonals, so
+        # it is the T3 member too
+        return _optimum(pen, _t3_root(pen),
+                        "incircle" if rep.tangential else "alpha_closed_form")
+    return _numeric(pen)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver (independent of the closed form).
 
-    Maximizes G over (0,1) by comparing G at every real root of the
-    critical polynomial p in the interval, found as companion-matrix
-    eigenvalues and polished by Newton steps on p.  A parallelogram's
-    `r_star` is its v = 2r - 1, as in `min_ecc`.
+    Maximizes G over the quad's dual pencil by comparing G at every real
+    root of the critical polynomial p in (0,1), found as companion-matrix
+    eigenvalues and polished by Newton steps on p.
     """
-    return _frame_result(quad, _prepared(quad, 0), False,
-                         _report(quad).parallelogram)
+    return _numeric(_pencil(quad))
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,
@@ -395,7 +352,8 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     diameters have equal length.  Near-circular optima (eccentricity below
     1e-6) are reported as vacuously true with the `near_circle` flag, as
     equal conjugate diameters degenerate there.  For closed-form optima the
-    squared lengths are also cross-checked against their frame closed forms.
+    squared lengths are also given from the pencil's shape at the optimum,
+    independently of the conic's coefficients.
     """
     if isinstance(quad, MinEccResult):
         res, quad = quad, quad.ellipse.quad
@@ -418,13 +376,13 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
 
     closed: Optional[tuple[float, float]] = None
     if res.method == "alpha_closed_form":
-        fr = res.frame
-        # the closed form takes the frame's r; a parallelogram reports v = 2r - 1
-        r1 = res.r_star if res.ellipse.frame == "qstvw" else (1.0 + res.r_star) / 2.0
-        cf1, cf2 = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, r1)
-        unit = 1.0 / fr.scale
-        cf1, cf2 = cf1 * unit * unit, cf2 * unit * unit
-        # an odd total label shift makes the frame's D1 the original D2
-        closed = (cf1, cf2) if fr.shift % 2 == 0 else (cf2, cf1)
+        # 4|u|^2 det S / (u' adj(S) u) for S of the pencil member at the
+        # optimum; a parallelogram reports v = 2r - 1
+        pen = _pencil(quad)
+        r = res.r_star if res.ellipse.frame == "qstvw" else (1.0 + res.r_star) / 2.0
+        _, sxx, sxy2, syy, det = _shape(pen, *_weights(pen, r))
+        closed = tuple(4.0 * (x * x + y * y) * det
+                       / (syy * x * x - sxy2 * x * y + sxx * y * y)
+                       for x, y in (d1, d2))
     return T3Report(par_margin <= tol, len_margin <= tol, len1, len2,
                     False, par_margin, len_margin, closed)

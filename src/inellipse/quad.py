@@ -193,6 +193,13 @@ def diagonals(quad: Quadrilateral) -> DiagonalData:
     return DiagonalData((a1, a3), (a2, a4), m1, m2, p, newton)
 
 
+def _midpoints_meet(m1: Point, m2: Point, diam: float,
+                    tol: float = CLASSIFY_TOL) -> bool:
+    """The parallelogram predicate: the diagonal midpoints M1, M2 coincide
+    within `tol` of the diameter."""
+    return _dist(m1, m2) <= tol * diam
+
+
 def _parallel(u: Point, v: Point, tol: float) -> bool:
     return abs(_cross(u, v)) <= tol * math.hypot(*u) * math.hypot(*v)
 
@@ -207,7 +214,7 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
 
     mdq1 = _dist(dd.p, dd.m2) <= tol * diam
     mdq2 = _dist(dd.p, dd.m1) <= tol * diam
-    parallelogram = _dist(dd.m1, dd.m2) <= tol * diam
+    parallelogram = _midpoints_meet(dd.m1, dd.m2, diam, tol)
     s1, s2 = _sub(a2, a1), _sub(a3, a2)
     s3, s4 = _sub(a4, a3), _sub(a1, a4)
     trapezoid = _parallel(s1, s3, tol) or _parallel(s2, s4, tol)

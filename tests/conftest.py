@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import settings
 
-from inellipse import family
 from inellipse.conic import ConicCoeffs, evaluate, gradient
 from inellipse.quad import Quadrilateral, canonicalize
 
@@ -27,12 +26,6 @@ EXAMPLE_MIN_CONIC = ConicCoeffs(
     4.0 * (-2911.0 + 459.0 * SQRT41),
     24.0 * (2911.0 - 459.0 * SQRT41),
     36.0 * (3521.0 - 549.0 * SQRT41))
-
-
-def clear_family_memo() -> None:
-    """Empty the memo of per-quad work that `inscribe` and `min_ecc` share."""
-    family._classified.cache_clear()
-    family._framed.cache_clear()
 
 
 @pytest.fixture

@@ -200,6 +200,31 @@ def random_orthodiagonal_quad(rng: np.random.Generator) -> Quadrilateral:
     return canonicalize([sim.apply(p) for p in raw])
 
 
+def random_diagonal_quad(rng: np.random.Generator, a: float | None = None,
+                         b: float | None = None,
+                         orthodiagonal: bool = False) -> Quadrilateral:
+    """A quad drawn from its diagonals u1 = A3 - A1 and u2 = A4 - A2, labeled
+    clockwise from any vertex: A1 = P - a u1, A3 = P + (1 - a) u1,
+    A2 = P - b u2 and A4 = P + (1 - b) u2 about the diagonal intersection P.
+
+    a and b are uniform in (0.1, 0.9) unless given: b = 1/2 makes a type-1
+    MDQ, a = 1/2 a type-2 MDQ, and a = 1/2 with `orthodiagonal` a kite.
+    """
+    a = rng.uniform(0.1, 0.9) if a is None else a
+    b = rng.uniform(0.1, 0.9) if b is None else b
+    t1 = rng.uniform(0.0, 2.0 * math.pi)
+    # u2 turned clockwise from u1 labels the vertices clockwise
+    t2 = t1 - (0.5 * math.pi if orthodiagonal else rng.uniform(0.3, math.pi - 0.3))
+    l1, l2 = rng.uniform(0.5, 3.0, size=2)
+    u1 = (l1 * math.cos(t1), l1 * math.sin(t1))
+    u2 = (l2 * math.cos(t2), l2 * math.sin(t2))
+    px, py = rng.uniform(-3.0, 3.0, size=2)
+    return quadrilateral([(px - a * u1[0], py - a * u1[1]),
+                          (px - b * u2[0], py - b * u2[1]),
+                          (px + (1.0 - a) * u1[0], py + (1.0 - a) * u1[1]),
+                          (px + (1.0 - b) * u2[0], py + (1.0 - b) * u2[1])])
+
+
 def random_parallelogram(rng: np.random.Generator,
                          max_tries: int = 1000) -> Quadrilateral:
     """Random parallelogram, bounded away from degenerate shear."""

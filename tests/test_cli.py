@@ -206,6 +206,24 @@ class TestMinEcc:
         assert code == 0
         assert doc["ellipse"]["param"] == 0.5
 
+    def test_inscribe_at_r_star_repeats_the_optimum(self, capsys, tmp_path):
+        # a type-2 MDQ in its lower-left labeling: `inscribe --param r_star`
+        # prints the ellipse that `min-ecc` found
+        path = tmp_path / "type2.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [0.5, 3], [4, 2], [2.75, 0]]}))
+        code, doc = run_json(capsys, ["min-ecc", str(path)])
+        assert code == 0
+        assert doc["classification"]["mdq_type2"]
+        assert not doc["classification"]["mdq_type1"]
+        assert doc["min_ecc"]["method"] == "alpha_closed_form"
+        best = doc["ellipse"]
+        code, doc = run_json(capsys, ["inscribe", "--param",
+                                      repr(doc["min_ecc"]["r_star"]), str(path)])
+        assert code == 0
+        assert doc["ellipse"]["coefficients"] == pytest.approx(best["coefficients"],
+                                                               abs=1e-12)
+        assert doc["ellipse"]["tangency"] == best["tangency"]
+
     def test_solves_once_and_classifies_at_most_three_times(
             self, capsys, example_file, call_counts):
         code, doc = run_json(capsys, ["min-ecc", example_file])
@@ -293,12 +311,12 @@ class TestVerify:
 
     def test_t1_frames_once_per_command(self, capsys, example_file,
                                         call_counts):
-        # five trials inscribe five members of one family
+        # five trials inscribe five members of the quad's own pencil
         code, doc = run_json(capsys, ["verify", "--theorem", "t1",
                                       "--trials", "5", example_file])
         assert code == 0
         assert doc["passes"] == 5
-        assert call_counts["normalize_to_qstvw"] == 1
+        assert call_counts["normalize_to_qstvw"] == 0
 
     def test_deterministic(self, capsys, example_file):
         _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
@@ -323,12 +341,13 @@ class TestPlot:
 
     def test_frames_once_per_command(self, tmp_path, example_file,
                                      call_counts):
-        # three members and the type-1 optimum share one frame
+        # three members and the type-1 optimum come from the quad's own
+        # pencil, with no frame
         out = tmp_path / "fig.svg"
         assert main(["plot", "--params", "0.2,0.4,0.6", "--out", str(out),
                      example_file]) == 0
         assert out.read_text().count('class="ellipse"') == 3
-        assert call_counts["normalize_to_qstvw"] == 1
+        assert call_counts["normalize_to_qstvw"] == 0
         assert call_counts["min_ecc"] == 1
 
     def test_square_incircle_plot(self, tmp_path, square_file):

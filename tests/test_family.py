@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inellipse import family
-from inellipse.affine import AffineMap
+from inellipse.affine import AffineMap, normalize_to_qstvw
 from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
 from inellipse.errors import (CollinearTriangle, InEllipseError,
@@ -16,13 +15,13 @@ from inellipse.family import (inscribe, marden_foci, qst_center_param,
 from inellipse.minecc import min_ecc, min_ecc_numeric
 from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
-from sampling import (frame_quad, random_convex_quad, random_frame, random_kite,
-                      random_mdq_quad, random_parallelogram,
-                      random_s1s3_trapezoid, random_similarity)
-from conftest import (EXAMPLE_CONIC, EXAMPLE_R, EXAMPLE_VERTICES,
-                      assert_inscribed, assert_on_open_segment,
-                      assert_points_close, assert_tangent_at,
-                      clear_family_memo)
+from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
+                      random_frame, random_kite, random_mdq_quad,
+                      random_parallelogram, random_s1s3_trapezoid,
+                      random_similarity)
+from conftest import (EXAMPLE_CONIC, EXAMPLE_R, assert_inscribed,
+                      assert_on_open_segment, assert_points_close,
+                      assert_tangent_at)
 
 
 def random_g_region(rng):
@@ -321,84 +320,89 @@ class TestInscribe:
                 assert_on_open_segment(c, dd.m1, dd.m2, 1e-9)
 
 
-@pytest.fixture
-def layer_calls(monkeypatch):
-    """Calls the memo makes of `classify` and `normalize_to_qstvw`, counted
-    from an empty memo."""
-    clear_family_memo()
-    calls = {"classify": 0, "normalize_to_qstvw": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(family, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(family, name, counted)
-    yield calls
-    clear_family_memo()
-
-
-class TestMemo:
-    def test_sixteen_members_classify_and_frame_once(self, example_quad,
-                                                       layer_calls):
-        members = [inscribe(example_quad, k / 17) for k in range(1, 17)]
-        assert layer_calls == {"classify": 1, "normalize_to_qstvw": 1}
-        assert len({m.conic for m in members}) == 16
-
-    def test_memo_is_bounded(self, example_quad, layer_calls):
-        rng = np.random.default_rng(31)
-        inscribe(example_quad, EXAMPLE_R)
-        for _ in range(family._framed.cache_info().maxsize + 1):
-            inscribe(frame_quad(*random_frame(rng)), 0.5)
-        framed = layer_calls["normalize_to_qstvw"]
-        inscribe(example_quad, EXAMPLE_R)
-        assert layer_calls["normalize_to_qstvw"] == framed + 1
-
-    def test_bad_param_raises_on_every_call(self, example_quad, layer_calls):
-        square = canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)])
-        for _ in range(3):
-            with pytest.raises(ParamOutOfRegion):
-                inscribe(example_quad, 1.5)
-            with pytest.raises(ParamOutOfRegion):
-                inscribe(square, 1.0)
-        # the frames are kept, the failures are not
-        assert_inscribed(inscribe(example_quad, EXAMPLE_R))
-        assert_inscribed(inscribe(square, 0.5))
-        assert layer_calls["normalize_to_qstvw"] == 2
-
-    def test_no_admissible_frame_raises_on_every_call(self, layer_calls):
-        # counterclockwise labels, past `canonicalize`: no shift is admissible
-        quad = Quadrilateral(((0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.1, 0.8)))
-        for n in range(1, 4):
-            with pytest.raises(ParamOutOfRegion):
-                inscribe(quad, 0.3)
-            assert layer_calls["normalize_to_qstvw"] == n
-        for solve in (min_ecc, min_ecc_numeric):
-            with pytest.raises(ParamOutOfRegion):
-                solve(quad)
-        assert family._framed.cache_info().currsize == 0
-
-    def test_warm_result_carries_callers_quad(self, layer_calls):
-        quad = canonicalize(EXAMPLE_VERTICES)
-        inscribe(quad, EXAMPLE_R)
-        assert inscribe(quad, 0.5).quad is quad
-        assert min_ecc(quad).ellipse.quad is quad
-        assert layer_calls["normalize_to_qstvw"] == 1
-
-    def test_equal_quad_built_anew_gets_its_own_entry(self, layer_calls):
-        first = canonicalize(EXAMPLE_VERTICES)
-        second = canonicalize(EXAMPLE_VERTICES)
-        assert first == second and first is not second
-        cold = inscribe(first, EXAMPLE_R)
-        again = inscribe(second, EXAMPLE_R)
-        assert layer_calls == {"classify": 2, "normalize_to_qstvw": 2}
-        assert again.quad is second and cold.quad is first
-        assert again == cold
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
     except InEllipseError as exc:
         return type(exc), str(exc)
+
+
+def _shifted(make, n):
+    """The first n draws of `make` whose first admissible (s,t,v,w) frame
+    shifts the labels."""
+    drawn = []
+    for _ in range(100 * n):
+        quad = make()
+        if normalize_to_qstvw(quad).shift != 0:
+            drawn.append(quad)
+            if len(drawn) == n:
+                return drawn
+    raise AssertionError("too few draws with a shifted frame")
+
+
+class TestParameterMeaning:
+    def test_param_is_the_s1_contact_fraction(self):
+        # r names the member touching A1A2 at A1 + r(A2 - A1) on every quad,
+        # whichever label shift its first admissible (s,t,v,w) frame takes
+        rng = np.random.default_rng(61)
+        quads = ([random_convex_quad(rng) for _ in range(20)]
+                 + [random_mdq_quad(rng, type1=bool(i % 2)) for i in range(20)]
+                 + [random_kite(rng) for _ in range(20)]
+                 + [random_s1s3_trapezoid(rng) for _ in range(20)]
+                 + _shifted(lambda: random_diagonal_quad(rng), 10)
+                 + _shifted(lambda: random_diagonal_quad(rng, b=0.5), 10)
+                 + _shifted(lambda: random_diagonal_quad(rng, a=0.5), 10)
+                 + _shifted(lambda: random_s1s3_trapezoid(rng).rotate_labels(1), 10))
+        for quad in quads:
+            (x1, y1), (x2, y2) = quad.a1, quad.a2
+            for r in (0.1, 0.3, 0.5, 0.8):
+                ie = inscribe(quad, r)
+                assert ie.param == r and ie.frame == "qstvw"
+                assert_points_close(ie.tangency[0], (x1 + r * (x2 - x1), y1 + r * (y2 - y1)),
+                                    1e-12 * quad.diameter())
+                assert_inscribed(ie)
+
+    def test_frame_family_is_the_pencil_on_shift_zero_quads(self):
+        # the paper's (s,t,v,w) family, pulled back from the frame of the
+        # quad's own labeling, names the same member at the same r
+        rng = np.random.default_rng(62)
+        makers = (lambda: random_diagonal_quad(rng),
+                  lambda: random_diagonal_quad(rng, b=0.5),
+                  lambda: random_diagonal_quad(rng, a=0.5),
+                  lambda: random_parallelogram(rng),
+                  lambda: random_s1s3_trapezoid(rng))
+        compared = 0
+        for quad in (make() for _ in range(60) for make in makers):
+            fr = normalize_to_qstvw(quad)
+            if fr.shift != 0:
+                continue
+            for r in (0.05, 0.3, 0.6, 0.95):
+                pulled = fr.map.invert().apply_to_conic(
+                    qstvw_conic(fr.s, fr.t, fr.v, fr.w, r))
+                ie = inscribe(quad, r)
+                if ie.frame == "parallelogram":
+                    ie = inscribe(quad, 2.0 * r - 1.0)
+                assert max(abs(x - y) for x, y in zip(pulled, ie.conic)) <= 1e-12
+                for got, want in zip(ie.tangency, qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r)):
+                    assert_points_close(got, fr.map.invert().apply(want),
+                                        1e-12 * quad.diameter())
+            compared += 1
+        assert compared >= 250
+
+    def test_counterclockwise_labels_get_the_pencil_member(self):
+        # labels in counterclockwise order, past `canonicalize`: the pencil
+        # does not depend on the orientation, so the member is inscribed
+        # and touches A1A2 at the fraction r, and both solvers agree
+        quad = Quadrilateral(((0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.1, 0.8)))
+        ie = inscribe(quad, 0.3)
+        assert ie.tangency[0] == (0.3, 0.0)
+        assert_inscribed(ie)
+        res = min_ecc(quad)
+        assert res.method == "quartic_numeric"
+        assert res.r_star == pytest.approx(0.5713885125998222, abs=1e-12)
+        assert res.axis_ratio_sq == pytest.approx(0.7332921077719837, abs=1e-12)
+        assert_inscribed(res.ellipse)
+        assert min_ecc_numeric(quad) == res
 
 
 class TestWarmEqualsCold:
@@ -414,26 +418,22 @@ class TestWarmEqualsCold:
         return [make() for _ in range(84) for make in makers]
 
     def test_results_equal_with_and_without_the_memo(self):
+        # repeated calls on one quad give equal results
         # 0.3 is a parameter of every family: r in (0,1), a parallelogram's v
         calls = ((inscribe, 0.3), (inscribe, 0.7), (min_ecc,), (min_ecc_numeric,))
         for quad in self._quads():
-            cold = []
-            for fn, *args in calls:
-                clear_family_memo()
-                cold.append(_outcome(fn, quad, *args))
+            first = [_outcome(fn, quad, *args) for fn, *args in calls]
             for _ in range(2):
-                assert [_outcome(fn, quad, *args) for fn, *args in calls] == cold
-        clear_family_memo()
+                assert [_outcome(fn, quad, *args) for fn, *args in calls] == first
 
-    def test_type2_min_ecc_between_inscribes(self, layer_calls):
+    def test_type2_min_ecc_between_inscribes(self):
         rng = np.random.default_rng(42)
-        for n in range(1, 21):
+        for _ in range(20):
             quad = random_mdq_quad(rng, type1=False)
             before = inscribe(quad, 0.3)
-            res = min_ecc(quad)  # solved in the labeling shifted by one
+            res = min_ecc(quad)
             assert res.method == "alpha_closed_form"
             assert inscribe(quad, 0.3) == before
-            assert layer_calls["normalize_to_qstvw"] == 2 * n
 
 
 class TestMarden:

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from inellipse.affine import AffineMap, normalize_to_qstvw
-from inellipse.conic import center, geometry, proportional
+from inellipse.conic import center, geometry, proportional, scale_normalized
 from inellipse.diameters import equal_conjugate_diameters, parallel_margin
 from inellipse.errors import NotMDQ, ParamOutOfRegion
 from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
@@ -16,7 +16,8 @@ from inellipse.minecc import (EccFunctional, G_value, N_factorization,
 from inellipse.quad import canonicalize, diagonals, quadrilateral
 
 from sampling import (frame_quad, random_convex_quad, random_frame,
-                      random_kite, random_nonmdq_frame, random_parallelogram,
+                      random_kite, random_mdq_quad, random_nonmdq_frame,
+                      random_parallelogram, random_s1s3_trapezoid,
                       random_similarity, random_tangential_quad,
                       random_type1_frame, random_type2_frame)
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
@@ -343,9 +344,48 @@ class TestParallelogramProperty:
             quad = _near_parallelogram(rng)
             res = min_ecc(quad)
             assert_inscribed(res.ellipse, 1e-7)
-            fr = res.frame
+            fr = normalize_to_qstvw(quad)
             best = float(np.max(EccFunctional(fr.s, fr.t, fr.v, fr.w).g(grid)))
             assert res.axis_ratio_sq >= best - 1e-9
+
+
+class TestRStarRoundTrip:
+    def test_inscribe_at_r_star_is_the_optimum(self):
+        # r_star names the returned ellipse in `inscribe`'s parameter, on
+        # type-2 MDQs and tangential quads as on every other class; an
+        # inscribed circle is written as one, so conics compare normalized
+        rng = np.random.default_rng(63)
+        makers = (lambda: random_convex_quad(rng),
+                  lambda: random_mdq_quad(rng, type1=True),
+                  lambda: random_mdq_quad(rng, type1=False),
+                  lambda: random_parallelogram(rng),
+                  lambda: random_kite(rng),
+                  lambda: random_tangential_quad(rng),
+                  lambda: random_s1s3_trapezoid(rng))
+        methods = set()
+        for quad in (make() for _ in range(40) for make in makers):
+            for res in (min_ecc(quad), min_ecc_numeric(quad)):
+                methods.add(res.method)
+                ie = inscribe(quad, res.r_star)
+                assert ie.param == res.r_star and ie.frame == res.ellipse.frame
+                assert max(abs(x - y) for x, y in
+                           zip(ie.conic, scale_normalized(res.ellipse.conic))) <= 1e-12
+                for got, want in zip(ie.tangency, res.ellipse.tangency):
+                    assert_points_close(got, want, 1e-12 * quad.diameter())
+                assert_inscribed(ie, 1e-7 if res.method == "incircle" else 1e-9)
+        assert methods == {"incircle", "alpha_closed_form", "quartic_numeric"}
+
+    def test_t3_root_is_alpha_root_on_type1_frames(self):
+        # the pencil's closed form, mapped to r, is the paper's optimizer root
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            s, t, v, w = random_type1_frame(rng)
+            quad = frame_quad(s, t, v, w)
+            res = min_ecc(quad)
+            if res.method == "incircle":
+                continue
+            assert res.method == "alpha_closed_form"
+            assert abs(res.r_star - alpha_root(s, v, w)) <= 1e-10
 
 
 class TestPolynomialPositivity:
