@@ -7,8 +7,9 @@ similarities preserve eccentricity.  The only frame choice is a cyclic
 label shift k (frame A_i is the original A_(i+k)); the returned `shift`
 records it.  An odd shift swaps the roles of the two diagonals, so a
 type-2 MDQ is a type-1 MDQ in the labeling shifted by one vertex.  The
-frame is the paper's coordinate system, which the tests check the dual
-pencil of `inellipse.family` against; no runtime path reduces a quad to it.
+frame is the paper's coordinate system: the tests check the dual pencil of
+`inellipse.family` against it, and the CLI's min-ecc report of a type-1
+MDQ gives the paper's root `alpha_root` in it; no solver reduces a quad to it.
 """
 
 from __future__ import annotations
@@ -65,28 +66,15 @@ class AffineMap:
         """
         inv = self.invert()
         (i00, i01), (i10, i11) = inv.linear
-        tx, ty = inv.translation
+        h = ((i00, i01, inv.translation[0]), (i10, i11, inv.translation[1]),
+             (0.0, 0.0, 1.0))
         a, b, c, d, e, f = conic
-        # rows of Hinv: (i00, i01, tx), (i10, i11, ty), (0, 0, 1)
-        # new_M = Hinv^T M Hinv with M the symmetric matrix of the conic
-        m00, m01, m02 = a, b / 2.0, d / 2.0
-        m11, m12, m22 = c, e / 2.0, f
-        # columns of (M @ Hinv); third components against Hinv's zero row drop out
-        q00 = m00 * i00 + m01 * i10
-        q10 = m01 * i00 + m11 * i10
-        q01 = m00 * i01 + m01 * i11
-        q11 = m01 * i01 + m11 * i11
-        q02 = m00 * tx + m01 * ty + m02
-        q12 = m01 * tx + m11 * ty + m12
-        q22 = m02 * tx + m12 * ty + m22
-        n00 = i00 * q00 + i10 * q10
-        n01 = i00 * q01 + i10 * q11
-        n02 = i00 * q02 + i10 * q12
-        n11 = i01 * q01 + i11 * q11
-        n12 = i01 * q02 + i11 * q12
-        n22 = tx * q02 + ty * q12 + q22
-        return scale_normalized(
-            ConicCoeffs(n00, 2.0 * n01, n11, 2.0 * n02, 2.0 * n12, n22))
+        m = ((a, b / 2.0, d / 2.0), (b / 2.0, c, e / 2.0), (d / 2.0, e / 2.0, f))
+        # Hinv' M Hinv, with M the symmetric matrix of the conic
+        n = [[sum(h[k][i] * m[k][g] * h[g][j] for k in range(3) for g in range(3))
+              for j in range(3)] for i in range(3)]
+        return scale_normalized(ConicCoeffs(n[0][0], 2.0 * n[0][1], n[1][1],
+                                            2.0 * n[0][2], 2.0 * n[1][2], n[2][2]))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """Map equal to applying `inner` first, then self."""

@@ -27,12 +27,13 @@ import sys
 
 import numpy as np
 
+from .affine import normalize_to_qstvw
 from .conic import geometry, scale_normalized
 from .diameters import check_T2, equal_conjugate_diameters, t1_margin
 from .errors import (InEllipseError, IsCircle, NonConvexInput, NotMDQ,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
-from .minecc import NEAR_CIRCLE_ECC, min_ecc, verify_T3
+from .minecc import NEAR_CIRCLE_ECC, alpha_root, min_ecc, verify_T3
 from .quad import (ClassificationReport, Quadrilateral, canonicalize, classify,
                    diagonals)
 from .svgfig import Figure
@@ -179,6 +180,15 @@ def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
         }
         if t3.closed_form_len_sq is not None:
             out["verification"]["closed_form_len_sq"] = list(t3.closed_form_len_sq)
+        if rep.mdq_type1 and not rep.parallelogram:
+            # the paper's type-1 root alpha_root(s, v, w), beside r_star, when
+            # the quad's own labeling is its admissible (s,t,v,w) frame
+            try:
+                fr = normalize_to_qstvw(quad)
+                paper = alpha_root(fr.s, fr.v, fr.w) if fr.shift == 0 else None
+            except InEllipseError:
+                paper = None
+            out["verification"]["paper_r_star"] = paper
     if label:
         out["label"] = label
     return out

@@ -20,17 +20,17 @@ quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
 (-1, 1), v = 0 touching the side midpoints.
 
 The paper's closed forms stay as formulas the tests check the pencil
-against, on no runtime path: the (s,t) frame (0,0), (0,1), (s,t), (1,0),
-parametrized by the bottom-side tangency abscissa q, and the (s,t,v,w) frame
-(0,0), (0,1), (s,t), (v,w), whose family is six coefficient polynomials of
-degree <= 2 in the left-side tangency ordinate r, the pencil's r when the
-quad's own labeling is admissible.  `marden_foci` locates the foci of the
-ellipse inscribed in a triangle from weighted pole placement.
+against: the (s,t) frame (0,0), (0,1), (s,t), (1,0), parametrized by the
+bottom-side contact abscissa q, and the (s,t,v,w) frame (0,0), (0,1),
+(s,t), (v,w), whose six coefficient polynomials are quadratic in the
+left-side contact ordinate r, the pencil's r when the quad's own labeling
+is admissible.  `marden_foci` places the foci of a triangle's inellipse.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,11 +65,15 @@ class InscribedEllipse:
     quad: Quadrilateral
 
 
-def qst_conic(s: float, t: float, q: float) -> ConicCoeffs:
-    """Inscribed-ellipse coefficients for the (s,t) frame, tangent at (q, 0)."""
+def _check_qst(s: float, t: float, q: float) -> None:
     if not in_region_g(s, t):
         raise ParamOutOfRegion(f"(s,t)=({s},{t}) outside region G")
     check_unit_interval(q, "q")
+
+
+def qst_conic(s: float, t: float, q: float) -> ConicCoeffs:
+    """Inscribed-ellipse coefficients for the (s,t) frame, tangent at (q, 0)."""
+    _check_qst(s, t, q)
     a = t * t
     b = 4.0 * q * q * (t - 1.0) * t + 2.0 * q * t * (s - t + 2.0) - 2.0 * s * t
     cc = ((1.0 - q) * s + q * t) ** 2
@@ -90,18 +94,14 @@ def qst_center_param(s: float, t: float, q: float) -> tuple[float, Point]:
     The center lies on the open segment between the diagonal midpoints
     (s/2, t/2) and (1/2, 1/2), at (h, L(h)) with h determined by q.
     """
-    if not in_region_g(s, t):
-        raise ParamOutOfRegion(f"(s,t)=({s},{t}) outside region G")
-    check_unit_interval(q, "q")
+    _check_qst(s, t, q)
     h = 0.5 * (q * (t - s) + s) / (q * (t - 1.0) + 1.0)
     return h, (h, qst_newton_line(s, t, h))
 
 
 def qst_tangency(s: float, t: float, q: float) -> tuple[Point, Point, Point, Point]:
     """Closed-form tangency points on sides S1..S4 of the (s,t) frame."""
-    if not in_region_g(s, t):
-        raise ParamOutOfRegion(f"(s,t)=({s},{t}) outside region G")
-    check_unit_interval(q, "q")
+    _check_qst(s, t, q)
     den1 = (t - s) * q + s
     den2 = (t - 1.0) * (s + t) * q + s
     den3 = (s + t - 2.0) * q + 1.0
@@ -167,12 +167,9 @@ def _horner(coeffs, x):
 
 def qstvw_tangency(s: float, t: float, v: float, w: float,
                    r: float) -> tuple[Point, Point, Point, Point]:
-    """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r.
-
-    These are the contacts of the frame quad's pencil member whose S1
-    contact is (0, r); on S4 they agree with the paper's closed form
-    (q, (w/v)q), q = svr/((s - f2)r + f2).
-    """
+    """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r:
+    the contacts of the frame quad's pencil member touching S1 at (0, r).
+    On S4 this is the paper's (q, (w/v)q), q = svr/((s - f2)r + f2)."""
     check_qstvw_region(s, t, v, w, require_f3=False)
     check_unit_interval(r, "r")
     pen = _pencil(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
@@ -215,35 +212,35 @@ def _weights(pen: _Pencil, r: float) -> tuple[float, float]:
     return wa / (wa + wb), wb / (wa + wb)
 
 
+def _entries(pen: _Pencil, f1: float, f2: float,
+             f12: float) -> tuple[float, float, float]:
+    """Sxx, 2 Sxy and Syy of S = f1 u1u1' + f2 u2u2' + f12 (u1u2' + u2u1')."""
+    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    return (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2,
+            2.0 * (f1 * x1 * y1 + f2 * x2 * y2 + f12 * (x1 * y2 + y1 * x2)),
+            f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2)
+
+
 def _shape(pen: _Pencil, lam: float,
            mu: float) -> tuple[Point, float, float, float, float]:
-    """c - P, (Sxx, 2 Sxy, Syy) and det S of the member at (lam, mu = 1 - lam),
-    from S = c c' + lam a(1-a) u1u1' + mu b(1-b) u2u2' about P."""
-    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    """c - P, (Sxx, 2 Sxy, Syy) and det S of the member at (lam, mu = 1 - lam)."""
+    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
     (x1, y1), (x2, y2) = pen.u1, pen.u2
-    cx, cy = lam * pen.p * x1 + mu * pen.q * x2, lam * pen.p * y1 + mu * pen.q * y2
-    cross = x1 * y2 - y1 * x2
-    det = (lam * mu * (lam * pen.p * pen.p * be + mu * pen.q * pen.q * al + al * be)
-           * cross * cross)
-    return ((cx, cy), cx * cx + lam * al * x1 * x1 + mu * be * x2 * x2,
-            2.0 * (cx * cy + lam * al * x1 * y1 + mu * be * x2 * y2),
-            cy * cy + lam * al * y1 * y1 + mu * be * y2 * y2, det)
+    det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
+           * (x1 * y2 - y1 * x2) ** 2)
+    return ((lam * p * x1 + mu * q * x2, lam * p * y1 + mu * q * y2),
+            *_entries(pen, lam * (lam * p * p + al), mu * (mu * q * q + be),
+                      lam * mu * p * q), det)
 
 
-def _shape_polys(pen: _Pencil) -> tuple[tuple[float, ...], ...]:
-    """Ascending coefficients in lam of Sxx, 2 Sxy and Syy, with
-    c - P = c0 + lam c1."""
-    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    u1, u2 = pen.u1, pen.u2
-    c0 = (pen.q * u2[0], pen.q * u2[1])
-    c1 = (pen.p * u1[0] - c0[0], pen.p * u1[1] - c0[1])
-
-    def entry(i: int, j: int, k: float) -> tuple[float, float, float]:
-        bu = be * u2[i] * u2[j]
-        return (k * (c0[i] * c0[j] + bu),
-                k * (c0[i] * c1[j] + c1[i] * c0[j] + al * u1[i] * u1[j] - bu),
-                k * c1[i] * c1[j])
-    return entry(0, 0, 1.0), entry(0, 1, 2.0), entry(1, 1, 1.0)
+def _shape_polys(pen: _Pencil) -> tuple[tuple[float, float, float], ...]:
+    """Ascending coefficients in lam of Sxx, 2 Sxy and Syy: `_shape`'s
+    weights with mu = 1 - lam expanded."""
+    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    qq, pq = q * q, p * q
+    return tuple(zip(_entries(pen, 0.0, qq + be, 0.0),
+                     _entries(pen, al, -2.0 * qq - be, pq),
+                     _entries(pen, p * p, qq, -pq)))
 
 
 def _along(p: Point, q: Point, f: float) -> Point:
@@ -252,10 +249,9 @@ def _along(p: Point, q: Point, f: float) -> Point:
 
 def _pencil_contacts(pen: _Pencil, r: float, lam: float,
                      mu: float) -> tuple[Point, Point, Point, Point]:
-    """Contacts C*(lam) l_i on S1..S4: means of each side's two vertices,
-    weighted lam b, mu a on S1 (the fraction r along A1->A2); lam b,
-    mu (1 - a) on S2; lam (1 - b), mu (1 - a) on S3 and lam (1 - b), mu a
-    on S4, the lam weight on A1 or A3."""
+    """Contacts C*(lam) l_i on S1..S4: each side's two vertices weighted lam b
+    and mu a on S1 (the fraction r), lam b and mu (1 - a) on S2, lam (1 - b)
+    and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3."""
     a1, a2, a3, a4 = pen.quad.vertices
     lb, lb1 = lam * pen.b, lam * (1.0 - pen.b)
     ma, ma1 = mu * pen.a, mu * (1.0 - pen.a)
@@ -263,24 +259,21 @@ def _pencil_contacts(pen: _Pencil, r: float, lam: float,
             _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
 
 
-def _inscribed(pen: _Pencil, r: float, param: float,
-               circle: bool = False) -> InscribedEllipse:
+def _inscribed(pen: _Pencil, r: float,
+               param: float) -> tuple[InscribedEllipse, float]:
     """The member touching S1 at the fraction r along A1->A2, named `param`:
-    the ellipse (x - c)' adj(S) (x - c) = det S, or, as a `circle`,
-    (x - c)^2 = tr S / 2."""
+    the ellipse (x - c)' adj(S) (x - c) = det S, and its squared axis ratio
+    4 det S / (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2))^2."""
     lam, mu = _weights(pen, r)
     (cx, cy), sxx, sxy2, syy, det = _shape(pen, lam, mu)
     cx, cy = pen.origin[0] + cx, pen.origin[1] + cy
-    if circle:
-        conic = ConicCoeffs(1.0, 0.0, 1.0, -2.0 * cx, -2.0 * cy,
-                            cx * cx + cy * cy - 0.5 * (sxx + syy))
-    else:
-        conic = scale_normalized(ConicCoeffs(
-            syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
-            syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det))
+    conic = scale_normalized(ConicCoeffs(
+        syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
+        syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det))
+    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
     return InscribedEllipse(conic, param, _pencil_contacts(pen, r, lam, mu),
                             "parallelogram" if pen.parallelogram else "qstvw",
-                            pen.quad)
+                            pen.quad), ratio
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -291,12 +284,9 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     in (-1,1), so that v = 0 touches the side midpoints.
     """
     pen = _pencil(quad)
-    if not pen.parallelogram:
-        check_unit_interval(param, "param")
-        return _inscribed(pen, param, param)
-    if not abs(param) <= 1.0 - 2.0 * J_MARGIN:
-        raise ParamOutOfRegion(f"v={param} not in (-1, 1)")
-    return _inscribed(pen, (1.0 + param) / 2.0, param)
+    r = (1.0 + param) / 2.0 if pen.parallelogram else param
+    check_unit_interval(r, "(1 + v) / 2" if pen.parallelogram else "param")
+    return _inscribed(pen, r, param)[0]
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

@@ -12,7 +12,8 @@ solver takes p's real roots as companion-matrix eigenvalues, polishes them
 by Newton steps and compares G at each.  An MDQ's optimum is the member
 whose diagonal-parallel diameters are equal (the paper's T3), the root of
 a quadratic in lam.  The paper's (s,t,v,w) formulas (`EccFunctional`,
-`G_value`, `N_factorization`, `alpha_root`) stay as cross-checks.
+`G_value`, `N_factorization`, `alpha_root`) stay as cross-checks, which
+no solver calls.
 """
 
 from __future__ import annotations
@@ -278,18 +279,11 @@ def _t3_root(pen: _Pencil) -> float:
 
 def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
     """The member at lam as a result, built as `inscribe` builds it from its
-    parameter, so that `inscribe(quad, r_star)` returns the same ellipse; an
-    "incircle" is written as the circle it is."""
+    parameter, so that `inscribe(quad, r_star)` returns the same ellipse."""
     wa, wb = lam * pen.b, (1.0 - lam) * pen.a
     r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
-    param = 2.0 * r - 1.0 if pen.parallelogram else r
-    if method == "incircle":
-        return MinEccResult(param, _inscribed(pen, r, param, circle=True),
-                            0.0, 1.0, method)
-    _, sxx, sxy2, syy, det = _shape(pen, *_weights(pen, r))
-    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
-    return MinEccResult(param, _inscribed(pen, r, param),
-                        math.sqrt(max(1.0 - ratio, 0.0)), ratio, method)
+    ie, ratio = _inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r)
+    return MinEccResult(ie.param, ie, math.sqrt(max(1.0 - ratio, 0.0)), ratio, method)
 
 
 def _numeric(pen: _Pencil) -> MinEccResult:
@@ -299,31 +293,23 @@ def _numeric(pen: _Pencil) -> MinEccResult:
 
 
 def min_ecc(quad: Quadrilateral) -> MinEccResult:
-    """The unique minimal-eccentricity inscribed ellipse.
-
-    The quad is classified once and solved in its dual pencil.  Tangential
-    quads get their inscribed circle.  MDQs, parallelograms included, get
-    the closed-form T3 member (`_t3_root`).  Every other quad gets the
-    critical-point solver of `min_ecc_numeric`.  A parallelogram's `r_star`
-    is its v = 2r - 1.
-    """
+    """The unique minimal-eccentricity inscribed ellipse, in the quad's dual
+    pencil.  A tangential quad's incircle, whose diameters along the two
+    diagonals are equal, and an MDQ's optimum, parallelograms included, are
+    the T3 member (`_t3_root`); every other quad gets `min_ecc_numeric`'s
+    optimum.  A parallelogram's `r_star` is its v = 2r - 1."""
     rep = classify(quad)
     pen = _pencil(quad)
     if rep.tangential or rep.mdq:
-        # an inscribed circle has equal diameters along both diagonals, so
-        # it is the T3 member too
         return _optimum(pen, _t3_root(pen),
                         "incircle" if rep.tangential else "alpha_closed_form")
     return _numeric(pen)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
-    """Numeric minimal-eccentricity solver (independent of the closed form).
-
-    Maximizes G over the quad's dual pencil by comparing G at every real
-    root of the critical polynomial p in (0,1), found as companion-matrix
-    eigenvalues and polished by Newton steps on p.
-    """
+    """Numeric minimal-eccentricity solver, independent of the closed form:
+    G compared at every real root in (0,1) of the critical polynomial p of
+    the quad's dual pencil (companion-matrix eigenvalues, Newton-polished)."""
     return _numeric(_pencil(quad))
 
 

@@ -232,6 +232,23 @@ class TestMinEcc:
         assert call_counts["min_ecc"] == 1
         assert call_counts["classify"] <= 3
 
+    def test_type1_report_gives_the_paper_root(self, capsys, example_file,
+                                                call_counts):
+        # the paper's alpha root, from the quad's own (s,t,v,w) frame, is
+        # reported beside the pencil's optimum
+        code, doc = run_json(capsys, ["min-ecc", example_file])
+        assert code == 0
+        assert doc["verification"]["paper_r_star"] == pytest.approx(
+            doc["min_ecc"]["r_star"], abs=1e-12)
+        assert call_counts["normalize_to_qstvw"] == 1
+
+    def test_type2_report_has_no_paper_root(self, capsys, tmp_path):
+        path = tmp_path / "type2.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [0.5, 3], [4, 2], [2.75, 0]]}))
+        code, doc = run_json(capsys, ["min-ecc", str(path)])
+        assert code == 0
+        assert "paper_r_star" not in doc["verification"]
+
     def test_classifies_at_most_twice(self, capsys, example_file, call_counts):
         # once for the report at --tol, once for the dispatch in min_ecc;
         # the verification checks the result it is given

@@ -352,8 +352,7 @@ class TestParallelogramProperty:
 class TestRStarRoundTrip:
     def test_inscribe_at_r_star_is_the_optimum(self):
         # r_star names the returned ellipse in `inscribe`'s parameter, on
-        # type-2 MDQs and tangential quads as on every other class; an
-        # inscribed circle is written as one, so conics compare normalized
+        # type-2 MDQs and tangential quads as on every other class
         rng = np.random.default_rng(63)
         makers = (lambda: random_convex_quad(rng),
                   lambda: random_mdq_quad(rng, type1=True),
