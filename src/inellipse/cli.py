@@ -1,5 +1,7 @@
 """Command-line interface: JSON quadrilateral in, JSON report or SVG out.
 
+Each report is one compact JSON document on one line of stdout.
+
 Subcommands:
 
     classify                   full classification report
@@ -11,6 +13,12 @@ Subcommands:
 Exit codes: 0 success, 2 parse error (including input that is not UTF-8
 JSON and a non-numeric `--params` entry), 3 non-convex input, 4 parameter
 out of range, 5 unwritable output path.
+
+The global `--tol` is the relative tolerance of every classification a
+command makes.  Each command classifies its quad once, and the reported
+classification, the `min-ecc` method and verification block and the
+chords `verify --theorem t2` expects all read that one report; each
+`verify --theorem t3` trial classifies its moved quad at `--tol` too.
 
 `main(argv)` is the in-process entry point: it returns the exit code and
 may be called any number of times in one process. The argument parser is
@@ -28,9 +36,9 @@ import sys
 import numpy as np
 
 from .affine import normalize_to_qstvw
-from .conic import geometry, scale_normalized
+from .conic import geometry
 from .diameters import check_T2, equal_conjugate_diameters, t1_margin
-from .errors import (InEllipseError, IsCircle, NonConvexInput, NotMDQ,
+from .errors import (InEllipseError, IsCircle, NonConvexInput,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
 from .minecc import NEAR_CIRCLE_ECC, alpha_root, min_ecc, verify_T3
@@ -100,13 +108,12 @@ def _classification_block(quad: Quadrilateral,
 
 
 def _ellipse_block(ie: InscribedEllipse) -> dict:
-    raw = ie.conic
-    scale = max(abs(x) for x in raw)
-    norm = scale_normalized(raw)
-    geo = geometry(raw)
+    # the library's conics are max-abs and sign normalized already
+    conic = ie.conic
+    geo = geometry(conic)
     return {
-        "coefficients": list(norm),
-        "coeff_scale": scale,
+        "coefficients": list(conic),
+        "coeff_scale": max(abs(x) for x in conic),
         "param": ie.param,
         "frame": ie.frame,
         "center": list(geo.center),
@@ -145,7 +152,7 @@ def _smallest_angle(u, v) -> float:
 
 def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
     rep = classify(quad, tol)
-    res = min_ecc(quad)
+    res = min_ecc(quad, rep)
     out = {
         "classification": _classification_block(quad, rep),
         "ellipse": _ellipse_block(res.ellipse),
@@ -201,10 +208,9 @@ def _verify_t1_trial(quad: Quadrilateral, rng, tol: float) -> dict:
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
 
 
-def _t2_expected_chords(quad: Quadrilateral) -> tuple[set, set] | None:
+def _t2_expected_chords(cls: ClassificationReport) -> tuple[set, set] | None:
     """The tangency chords that T2 makes parallel to d1 and to d2, or None
-    when the quad is neither an MDQ nor a parallelogram."""
-    cls = classify(quad)
+    when the classified quad is neither an MDQ nor a parallelogram."""
     if cls.parallelogram:
         return {"q1q2", "q3q4"}, {"q2q3", "q1q4"}
     if cls.mdq_type1:
@@ -241,10 +247,10 @@ def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
 
 def _verify_t3_trial(quad: Quadrilateral, rng, tol: float) -> dict:
     moved = _similar_quad(quad, rng)
-    try:
-        rep = verify_T3(moved, tol=max(tol, 1e-7))
-    except NotMDQ:
+    cls = classify(moved, tol)
+    if not (cls.mdq or cls.parallelogram):
         return {"margin": float("nan"), "passed": False, "reason": "not an MDQ"}
+    rep = verify_T3(min_ecc(moved, cls), tol=max(tol, 1e-7))
     margin = max(rep.parallel_margin, rep.length_margin)
     return {"margin": margin, "passed": bool(rep.parallel and rep.equal_len)}
 
@@ -252,8 +258,8 @@ def _verify_t3_trial(quad: Quadrilateral, rng, tol: float) -> dict:
 def cmd_verify(quad: Quadrilateral, label: str | None, tol: float,
                theorem: str, trials: int, seed: int) -> dict:
     if theorem == "t2":
-        runner = functools.partial(_verify_t2_trial,
-                                   expected=_t2_expected_chords(quad))
+        expected = _t2_expected_chords(classify(quad, tol))
+        runner = functools.partial(_verify_t2_trial, expected=expected)
     else:
         runner = {"t1": _verify_t1_trial, "t3": _verify_t3_trial}[theorem]
     results = []
@@ -296,7 +302,7 @@ def cmd_plot(quad: Quadrilateral, params: list[float], out_path: str,
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
     if rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram:
-        res = min_ecc(quad)
+        res = min_ecc(quad, rep)
         if res.eccentricity >= NEAR_CIRCLE_ECC:
             try:
                 pair = equal_conjugate_diameters(res.ellipse.conic)
@@ -388,8 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except InEllipseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # serialize first so a failure never leaves half a document on stdout
-    text = json.dumps(out, indent=2)
+    # serialize first so a failure never leaves half a document on stdout;
+    # without `indent` json.dumps runs its C encoder
+    text = json.dumps(out)
     sys.stdout.write(text + "\n")
     return 0
 

@@ -29,7 +29,8 @@ from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
                      qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil,
                      _shape, _shape_polys, _weights)
-from .quad import Quadrilateral, classify, check_qstvw_region, f_values
+from .quad import (ClassificationReport, Quadrilateral, check_qstvw_region,
+                   classify, f_values)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -292,13 +293,19 @@ def _numeric(pen: _Pencil) -> MinEccResult:
     return _optimum(pen, lam, "quartic_numeric")
 
 
-def min_ecc(quad: Quadrilateral) -> MinEccResult:
+def min_ecc(quad: Quadrilateral,
+            report: Optional[ClassificationReport] = None) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse, in the quad's dual
     pencil.  A tangential quad's incircle, whose diameters along the two
     diagonals are equal, and an MDQ's optimum, parallelograms included, are
     the T3 member (`_t3_root`); every other quad gets `min_ecc_numeric`'s
-    optimum.  A parallelogram's `r_star` is its v = 2r - 1."""
-    rep = classify(quad)
+    optimum.  A parallelogram's `r_star` is its v = 2r - 1.
+
+    The method is chosen from `report`, the quad's `classify` report, so a
+    caller that classified the quad at its own tolerance gets the method
+    that report names; without one the quad is classified at the default
+    tolerance."""
+    rep = classify(quad) if report is None else report
     pen = _pencil(quad)
     if rep.tangential or rep.mdq:
         return _optimum(pen, _t3_root(pen),
@@ -347,7 +354,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         rep = classify(quad)
         if not (rep.mdq or rep.parallelogram):
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
-        res = min_ecc(quad)
+        res = min_ecc(quad, rep)
     conic = res.ellipse.conic
     d1, d2 = quad.diagonal_vectors()
     if res.eccentricity < NEAR_CIRCLE_ECC:

@@ -14,6 +14,7 @@ diagonal: type 1 bisects D2, type 2 bisects D1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -70,6 +71,13 @@ class Quadrilateral:
                 _dist(v[1], v[2]), _dist(v[2], v[3]))
 
     def diameter(self) -> float:
+        """The largest distance between two vertices."""
+        return self._diameter
+
+    @functools.cached_property
+    def _diameter(self) -> float:
+        # computed on first use and kept in the instance's __dict__, which
+        # the dataclass's equality, hash and repr (the vertices) never read
         v = self.vertices
         return max(_dist(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
 

@@ -11,6 +11,8 @@ import inellipse
 from inellipse import affine, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
+from inellipse.family import inscribe
+from inellipse.quad import canonicalize
 
 from conftest import EXAMPLE_R_STAR, EXAMPLE_VERTICES
 
@@ -44,6 +46,15 @@ def leaning_trapezoid_file(tmp_path):
     # are admissible
     path = tmp_path / "leaning_trapezoid.json"
     path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [6, 1], [-5, 1]]}))
+    return str(path)
+
+
+@pytest.fixture
+def near_mdq_file(tmp_path):
+    # an MDQ at --tol 1e-5 but not at the default 1e-9
+    path = tmp_path / "near_mdq.json"
+    path.write_text(json.dumps(
+        {"vertices": [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]]}))
     return str(path)
 
 
@@ -151,6 +162,20 @@ class TestInscribe:
         assert max(abs(x) for x in coeffs) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestEllipseBlock:
+    @pytest.mark.parametrize("argv", [["inscribe", "--param", "0.3"],
+                                      ["min-ecc"]])
+    def test_coefficients_are_the_library_conic(self, capsys, example_file,
+                                                argv):
+        quad = canonicalize(EXAMPLE_VERTICES)
+        ie = (inscribe(quad, 0.3) if argv[0] == "inscribe"
+              else minecc.min_ecc(quad).ellipse)
+        code, doc = run_json(capsys, argv + [example_file])
+        assert code == 0
+        assert doc["ellipse"]["coeff_scale"] == 1.0
+        assert doc["ellipse"]["coefficients"] == list(ie.conic)
+
+
 class TestMinEcc:
     def test_example(self, capsys, example_file):
         code, doc = run_json(capsys, ["min-ecc", example_file])
@@ -250,23 +275,24 @@ class TestMinEcc:
         assert "paper_r_star" not in doc["verification"]
 
     def test_classifies_at_most_twice(self, capsys, example_file, call_counts):
-        # once for the report at --tol, once for the dispatch in min_ecc;
-        # the verification checks the result it is given
+        # once, at --tol: the report, the dispatch in min_ecc and the
+        # verification block all read that one classification
         code, _ = run_json(capsys, ["min-ecc", example_file])
         assert code == 0
-        assert call_counts["classify"] <= 2
+        assert call_counts["classify"] == 1
 
-    def test_tol_that_only_the_report_sees(self, capsys, tmp_path):
-        # an MDQ at --tol 1e-5 but not at the dispatch's 1e-9: the
-        # verification block checks the quartic optimum instead of failing
-        path = tmp_path / "near_mdq.json"
-        path.write_text(json.dumps(
-            {"vertices": [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]]}))
-        code, doc = run_json(capsys, ["--tol", "1e-5", "min-ecc", str(path)])
+    def test_tol_reaches_the_dispatch(self, capsys, near_mdq_file):
+        # an MDQ at --tol 1e-5 but not at the default 1e-9: the method is
+        # the one the reported classification names
+        code, doc = run_json(capsys, ["--tol", "1e-5", "min-ecc", near_mdq_file])
         assert code == 0
         assert doc["classification"]["mdq_type1"] or doc["classification"]["mdq_type2"]
+        assert doc["min_ecc"]["method"] == "alpha_closed_form"
+        assert doc["verification"]["t3_equal_lengths"] is True
+        code, doc = run_json(capsys, ["min-ecc", near_mdq_file])
+        assert code == 0
         assert doc["min_ecc"]["method"] == "quartic_numeric"
-        assert "t3_equal_lengths" in doc["verification"]
+        assert "verification" not in doc
 
     def test_exploratory_angle_block(self, capsys, example_file, tmp_path):
         _, doc = run_json(capsys, ["min-ecc", example_file])
@@ -280,6 +306,24 @@ class TestMinEcc:
         # reported for non-MDQs too, with no equality claim
         assert "equal_conjugate_angle" in doc["min_ecc"]
         assert "diagonal_angle" in doc["min_ecc"]
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
+        ["verify", "--theorem", "t2", "--trials", "3"],
+        ["verify", "--theorem", "t3", "--trials", "2"]])
+    def test_one_compact_line(self, capsys, tmp_path, argv):
+        label = "trap\u00e8ze \u0394 \u56db\u8fb9\u5f62"
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps({"vertices": EXAMPLE_VERTICES, "label": label}))
+        assert main(argv + [str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        line = out[:-1]
+        doc = json.loads(line)
+        assert doc["label"] == label
+        assert json.dumps(doc) == line
 
 
 class TestImport:
@@ -334,6 +378,20 @@ class TestVerify:
         assert code == 0
         assert doc["passes"] == 5
         assert call_counts["normalize_to_qstvw"] == 0
+
+    @pytest.mark.parametrize("theorem", ["t2", "t3"])
+    def test_mdq_checks_follow_the_tol_classification(
+            self, capsys, near_mdq_file, theorem):
+        # at --tol 1e-5 the quad is an MDQ, so T2 names the chords to check
+        # and T3 checks each moved quad's optimum; at the default tolerance
+        # it is not, and every trial fails
+        argv = ["verify", "--theorem", theorem, "--trials", "5", near_mdq_file]
+        code, doc = run_json(capsys, ["--tol", "1e-5"] + argv)
+        assert code == 0
+        assert doc["passes"] == 5
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["passes"] == 0
 
     def test_deterministic(self, capsys, example_file):
         _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
@@ -398,17 +456,10 @@ class TestPlot:
 
 
 class TestParserReuse:
-    @pytest.fixture
-    def near_mdq_file(self, tmp_path):
-        # an MDQ at --tol 1e-5 but not at the default 1e-9, so a --tol that
-        # leaked from one call into the next would change the report
-        path = tmp_path / "near_mdq.json"
-        path.write_text(json.dumps(
-            {"vertices": [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]]}))
-        return str(path)
-
     def test_calls_in_one_process_match_fresh_interpreters(
             self, capsys, near_mdq_file):
+        # a --tol that leaked from one call into the next would change the
+        # report on a quad that is an MDQ only at the looser tolerance
         src = os.path.dirname(os.path.dirname(inellipse.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -194,3 +194,32 @@ class TestAffineInvariance:
             rep2 = classify(quadrilateral(pts))
             assert rep2.mdq_type1 == rep.mdq_type1
             assert rep2.mdq_type2 == rep.mdq_type2
+
+
+class TestDiameter:
+    @staticmethod
+    def _widest(vertices):
+        return max(math.dist(p, q) for p, q in itertools.combinations(vertices, 2))
+
+    def test_largest_vertex_distance_of_every_constructor(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            pts = [tuple(p) for p in rng.uniform(-10.0, 10.0, size=(4, 2))]
+            try:
+                quad = canonicalize(pts)
+            except (NonConvexInput, DuplicateVertex):
+                continue
+            for q in [quad, quadrilateral(quad.vertices)] + [
+                    quad.rotate_labels(k) for k in range(1, 4)]:
+                assert q.diameter() == pytest.approx(self._widest(q.vertices),
+                                                     rel=1e-15)
+
+    def test_cached_diameter_keeps_equality_hash_and_repr(self):
+        quad = canonicalize(EXAMPLE_VERTICES)
+        fresh = canonicalize(EXAMPLE_VERTICES)
+        before = repr(quad)
+        assert quad.diameter() == math.hypot(8.0, 4.0)
+        assert quad == fresh and fresh == quad
+        assert hash(quad) == hash(fresh)
+        assert repr(quad) == before == repr(fresh)
+        assert len({quad, fresh}) == 1
