@@ -135,8 +135,7 @@ def _similarity_map(quad: Quadrilateral) -> AffineMap:
                            -(lin[1][0] * a1[0] + lin[1][1] * a1[1])))
 
 
-def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
-                       require_f3: bool = False) -> QstvwFrame:
+def normalize_to_qstvw(quad: Quadrilateral) -> QstvwFrame:
     """Similarity reduction to the frame with vertices (0,0),(0,1),(s,t),(v,w).
 
     The similarity preserves eccentricities of inscribed ellipses.  The
@@ -145,9 +144,9 @@ def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
     type-1 frame stays type 1.  A shift is inadmissible when t <= w; s = v
     (S1 || S3) is admissible, so a parallelogram always gets its shift-0
     frame (s, t, s, t - 1).  A trapezoid whose parallel pair is S2/S4 yields
-    f3 = 0 in its admissible frames; by default such frames are returned
-    (the inscribed family is still well defined) and only operations that
-    divide by f3 reject them, via `require_f3`.
+    f3 = 0 in its admissible frames, which are returned too: the inscribed
+    family is still well defined, and only `N_factorization`, which divides
+    by f3, rejects them.
     """
     first_error = None
     for shift in (0, 2, 1, 3):
@@ -155,7 +154,7 @@ def normalize_to_qstvw(quad: Quadrilateral, tol: float = 1e-9,
         m = _similarity_map(labeled)
         (s, t), (v, w) = m.apply(labeled.a3), m.apply(labeled.a4)
         try:
-            check_qstvw_region(s, t, v, w, require_f3=require_f3, tol=tol)
+            check_qstvw_region(s, t, v, w)
         except ParamOutOfRegion as exc:
             first_error = first_error or exc
             continue

@@ -10,19 +10,20 @@ Subcommands:
     verify --theorem T         sampled theorem checks (t1 | t2 | t3)
     plot --params R1,R2 --out  SVG figure
 
-Exit codes: 0 success, 2 parse error (including input that is not UTF-8
-JSON and a non-numeric `--params` entry), 3 non-convex input, 4 parameter
-out of range, 5 unwritable output path.
+Exit codes: 0 success, 1 any other library error (`InEllipseError`), 2
+parse error (including input that is not UTF-8 JSON, a non-numeric
+`--params` entry and `--trials` below 1), 3 non-convex input, 4 parameter
+out of range, 5 unwritable output path.  A failure prints one
+`error: ...` line on stderr and nothing on stdout.
 
-The global `--tol` is the relative tolerance of every classification a
-command makes.  Each command classifies its quad once, and the reported
-classification, the `min-ecc` method and verification block and the
-chords `verify --theorem t2` expects all read that one report; each
-`verify --theorem t3` trial classifies its moved quad at `--tol` too.
-
-`main(argv)` is the in-process entry point: it returns the exit code and
-may be called any number of times in one process. The argument parser is
-built on the first call and reused by later ones.
+`main(argv)` is the in-process entry point and the one path every command
+takes: it loads the document, classifies the quad once at the global
+`--tol`, runs the command on that report, adds the document's `label`,
+maps library errors to exit codes and serializes.  So every decision of a
+command reads that one classification; each `verify --theorem t3` trial
+classifies its moved quad at `--tol` too.  `main` returns the exit code
+and may be called any number of times in one process; the argument parser
+is built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .errors import (InEllipseError, IsCircle, NonConvexInput,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
 from .minecc import NEAR_CIRCLE_ECC, alpha_root, min_ecc, verify_T3
-from .quad import (ClassificationReport, Quadrilateral, canonicalize, classify,
-                   diagonals)
+from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
+                   canonicalize, classify, diagonals)
 from .svgfig import Figure
 
+EXIT_LIBRARY = 1
 EXIT_PARSE = 2
 EXIT_NONCONVEX = 3
 EXIT_PARAM = 4
@@ -124,24 +126,15 @@ def _ellipse_block(ie: InscribedEllipse) -> dict:
     }
 
 
-def cmd_classify(quad: Quadrilateral, label: str | None, tol: float) -> dict:
-    out = {"classification": _classification_block(quad, classify(quad, tol))}
-    if label:
-        out["label"] = label
-    return out
+def cmd_classify(quad: Quadrilateral, rep: ClassificationReport,
+                 args: argparse.Namespace) -> dict:
+    return {"classification": _classification_block(quad, rep)}
 
 
-def cmd_inscribe(quad: Quadrilateral, label: str | None, tol: float,
-                 param: float) -> dict:
-    try:
-        ie = inscribe(quad, param)
-    except ParamOutOfRegion as exc:
-        raise _CliError(EXIT_PARAM, str(exc))
-    out = {"classification": _classification_block(quad, classify(quad, tol)),
-           "ellipse": _ellipse_block(ie)}
-    if label:
-        out["label"] = label
-    return out
+def cmd_inscribe(quad: Quadrilateral, rep: ClassificationReport,
+                 args: argparse.Namespace) -> dict:
+    return {"classification": _classification_block(quad, rep),
+            "ellipse": _ellipse_block(inscribe(quad, args.param))}
 
 
 def _smallest_angle(u, v) -> float:
@@ -150,8 +143,8 @@ def _smallest_angle(u, v) -> float:
     return math.atan2(cross, dot)
 
 
-def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
-    rep = classify(quad, tol)
+def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
+                args: argparse.Namespace) -> dict:
     res = min_ecc(quad, rep)
     out = {
         "classification": _classification_block(quad, rep),
@@ -175,7 +168,7 @@ def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
                 *quad.diagonal_vectors())
         except IsCircle:
             pass
-    if rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram:
+    if rep.mdq or rep.parallelogram:
         t3 = verify_T3(res)
         out["verification"] = {
             "t3_parallel": t3.parallel,
@@ -196,42 +189,40 @@ def cmd_min_ecc(quad: Quadrilateral, label: str | None, tol: float) -> dict:
             except InEllipseError:
                 paper = None
             out["verification"]["paper_r_star"] = paper
-    if label:
-        out["label"] = label
     return out
 
 
-def _verify_t1_trial(quad: Quadrilateral, rng, tol: float) -> dict:
+def _verify_t1_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
+                     tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
-    ie = inscribe(quad, r)
-    margin = t1_margin(quad, ie.conic)
+    margin = t1_margin(quad, inscribe(quad, r).conic)
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
 
 
-def _t2_expected_chords(cls: ClassificationReport) -> tuple[set, set] | None:
+def _t2_expected_chords(rep: ClassificationReport) -> tuple[set, set] | None:
     """The tangency chords that T2 makes parallel to d1 and to d2, or None
     when the classified quad is neither an MDQ nor a parallelogram."""
-    if cls.parallelogram:
+    if rep.parallelogram:
         return {"q1q2", "q3q4"}, {"q2q3", "q1q4"}
-    if cls.mdq_type1:
+    if rep.mdq_type1:
         return set(), {"q2q3", "q1q4"}
-    if cls.mdq_type2:
+    if rep.mdq_type2:
         return {"q1q2", "q3q4"}, set()
     return None
 
 
-def _verify_t2_trial(quad: Quadrilateral, rng, tol: float,
-                     expected: tuple[set, set] | None) -> dict:
+def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
+                     tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
-    ie = inscribe(quad, r)
-    rep = check_T2(quad, ie, tol)
+    t2 = check_T2(quad, inscribe(quad, r), tol)
+    expected = _t2_expected_chords(rep)
     if expected is None:
-        margin = min(min(rep.margins_d1.values()), min(rep.margins_d2.values()))
+        margin = min(min(t2.margins_d1.values()), min(t2.margins_d2.values()))
         return {"param": r, "margin": margin, "passed": False}
     expected1, expected2 = expected
-    ok = expected1 <= rep.parallel_to_d1 and expected2 <= rep.parallel_to_d2
-    margins = ([rep.margins_d1[n] for n in expected1]
-               + [rep.margins_d2[n] for n in expected2])
+    ok = expected1 <= t2.parallel_to_d1 and expected2 <= t2.parallel_to_d2
+    margins = ([t2.margins_d1[n] for n in expected1]
+               + [t2.margins_d2[n] for n in expected2])
     return {"param": r, "margin": max(margins), "passed": bool(ok)}
 
 
@@ -245,44 +236,44 @@ def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
                          for x, y in quad.vertices])
 
 
-def _verify_t3_trial(quad: Quadrilateral, rng, tol: float) -> dict:
+def _verify_t3_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
+                     tol: float) -> dict:
+    # the quad's own report says nothing of the moved quad's class
     moved = _similar_quad(quad, rng)
-    cls = classify(moved, tol)
-    if not (cls.mdq or cls.parallelogram):
-        return {"margin": float("nan"), "passed": False, "reason": "not an MDQ"}
-    rep = verify_T3(min_ecc(moved, cls), tol=max(tol, 1e-7))
-    margin = max(rep.parallel_margin, rep.length_margin)
-    return {"margin": margin, "passed": bool(rep.parallel and rep.equal_len)}
+    moved_rep = classify(moved, tol)
+    if not (moved_rep.mdq or moved_rep.parallelogram):
+        return {"margin": None, "passed": False, "reason": "not an MDQ"}
+    t3 = verify_T3(min_ecc(moved, moved_rep), tol=max(tol, 1e-7))
+    margin = max(t3.parallel_margin, t3.length_margin)
+    return {"margin": margin, "passed": bool(t3.parallel and t3.equal_len)}
 
 
-def cmd_verify(quad: Quadrilateral, label: str | None, tol: float,
-               theorem: str, trials: int, seed: int) -> dict:
-    if theorem == "t2":
-        expected = _t2_expected_chords(classify(quad, tol))
-        runner = functools.partial(_verify_t2_trial, expected=expected)
-    else:
-        runner = {"t1": _verify_t1_trial, "t3": _verify_t3_trial}[theorem]
-    results = []
-    for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        results.append(runner(quad, rng, tol))
-    margins = [r["margin"] for r in results if r["margin"] == r["margin"]]
-    out = {
-        "theorem": theorem,
-        "trials": trials,
-        "seed": seed,
+def cmd_verify(quad: Quadrilateral, rep: ClassificationReport,
+               args: argparse.Namespace) -> dict:
+    if args.trials < 1:
+        raise _CliError(EXIT_PARSE, "--trials must be >= 1")
+    runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
+              "t3": _verify_t3_trial}[args.theorem]
+    results = [runner(quad, rep, np.random.default_rng(args.seed + i), args.tol)
+               for i in range(args.trials)]
+    margins = [r["margin"] for r in results if r["margin"] is not None]
+    return {
+        "theorem": args.theorem,
+        "trials": args.trials,
+        "seed": args.seed,
         "passes": sum(1 for r in results if r["passed"]),
         "failures": sum(1 for r in results if not r["passed"]),
         "worst_margin": max(margins) if margins else None,
         "per_trial": results,
     }
-    if label:
-        out["label"] = label
-    return out
 
 
-def cmd_plot(quad: Quadrilateral, params: list[float], out_path: str,
-             tol: float) -> None:
+def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
+             args: argparse.Namespace) -> None:
+    try:
+        params = [float(x) for x in args.params.split(",") if x.strip()]
+    except ValueError as exc:
+        raise _CliError(EXIT_PARSE, f"--params: {exc}")
     fig = Figure()
     fig.add_polygon(quad.vertices, "quad", "fill:none;stroke:#000;stroke-width:2")
     dd = diagonals(quad)
@@ -292,28 +283,23 @@ def cmd_plot(quad: Quadrilateral, params: list[float], out_path: str,
     if dd.newton_line is not None:
         fig.add_segment(*dd.newton_line, "newton",
                         "stroke:#d62728;stroke-width:1.2")
-    rep = classify(quad, tol)
     for param in params:
-        try:
-            ie = inscribe(quad, param)
-        except ParamOutOfRegion as exc:
-            raise _CliError(EXIT_PARAM, str(exc))
+        ie = inscribe(quad, param)
         fig.add_ellipse(ie.conic)
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
-    if rep.mdq_type1 or rep.mdq_type2 or rep.parallelogram:
+    if rep.mdq or rep.parallelogram:
         res = min_ecc(quad, rep)
         if res.eccentricity >= NEAR_CIRCLE_ECC:
             try:
                 pair = equal_conjugate_diameters(res.ellipse.conic)
-            except IsCircle:
-                pair = None
-            if pair is not None:
                 style = "stroke:#9467bd;stroke-width:1.5"
                 fig.add_segment(*pair.endpoints1, "diameter", style)
                 fig.add_segment(*pair.endpoints2, "diameter", style)
+            except IsCircle:
+                pass
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(fig.render())
     except OSError as exc:
         raise _CliError(EXIT_OUTPUT, f"cannot write SVG: {exc}")
@@ -327,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inellipse",
         description="Inscribed ellipses in convex quadrilaterals")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=float, default=CLASSIFY_TOL,
                         help="relative tolerance for geometric predicates")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -363,41 +349,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up on every call, not bound at import, so a rebound cmd_* runs
+    command = {"classify": cmd_classify, "inscribe": cmd_inscribe,
+               "min-ecc": cmd_min_ecc, "verify": cmd_verify,
+               "plot": cmd_plot}[args.command]
     try:
         quad, label = _load_document(args.input)
-        if args.command == "classify":
-            out = cmd_classify(quad, label, args.tol)
-        elif args.command == "inscribe":
-            out = cmd_inscribe(quad, label, args.tol, args.param)
-        elif args.command == "min-ecc":
-            out = cmd_min_ecc(quad, label, args.tol)
-        elif args.command == "verify":
-            if args.trials < 1:
-                raise _CliError(EXIT_PARSE, "--trials must be >= 1")
-            out = cmd_verify(quad, label, args.tol, args.theorem,
-                             args.trials, args.seed)
-        elif args.command == "plot":
-            try:
-                params = [float(x) for x in args.params.split(",") if x.strip()]
-            except ValueError as exc:
-                raise _CliError(EXIT_PARSE, f"--params: {exc}")
-            cmd_plot(quad, params, args.out, args.tol)
-            return 0
-        else:  # pragma: no cover
-            raise _CliError(EXIT_PARSE, f"unknown command {args.command}")
+        out = command(quad, classify(quad, args.tol), args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParamOutOfRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
     except InEllipseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_PARAM if isinstance(exc, ParamOutOfRegion) else EXIT_LIBRARY
+    if out is None:
+        return 0
+    if label:
+        out["label"] = label
     # serialize first so a failure never leaves half a document on stdout;
     # without `indent` json.dumps runs its C encoder
-    text = json.dumps(out)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps(out) + "\n")
     return 0
 
 

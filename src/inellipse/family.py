@@ -145,14 +145,12 @@ def qstvw_coeff_polys(s: float, t: float, v: float,
     return ((a0, a1, a2), (b0, b1, b2), (c0,), (0.0, d1, d2), (0.0, e1), (0.0, 0.0, f2))
 
 
-def qstvw_conic(s: float, t: float, v: float, w: float, r: float,
-                require_f3: bool = False) -> ConicCoeffs:
+def qstvw_conic(s: float, t: float, v: float, w: float, r: float) -> ConicCoeffs:
     """Inscribed-ellipse coefficients for the (s,t,v,w) frame at parameter r.
 
-    The family remains well defined when sides S2 and S4 happen to be
-    parallel (f3 = 0), so that constraint is only enforced on request.
+    The family remains well defined when sides S2 and S4 are parallel (f3 = 0).
     """
-    check_qstvw_region(s, t, v, w, require_f3=require_f3)
+    check_qstvw_region(s, t, v, w)
     check_unit_interval(r, "r")
     return ConicCoeffs(*(_horner(poly, r) for poly in qstvw_coeff_polys(s, t, v, w)))
 
@@ -170,7 +168,7 @@ def qstvw_tangency(s: float, t: float, v: float, w: float,
     """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r:
     the contacts of the frame quad's pencil member touching S1 at (0, r).
     On S4 this is the paper's (q, (w/v)q), q = svr/((s - f2)r + f2)."""
-    check_qstvw_region(s, t, v, w, require_f3=False)
+    check_qstvw_region(s, t, v, w)
     check_unit_interval(r, "r")
     pen = _pencil(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
     return _pencil_contacts(pen, r, *_weights(pen, r))

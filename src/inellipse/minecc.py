@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diameters import conjugate_direction, diameter_endpoints, parallel_margin
+from .diameters import diameter_endpoints, t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
                      qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil,
@@ -124,9 +124,8 @@ def _family_argmax(o, m, p, lo: float, hi: float) -> tuple[float, float]:
 class EccFunctional:
     """Cached polynomials O, M, N, p of the (s,t,v,w) family (ascending coeffs)."""
 
-    def __init__(self, s: float, t: float, v: float, w: float,
-                 require_f3: bool = False):
-        check_qstvw_region(s, t, v, w, require_f3=require_f3)
+    def __init__(self, s: float, t: float, v: float, w: float):
+        check_qstvw_region(s, t, v, w)
         self.s, self.t, self.v, self.w = s, t, v, w
         pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
         self.o_coeffs, self.m_coeffs, self.p_coeffs = _ecc_polys(pa, pb, pc)
@@ -166,10 +165,13 @@ def N_factorization(s: float, t: float, v: float, w: float,
     last two, which is rejected).  The last two divide by v - s, so sides
     S1 and S3 must not be parallel.
     """
-    check_qstvw_region(s, t, v, w, require_f3=True)
-    if abs(s - v) <= tol * max(abs(s), abs(t), abs(v), abs(w), 1.0):
+    check_qstvw_region(s, t, v, w)
+    _, f2, f3 = f_values(s, t, v, w)
+    scale = max(abs(s), abs(t), abs(v), abs(w), 1.0)
+    if abs(f3) <= tol * scale * scale:
+        raise ParamOutOfRegion("frame requires f3 != 0 (parallel sides S2, S4)")
+    if abs(s - v) <= tol * scale:
         raise ParamOutOfRegion("roots of N require s != v (parallel sides S1, S3)")
-    _, f2, _ = f_values(s, t, v, w)
     roots = (0.0, 1.0, f2 / (v - s), v / (v - s))
     scale = max(1.0, *(abs(r) for r in roots))
     for i in range(4):
@@ -360,7 +362,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     if res.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0, None)
 
-    par_margin = parallel_margin(conjugate_direction(conic, d1), d2)
+    par_margin = t1_margin(quad, conic)
     p1, p2 = diameter_endpoints(conic, d1)
     p3, p4 = diameter_endpoints(conic, d2)
     len1 = (p2[0] - p1[0]) ** 2 + (p2[1] - p1[1]) ** 2
@@ -372,7 +374,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         # 4|u|^2 det S / (u' adj(S) u) for S of the pencil member at the
         # optimum; a parallelogram reports v = 2r - 1
         pen = _pencil(quad)
-        r = res.r_star if res.ellipse.frame == "qstvw" else (1.0 + res.r_star) / 2.0
+        r = (1.0 + res.r_star) / 2.0 if pen.parallelogram else res.r_star
         _, sxx, sxy2, syy, det = _shape(pen, *_weights(pen, r))
         closed = tuple(4.0 * (x * x + y * y) * det
                        / (syy * x * x - sxy2 * x * y + sxx * y * y)

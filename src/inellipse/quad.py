@@ -253,25 +253,20 @@ def f_values(s: float, t: float, v: float, w: float) -> tuple[float, float, floa
     return f1, f2, f3
 
 
-def check_qstvw_region(s: float, t: float, v: float, w: float,
-                       require_f3: bool = True, tol: float = CLASSIFY_TOL) -> None:
+def check_qstvw_region(s: float, t: float, v: float, w: float) -> None:
     """Raise ParamOutOfRegion unless (s,t,v,w) is an admissible frame.
 
-    Checks s,v > 0, t > w and f1, f2 > 0; `require_f3` adds the
-    no-parallel-S2S4 condition f3 != 0 needed by the root formulas.  Sides
-    S1 and S3 may be parallel (s = v): a parallelogram or an S1 || S3
-    trapezoid has an admissible frame like any other convex quad.
+    Checks s,v > 0, t > w and f1, f2 > 0.  Sides S1 and S3 may be parallel
+    (s = v), and so may S2 and S4 (f3 = 0): a parallelogram or a trapezoid
+    has an admissible frame like any other convex quad.
     """
-    scale = max(abs(s), abs(t), abs(v), abs(w), 1.0)
     if not (s > 0.0 and v > 0.0):
         raise ParamOutOfRegion("frame requires s, v > 0")
     if not t > w:
         raise ParamOutOfRegion("frame requires t > w")
-    f1, f2, f3 = f_values(s, t, v, w)
+    f1, f2, _ = f_values(s, t, v, w)
     if f1 <= 0.0 or f2 <= 0.0:
         raise ParamOutOfRegion("frame is not convex (f1, f2 must be positive)")
-    if require_f3 and abs(f3) <= tol * scale * scale:
-        raise ParamOutOfRegion("frame requires f3 != 0 (parallel sides S2, S4)")
 
 
 def mdq_type_qstvw(s: float, t: float, v: float, w: float,
@@ -280,7 +275,7 @@ def mdq_type_qstvw(s: float, t: float, v: float, w: float,
 
     Type 1 holds iff vt = (w+1)s, type 2 iff (t-2)v = (w-1)s.
     """
-    check_qstvw_region(s, t, v, w, require_f3=False, tol=tol)
+    check_qstvw_region(s, t, v, w)
     scale1 = abs(v * t) + abs((w + 1.0) * s) + 1.0
     scale2 = abs((t - 2.0) * v) + abs((w - 1.0) * s) + 1.0
     type1 = abs(v * t - (w + 1.0) * s) <= tol * scale1

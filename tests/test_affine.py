@@ -145,7 +145,7 @@ class TestNormalizeToQstvw:
         for _ in range(500):
             quad = random_s1s3_trapezoid(rng)
             fr = normalize_to_qstvw(quad)
-            check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
+            check_qstvw_region(fr.s, fr.t, fr.v, fr.w)
             res = min_ecc(quad)
             best = float(np.max(EccFunctional(fr.s, fr.t, fr.v, fr.w).g(grid)))
             assert res.axis_ratio_sq >= best - 1e-9
@@ -158,7 +158,7 @@ class TestNormalizeToQstvw:
                 if classify(quad).parallelogram:
                     continue
                 fr = normalize_to_qstvw(quad)
-                check_qstvw_region(fr.s, fr.t, fr.v, fr.w, require_f3=False)
+                check_qstvw_region(fr.s, fr.t, fr.v, fr.w)
                 labeled = quad.rotate_labels(fr.shift)
                 expect = [(0.0, 0.0), (0.0, 1.0), (fr.s, fr.t), (fr.v, fr.w)]
                 for p, e in zip(labeled.vertices, expect):

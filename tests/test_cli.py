@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import inellipse
-from inellipse import affine, minecc, quad
+from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
+from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize
 
@@ -62,6 +63,15 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -306,6 +316,84 @@ class TestMinEcc:
         # reported for non-MDQs too, with no equality claim
         assert "equal_conjugate_angle" in doc["min_ecc"]
         assert "diagonal_angle" in doc["min_ecc"]
+
+
+class TestMainPath:
+    """`main` classifies, labels, maps errors and serializes for every
+    command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
+        ["verify", "--theorem", "t1", "--trials", "3"],
+        ["verify", "--theorem", "t2", "--trials", "3"],
+        ["plot", "--params", "0.3,0.6", "--out", "FIG"]],
+        ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2", "plot"])
+    def test_classifies_once(self, capsys, tmp_path, example_file,
+                             call_counts, argv):
+        argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
+        assert main(argv + [example_file]) == 0
+        capsys.readouterr()
+        assert call_counts["classify"] == 1
+
+    def test_zero_trials_exit_2(self, capsys, example_file):
+        assert main(["verify", "--theorem", "t2", "--trials", "0",
+                     example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be >= 1\n"
+
+    def test_plot_param_out_of_range_exit_4(self, capsys, tmp_path,
+                                            example_file):
+        out = tmp_path / "fig.svg"
+        assert main(["plot", "--params", "0.3,1.5", "--out", str(out),
+                     example_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_other_library_error_exit_1(self, capsys, monkeypatch,
+                                        example_file):
+        def fail(*args, **kwargs):
+            raise InEllipseError("no optimum")
+
+        monkeypatch.setattr(cli, "min_ecc", fail)
+        assert main(["min-ecc", example_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no optimum\n"
+
+    @pytest.mark.parametrize("vertices", [
+        EXAMPLE_VERTICES, [[0, 0], [0, 1], [1, 1], [1, 0]],
+        [[0, 0], [1, 2], [4, 2], [3, 0]], [[0, 0], [0.5, 3], [4, 2], [2.75, 0]],
+        [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]],
+        [[0, 0], [0, 1], [2, 3], [1, 0]]],
+        ids=["example", "square", "parallelogram", "type2", "near_mdq",
+             "generic"])
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
+        ["verify", "--theorem", "t1", "--trials", "3"],
+        ["verify", "--theorem", "t2", "--trials", "3"],
+        ["verify", "--theorem", "t3", "--trials", "3"]],
+        ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2",
+             "verify-t3"])
+    def test_stdout_is_strict_json(self, capsys, tmp_path, vertices, argv):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        assert main(argv + [str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        strict_loads(out)
+
+    def test_t3_trial_off_mdq_has_null_margin(self, capsys, near_mdq_file):
+        # at the default tolerance no moved copy of this quad is an MDQ
+        assert main(["verify", "--theorem", "t3", "--trials", "3",
+                     near_mdq_file]) == 0
+        doc = strict_loads(capsys.readouterr().out)
+        assert doc["passes"] == 0
+        assert [t["margin"] for t in doc["per_trial"]] == [None, None, None]
+        assert doc["worst_margin"] is None
 
 
 class TestOutput:
