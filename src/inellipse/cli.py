@@ -34,8 +34,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .affine import normalize_to_qstvw
 from .conic import geometry
 from .diameters import check_T2, equal_conjugate_diameters, t1_margin
@@ -44,7 +42,7 @@ from .errors import (InEllipseError, IsCircle, NonConvexInput,
 from .family import InscribedEllipse, inscribe
 from .minecc import NEAR_CIRCLE_ECC, alpha_root, min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
-                   canonicalize, classify, diagonals)
+                   canonicalize, classify)
 from .svgfig import Figure
 
 EXIT_LIBRARY = 1
@@ -92,7 +90,7 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
 
 def _classification_block(quad: Quadrilateral,
                           rep: ClassificationReport) -> dict:
-    dd = diagonals(quad)
+    dd = rep.diagonals
     return {
         "vertices": [list(p) for p in quad.vertices],
         "convex": rep.convex,
@@ -252,6 +250,8 @@ def cmd_verify(quad: Quadrilateral, rep: ClassificationReport,
                args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise _CliError(EXIT_PARSE, "--trials must be >= 1")
+    import numpy as np  # for the seeded streams; no other command needs it
+
     runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
               "t3": _verify_t3_trial}[args.theorem]
     results = [runner(quad, rep, np.random.default_rng(args.seed + i), args.tol)
@@ -276,7 +276,7 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
         raise _CliError(EXIT_PARSE, f"--params: {exc}")
     fig = Figure()
     fig.add_polygon(quad.vertices, "quad", "fill:none;stroke:#000;stroke-width:2")
-    dd = diagonals(quad)
+    dd = rep.diagonals
     diag_style = "stroke:#888;stroke-width:1;stroke-dasharray:6,4"
     fig.add_segment(*dd.d1, "diagonal", diag_style)
     fig.add_segment(*dd.d2, "diagonal", diag_style)

@@ -231,16 +231,6 @@ def _shape(pen: _Pencil, lam: float,
                       lam * mu * p * q), det)
 
 
-def _shape_polys(pen: _Pencil) -> tuple[tuple[float, float, float], ...]:
-    """Ascending coefficients in lam of Sxx, 2 Sxy and Syy: `_shape`'s
-    weights with mu = 1 - lam expanded."""
-    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    qq, pq = q * q, p * q
-    return tuple(zip(_entries(pen, 0.0, qq + be, 0.0),
-                     _entries(pen, al, -2.0 * qq - be, pq),
-                     _entries(pen, p * p, qq, -pq)))
-
-
 def _along(p: Point, q: Point, f: float) -> Point:
     return (p[0] + f * (q[0] - p[0]), p[1] + f * (q[1] - p[1]))
 

@@ -1,19 +1,17 @@
 """Eccentricity functional over the inscribed family and its minimizer.
 
-For a family whose conic has coefficient polynomials A, B, C, ... in its
-parameter, the squared axis ratio of the member there is
-
-    G = (O - sqrt(M)) / (O + sqrt(M)),   O = A + C,   M = (A - C)^2 + B^2.
-
-Minimizing the eccentricity means maximizing G, whose critical points are
-the roots of p = 2*M*O' - O*M', a quartic when A, B, C are quadratic, as
-the entries Sxx, 2 Sxy, Syy of the dual pencil's shape are in lam.  One
-solver takes p's real roots as companion-matrix eigenvalues, polishes them
-by Newton steps and compares G at each.  An MDQ's optimum is the member
-whose diagonal-parallel diameters are equal (the paper's T3), the root of
-a quadratic in lam.  The paper's (s,t,v,w) formulas (`EccFunctional`,
-`G_value`, `N_factorization`, `alpha_root`) stay as cross-checks, which
-no solver calls.
+The squared axis ratio k of the dual pencil's member at lam, with shape S,
+rises with H = det S / (tr S)^2 = k / (1 + k)^2.  This is the paper's
+N = O^2 - M (`N_factorization`) in the pencil: O = tr S, N = 4 det S, and
+G = (O - sqrt(M)) / (O + sqrt(M)) = k.  det S / (u1 x u2)^2 is the cubic
+lam (1 - lam) (l0 + l1 lam) and tr S is quadratic in lam, so H's critical
+points are the roots of one quartic, det' tr - 2 det tr', with no square
+root and no cusp at a circle.  One solver isolates its real roots in
+plain floats (`_real_roots`) and compares H at each.  An MDQ's optimum is
+the member whose diagonal-parallel diameters are equal (the paper's T3),
+the root of a quadratic in lam.  The paper's (s,t,v,w) formulas
+(`EccFunctional`, `G_value`, `N_factorization`, `alpha_root`) stay as
+cross-checks, which no solver calls.
 """
 
 from __future__ import annotations
@@ -22,20 +20,16 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .diameters import diameter_endpoints, t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
                      qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil,
-                     _shape, _shape_polys, _weights)
+                     _shape, _weights)
 from .quad import (ClassificationReport, Quadrilateral, check_qstvw_region,
                    classify, f_values)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
-#: relative rounding bound below which a coefficient of p is taken as zero
-P_ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
 def _mul(p, q) -> list[float]:
@@ -47,89 +41,72 @@ def _mul(p, q) -> list[float]:
     return out
 
 
-def _sq(x) -> list[float]:
-    """`_mul(x, x)` of a degree-2 x, with the same sums in the same order."""
-    x0, x1, x2 = x
-    c01, c02, c12 = x0 * x1, x0 * x2, x1 * x2
-    return [x0 * x0, c01 + c01, c02 + x1 * x1 + c02, c12 + c12, x2 * x2]
+def _bracket_root(p, dp, a: float, b: float, pa: float, pb: float) -> float:
+    """The root of p in (a, b), where p is monotone and p(a) = pa and
+    p(b) = pb differ in sign: Newton steps from the secant point, and
+    bisection wherever a step would leave the shrinking bracket."""
+    x = a + (b - a) * pa / (pa - pb)
+    for _ in range(100):
+        px = _horner(p, x)
+        if px == 0.0:
+            return x
+        if (px < 0.0) == (pa < 0.0):
+            a = x
+        else:
+            b = x
+        slope = _horner(dp, x)
+        nx = x - px / slope if slope != 0.0 else 0.5 * (a + b)
+        if abs(nx - x) <= 4.0 * sys.float_info.epsilon * abs(x):
+            return x
+        x = nx if a < nx < b else 0.5 * (a + b)
+    return x
 
 
-def _m_and_p(o, diff, b, sign: float):
-    """M = diff^2 + B^2 and 2*M*O' + sign*O*M' (degree 5), ascending."""
-    m = [x + y for x, y in zip(_sq(diff), _sq(b))]
-    do = (o[1], 2.0 * o[2])
-    dm = (m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4])
-    return m, [2.0 * x + sign * y for x, y in zip(_mul(m, do), _mul(o, dm))]
+def _real_roots(p, lo: float, hi: float) -> list[float]:
+    """Ascending points of (lo, hi) where the polynomial p (ascending
+    coefficients) changes sign, and the roots of p' there at which p is 0.
 
-
-def _ecc_polys(pa, pb, pc):
-    """O (degree 2), M (degree 4) and p = 2*M*O' - O*M' (degree 4) of a family.
-
-    `pa`, `pb`, `pc` are the ascending coefficients (degree <= 2) of the
-    quadratic part A, B, C of the family conic.
+    The roots of p', found by the same recursion down to degree 1, split
+    (lo, hi) into brackets on which p is monotone; each bracket whose ends
+    differ in sign holds one root (`_bracket_root`).
     """
-    a, b, c = ((tuple(x) + (0.0, 0.0))[:3] for x in (pa, pb, pc))
-    o = [a[i] + c[i] for i in range(3)]
-    m, p = _m_and_p(o, [a[i] - c[i] for i in range(3)], b, -1.0)
-    top = max(abs(x) for x in p)
-    # the degree-5 terms cancel identically; drop the roundoff residue
-    if abs(p[5]) > 1e-9 * top:
-        raise InEllipseError("critical-point polynomial has degree > 4")
-    # a coefficient below its rounding bound (the same products taken on
-    # absolute values) is residue of a cancellation, as in the degree 2-4
-    # terms of a parallelogram's p; left in, it moves p's roots
-    abs_o = [abs(a[i]) + abs(c[i]) for i in range(3)]
-    _, bound = _m_and_p(abs_o, abs_o, [abs(x) for x in b], 1.0)
-    p = [0.0 if abs(x) <= P_ROUNDOFF * y else x for x, y in zip(p[:5], bound)]
-    return tuple(o), tuple(m), tuple(p)
-
-
-def _g_at(o, m, r: float) -> float:
-    """G at r from the ascending coefficients of O and M."""
-    on, root_m = _horner(o, r), math.sqrt(max(_horner(m, r), 0.0))
-    return (on - root_m) / (on + root_m)
-
-
-def _family_argmax(o, m, p, lo: float, hi: float) -> tuple[float, float]:
-    """Maximizer of G over (lo, hi) and G there, for a family's O, M and p.
-
-    The candidates are the real parts of the roots of p (companion-matrix
-    eigenvalues) that fall inside the interval, each polished by a few
-    Newton steps on p that reduce |p| and stay inside.
-    """
-    dp = [k * p[k] for k in range(1, 5)]
-    best = None
-    for root in np.roots(p[::-1]).real:
-        r = float(root)
-        if not lo < r < hi:
-            continue
-        pr = _horner(p, r)
-        for _ in range(3):
-            slope = _horner(dp, r)
-            if slope == 0.0:
-                break
-            nxt = r - pr / slope
-            pn = _horner(p, nxt)
-            if not (lo < nxt < hi and abs(pn) < abs(pr)):
-                break
-            r, pr = nxt, pn
-        g = _g_at(o, m, r)
-        if best is None or g > best[1]:
-            best = (r, g)
-    if best is None:
-        raise NoRootInJ("no critical point of G found in the open interval")
-    return best
+    p = list(p)
+    while p and p[-1] == 0.0:
+        p.pop()
+    if len(p) < 3:
+        x = -p[0] / p[1] if len(p) == 2 else lo
+        return [x] if lo < x < hi else []
+    dp = [k * p[k] for k in range(1, len(p))]
+    xs = [lo, *_real_roots(dp, lo, hi), hi]
+    vals = [_horner(p, x) for x in xs]
+    roots = []
+    for a, b, pa, pb in zip(xs, xs[1:], vals, vals[1:]):
+        if pa == 0.0 and a != lo:
+            roots.append(a)
+        elif pa != 0.0 and pb != 0.0 and (pa < 0.0) != (pb < 0.0):
+            roots.append(_bracket_root(p, dp, a, b, pa, pb))
+    return roots
 
 
 class EccFunctional:
-    """Cached polynomials O, M, N, p of the (s,t,v,w) family (ascending coeffs)."""
+    """Ascending coefficients of the (s,t,v,w) family's O = A + C,
+    M = (A - C)^2 + B^2, N = O^2 - M and G's critical quartic
+    p = 2*M*O' - O*M', from the quadratic part A, B, C of its conic."""
 
     def __init__(self, s: float, t: float, v: float, w: float):
         check_qstvw_region(s, t, v, w)
         self.s, self.t, self.v, self.w = s, t, v, w
         pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
-        self.o_coeffs, self.m_coeffs, self.p_coeffs = _ecc_polys(pa, pb, pc)
-        self.n_coeffs = tuple(x - y for x, y in zip(_sq(self.o_coeffs), self.m_coeffs))
+        pc = pc + (0.0,) * (3 - len(pc))
+        o = [x + y for x, y in zip(pa, pc)]
+        d = [x - y for x, y in zip(pa, pc)]
+        m = [x + y for x, y in zip(_mul(d, d), _mul(pb, pb))]
+        # p's degree-5 terms cancel identically
+        p = [2.0 * x - y for x, y in zip(
+            _mul(m, (o[1], 2.0 * o[2])),
+            _mul(o, (m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4])))]
+        self.o_coeffs, self.m_coeffs, self.p_coeffs = tuple(o), tuple(m), tuple(p[:5])
+        self.n_coeffs = tuple(x - y for x, y in zip(_mul(o, o), m))
 
     def o(self, r):
         return _horner(self.o_coeffs, r)
@@ -144,7 +121,8 @@ class EccFunctional:
         return _horner(self.p_coeffs, r)
 
     def g(self, r):
-        """Squared axis ratio (b/a)^2 of the family member at r."""
+        """Squared axis ratio (b/a)^2 of the member at r (float or array)."""
+        import numpy as np
         o = self.o(r)
         m = np.sqrt(np.maximum(self.m(r), 0.0))
         return (o - m) / (o + m)
@@ -290,8 +268,26 @@ def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
 
 
 def _numeric(pen: _Pencil) -> MinEccResult:
-    o, m, p = _ecc_polys(*_shape_polys(pen))
-    lam, _ = _family_argmax(o, m, p, J_MARGIN, 1.0 - J_MARGIN)
+    """The member maximizing H = det S / (tr S)^2, which rises with the
+    squared axis ratio k as k / (1 + k)^2: the best root in J of H's
+    critical quartic det' tr - 2 det tr', det S taken over (u1 x u2)^2 as
+    lam (1 - lam) (l0 + l1 lam), a product with no cancellation."""
+    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
+    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    pp, qq, pq = pen.p * pen.p, pen.q * pen.q, pen.p * pen.q
+    l0, l1 = al * (qq + be), pp * be - qq * al
+    # tr S = f1 |u1|^2 + f2 |u2|^2 + 2 f12 u1.u2, `_shape`'s weights expanded
+    tr = (n2 * (qq + be), n1 * al - n2 * (2.0 * qq + be) + 2.0 * c * pq,
+          n1 * pp + n2 * qq - 2.0 * c * pq)
+    crit = [x - 2.0 * y for x, y in zip(
+        _mul((l0, 2.0 * (l1 - l0), -3.0 * l1), tr),
+        _mul((0.0, l0, l1 - l0, -l1), (tr[1], 2.0 * tr[2])))]
+    roots = _real_roots(crit, J_MARGIN, 1.0 - J_MARGIN)
+    if not roots:
+        raise NoRootInJ("no critical point of H found in the open interval")
+    lam = max(roots, key=lambda x: x * (1.0 - x) * (l0 + l1 * x)
+              / _horner(tr, x) ** 2)
     return _optimum(pen, lam, "quartic_numeric")
 
 
@@ -316,9 +312,9 @@ def min_ecc(quad: Quadrilateral,
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
-    """Numeric minimal-eccentricity solver, independent of the closed form:
-    G compared at every real root in (0,1) of the critical polynomial p of
-    the quad's dual pencil (companion-matrix eigenvalues, Newton-polished)."""
+    """Numeric minimal-eccentricity solver, independent of the closed form
+    and valid on every class: H = det S / (tr S)^2 compared at every root
+    in (0,1) of its critical quartic, isolated on monotone brackets."""
     return _numeric(_pencil(quad))
 
 

@@ -117,6 +117,7 @@ class ClassificationReport(NamedTuple):
     mdq_type1: bool
     mdq_type2: bool
     side_lengths: tuple[float, float, float, float]
+    diagonals: DiagonalData
 
     @property
     def mdq(self) -> bool:
@@ -232,7 +233,7 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))
     return ClassificationReport(True, parallelogram, trapezoid, tangential,
-                                orthodiagonal, kite, mdq1, mdq2, (a, b, c, d))
+                                orthodiagonal, kite, mdq1, mdq2, (a, b, c, d), dd)
 
 
 def in_region_g(s: float, t: float, tol: float = CLASSIFY_TOL) -> bool:

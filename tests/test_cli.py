@@ -76,11 +76,13 @@ def strict_loads(text):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of `classify`, `normalize_to_qstvw` and `min_ecc`, counted in
-    every module namespace that holds them, so calls between modules are
-    counted too."""
-    calls = {"classify": 0, "normalize_to_qstvw": 0, "min_ecc": 0}
+    """Calls of `classify`, `diagonals`, `normalize_to_qstvw` and `min_ecc`,
+    counted in every module namespace that holds them, so calls between
+    modules are counted too."""
+    calls = {"classify": 0, "normalize_to_qstvw": 0, "min_ecc": 0,
+             "diagonals": 0}
     for name, fn in (("classify", quad.classify),
+                     ("diagonals", quad.diagonals),
                      ("normalize_to_qstvw", affine.normalize_to_qstvw),
                      ("min_ecc", minecc.min_ecc)):
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -290,6 +292,8 @@ class TestMinEcc:
         code, _ = run_json(capsys, ["min-ecc", example_file])
         assert code == 0
         assert call_counts["classify"] == 1
+        # the report's diagonals are the ones `classify` computed
+        assert call_counts["diagonals"] == 1
 
     def test_tol_reaches_the_dispatch(self, capsys, near_mdq_file):
         # an MDQ at --tol 1e-5 but not at the default 1e-9: the method is
@@ -415,15 +419,27 @@ class TestOutput:
 
 
 class TestImport:
-    def test_cli_does_not_load_test_generators(self):
+    @staticmethod
+    def _loaded_after(statement: str, module: str) -> bool:
+        """Whether `module` is in sys.modules after `statement` runs in a
+        fresh interpreter that imports this checkout's package."""
         src = os.path.dirname(os.path.dirname(inellipse.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, inellipse.cli; print('inellipse.sampling' in sys.modules)"],
+             f"import sys; {statement}; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "False"
+        return out.strip() == "True"
+
+    def test_cli_does_not_load_test_generators(self):
+        assert not self._loaded_after("import inellipse.cli", "inellipse.sampling")
+
+    @pytest.mark.parametrize("statement", ["import inellipse",
+                                           "import inellipse.cli"])
+    def test_numpy_is_not_loaded(self, statement):
+        # only `verify` and the frame cross-check `EccFunctional.g` use it
+        assert not self._loaded_after(statement, "numpy")
 
 
 class TestVerify:

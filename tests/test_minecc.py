@@ -12,14 +12,16 @@ from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
-                              min_ecc_numeric, p_quartic, verify_T3)
+                              min_ecc_numeric, p_quartic, verify_T3,
+                              _real_roots)
 from inellipse.quad import canonicalize, diagonals, quadrilateral
 
-from sampling import (frame_quad, random_convex_quad, random_frame,
-                      random_kite, random_mdq_quad, random_nonmdq_frame,
-                      random_parallelogram, random_s1s3_trapezoid,
-                      random_similarity, random_tangential_quad,
-                      random_type1_frame, random_type2_frame)
+from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
+                      random_frame, random_kite, random_mdq_quad,
+                      random_nonmdq_frame, random_parallelogram,
+                      random_s1s3_trapezoid, random_similarity,
+                      random_tangential_quad, random_type1_frame,
+                      random_type2_frame)
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
                       assert_points_close)
@@ -293,6 +295,97 @@ class TestMinEccNumeric:
             assert closed.method == "alpha_closed_form"
             num = min_ecc_numeric(quad)
             assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-10
+
+
+class TestRealRoots:
+    @staticmethod
+    def _numpy_roots(coeffs, lo, hi, imag=1e-7):
+        roots = np.roots(np.trim_zeros(np.asarray(coeffs[::-1], float), "f"))
+        return sorted(float(x.real) for x in roots
+                      if abs(x.imag) <= imag and lo < x.real < hi)
+
+    def _assert_roots(self, coeffs, lo, hi, want):
+        # the known roots of the rounded coefficients, numpy's eigenvalues,
+        # and a residual at the rounding level of the evaluation
+        got = _real_roots(coeffs, lo, hi)
+        assert got == sorted(got) and len(got) == len(want)
+        for g, w, n in zip(got, want, self._numpy_roots(coeffs, lo, hi)):
+            assert abs(g - w) <= 1e-9 and abs(g - n) <= 1e-9
+            bound = npoly.polyval(abs(g), np.abs(coeffs))
+            assert abs(npoly.polyval(g, coeffs)) <= 4.0 * np.finfo(float).eps * bound
+        return got
+
+    def test_simple_roots_match_numpy(self):
+        rng = np.random.default_rng(70)
+        for _ in range(300):
+            known = rng.uniform(-0.5, 1.5, size=4)
+            coeffs = rng.uniform(0.5, 2.0) * npoly.polyfromroots(known)
+            self._assert_roots(coeffs, 0.0, 1.0,
+                               sorted(x for x in known if 0.0 < x < 1.0))
+
+    def test_double_roots(self):
+        # a double root is no sign change: only the simple roots are sure to
+        # be reported, and whatever else is reported sits on the double root,
+        # which the rounding of the coefficients moves by about sqrt(eps)
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            double, *simple = rng.uniform(0.05, 0.95, size=3)
+            if min(abs(double - x) for x in simple) < 0.05:
+                continue
+            coeffs = npoly.polyfromroots([double, double, *simple])
+            got = _real_roots(coeffs, 0.0, 1.0)
+            assert got == sorted(got)
+            for w in simple:
+                assert min(abs(g - w) for g in got) <= 1e-9
+            assert len(got) <= 4
+            near = self._numpy_roots(coeffs, 0.0, 1.0, imag=1e-6)
+            for g in got:
+                assert min(abs(g - w) for w in (double, *simple)) <= 1e-6
+                assert min(abs(g - n) for n in near) <= 1e-6
+
+    def test_zero_leading_coefficients(self):
+        # quartic slots whose top coefficients are exactly 0: degree 3, 2, 1
+        rng = np.random.default_rng(72)
+        for degree in (3, 2, 1):
+            for _ in range(100):
+                known = rng.uniform(-0.5, 1.5, size=degree)
+                coeffs = np.append(npoly.polyfromroots(known), [0.0] * (4 - degree))
+                self._assert_roots(coeffs, 0.0, 1.0,
+                                   sorted(x for x in known if 0.0 < x < 1.0))
+        assert _real_roots([2.0, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0) == []
+
+    def test_roots_near_the_ends(self):
+        # within 1e-9 of both ends of the solver's interval
+        rng = np.random.default_rng(73)
+        lo, hi = 1e-9, 1.0 - 1e-9
+        for _ in range(100):
+            known = [lo + rng.uniform(1e-12, 1e-9), rng.uniform(0.1, 0.9),
+                     hi - rng.uniform(1e-12, 1e-9), rng.uniform(1.5, 3.0)]
+            got = self._assert_roots(npoly.polyfromroots(known), lo, hi, known[:3])
+            assert abs(got[0] - known[0]) <= 1e-12 * known[0]
+
+
+class TestNumericMatchesT3:
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_mdq_quad(rng, type1=True),
+        lambda rng: random_mdq_quad(rng, type1=False),
+        random_kite,
+        lambda rng: random_diagonal_quad(rng, 0.5, 0.5, orthodiagonal=True),
+        random_parallelogram,
+        random_tangential_quad,
+    ], ids=["type1", "type2", "kite", "rhombus", "parallelogram", "tangential"])
+    def test_numeric_is_the_t3_root(self, make):
+        # the H quartic has no cusp at a circle, so the incircle of a
+        # tangential quad comes out to the same digits as the closed form
+        rng = np.random.default_rng(74)
+        for _ in range(300):
+            quad = make(rng)
+            closed = min_ecc(quad)
+            assert closed.method in ("alpha_closed_form", "incircle")
+            num = min_ecc_numeric(quad)
+            assert num.method == "quartic_numeric"
+            assert abs(num.r_star - closed.r_star) <= 1e-9
+            assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-12
 
 
 def _near_parallelogram(rng):
