@@ -34,9 +34,9 @@ class AffineMap:
 
     def __post_init__(self):
         (m00, m01), (m10, m11) = self.linear
-        det = m00 * m11 - m01 * m10
-        scale = max(abs(m00), abs(m01), abs(m10), abs(m11))
-        if scale == 0.0 or abs(det) <= 1e-12 * scale * scale:
+        k = max(abs(m00), abs(m01), abs(m10), abs(m11))
+        # det over k^2, taken on the entries over k so that neither overflows
+        if k == 0.0 or abs(m00 / k * (m11 / k) - m01 / k * (m10 / k)) <= 1e-12:
             raise SingularMap(f"linear part {self.linear} is singular")
 
     def det(self) -> float:
@@ -127,10 +127,11 @@ class QstvwFrame(NamedTuple):
 
 def _similarity_map(quad: Quadrilateral) -> AffineMap:
     a1, a2 = quad.a1, quad.a2
-    ux, uy = a2[0] - a1[0], a2[1] - a1[1]
-    norm_sq = ux * ux + uy * uy
-    # rotate A1A2 onto the +y axis, then scale it to unit length
-    lin = ((uy / norm_sq, -ux / norm_sq), (ux / norm_sq, uy / norm_sq))
+    n = math.hypot(a2[0] - a1[0], a2[1] - a1[1])
+    # rotate A1A2 onto the +y axis, then scale it to unit length (divided by
+    # |A1A2| twice, as its square can overflow or underflow)
+    ux, uy = (a2[0] - a1[0]) / n / n, (a2[1] - a1[1]) / n / n
+    lin = ((uy, -ux), (ux, uy))
     return AffineMap(lin, (-(lin[0][0] * a1[0] + lin[0][1] * a1[1]),
                            -(lin[1][0] * a1[0] + lin[1][1] * a1[1])))
 

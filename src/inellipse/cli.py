@@ -35,8 +35,8 @@ import math
 import sys
 
 from .affine import normalize_to_qstvw
-from .conic import geometry
-from .diameters import check_T2, equal_conjugate_diameters, t1_margin
+from .diameters import (CIRCLE_CUTOFF, check_T2, equal_diameter_pair,
+                        t1_margin)
 from .errors import (InEllipseError, IsCircle, NonConvexInput,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
@@ -109,8 +109,7 @@ def _classification_block(quad: Quadrilateral,
 
 def _ellipse_block(ie: InscribedEllipse) -> dict:
     # the library's conics are max-abs and sign normalized already
-    conic = ie.conic
-    geo = geometry(conic)
+    conic, geo = ie.conic, ie.geometry
     return {
         "coefficients": list(conic),
         "coeff_scale": max(abs(x) for x in conic),
@@ -136,9 +135,10 @@ def cmd_inscribe(quad: Quadrilateral, rep: ClassificationReport,
 
 
 def _smallest_angle(u, v) -> float:
-    cross = abs(u[0] * v[1] - u[1] * v[0])
-    dot = abs(u[0] * v[0] + u[1] * v[1])
-    return math.atan2(cross, dot)
+    # on the unit vectors, so that no length overflows or underflows
+    nu, nv = math.hypot(*u), math.hypot(*v)
+    (ux, uy), (vx, vy) = (u[0] / nu, u[1] / nu), (v[0] / nv, v[1] / nv)
+    return math.atan2(abs(ux * vy - uy * vx), abs(ux * vx + uy * vy))
 
 
 def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
@@ -154,18 +154,16 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
             "axis_ratio_sq": res.axis_ratio_sq,
         },
     }
-    # exploratory: compare the angle between the minimal ellipse's equal
-    # conjugate diameters with the angle between the diagonals (reported for
-    # every quad; equality is only established for MDQs)
-    if res.eccentricity >= NEAR_CIRCLE_ECC:
-        try:
-            pair = equal_conjugate_diameters(res.ellipse.conic)
-            out["min_ecc"]["equal_conjugate_angle"] = _smallest_angle(
-                pair.dir1, pair.dir2)
-            out["min_ecc"]["diagonal_angle"] = _smallest_angle(
-                *quad.diagonal_vectors())
-        except IsCircle:
-            pass
+    # exploratory: compare the angle 2 atan(b/a) between the minimal ellipse's
+    # equal conjugate diameters (ambiguous on a circle) with the angle between
+    # the diagonals (reported for every quad; equal only for MDQs)
+    geo = res.ellipse.geometry
+    if (res.eccentricity >= NEAR_CIRCLE_ECC
+            and geo.semi_minor / geo.semi_major <= CIRCLE_CUTOFF):
+        out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan2(
+            geo.semi_minor, geo.semi_major)
+        out["min_ecc"]["diagonal_angle"] = _smallest_angle(
+            *quad.diagonal_vectors())
     if rep.mdq or rep.parallelogram:
         t3 = verify_T3(res)
         out["verification"] = {
@@ -285,14 +283,14 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
                         "stroke:#d62728;stroke-width:1.2")
     for param in params:
         ie = inscribe(quad, param)
-        fig.add_ellipse(ie.conic)
+        fig.add_ellipse(ie.geometry)
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
     if rep.mdq or rep.parallelogram:
         res = min_ecc(quad, rep)
         if res.eccentricity >= NEAR_CIRCLE_ECC:
             try:
-                pair = equal_conjugate_diameters(res.ellipse.conic)
+                pair = equal_diameter_pair(res.ellipse.geometry)
                 style = "stroke:#9467bd;stroke-width:1.5"
                 fig.add_segment(*pair.endpoints1, "diameter", style)
                 fig.add_segment(*pair.endpoints2, "diameter", style)

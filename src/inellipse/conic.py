@@ -94,42 +94,41 @@ def center(conic: ConicCoeffs) -> Point:
     return (x0, y0)
 
 
+def shape_geometry(c: Point, shape: tuple[float, float, float, float],
+                   unit: float = 1.0) -> EllipseGeometry:
+    """Axes of the ellipse (x - c)' S^-1 (x - c) = unit^2, `shape` being
+    (Sxx, 2 Sxy, Syy, det S): the semi-axes^2 are unit^2 times S's
+    eigenvalues lam+ = (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2)) / 2 and
+    det S / lam+, which does not cancel; the major axis is lam+'s eigenvector."""
+    sxx, sxy2, syy, det = shape
+    if not det > 0.0:
+        raise InEllipseError("geometry() requires an ellipse")
+    root = math.hypot(sxx - syy, sxy2)
+    major_sq = 0.5 * (sxx + syy + root)
+    minor_sq = det / major_sq
+    ecc = math.sqrt(max(1.0 - minor_sq / major_sq, 0.0))
+    half = 0.5 * (abs(sxx - syy) + root)
+    v = (-0.5 * sxy2, -half) if syy >= sxx else (-half, -0.5 * sxy2)
+    n = math.hypot(*v)  # 0 on a circle, where any direction qualifies
+    direction = (v[0] / n, v[1] / n) if n > 0.0 else (1.0, 0.0)
+    return EllipseGeometry(c, math.sqrt(major_sq) * unit,
+                           math.sqrt(minor_sq) * unit, ecc, direction)
+
+
 def geometry(conic: ConicCoeffs) -> EllipseGeometry:
-    """Semi-axes, eccentricity and major-axis direction of an ellipse.
-
-    Semi-axis lengths come from the closed forms
-
-        s^2_major/minor = mu/2 * (a + c +/- sqrt((a-c)^2 + b^2)),
-        mu = 4*delta / Delta^2,
-
-    on the sign-normalized coefficients.  The major-axis direction is the
-    eigenvector of [[a, b/2], [b/2, c]] belonging to the smaller eigenvalue.
-    """
+    """Semi-axes, eccentricity and major-axis direction of an ellipse: the
+    sign-normalized conic is (x - c)' S^-1 (x - c) = 1 with c its `center`,
+    S = mu [[c, -b/2], [-b/2, a]], mu = 4 delta / Delta^2 and det S =
+    mu^2 Delta / 4 (`shape_geometry`).  delta cancels on thin or far-off
+    ellipses; `InscribedEllipse.geometry` reads the pencil's own c and S."""
     norm = sign_normalized(conic)
     a, b, c, d, e, f = norm
     big, small = discriminants(norm)
     if big <= 0.0 or small <= 0.0:
         raise InEllipseError("geometry() requires an ellipse")
-    mu = 4.0 * small / (big * big)
-    root = math.hypot(a - c, b)
-    major_sq = 0.5 * mu * (a + c + root)
-    minor_sq = 0.5 * mu * (a + c - root)
-    # roundoff can push minor_sq a hair negative for near-degenerate input
-    minor_sq = max(minor_sq, 0.0)
-    ratio = minor_sq / major_sq
-    ecc = math.sqrt(max(1.0 - ratio, 0.0))
-    if root == 0.0:
-        direction = (1.0, 0.0)  # circle: any direction qualifies
-    else:
-        lam = 0.5 * (a + c - root)
-        # eigenvector candidates; keep the better conditioned one
-        v1 = (b / 2.0, lam - a)
-        v2 = (lam - c, b / 2.0)
-        v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-        n = math.hypot(*v)
-        direction = (v[0] / n, v[1] / n)
-    return EllipseGeometry(center(norm), math.sqrt(major_sq), math.sqrt(minor_sq),
-                           ecc, direction)
+    mu = 4.0 * small / big / big
+    return shape_geometry(center(norm), (mu * c, -mu * b, mu * a,
+                                         0.25 * mu * (mu * big)))
 
 
 def evaluate(conic: ConicCoeffs, p: Point) -> float:

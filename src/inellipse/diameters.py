@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conic import (ConicCoeffs, Direction, Point, center, geometry,
-                    is_ellipse, line_intersect)
+from .conic import (ConicCoeffs, Direction, EllipseGeometry, Point, center,
+                    geometry, is_ellipse, line_intersect)
 from .errors import InEllipseError, IsCircle
 from .family import InscribedEllipse
 from .quad import Quadrilateral
@@ -49,11 +49,12 @@ class T2Report(NamedTuple):
 
 
 def parallel_margin(u: Direction, v: Direction) -> float:
-    """|sin(angle)| between two directions (sign-insensitive)."""
+    """|sin(angle)| between two directions (sign-insensitive), taken on the
+    unit vectors so that no length overflows or underflows it."""
     nu, nv = math.hypot(*u), math.hypot(*v)
     if nu == 0.0 or nv == 0.0:
         raise InEllipseError("zero direction")
-    return abs(u[0] * v[1] - u[1] * v[0]) / (nu * nv)
+    return abs(u[0] / nu * (v[1] / nv) - u[1] / nu * (v[0] / nv))
 
 
 def slope_of(p: Point, q: Point) -> Optional[float]:
@@ -83,15 +84,19 @@ def diameter_endpoints(conic: ConicCoeffs, u: Direction) -> tuple[Point, Point]:
 
 
 def equal_conjugate_diameters(conic: ConicCoeffs) -> DiameterPair:
-    """The unique conjugate diameter pair of equal length.
+    """`equal_diameter_pair` of the conic's `geometry`."""
+    if not is_ellipse(conic):
+        raise InEllipseError("equal conjugate diameters require an ellipse")
+    return equal_diameter_pair(geometry(conic))
+
+
+def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
+    """The unique conjugate diameter pair of equal length of an ellipse.
 
     The directions are a*u_major +/- b*u_minor for semi-axes a, b; both
     diameters have squared length 2(a^2 + b^2).  Circles are rejected as
     every perpendicular pair would qualify.
     """
-    if not is_ellipse(conic):
-        raise InEllipseError("equal conjugate diameters require an ellipse")
-    geo = geometry(conic)
     if geo.semi_minor / geo.semi_major > CIRCLE_CUTOFF:
         raise IsCircle("equal conjugate diameters of a circle are ambiguous")
     ux, uy = geo.major_axis_direction
@@ -131,18 +136,20 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     q1, q2, q3, q4 = ie.tangency
     (d1x, d1y), (d2x, d2y) = quad.diagonal_vectors()
     n1, n2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
+    if n1 == 0.0 or n2 == 0.0:
+        raise InEllipseError("zero direction")
+    d1x, d1y, d2x, d2y = d1x / n1, d1y / n1, d2x / n2, d2y / n2
     margins_d1, margins_d2 = {}, {}
     # each margin is `parallel_margin(chord, diagonal)`, raising as it does,
-    # with the diagonal norms taken once
+    # with the diagonals' unit vectors taken once
     for name, (p, q) in zip(_CHORD_NAMES, ((q1, q2), (q2, q3), (q3, q4), (q1, q4))):
         ux, uy = q[0] - p[0], q[1] - p[1]
         nu = math.hypot(ux, uy)
-        if nu == 0.0 or n1 == 0.0:
+        if nu == 0.0:
             raise InEllipseError("zero direction")
-        margins_d1[name] = abs(ux * d1y - uy * d1x) / (nu * n1)
-        if n2 == 0.0:
-            raise InEllipseError("zero direction")
-        margins_d2[name] = abs(ux * d2y - uy * d2x) / (nu * n2)
+        ux, uy = ux / nu, uy / nu
+        margins_d1[name] = abs(ux * d1y - uy * d1x)
+        margins_d2[name] = abs(ux * d2y - uy * d2x)
     par1 = frozenset(n for n, m in margins_d1.items() if m <= tol)
     par2 = frozenset(n for n, m in margins_d2.items() if m <= tol)
     return T2Report(par1, par2, margins_d1, margins_d2)
@@ -150,7 +157,8 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
 
 def t1_margin(quad: Quadrilateral, conic: ConicCoeffs) -> float:
     """Angle margin between conj(direction of D1) and the direction of D2."""
-    d1, d2 = quad.diagonal_vectors()
+    d = quad.diameter()  # over which no product of the diagonals underflows
+    d1, d2 = ((x / d, y / d) for x, y in quad.diagonal_vectors())
     return parallel_margin(conjugate_direction(conic, d1), d2)
 
 

@@ -3,17 +3,20 @@
 The ellipses inscribed in a convex quad A1A2A3A4 are the line conics
 C*(lam) = lam (A1 A3' + A3 A1') + (1 - lam) (A2 A4' + A4 A2'), lam in (0, 1),
 A_i = (x_i, y_i, 1).  `inscribe` builds each member from the quad's own
-vertices, about the diagonal intersection P = A1 + a u1 = A2 + b u2 of the
-diagonals u1 = A3 - A1, u2 = A4 - A2, with the diagonal midpoints
-M1 = P + p u1, M2 = P + q u2 (p = 1/2 - a, q = 1/2 - b).  The member is the
-ellipse (x - c)' S^-1 (x - c) = 1 with centre c = lam M1 + mu M2
-(mu = 1 - lam) and shape
+vertices, about the diagonal intersection P = A1 + a D u1 = A2 + b D u2 of
+the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the quad's diameter,
+with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2 (p = 1/2 - a,
+q = 1/2 - b).  The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
+centre c = lam M1 + mu M2 (mu = 1 - lam) and shape
 
     S = (lam^2 p^2 + lam a(1-a)) u1u1' + (mu^2 q^2 + mu b(1-b)) u2u2'
         + lam mu p q (u1u2' + u2u1'),
     det S = lam mu (lam p^2 b(1-b) + mu q^2 a(1-a) + a(1-a) b(1-b)) (u1 x u2)^2.
 
-Every entry of S has degree <= 2 in lam.  The member touches each side at
+Every entry of S has degree <= 2 in lam.  S is built at unit scale, in
+units of D, so that no quad's size or position can overflow or cancel it.
+`InscribedEllipse` carries c and S; its `geometry` and `verify_T3`'s
+lengths read them, not the rounded conic.  The member touches each side at
 C*(lam) l_i, a weighted mean of the side's two vertices.  The public
 parameter r in (0, 1) is the S1 contact's fraction along A1->A2 on every
 quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
@@ -32,11 +35,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .conic import ConicCoeffs, Point, scale_normalized
-from .errors import CollinearTriangle, NonPositiveWeights, ParamOutOfRegion
-from .quad import (Quadrilateral, _midpoint, _midpoints_meet,
+from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
+                    shape_geometry)
+from .errors import (CollinearTriangle, InEllipseError, NonPositiveWeights,
+                     ParamOutOfRegion)
+from .quad import (Quadrilateral, _midpoint, _midpoints_meet, _unit_sub,
                    check_qstvw_region, in_region_g)
 
 #: margin keeping family parameters strictly inside their open interval
@@ -55,7 +61,9 @@ class InscribedEllipse:
     `tangency` lists one point per side, in side order S1..S4 of `quad`'s
     labeling.  `param` is named by `frame`: r in (0,1), the S1 contact's
     fraction along A1->A2, for "qstvw", or a parallelogram's v = 2r - 1 in
-    (-1,1) for "parallelogram".
+    (-1,1) for "parallelogram".  The ellipse is (x - c)' S^-1 (x - c) = D^2,
+    D the quad's diameter: `center` is c, `shape` is (Sxx, 2 Sxy, Syy, det S)
+    in units of D, and `conic` its max-abs normalized coefficients.
     """
 
     conic: ConicCoeffs
@@ -63,6 +71,12 @@ class InscribedEllipse:
     tangency: tuple[Point, Point, Point, Point]
     frame: str
     quad: Quadrilateral
+    center: Point
+    shape: tuple[float, float, float, float]
+
+    @cached_property
+    def geometry(self) -> EllipseGeometry:
+        return shape_geometry(self.center, self.shape, self.quad.diameter())
 
 
 def _check_qst(s: float, t: float, q: float) -> None:
@@ -175,16 +189,17 @@ def qstvw_tangency(s: float, t: float, v: float, w: float,
 
 
 class _Pencil(NamedTuple):
-    """A quad's dual pencil about its diagonal intersection P."""
+    """A quad's dual pencil about its diagonal intersection P, at unit scale."""
 
     quad: Quadrilateral
-    origin: Point  # P = A1 + a u1 = A2 + b u2
-    u1: Point  # A3 - A1
-    u2: Point  # A4 - A2
+    origin: Point  # P = A1 + a D u1 = A2 + b D u2
+    unit: float  # D, the quad's diameter
+    u1: Point  # (A3 - A1) / D
+    u2: Point  # (A4 - A2) / D
     a: float
     b: float
-    p: float  # M1 = P + p u1; 0 on a parallelogram
-    q: float  # M2 = P + q u2; 0 on a parallelogram
+    p: float  # M1 = P + D p u1; 0 on a parallelogram
+    q: float  # M2 = P + D q u2; 0 on a parallelogram
     parallelogram: bool
 
 
@@ -193,42 +208,20 @@ def _pencil(quad: Quadrilateral) -> _Pencil:
     also decides the v = 2r - 1 relabel) M1 and M2 are snapped together: the
     rounding residue of M1 - M2 on S's lam^2 terms would hide G's maximum."""
     a1, a2, a3, a4 = quad.vertices
-    u1 = (a3[0] - a1[0], a3[1] - a1[1])
-    u2 = (a4[0] - a2[0], a4[1] - a2[1])
-    ex, ey = a2[0] - a1[0], a2[1] - a1[1]
+    d = quad.diameter()
+    u1, u2, (ex, ey) = _unit_sub(a3, a1, d), _unit_sub(a4, a2, d), _unit_sub(a2, a1, d)
     cross = u1[0] * u2[1] - u1[1] * u2[0]
     a, b = (ex * u2[1] - ey * u2[0]) / cross, (ex * u1[1] - ey * u1[0]) / cross
-    par = _midpoints_meet(_midpoint(a1, a3), _midpoint(a2, a4), quad.diameter())
+    par = _midpoints_meet(_midpoint(a1, a3), _midpoint(a2, a4), d)
     p, q = (0.0, 0.0) if par else (0.5 - a, 0.5 - b)
-    return _Pencil(quad, (a1[0] + a * u1[0], a1[1] + a * u1[1]), u1, u2,
-                   a, b, p, q, par)
+    return _Pencil(quad, (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1])),
+                   d, u1, u2, a, b, p, q, par)
 
 
 def _weights(pen: _Pencil, r: float) -> tuple[float, float]:
     """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
     wa, wb = pen.a * (1.0 - r), pen.b * r
     return wa / (wa + wb), wb / (wa + wb)
-
-
-def _entries(pen: _Pencil, f1: float, f2: float,
-             f12: float) -> tuple[float, float, float]:
-    """Sxx, 2 Sxy and Syy of S = f1 u1u1' + f2 u2u2' + f12 (u1u2' + u2u1')."""
-    (x1, y1), (x2, y2) = pen.u1, pen.u2
-    return (f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2,
-            2.0 * (f1 * x1 * y1 + f2 * x2 * y2 + f12 * (x1 * y2 + y1 * x2)),
-            f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2)
-
-
-def _shape(pen: _Pencil, lam: float,
-           mu: float) -> tuple[Point, float, float, float, float]:
-    """c - P, (Sxx, 2 Sxy, Syy) and det S of the member at (lam, mu = 1 - lam)."""
-    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    (x1, y1), (x2, y2) = pen.u1, pen.u2
-    det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
-           * (x1 * y2 - y1 * x2) ** 2)
-    return ((lam * p * x1 + mu * q * x2, lam * p * y1 + mu * q * y2),
-            *_entries(pen, lam * (lam * p * p + al), mu * (mu * q * q + be),
-                      lam * mu * p * q), det)
 
 
 def _along(p: Point, q: Point, f: float) -> Point:
@@ -247,21 +240,31 @@ def _pencil_contacts(pen: _Pencil, r: float, lam: float,
             _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
 
 
-def _inscribed(pen: _Pencil, r: float,
-               param: float) -> tuple[InscribedEllipse, float]:
+def _inscribed(pen: _Pencil, r: float, param: float) -> InscribedEllipse:
     """The member touching S1 at the fraction r along A1->A2, named `param`:
-    the ellipse (x - c)' adj(S) (x - c) = det S, and its squared axis ratio
-    4 det S / (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2))^2."""
+    c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2' + f12 (u1u2' +
+    u2u1') with f1 = lam (lam p^2 + a(1-a)), f2 = mu (mu q^2 + b(1-b)),
+    f12 = lam mu p q, det S as a product, and the conic (x - c)' adj(S)
+    (x - c) = D^2 det S, which raises where a coefficient is not finite."""
     lam, mu = _weights(pen, r)
-    (cx, cy), sxx, sxy2, syy, det = _shape(pen, lam, mu)
-    cx, cy = pen.origin[0] + cx, pen.origin[1] + cy
-    conic = scale_normalized(ConicCoeffs(
-        syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
-        syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det))
-    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
-    return InscribedEllipse(conic, param, _pencil_contacts(pen, r, lam, mu),
+    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
+    (x1, y1), (x2, y2), d = pen.u1, pen.u2, pen.unit
+    f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
+    sxx = f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2
+    sxy2 = 2.0 * (f1 * x1 * y1 + f2 * x2 * y2 + f12 * (x1 * y2 + y1 * x2))
+    syy = f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2
+    det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
+           * (x1 * y2 - y1 * x2) ** 2)
+    cx = pen.origin[0] + d * (lam * p * x1 + mu * q * x2)
+    cy = pen.origin[1] + d * (lam * p * y1 + mu * q * y2)
+    coeffs = (syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
+              syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det * (d * d))
+    if not all(map(math.isfinite, coeffs)):
+        raise InEllipseError("conic coefficients overflow the float range")
+    return InscribedEllipse(scale_normalized(ConicCoeffs(*coeffs)), param,
+                            _pencil_contacts(pen, r, lam, mu),
                             "parallelogram" if pen.parallelogram else "qstvw",
-                            pen.quad), ratio
+                            pen.quad, (cx, cy), (sxx, sxy2, syy, det))
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -274,7 +277,7 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     pen = _pencil(quad)
     r = (1.0 + param) / 2.0 if pen.parallelogram else param
     check_unit_interval(r, "(1 + v) / 2" if pen.parallelogram else "param")
-    return _inscribed(pen, r, param)[0]
+    return _inscribed(pen, r, param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

@@ -20,11 +20,10 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .diameters import diameter_endpoints, t1_margin
+from .diameters import t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
-                     qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil,
-                     _shape, _weights)
+                     qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil)
 from .quad import (ClassificationReport, Quadrilateral, check_qstvw_region,
                    classify, f_values)
 
@@ -260,10 +259,13 @@ def _t3_root(pen: _Pencil) -> float:
 
 def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
     """The member at lam as a result, built as `inscribe` builds it from its
-    parameter, so that `inscribe(quad, r_star)` returns the same ellipse."""
+    parameter, so that `inscribe(quad, r_star)` returns the same ellipse, and
+    its squared axis ratio 4 det S / (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2))^2."""
     wa, wb = lam * pen.b, (1.0 - lam) * pen.a
     r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
-    ie, ratio = _inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r)
+    ie = _inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r)
+    sxx, sxy2, syy, det = ie.shape
+    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
     return MinEccResult(ie.param, ie, math.sqrt(max(1.0 - ratio, 0.0)), ratio, method)
 
 
@@ -277,7 +279,7 @@ def _numeric(pen: _Pencil) -> MinEccResult:
     al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
     pp, qq, pq = pen.p * pen.p, pen.q * pen.q, pen.p * pen.q
     l0, l1 = al * (qq + be), pp * be - qq * al
-    # tr S = f1 |u1|^2 + f2 |u2|^2 + 2 f12 u1.u2, `_shape`'s weights expanded
+    # tr S = f1 |u1|^2 + f2 |u2|^2 + 2 f12 u1.u2, `_inscribed`'s weights expanded
     tr = (n2 * (qq + be), n1 * al - n2 * (2.0 * qq + be) + 2.0 * c * pq,
           n1 * pp + n2 * qq - 2.0 * c * pq)
     crit = [x - 2.0 * y for x, y in zip(
@@ -339,13 +341,13 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     `quad` is an MDQ, whose minimal-eccentricity ellipse is computed here,
     or a `MinEccResult` from `min_ecc`, which is checked as it stands,
     without classifying the quad again.  Verifies that the conjugate of the
-    ellipse's D1-parallel diameter is parallel to D2 and that the two
-    diameters have equal length.  Near-circular optima (eccentricity below
-    1e-6) are reported as vacuously true with the `near_circle` flag, as
-    equal conjugate diameters degenerate there.  For closed-form optima the
-    squared lengths are also given from the pencil's shape at the optimum,
-    independently of the conic's coefficients.
-    """
+    ellipse's D1-parallel diameter is parallel to D2, on the conic's
+    quadratic part, and that the two diameters have equal squared length
+    4 |u|^2 det S / (u' adj(S) u), read from the result's own shape S at unit
+    scale.  Near-circular optima (eccentricity below 1e-6) are reported as
+    vacuously true with the `near_circle` flag, as equal conjugate diameters
+    degenerate there.  Closed-form optima repeat the lengths as
+    `closed_form_len_sq`."""
     if isinstance(quad, MinEccResult):
         res, quad = quad, quad.ellipse.quad
     else:
@@ -353,27 +355,16 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         if not (rep.mdq or rep.parallelogram):
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad, rep)
-    conic = res.ellipse.conic
-    d1, d2 = quad.diagonal_vectors()
     if res.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0, None)
 
-    par_margin = t1_margin(quad, conic)
-    p1, p2 = diameter_endpoints(conic, d1)
-    p3, p4 = diameter_endpoints(conic, d2)
-    len1 = (p2[0] - p1[0]) ** 2 + (p2[1] - p1[1]) ** 2
-    len2 = (p4[0] - p3[0]) ** 2 + (p4[1] - p3[1]) ** 2
-    len_margin = abs(len1 - len2) / max(len1, len2)
-
-    closed: Optional[tuple[float, float]] = None
-    if res.method == "alpha_closed_form":
-        # 4|u|^2 det S / (u' adj(S) u) for S of the pencil member at the
-        # optimum; a parallelogram reports v = 2r - 1
-        pen = _pencil(quad)
-        r = (1.0 + res.r_star) / 2.0 if pen.parallelogram else res.r_star
-        _, sxx, sxy2, syy, det = _shape(pen, *_weights(pen, r))
-        closed = tuple(4.0 * (x * x + y * y) * det
-                       / (syy * x * x - sxy2 * x * y + sxx * y * y)
-                       for x, y in (d1, d2))
-    return T3Report(par_margin <= tol, len_margin <= tol, len1, len2,
-                    False, par_margin, len_margin, closed)
+    par_margin = t1_margin(quad, res.ellipse.conic)
+    sxx, sxy2, syy, det = res.ellipse.shape
+    d = quad.diameter()
+    unit = [4.0 * (x * x + y * y) * det / (syy * x * x - sxy2 * x * y + sxx * y * y)
+            for x, y in ((x / d, y / d) for x, y in quad.diagonal_vectors())]
+    len_margin = abs(unit[0] - unit[1]) / max(unit)
+    len1, len2 = lens = tuple(x * d * d for x in unit)
+    return T3Report(par_margin <= tol, len_margin <= tol, len1, len2, False,
+                    par_margin, len_margin,
+                    lens if res.method == "alpha_closed_form" else None)

@@ -26,10 +26,6 @@ CONVEXITY_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
 
 
-def _sub(p: Point, q: Point) -> Point:
-    return (p[0] - q[0], p[1] - q[1])
-
-
 def _cross(u: Point, v: Point) -> float:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -40,6 +36,11 @@ def _dist(p: Point, q: Point) -> float:
 
 def _midpoint(p: Point, q: Point) -> Point:
     return (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+
+
+def _unit_sub(p: Point, q: Point, diam: float) -> Point:
+    """p - q over the diameter: an edge whose products cannot over- or underflow."""
+    return ((p[0] - q[0]) / diam, (p[1] - q[1]) / diam)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,8 @@ class ClassificationReport(NamedTuple):
         return self.mdq_type1 or self.mdq_type2
 
 
-def _validate_convex(vertices: Sequence[Point]) -> None:
+def _validate_convex(vertices: Sequence[Point]) -> float:
+    """Reject non-convex vertices; return the first two edges' unit-scale cross."""
     diam = max(_dist(p, q) for i, p in enumerate(vertices)
                for q in vertices[i + 1:])
     if diam == 0.0:
@@ -135,14 +137,14 @@ def _validate_convex(vertices: Sequence[Point]) -> None:
                 raise DuplicateVertex(f"vertices {p} and {q} coincide")
     crosses = []
     for i in range(4):
-        e1 = _sub(vertices[(i + 1) % 4], vertices[i])
-        e2 = _sub(vertices[(i + 2) % 4], vertices[(i + 1) % 4])
+        e1 = _unit_sub(vertices[(i + 1) % 4], vertices[i], diam)
+        e2 = _unit_sub(vertices[(i + 2) % 4], vertices[(i + 1) % 4], diam)
         crosses.append(_cross(e1, e2))
-    floor = CONVEXITY_TOL * diam * diam
-    if any(abs(x) <= floor for x in crosses):
+    if any(abs(x) <= CONVEXITY_TOL for x in crosses):
         raise NonConvexInput("near-collinear consecutive vertices")
     if not (all(x > 0 for x in crosses) or all(x < 0 for x in crosses)):
         raise NonConvexInput("vertices are not in convex position")
+    return crosses[0]
 
 
 def quadrilateral(vertices: Iterable[Point]) -> Quadrilateral:
@@ -155,10 +157,7 @@ def quadrilateral(vertices: Iterable[Point]) -> Quadrilateral:
     pts = tuple((float(x), float(y)) for x, y in vertices)
     if len(pts) != 4:
         raise NonConvexInput("exactly four vertices required")
-    _validate_convex(pts)
-    e1 = _sub(pts[1], pts[0])
-    e2 = _sub(pts[2], pts[1])
-    if _cross(e1, e2) > 0:
+    if _validate_convex(pts) > 0:
         raise NonConvexInput("vertices are counterclockwise; expected clockwise")
     return Quadrilateral(pts)
 
@@ -190,15 +189,13 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
 def diagonals(quad: Quadrilateral) -> DiagonalData:
     """Diagonal segments, their midpoints, intersection and Newton line."""
     a1, a2, a3, a4 = quad.vertices
+    diam = quad.diameter()
     m1 = _midpoint(a1, a3)
     m2 = _midpoint(a2, a4)
-    u = _sub(a3, a1)
-    v = _sub(a4, a2)
-    denom = _cross(u, v)
-    rhs = _sub(a2, a1)
-    alpha = _cross(rhs, v) / denom
-    p = (a1[0] + alpha * u[0], a1[1] + alpha * u[1])
-    newton = None if _dist(m1, m2) <= 1e-14 * quad.diameter() else (m1, m2)
+    v = _unit_sub(a4, a2, diam)
+    alpha = _cross(_unit_sub(a2, a1, diam), v) / _cross(_unit_sub(a3, a1, diam), v)
+    p = (a1[0] + alpha * (a3[0] - a1[0]), a1[1] + alpha * (a3[1] - a1[1]))
+    newton = None if _dist(m1, m2) <= 1e-14 * diam else (m1, m2)
     return DiagonalData((a1, a3), (a2, a4), m1, m2, p, newton)
 
 
@@ -224,11 +221,11 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     mdq1 = _dist(dd.p, dd.m2) <= tol * diam
     mdq2 = _dist(dd.p, dd.m1) <= tol * diam
     parallelogram = _midpoints_meet(dd.m1, dd.m2, diam, tol)
-    s1, s2 = _sub(a2, a1), _sub(a3, a2)
-    s3, s4 = _sub(a4, a3), _sub(a1, a4)
+    s1, s2 = _unit_sub(a2, a1, diam), _unit_sub(a3, a2, diam)
+    s3, s4 = _unit_sub(a4, a3, diam), _unit_sub(a1, a4, diam)
     trapezoid = _parallel(s1, s3, tol) or _parallel(s2, s4, tol)
     tangential = abs(a + c - (b + d)) <= tol * perim
-    u, v = _sub(a3, a1), _sub(a4, a2)
+    u, v = _unit_sub(a3, a1, diam), _unit_sub(a4, a2, diam)
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))

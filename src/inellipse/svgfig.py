@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .conic import ConicCoeffs, Point, geometry
+from .conic import EllipseGeometry, Point
 
 #: number of polyline segments used to approximate an ellipse
 ELLIPSE_SEGMENTS = 256
@@ -30,9 +30,8 @@ class Figure:
     def add_marker(self, p: Point, cls: str, style: str) -> None:
         self._elements.append(("circle", {"class": cls, "style": style}, [p]))
 
-    def add_ellipse(self, conic: ConicCoeffs, cls: str = "ellipse",
+    def add_ellipse(self, geo: EllipseGeometry, cls: str = "ellipse",
                     style: str = "fill:none;stroke:#1f77b4;stroke-width:1.5") -> None:
-        geo = geometry(conic)
         ux, uy = geo.major_axis_direction
         vx, vy = -uy, ux
         cx, cy = geo.center

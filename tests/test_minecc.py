@@ -6,7 +6,8 @@ from numpy.polynomial import polynomial as npoly
 
 from inellipse.affine import AffineMap, normalize_to_qstvw
 from inellipse.conic import center, geometry, proportional, scale_normalized
-from inellipse.diameters import equal_conjugate_diameters, parallel_margin
+from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
+                                 parallel_margin)
 from inellipse.errors import NotMDQ, ParamOutOfRegion
 from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
@@ -14,7 +15,7 @@ from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               closed_form_diameter_len_sq, min_ecc,
                               min_ecc_numeric, p_quartic, verify_T3,
                               _real_roots)
-from inellipse.quad import canonicalize, diagonals, quadrilateral
+from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
@@ -508,6 +509,31 @@ class TestPolynomialPositivity:
 
 
 class TestVerifyT3:
+    def test_lengths_match_the_conic_and_the_paper(self, example_quad):
+        # verify_T3 reads its lengths from the result's shape S; two references
+        # that do not: the conic's own diameter endpoints, and the paper's
+        # closed form in a shift-0 type-1 frame, over the frame's scale^2
+        rng = np.random.default_rng(60)
+        quads = [example_quad] + [random_mdq_quad(rng, type1=bool(i % 2))
+                                  for i in range(100)]
+        paper = 0
+        for quad in quads:
+            res = min_ecc(quad)
+            rep = verify_T3(res)
+            if rep.near_circle:
+                continue
+            lens = [rep.len1_sq, rep.len2_sq]
+            for u, len_sq in zip(quad.diagonal_vectors(), lens):
+                p, q = diameter_endpoints(res.ellipse.conic, u)
+                assert math.dist(p, q) ** 2 == pytest.approx(len_sq, rel=1e-10)
+            fr = normalize_to_qstvw(quad)
+            if fr.shift == 0 and classify(quad).mdq_type1:
+                paper += 1
+                closed = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, res.r_star)
+                assert [x / fr.scale ** 2 for x in closed] == pytest.approx(
+                    lens, rel=1e-12)
+        assert paper >= 40
+
     def test_example(self, example_quad):
         rep = verify_T3(example_quad)
         assert rep.parallel and rep.equal_len and not rep.near_circle
