@@ -40,7 +40,7 @@ from .diameters import (CIRCLE_CUTOFF, check_T2, equal_diameter_pair,
 from .errors import (InEllipseError, IsCircle, NonConvexInput,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
-from .minecc import NEAR_CIRCLE_ECC, alpha_root, min_ecc, verify_T3
+from .minecc import alpha_root, min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
                    canonicalize, classify)
 from .svgfig import Figure
@@ -157,11 +157,9 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
     # exploratory: compare the angle 2 atan(b/a) between the minimal ellipse's
     # equal conjugate diameters (ambiguous on a circle) with the angle between
     # the diagonals (reported for every quad; equal only for MDQs)
-    geo = res.ellipse.geometry
-    if (res.eccentricity >= NEAR_CIRCLE_ECC
-            and geo.semi_minor / geo.semi_major <= CIRCLE_CUTOFF):
-        out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan2(
-            geo.semi_minor, geo.semi_major)
+    if res.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
+        out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
+            math.sqrt(res.axis_ratio_sq))
         out["min_ecc"]["diagonal_angle"] = _smallest_angle(
             *quad.diagonal_vectors())
     if rep.mdq or rep.parallelogram:
@@ -174,8 +172,6 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
             "parallel_margin": t3.parallel_margin,
             "length_margin": t3.length_margin,
         }
-        if t3.closed_form_len_sq is not None:
-            out["verification"]["closed_form_len_sq"] = list(t3.closed_form_len_sq)
         if rep.mdq_type1 and not rep.parallelogram:
             # the paper's type-1 root alpha_root(s, v, w), beside r_star, when
             # the quad's own labeling is its admissible (s,t,v,w) frame
@@ -223,10 +219,11 @@ def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
 
 
 def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
-    """`quad` under a random rotation, positive uniform scaling and translation."""
+    """`quad` rotated, scaled by 0.3 to 3 and moved by up to 5 of its diameters."""
     angle = rng.uniform(0.0, 2.0 * math.pi)
     k = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-    tx, ty = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    d = quad.diameter()
+    tx, ty = rng.uniform(-5.0, 5.0) * d, rng.uniform(-5.0, 5.0) * d
     c, s = math.cos(angle) * k, math.sin(angle) * k
     return canonicalize([(c * x - s * y + tx, s * x + c * y + ty)
                          for x, y in quad.vertices])
@@ -287,15 +284,13 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
     if rep.mdq or rep.parallelogram:
-        res = min_ecc(quad, rep)
-        if res.eccentricity >= NEAR_CIRCLE_ECC:
-            try:
-                pair = equal_diameter_pair(res.ellipse.geometry)
-                style = "stroke:#9467bd;stroke-width:1.5"
-                fig.add_segment(*pair.endpoints1, "diameter", style)
-                fig.add_segment(*pair.endpoints2, "diameter", style)
-            except IsCircle:
-                pass
+        try:
+            pair = equal_diameter_pair(min_ecc(quad, rep).ellipse.geometry)
+            style = "stroke:#9467bd;stroke-width:1.5"
+            fig.add_segment(*pair.endpoints1, "diameter", style)
+            fig.add_segment(*pair.endpoints2, "diameter", style)
+        except IsCircle:
+            pass
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(fig.render())

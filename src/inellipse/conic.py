@@ -37,11 +37,7 @@ class EllipseGeometry(NamedTuple):
     semi_minor: float
     eccentricity: float
     major_axis_direction: Direction
-
-    @property
-    def axis_ratio_sq(self) -> float:
-        """(semi_minor / semi_major)^2, i.e. 1 - eccentricity^2."""
-        return (self.semi_minor / self.semi_major) ** 2
+    axis_ratio_sq: float  # (semi_minor / semi_major)^2 = 1 - eccentricity^2
 
 
 def sign_normalized(conic: ConicCoeffs) -> ConicCoeffs:
@@ -99,20 +95,22 @@ def shape_geometry(c: Point, shape: tuple[float, float, float, float],
     """Axes of the ellipse (x - c)' S^-1 (x - c) = unit^2, `shape` being
     (Sxx, 2 Sxy, Syy, det S): the semi-axes^2 are unit^2 times S's
     eigenvalues lam+ = (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2)) / 2 and
-    det S / lam+, which does not cancel; the major axis is lam+'s eigenvector."""
+    det S / lam+, which does not cancel; the major axis is lam+'s eigenvector.
+    The axis ratio^2 det S / lam+^2 and the eccentricity are unit-scale values."""
     sxx, sxy2, syy, det = shape
     if not det > 0.0:
         raise InEllipseError("geometry() requires an ellipse")
     root = math.hypot(sxx - syy, sxy2)
     major_sq = 0.5 * (sxx + syy + root)
     minor_sq = det / major_sq
-    ecc = math.sqrt(max(1.0 - minor_sq / major_sq, 0.0))
+    ratio = minor_sq / major_sq
     half = 0.5 * (abs(sxx - syy) + root)
     v = (-0.5 * sxy2, -half) if syy >= sxx else (-half, -0.5 * sxy2)
     n = math.hypot(*v)  # 0 on a circle, where any direction qualifies
     direction = (v[0] / n, v[1] / n) if n > 0.0 else (1.0, 0.0)
     return EllipseGeometry(c, math.sqrt(major_sq) * unit,
-                           math.sqrt(minor_sq) * unit, ecc, direction)
+                           math.sqrt(minor_sq) * unit,
+                           math.sqrt(max(1.0 - ratio, 0.0)), direction, ratio)
 
 
 def geometry(conic: ConicCoeffs) -> EllipseGeometry:

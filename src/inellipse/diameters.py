@@ -97,7 +97,7 @@ def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
     diameters have squared length 2(a^2 + b^2).  Circles are rejected as
     every perpendicular pair would qualify.
     """
-    if geo.semi_minor / geo.semi_major > CIRCLE_CUTOFF:
+    if geo.axis_ratio_sq > CIRCLE_CUTOFF ** 2:
         raise IsCircle("equal conjugate diameters of a circle are ambiguous")
     ux, uy = geo.major_axis_direction
     vx, vy = -uy, ux

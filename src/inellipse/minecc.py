@@ -221,11 +221,22 @@ def alpha_root(s: float, v: float, w: float) -> float:
 
 
 class MinEccResult(NamedTuple):
-    r_star: float  # family parameter of the optimum, as `ellipse.param`
+    """The optimal member and its method; each number about it reads `ellipse`."""
+
     ellipse: InscribedEllipse
-    eccentricity: float
-    axis_ratio_sq: float
     method: str
+
+    @property
+    def r_star(self) -> float:
+        return self.ellipse.param
+
+    @property
+    def eccentricity(self) -> float:
+        return self.ellipse.geometry.eccentricity
+
+    @property
+    def axis_ratio_sq(self) -> float:
+        return self.ellipse.geometry.axis_ratio_sq
 
 
 class T3Report(NamedTuple):
@@ -236,7 +247,6 @@ class T3Report(NamedTuple):
     near_circle: bool
     parallel_margin: float
     length_margin: float
-    closed_form_len_sq: Optional[tuple[float, float]]
 
 
 def _t3_root(pen: _Pencil) -> float:
@@ -259,14 +269,11 @@ def _t3_root(pen: _Pencil) -> float:
 
 def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
     """The member at lam as a result, built as `inscribe` builds it from its
-    parameter, so that `inscribe(quad, r_star)` returns the same ellipse, and
-    its squared axis ratio 4 det S / (tr S + sqrt((Sxx - Syy)^2 + 4 Sxy^2))^2."""
+    parameter, so that `inscribe(quad, r_star)` returns the same ellipse."""
     wa, wb = lam * pen.b, (1.0 - lam) * pen.a
     r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
-    ie = _inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r)
-    sxx, sxy2, syy, det = ie.shape
-    ratio = 4.0 * det / (sxx + syy + math.hypot(sxx - syy, sxy2)) ** 2
-    return MinEccResult(ie.param, ie, math.sqrt(max(1.0 - ratio, 0.0)), ratio, method)
+    return MinEccResult(_inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r),
+                        method)
 
 
 def _numeric(pen: _Pencil) -> MinEccResult:
@@ -346,8 +353,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     4 |u|^2 det S / (u' adj(S) u), read from the result's own shape S at unit
     scale.  Near-circular optima (eccentricity below 1e-6) are reported as
     vacuously true with the `near_circle` flag, as equal conjugate diameters
-    degenerate there.  Closed-form optima repeat the lengths as
-    `closed_form_len_sq`."""
+    degenerate there."""
     if isinstance(quad, MinEccResult):
         res, quad = quad, quad.ellipse.quad
     else:
@@ -356,7 +362,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad, rep)
     if res.eccentricity < NEAR_CIRCLE_ECC:
-        return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0, None)
+        return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
 
     par_margin = t1_margin(quad, res.ellipse.conic)
     sxx, sxy2, syy, det = res.ellipse.shape
@@ -364,7 +370,5 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     unit = [4.0 * (x * x + y * y) * det / (syy * x * x - sxy2 * x * y + sxx * y * y)
             for x, y in ((x / d, y / d) for x, y in quad.diagonal_vectors())]
     len_margin = abs(unit[0] - unit[1]) / max(unit)
-    len1, len2 = lens = tuple(x * d * d for x in unit)
-    return T3Report(par_margin <= tol, len_margin <= tol, len1, len2, False,
-                    par_margin, len_margin,
-                    lens if res.method == "alpha_closed_form" else None)
+    return T3Report(par_margin <= tol, len_margin <= tol, unit[0] * d * d,
+                    unit[1] * d * d, False, par_margin, len_margin)

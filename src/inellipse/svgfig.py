@@ -50,14 +50,16 @@ class Figure:
             xs, ys = [0.0, 1.0], [0.0, 1.0]
         minx, maxx = min(xs), max(xs)
         miny, maxy = min(ys), max(ys)
-        span = max(maxx - minx, maxy - miny, 1e-9)
-        pad = 0.05 * span
-        scale = self.width / (span + 2.0 * pad)
-        height = int(round((maxy - miny + 2.0 * pad) * scale))
+        # offsets are divided by the span first, so no span's size overflows
+        span = max(maxx - minx, maxy - miny) or 1.0
+        pad = 0.05
+        scale = self.width / (1.0 + 2.0 * pad)
+        height = int(round(((maxy - miny) / span + 2.0 * pad) * scale))
         marker_r = 0.008 * self.width
 
         def to_px(p: Point) -> tuple[float, float]:
-            return ((p[0] - minx + pad) * scale, (maxy - p[1] + pad) * scale)
+            return (((p[0] - minx) / span + pad) * scale,
+                    ((maxy - p[1]) / span + pad) * scale)
 
         body = []
         for kind, attrs, pts in self._elements:

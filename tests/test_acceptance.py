@@ -19,7 +19,8 @@ from inellipse.diameters import (check_T2, conjugate_direction,
                                  slope_of, t1_margin, tangency_chords)
 from inellipse.family import inscribe, marden_foci, qst_conic
 from inellipse.minecc import (EccFunctional, G_value, alpha_coeffs, alpha_root,
-                              min_ecc, min_ecc_numeric, verify_T3)
+                              closed_form_diameter_len_sq, min_ecc,
+                              min_ecc_numeric, verify_T3)
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 from inellipse.conic import line_intersect
 
@@ -104,7 +105,9 @@ def test_criterion_04_golden_min_eccentricity():
         assert proportional(res.ellipse.conic, EXAMPLE_MIN_CONIC, 1e-9)
         rep = verify_T3(quad)
         assert abs(rep.len1_sq - rep.len2_sq) <= 1e-9 * rep.len1_sq
-        for val in (rep.len1_sq, rep.len2_sq, *rep.closed_form_len_sq):
+        # the example is its own (s,t,v,w) frame (8, 4, 6, 2)
+        closed = closed_form_diameter_len_sq(8.0, 6.0, 2.0, res.r_star)
+        for val in (rep.len1_sq, rep.len2_sq, *closed):
             assert abs(val - EXAMPLE_EQUAL_LEN_SQ) <= 1e-9 * EXAMPLE_EQUAL_LEN_SQ
         pair = equal_conjugate_diameters(res.ellipse.conic)
         assert abs(pair.len1_sq - EXAMPLE_EQUAL_LEN_SQ) <= 1e-9 * EXAMPLE_EQUAL_LEN_SQ
@@ -157,7 +160,8 @@ def test_criterion_06_property_t3():
             numeric = min_ecc_numeric(quad)
             assert abs(res.r_star - numeric.r_star) <= 1e-9
             rep = verify_T3(quad)
-            cf1, cf2 = rep.closed_form_len_sq
+            # the quad is its own shift-0 type-1 frame
+            cf1, cf2 = closed_form_diameter_len_sq(s, v, w, res.r_star)
             assert abs(rep.len1_sq - cf1) <= 1e-8 * cf1
             assert abs(rep.len2_sq - cf2) <= 1e-8 * cf2
 

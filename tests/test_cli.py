@@ -11,6 +11,7 @@ import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
+from inellipse.diameters import diameter_endpoints
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize
@@ -187,6 +188,25 @@ class TestEllipseBlock:
         assert doc["ellipse"]["coeff_scale"] == 1.0
         assert doc["ellipse"]["coefficients"] == list(ie.conic)
 
+    @pytest.mark.parametrize("vertices", [
+        EXAMPLE_VERTICES, [[0, 0], [0, 1], [1, 1], [1, 0]],
+        [[0, 0], [1, 1], [3, 2], [1, 0]], [[0, 0], [1, 0], [6, 1], [-5, 1]],
+        [[0, 0], [0, 1], [2, 0.80000001], [3, 0.2]],
+        [[0, 0], [1, 2], [4, 2], [3, 0]], [[0, 0], [0.5, 3], [4, 2], [2.75, 0]],
+        [[0, 0], [0, 1], [2, 3], [1, 0]], [[0, 0], [1, 0], [1.2, 1], [0.1, 0.8]]],
+        ids=["example", "square", "trapezoid", "leaning_trapezoid", "near_mdq",
+             "parallelogram", "type2", "generic", "generic_ci"])
+    def test_min_ecc_block_reads_the_ellipse(self, capsys, tmp_path, vertices):
+        # one value for each number about the optimum, to the last bit
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, doc = run_json(capsys, ["min-ecc", str(path)])
+        assert code == 0
+        block, ell = doc["min_ecc"], doc["ellipse"]
+        assert block["r_star"] == ell["param"]
+        assert block["eccentricity"] == ell["eccentricity"]
+        assert block["axis_ratio_sq"] == ell["axis_ratio_sq"]
+
 
 class TestMinEcc:
     def test_example(self, capsys, example_file):
@@ -223,8 +243,11 @@ class TestMinEcc:
         assert doc["min_ecc"]["method"] == "alpha_closed_form"
         assert doc["verification"]["t3_equal_lengths"] is True
         assert doc["ellipse"]["frame"] == "parallelogram"
-        cf = doc["verification"]["closed_form_len_sq"]
-        assert cf == pytest.approx(doc["verification"]["diameter_len_sq"], rel=1e-8)
+        conic = ConicCoeffs(*doc["ellipse"]["coefficients"])
+        quad = canonicalize(doc["classification"]["vertices"])
+        direct = [math.dist(*diameter_endpoints(conic, u)) ** 2
+                  for u in quad.diagonal_vectors()]
+        assert direct == pytest.approx(doc["verification"]["diameter_len_sq"], rel=1e-8)
 
     def test_s1s3_trapezoid(self, capsys, trapezoid_file):
         code, doc = run_json(capsys, ["min-ecc", trapezoid_file])

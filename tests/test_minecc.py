@@ -512,11 +512,13 @@ class TestVerifyT3:
     def test_lengths_match_the_conic_and_the_paper(self, example_quad):
         # verify_T3 reads its lengths from the result's shape S; two references
         # that do not: the conic's own diameter endpoints, and the paper's
-        # closed form in a shift-0 type-1 frame, over the frame's scale^2
+        # closed form in a shift-0 type-1 frame, over the frame's scale^2,
+        # which on a parallelogram takes the frame's r = (1 + v) / 2
         rng = np.random.default_rng(60)
-        quads = [example_quad] + [random_mdq_quad(rng, type1=bool(i % 2))
-                                  for i in range(100)]
-        paper = 0
+        quads = ([example_quad]
+                 + [random_mdq_quad(rng, type1=bool(i % 2)) for i in range(100)]
+                 + [random_parallelogram(rng) for _ in range(50)])
+        paper = parallelograms = 0
         for quad in quads:
             res = min_ecc(quad)
             rep = verify_T3(res)
@@ -526,22 +528,24 @@ class TestVerifyT3:
             for u, len_sq in zip(quad.diagonal_vectors(), lens):
                 p, q = diameter_endpoints(res.ellipse.conic, u)
                 assert math.dist(p, q) ** 2 == pytest.approx(len_sq, rel=1e-10)
-            fr = normalize_to_qstvw(quad)
-            if fr.shift == 0 and classify(quad).mdq_type1:
+            fr, cls = normalize_to_qstvw(quad), classify(quad)
+            if fr.shift == 0 and cls.mdq_type1:
                 paper += 1
-                closed = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, res.r_star)
+                parallelograms += cls.parallelogram
+                r = (1.0 + res.r_star) / 2.0 if cls.parallelogram else res.r_star
+                closed = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, r)
                 assert [x / fr.scale ** 2 for x in closed] == pytest.approx(
                     lens, rel=1e-12)
-        assert paper >= 40
+        assert paper >= 90 and parallelograms >= 45
 
     def test_example(self, example_quad):
         rep = verify_T3(example_quad)
         assert rep.parallel and rep.equal_len and not rep.near_circle
         assert rep.len1_sq == pytest.approx(EXAMPLE_EQUAL_LEN_SQ, rel=1e-9)
         assert rep.len2_sq == pytest.approx(EXAMPLE_EQUAL_LEN_SQ, rel=1e-9)
-        cf1, cf2 = rep.closed_form_len_sq
-        assert cf1 == pytest.approx(EXAMPLE_EQUAL_LEN_SQ, rel=1e-9)
-        assert cf2 == pytest.approx(EXAMPLE_EQUAL_LEN_SQ, rel=1e-9)
+        # the paper's closed form, the example being its own (s,t,v,w) frame
+        for len_sq in closed_form_diameter_len_sq(8.0, 6.0, 2.0, EXAMPLE_R_STAR):
+            assert len_sq == pytest.approx(EXAMPLE_EQUAL_LEN_SQ, rel=1e-9)
 
     def test_square_vacuous(self):
         rep = verify_T3(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
@@ -599,16 +603,3 @@ class TestVerifyT3:
             d1 = (dd.d1[1][0] - dd.d1[0][0], dd.d1[1][1] - dd.d1[0][1])
             nl = (dd.m2[0] - dd.m1[0], dd.m2[1] - dd.m1[1])
             assert parallel_margin(d1, nl) <= 1e-9
-
-    def test_closed_forms_match_direct_lengths(self):
-        # type-1 and type-2 MDQs, and parallelograms, whose closed form
-        # takes the frame's r = (1 + v)/2
-        rng = np.random.default_rng(56)
-        quads = ([frame_quad(*random_type1_frame(rng, min_ecc=1e-3)) for _ in range(50)]
-                 + [frame_quad(*random_type2_frame(rng)) for _ in range(50)]
-                 + [random_parallelogram(rng) for _ in range(50)])
-        for quad in quads:
-            rep = verify_T3(quad)
-            cf1, cf2 = rep.closed_form_len_sq
-            assert rep.len1_sq == pytest.approx(cf1, rel=1e-8)
-            assert rep.len2_sq == pytest.approx(cf2, rel=1e-8)

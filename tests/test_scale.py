@@ -10,6 +10,7 @@ coefficients overflows the float range, one `InEllipseError` is allowed.
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -101,6 +102,22 @@ class TestScaleAndTranslation:
             solved += 1
         assert solved >= 45
 
+    @pytest.mark.parametrize("vertices", [EXAMPLE_VERTICES, GENERIC],
+                             ids=["example", "generic"])
+    def test_member_axis_ratio_at_every_accepted_scale(self, vertices):
+        # read from the unit-scale shape, so no size of the quad rounds it,
+        # subnormal coordinates included
+        scales = []
+        for k, quad in accepted(vertices):
+            if conic_overflows(quad):
+                continue
+            ratio = inscribe(quad, 0.3).geometry.axis_ratio_sq
+            assert ratio == pytest.approx(
+                inscribe(unit_copy(quad, k), 0.3).geometry.axis_ratio_sq,
+                abs=1e-12), k
+            scales.append(k)
+        assert -320 in scales
+
     @pytest.mark.parametrize("shift", [1e8, 1e9])
     def test_moved_example_keeps_t3(self, shift):
         quad = canonicalize([(x + shift, y + shift) for x, y in EXAMPLE_VERTICES])
@@ -141,18 +158,23 @@ def run_cli(tmp_path, argv, vertices):
 
 _COMMANDS = [["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
              ["verify", "--theorem", "t1", "--trials", "2"],
-             ["verify", "--theorem", "t2", "--trials", "2"]]
+             ["verify", "--theorem", "t2", "--trials", "2"],
+             ["verify", "--theorem", "t3", "--trials", "2"]]
 
 
 class TestCliAtScale:
     @pytest.mark.parametrize("vertices", [EXAMPLE_VERTICES, GENERIC],
                              ids=["example", "generic"])
     def test_one_strict_line_or_one_error_line(self, tmp_path, vertices):
+        mdq = classify(canonicalize(vertices)).mdq
         for k, quad in accepted(vertices):
             for argv in _COMMANDS + [["plot", "--params", "0.3", "--out",
                                       str(tmp_path / "out.svg")]]:
                 code, out, err = run_cli(tmp_path, argv, scaled(vertices, k))
-                if conic_overflows(quad) and argv[0] != "classify":
+                # every command but classify builds a conic, except the t3
+                # trials, which solve only the moved copies of an MDQ
+                builds_conic = argv[0] != "classify" and (argv[2:3] != ["t3"] or mdq)
+                if conic_overflows(quad) and builds_conic:
                     assert (code, out) == (1, ""), (k, argv)
                     assert err.startswith("error: ") and err.count("\n") == 1
                     continue
@@ -160,6 +182,38 @@ class TestCliAtScale:
                 if argv[0] != "plot":
                     assert out.count("\n") == 1
                     json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("vertices", [EXAMPLE_VERTICES, GENERIC],
+                             ids=["example", "generic"])
+    def test_ellipse_axis_ratio_at_every_accepted_scale(self, tmp_path, vertices):
+        scales = []
+        for k, quad in accepted(vertices):
+            if conic_overflows(quad):
+                continue
+            unit = unit_copy(quad, k)
+            for argv, ref in ((["inscribe", "--param", "0.3"], inscribe(unit, 0.3)),
+                              (["min-ecc"], min_ecc(unit).ellipse)):
+                code, out, _ = run_cli(tmp_path, argv, scaled(vertices, k))
+                assert code == 0, (k, argv)
+                assert json.loads(out)["ellipse"]["axis_ratio_sq"] == pytest.approx(
+                    ref.geometry.axis_ratio_sq, abs=1e-12), (k, argv)
+            scales.append(k)
+        assert -320 in scales
+
+    def test_tiny_plot_matches_unit_scale(self, tmp_path):
+        # the figure is drawn in units of its own span: the worked example
+        # scaled by 1e-100 lands on the unit-scale pixels
+        svgs = []
+        for k in (0, -100):
+            out = tmp_path / f"plot{k}.svg"
+            code, _, err = run_cli(tmp_path, ["plot", "--params", "0.3", "--out",
+                                              str(out)], scaled(EXAMPLE_VERTICES, k))
+            assert (code, err) == (0, "")
+            svgs.append(out.read_text())
+        unit, tiny = ([float(x) for x in re.findall(r"-?\d+\.\d+", svg)]
+                      for svg in svgs)
+        assert len(tiny) == len(unit) > 500
+        assert max(abs(x - y) for x, y in zip(tiny, unit)) <= 1e-3
 
     @pytest.mark.parametrize("shift", [1e8, 1e9])
     def test_moved_example_report(self, tmp_path, shift):
