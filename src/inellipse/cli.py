@@ -162,7 +162,7 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
             math.sqrt(res.axis_ratio_sq))
         out["min_ecc"]["diagonal_angle"] = _smallest_angle(
             *quad.diagonal_vectors())
-    if rep.mdq or rep.parallelogram:
+    if rep.mdq:
         t3 = verify_T3(res)
         out["verification"] = {
             "t3_parallel": t3.parallel,
@@ -192,15 +192,13 @@ def _verify_t1_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
 
 
 def _t2_expected_chords(rep: ClassificationReport) -> tuple[set, set] | None:
-    """The tangency chords that T2 makes parallel to d1 and to d2, or None
-    when the classified quad is neither an MDQ nor a parallelogram."""
-    if rep.parallelogram:
-        return {"q1q2", "q3q4"}, {"q2q3", "q1q4"}
-    if rep.mdq_type1:
-        return set(), {"q2q3", "q1q4"}
-    if rep.mdq_type2:
-        return {"q1q2", "q3q4"}, set()
-    return None
+    """The tangency chords that T2 makes parallel to d1 and to d2: those of
+    type 2 and those of type 1 (both on a parallelogram), or None when the
+    classified quad is not an MDQ."""
+    if not rep.mdq:
+        return None
+    return ({"q1q2", "q3q4"} if rep.mdq_type2 else set(),
+            {"q2q3", "q1q4"} if rep.mdq_type1 else set())
 
 
 def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
@@ -219,13 +217,17 @@ def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
 
 
 def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
-    """`quad` rotated, scaled by 0.3 to 3 and moved by up to 5 of its diameters."""
+    """`quad` rotated and scaled by 0.3 to 3 about A1, with A1 moved to within
+    5 diameters of the origin: built from the edges out of A1, so that the
+    copy carries rounding at the quad's scale, wherever the quad lies."""
     angle = rng.uniform(0.0, 2.0 * math.pi)
     k = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
     d = quad.diameter()
     tx, ty = rng.uniform(-5.0, 5.0) * d, rng.uniform(-5.0, 5.0) * d
     c, s = math.cos(angle) * k, math.sin(angle) * k
-    return canonicalize([(c * x - s * y + tx, s * x + c * y + ty)
+    ox, oy = quad.a1
+    return canonicalize([(c * (x - ox) - s * (y - oy) + tx,
+                          s * (x - ox) + c * (y - oy) + ty)
                          for x, y in quad.vertices])
 
 
@@ -234,7 +236,7 @@ def _verify_t3_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
     # the quad's own report says nothing of the moved quad's class
     moved = _similar_quad(quad, rng)
     moved_rep = classify(moved, tol)
-    if not (moved_rep.mdq or moved_rep.parallelogram):
+    if not moved_rep.mdq:
         return {"margin": None, "passed": False, "reason": "not an MDQ"}
     t3 = verify_T3(min_ecc(moved, moved_rep), tol=max(tol, 1e-7))
     margin = max(t3.parallel_margin, t3.length_margin)
@@ -283,7 +285,7 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
         fig.add_ellipse(ie.geometry)
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
-    if rep.mdq or rep.parallelogram:
+    if rep.mdq:
         try:
             pair = equal_diameter_pair(min_ecc(quad, rep).ellipse.geometry)
             style = "stroke:#9467bd;stroke-width:1.5"

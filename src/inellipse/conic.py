@@ -143,12 +143,11 @@ def gradient(conic: ConicCoeffs, p: Point) -> Direction:
     return (2.0 * a * x + b * y + d, b * x + 2.0 * c * y + e)
 
 
-def line_intersect(conic: ConicCoeffs, p0: Point, direction: Direction,
-                   tol: float = TANGENT_TOL) -> list[Point]:
+def line_intersect(conic: ConicCoeffs, p0: Point, direction: Direction) -> list[Point]:
     """Real intersections of the parametric line p0 + t*direction with the conic.
 
     Substituting the line into the conic gives a quadratic in t.  A
-    discriminant within `tol` of zero (relative to the quadratic's scale)
+    discriminant within TANGENT_TOL of zero (relative to the quadratic's scale)
     is treated as a double root and yields a single point; for an ellipse
     a singleton result therefore means the line is tangent.
     """
@@ -169,7 +168,7 @@ def line_intersect(conic: ConicCoeffs, p0: Point, direction: Direction,
         t = -qc / qb
         return [(x0 + t * dx, y0 + t * dy)]
     disc = qb * qb - 4.0 * qa * qc
-    if abs(disc) <= tol * scale_sq:
+    if abs(disc) <= TANGENT_TOL * scale_sq:
         t = -qb / (2.0 * qa)
         return [(x0 + t * dx, y0 + t * dy)]
     if disc < 0.0:

@@ -2,11 +2,12 @@
 
 The ellipses inscribed in a convex quad A1A2A3A4 are the line conics
 C*(lam) = lam (A1 A3' + A3 A1') + (1 - lam) (A2 A4' + A4 A2'), lam in (0, 1),
-A_i = (x_i, y_i, 1).  `inscribe` builds each member from the quad's own
-vertices, about the diagonal intersection P = A1 + a D u1 = A2 + b D u2 of
-the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the quad's diameter,
-with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2 (p = 1/2 - a,
-q = 1/2 - b).  The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
+A_i = (x_i, y_i, 1).  `inscribe` builds each member from the quad's
+`quad.diagonals`, about the diagonal intersection P = A1 + a D u1 =
+A2 + b D u2 of the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the
+quad's diameter, with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2
+(p = `off1` = 1/2 - a, q = `off2` = 1/2 - b, both 0 on a parallelogram).
+The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
 centre c = lam M1 + mu M2 (mu = 1 - lam) and shape
 
     S = (lam^2 p^2 + lam a(1-a)) u1u1' + (mu^2 q^2 + mu b(1-b)) u2u2'
@@ -36,14 +37,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
                     shape_geometry)
 from .errors import (CollinearTriangle, InEllipseError, NonPositiveWeights,
                      ParamOutOfRegion)
-from .quad import (Quadrilateral, _midpoint, _midpoints_meet, _unit_sub,
-                   check_qstvw_region, in_region_g)
+from .quad import (DiagonalData, Quadrilateral, check_qstvw_region, diagonals,
+                   in_region_g)
 
 #: margin keeping family parameters strictly inside their open interval
 J_MARGIN = 1e-9
@@ -184,43 +184,13 @@ def qstvw_tangency(s: float, t: float, v: float, w: float,
     On S4 this is the paper's (q, (w/v)q), q = svr/((s - f2)r + f2)."""
     check_qstvw_region(s, t, v, w)
     check_unit_interval(r, "r")
-    pen = _pencil(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
-    return _pencil_contacts(pen, r, *_weights(pen, r))
+    dd = diagonals(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
+    return _pencil_contacts(dd, r, *_weights(dd, r))
 
 
-class _Pencil(NamedTuple):
-    """A quad's dual pencil about its diagonal intersection P, at unit scale."""
-
-    quad: Quadrilateral
-    origin: Point  # P = A1 + a D u1 = A2 + b D u2
-    unit: float  # D, the quad's diameter
-    u1: Point  # (A3 - A1) / D
-    u2: Point  # (A4 - A2) / D
-    a: float
-    b: float
-    p: float  # M1 = P + D p u1; 0 on a parallelogram
-    q: float  # M2 = P + D q u2; 0 on a parallelogram
-    parallelogram: bool
-
-
-def _pencil(quad: Quadrilateral) -> _Pencil:
-    """The pencil of `quad`.  On a parallelogram (`classify`'s predicate, which
-    also decides the v = 2r - 1 relabel) M1 and M2 are snapped together: the
-    rounding residue of M1 - M2 on S's lam^2 terms would hide G's maximum."""
-    a1, a2, a3, a4 = quad.vertices
-    d = quad.diameter()
-    u1, u2, (ex, ey) = _unit_sub(a3, a1, d), _unit_sub(a4, a2, d), _unit_sub(a2, a1, d)
-    cross = u1[0] * u2[1] - u1[1] * u2[0]
-    a, b = (ex * u2[1] - ey * u2[0]) / cross, (ex * u1[1] - ey * u1[0]) / cross
-    par = _midpoints_meet(_midpoint(a1, a3), _midpoint(a2, a4), d)
-    p, q = (0.0, 0.0) if par else (0.5 - a, 0.5 - b)
-    return _Pencil(quad, (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1])),
-                   d, u1, u2, a, b, p, q, par)
-
-
-def _weights(pen: _Pencil, r: float) -> tuple[float, float]:
+def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
     """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
-    wa, wb = pen.a * (1.0 - r), pen.b * r
+    wa, wb = dd.a * (1.0 - r), dd.b * r
     return wa / (wa + wb), wb / (wa + wb)
 
 
@@ -228,43 +198,45 @@ def _along(p: Point, q: Point, f: float) -> Point:
     return (p[0] + f * (q[0] - p[0]), p[1] + f * (q[1] - p[1]))
 
 
-def _pencil_contacts(pen: _Pencil, r: float, lam: float,
+def _pencil_contacts(dd: DiagonalData, r: float, lam: float,
                      mu: float) -> tuple[Point, Point, Point, Point]:
     """Contacts C*(lam) l_i on S1..S4: each side's two vertices weighted lam b
     and mu a on S1 (the fraction r), lam b and mu (1 - a) on S2, lam (1 - b)
     and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3."""
-    a1, a2, a3, a4 = pen.quad.vertices
-    lb, lb1 = lam * pen.b, lam * (1.0 - pen.b)
-    ma, ma1 = mu * pen.a, mu * (1.0 - pen.a)
+    (a1, a3), (a2, a4) = dd.d1, dd.d2
+    lb, lb1 = lam * dd.b, lam * (1.0 - dd.b)
+    ma, ma1 = mu * dd.a, mu * (1.0 - dd.a)
     return (_along(a1, a2, r), _along(a2, a3, lb / (lb + ma1)),
             _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
 
 
-def _inscribed(pen: _Pencil, r: float, param: float) -> InscribedEllipse:
-    """The member touching S1 at the fraction r along A1->A2, named `param`:
-    c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2' + f12 (u1u2' +
-    u2u1') with f1 = lam (lam p^2 + a(1-a)), f2 = mu (mu q^2 + b(1-b)),
-    f12 = lam mu p q, det S as a product, and the conic (x - c)' adj(S)
-    (x - c) = D^2 det S, which raises where a coefficient is not finite."""
-    lam, mu = _weights(pen, r)
-    p, q, al, be = pen.p, pen.q, pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    (x1, y1), (x2, y2), d = pen.u1, pen.u2, pen.unit
+def _inscribed(quad: Quadrilateral, dd: DiagonalData, r: float,
+               param: float) -> InscribedEllipse:
+    """The member of `quad`'s pencil, about its `diagonals` dd, touching S1 at
+    the fraction r along A1->A2, named `param`: c = P + D (lam p u1 + mu q
+    u2), S = f1 u1u1' + f2 u2u2' + f12 (u1u2' + u2u1') with f1 = lam (lam p^2
+    + a(1-a)), f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p, q the offsets
+    off1, off2), det S as a product, and the conic (x - c)' adj(S) (x - c) =
+    D^2 det S, which raises where a coefficient is not finite."""
+    lam, mu = _weights(dd, r)
+    p, q, al, be = dd.off1, dd.off2, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    (x1, y1), (x2, y2), d = dd.u1, dd.u2, quad.diameter()
     f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
     sxx = f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2
     sxy2 = 2.0 * (f1 * x1 * y1 + f2 * x2 * y2 + f12 * (x1 * y2 + y1 * x2))
     syy = f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2
     det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
            * (x1 * y2 - y1 * x2) ** 2)
-    cx = pen.origin[0] + d * (lam * p * x1 + mu * q * x2)
-    cy = pen.origin[1] + d * (lam * p * y1 + mu * q * y2)
+    cx = dd.p[0] + d * (lam * p * x1 + mu * q * x2)
+    cy = dd.p[1] + d * (lam * p * y1 + mu * q * y2)
     coeffs = (syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
               syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det * (d * d))
     if not all(map(math.isfinite, coeffs)):
         raise InEllipseError("conic coefficients overflow the float range")
     return InscribedEllipse(scale_normalized(ConicCoeffs(*coeffs)), param,
-                            _pencil_contacts(pen, r, lam, mu),
-                            "parallelogram" if pen.parallelogram else "qstvw",
-                            pen.quad, (cx, cy), (sxx, sxy2, syy, det))
+                            _pencil_contacts(dd, r, lam, mu),
+                            "parallelogram" if dd.newton_line is None else "qstvw",
+                            quad, (cx, cy), (sxx, sxy2, syy, det))
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -274,10 +246,11 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     touches S1, except on a parallelogram, whose parameter is v = 2r - 1
     in (-1,1), so that v = 0 touches the side midpoints.
     """
-    pen = _pencil(quad)
-    r = (1.0 + param) / 2.0 if pen.parallelogram else param
-    check_unit_interval(r, "(1 + v) / 2" if pen.parallelogram else "param")
-    return _inscribed(pen, r, param)
+    dd = diagonals(quad)
+    par = dd.newton_line is None
+    r = (1.0 + param) / 2.0 if par else param
+    check_unit_interval(r, "(1 + v) / 2" if par else "param")
+    return _inscribed(quad, dd, r, param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

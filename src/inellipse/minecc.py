@@ -9,9 +9,10 @@ points are the roots of one quartic, det' tr - 2 det tr', with no square
 root and no cusp at a circle.  One solver isolates its real roots in
 plain floats (`_real_roots`) and compares H at each.  An MDQ's optimum is
 the member whose diagonal-parallel diameters are equal (the paper's T3),
-the root of a quadratic in lam.  The paper's (s,t,v,w) formulas
-(`EccFunctional`, `G_value`, `N_factorization`, `alpha_root`) stay as
-cross-checks, which no solver calls.
+the root of a quadratic in lam.  Both read the pencil from the quad's
+`DiagonalData` (a `classify` report's, when one is given).  The paper's
+(s,t,v,w) formulas (`EccFunctional`, `G_value`, `N_factorization`,
+`alpha_root`) stay as cross-checks, which no solver calls.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import NamedTuple, Optional
 from .diameters import t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
-                     qstvw_coeff_polys, _Pencil, _horner, _inscribed, _pencil)
-from .quad import (ClassificationReport, Quadrilateral, check_qstvw_region,
-                   classify, f_values)
+                     qstvw_coeff_polys, _horner, _inscribed)
+from .quad import (ClassificationReport, DiagonalData, Quadrilateral,
+                   check_qstvw_region, classify, diagonals, f_values)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -249,42 +250,44 @@ class T3Report(NamedTuple):
     length_margin: float
 
 
-def _t3_root(pen: _Pencil) -> float:
+def _t3_root(dd: DiagonalData) -> float:
     """The lam in (0,1) whose member has equal diameters parallel to the
     two diagonals (T3): the closed-form optimum of an MDQ.
 
     The lengths 4|u|^2 det S / (u' adj(S) u) are equal where
     |u1|^2 k1 = |u2|^2 k2, with k1 = lam (lam p^2 + a(1-a)) and
-    k2 = mu (mu q^2 + b(1-b)) the diagonal of S in the basis u1, u2: a
-    quadratic in lam, -|u2|^2/4 at 0 and |u1|^2/4 at 1, with one root between.
+    k2 = mu (mu q^2 + b(1-b)) (p, q the midpoint offsets) the diagonal of S
+    in the basis u1, u2: a quadratic in lam, -|u2|^2/4 at 0 and |u1|^2/4 at
+    1, with one root between.
     """
-    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    (x1, y1), (x2, y2) = dd.u1, dd.u2
     n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    pp, qq = pen.p * pen.p, pen.q * pen.q
+    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    pp, qq = dd.off1 * dd.off1, dd.off2 * dd.off2
     c2, c1, c0 = n1 * pp - n2 * qq, n1 * al + n2 * (2.0 * qq + be), n2 * (qq + be)
     # c2 lam^2 + c1 lam - c0 with c1, c0 > 0: the root that does not cancel
     return 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 + 4.0 * c2 * c0, 0.0)))
 
 
-def _optimum(pen: _Pencil, lam: float, method: str) -> MinEccResult:
+def _optimum(quad: Quadrilateral, dd: DiagonalData, lam: float,
+             method: str) -> MinEccResult:
     """The member at lam as a result, built as `inscribe` builds it from its
     parameter, so that `inscribe(quad, r_star)` returns the same ellipse."""
-    wa, wb = lam * pen.b, (1.0 - lam) * pen.a
+    wa, wb = lam * dd.b, (1.0 - lam) * dd.a
     r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
-    return MinEccResult(_inscribed(pen, r, 2.0 * r - 1.0 if pen.parallelogram else r),
-                        method)
+    param = 2.0 * r - 1.0 if dd.newton_line is None else r
+    return MinEccResult(_inscribed(quad, dd, r, param), method)
 
 
-def _numeric(pen: _Pencil) -> MinEccResult:
+def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     """The member maximizing H = det S / (tr S)^2, which rises with the
     squared axis ratio k as k / (1 + k)^2: the best root in J of H's
     critical quartic det' tr - 2 det tr', det S taken over (u1 x u2)^2 as
     lam (1 - lam) (l0 + l1 lam), a product with no cancellation."""
-    (x1, y1), (x2, y2) = pen.u1, pen.u2
+    (x1, y1), (x2, y2) = dd.u1, dd.u2
     n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
-    al, be = pen.a * (1.0 - pen.a), pen.b * (1.0 - pen.b)
-    pp, qq, pq = pen.p * pen.p, pen.q * pen.q, pen.p * pen.q
+    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    pp, qq, pq = dd.off1 * dd.off1, dd.off2 * dd.off2, dd.off1 * dd.off2
     l0, l1 = al * (qq + be), pp * be - qq * al
     # tr S = f1 |u1|^2 + f2 |u2|^2 + 2 f12 u1.u2, `_inscribed`'s weights expanded
     tr = (n2 * (qq + be), n1 * al - n2 * (2.0 * qq + be) + 2.0 * c * pq,
@@ -297,7 +300,7 @@ def _numeric(pen: _Pencil) -> MinEccResult:
         raise NoRootInJ("no critical point of H found in the open interval")
     lam = max(roots, key=lambda x: x * (1.0 - x) * (l0 + l1 * x)
               / _horner(tr, x) ** 2)
-    return _optimum(pen, lam, "quartic_numeric")
+    return _optimum(quad, dd, lam, "quartic_numeric")
 
 
 def min_ecc(quad: Quadrilateral,
@@ -311,20 +314,20 @@ def min_ecc(quad: Quadrilateral,
     The method is chosen from `report`, the quad's `classify` report, so a
     caller that classified the quad at its own tolerance gets the method
     that report names; without one the quad is classified at the default
-    tolerance."""
+    tolerance.  The pencil is the report's `diagonals`."""
     rep = classify(quad) if report is None else report
-    pen = _pencil(quad)
+    dd = rep.diagonals
     if rep.tangential or rep.mdq:
-        return _optimum(pen, _t3_root(pen),
+        return _optimum(quad, dd, _t3_root(dd),
                         "incircle" if rep.tangential else "alpha_closed_form")
-    return _numeric(pen)
+    return _numeric(quad, dd)
 
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver, independent of the closed form
     and valid on every class: H = det S / (tr S)^2 compared at every root
     in (0,1) of its critical quartic, isolated on monotone brackets."""
-    return _numeric(_pencil(quad))
+    return _numeric(quad, diagonals(quad))
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,
@@ -358,7 +361,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         res, quad = quad, quad.ellipse.quad
     else:
         rep = classify(quad)
-        if not (rep.mdq or rep.parallelogram):
+        if not rep.mdq:
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad, rep)
     if res.eccentricity < NEAR_CIRCLE_ECC:

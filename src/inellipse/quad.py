@@ -9,7 +9,14 @@ S4 = A4A1 and side lengths are measured as
 
 Diagonals are D1 = A1A3 and D2 = A2A4.  A midpoint diagonal quadrilateral
 (MDQ) has its diagonal intersection at the midpoint of at least one
-diagonal: type 1 bisects D2, type 2 bisects D1.
+diagonal: type 1 bisects D2, type 2 bisects D1.  A parallelogram, whose
+diagonals bisect one another, is both: `classify` reports `parallelogram`
+exactly when it reports both types.  `diagonals` is the one place that
+decides where the diagonals meet; its `DiagonalData` carries, besides the
+segments, M1, M2, P and the Newton line M1M2, the unit-scale directions
+u1 = (A3 - A1) / D, u2 = (A4 - A2) / D (D the diameter), the fractions
+P = A1 + a D u1 = A2 + b D u2, and the midpoint offsets off1, off2 with
+M1 = P + D off1 u1, M2 = P + D off2 u2.
 """
 
 from __future__ import annotations
@@ -106,6 +113,12 @@ class DiagonalData(NamedTuple):
     m2: Point
     p: Point
     newton_line: Optional[tuple[Point, Point]]  # None for parallelograms
+    u1: Point  # (A3 - A1) / D
+    u2: Point  # (A4 - A2) / D
+    a: float  # P = A1 + a D u1
+    b: float  # P = A2 + b D u2
+    off1: float  # M1 = P + D off1 u1; 0 on a parallelogram
+    off2: float  # M2 = P + D off2 u2; 0 on a parallelogram
 
 
 class ClassificationReport(NamedTuple):
@@ -186,24 +199,28 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     return Quadrilateral(tuple(ordered))
 
 
+def _bisects(frac: float, u: Point, tol: float) -> bool:
+    """Whether P, at `frac` along the diagonal D u, is its midpoint within
+    `tol`: |P - M| / D = |1/2 - frac| |u|."""
+    return abs(0.5 - frac) * math.hypot(*u) <= tol
+
+
 def diagonals(quad: Quadrilateral) -> DiagonalData:
-    """Diagonal segments, their midpoints, intersection and Newton line."""
+    """The quad's `DiagonalData`.  On a parallelogram (both diagonals bisected
+    at CLASSIFY_TOL) the Newton line is None and the offsets are snapped to
+    0: the residue of M1 - M2 would hide the maximum of the pencil's axis
+    ratio."""
     a1, a2, a3, a4 = quad.vertices
-    diam = quad.diameter()
-    m1 = _midpoint(a1, a3)
-    m2 = _midpoint(a2, a4)
-    v = _unit_sub(a4, a2, diam)
-    alpha = _cross(_unit_sub(a2, a1, diam), v) / _cross(_unit_sub(a3, a1, diam), v)
-    p = (a1[0] + alpha * (a3[0] - a1[0]), a1[1] + alpha * (a3[1] - a1[1]))
-    newton = None if _dist(m1, m2) <= 1e-14 * diam else (m1, m2)
-    return DiagonalData((a1, a3), (a2, a4), m1, m2, p, newton)
-
-
-def _midpoints_meet(m1: Point, m2: Point, diam: float,
-                    tol: float = CLASSIFY_TOL) -> bool:
-    """The parallelogram predicate: the diagonal midpoints M1, M2 coincide
-    within `tol` of the diameter."""
-    return _dist(m1, m2) <= tol * diam
+    d = quad.diameter()
+    u1, u2, e = _unit_sub(a3, a1, d), _unit_sub(a4, a2, d), _unit_sub(a2, a1, d)
+    cross = _cross(u1, u2)
+    a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
+    m1, m2 = _midpoint(a1, a3), _midpoint(a2, a4)
+    p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
+    if _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL):
+        return DiagonalData((a1, a3), (a2, a4), m1, m2, p, None, u1, u2, a, b, 0.0, 0.0)
+    return DiagonalData((a1, a3), (a2, a4), m1, m2, p, (m1, m2), u1, u2, a, b,
+                        0.5 - a, 0.5 - b)
 
 
 def _parallel(u: Point, v: Point, tol: float) -> bool:
@@ -218,24 +235,22 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     perim = a + b + c + d
     dd = diagonals(quad)
 
-    mdq1 = _dist(dd.p, dd.m2) <= tol * diam
-    mdq2 = _dist(dd.p, dd.m1) <= tol * diam
-    parallelogram = _midpoints_meet(dd.m1, dd.m2, diam, tol)
+    mdq1, mdq2 = _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
     s1, s2 = _unit_sub(a2, a1, diam), _unit_sub(a3, a2, diam)
     s3, s4 = _unit_sub(a4, a3, diam), _unit_sub(a1, a4, diam)
     trapezoid = _parallel(s1, s3, tol) or _parallel(s2, s4, tol)
     tangential = abs(a + c - (b + d)) <= tol * perim
-    u, v = _unit_sub(a3, a1, diam), _unit_sub(a4, a2, diam)
+    u, v = dd.u1, dd.u2
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))
-    return ClassificationReport(True, parallelogram, trapezoid, tangential,
+    return ClassificationReport(True, mdq1 and mdq2, trapezoid, tangential,
                                 orthodiagonal, kite, mdq1, mdq2, (a, b, c, d), dd)
 
 
-def in_region_g(s: float, t: float, tol: float = CLASSIFY_TOL) -> bool:
+def in_region_g(s: float, t: float) -> bool:
     """Membership in the parameter region {s,t > 0, s+t > 1, s != 1}."""
-    return s > 0.0 and t > 0.0 and s + t > 1.0 and abs(s - 1.0) > tol
+    return s > 0.0 and t > 0.0 and s + t > 1.0 and abs(s - 1.0) > CLASSIFY_TOL
 
 
 def f_values(s: float, t: float, v: float, w: float) -> tuple[float, float, float]:

@@ -9,13 +9,14 @@ from .conic import EllipseGeometry, Point
 
 #: number of polyline segments used to approximate an ellipse
 ELLIPSE_SEGMENTS = 256
+#: width of the figure in pixels; its height follows the drawing's aspect
+WIDTH = 640
 
 
 class Figure:
     """Collects geometric elements and renders them as a standalone SVG."""
 
-    def __init__(self, width: int = 640):
-        self.width = width
+    def __init__(self):
         self._elements: list[tuple[str, dict, list[Point]]] = []
 
     def add_polygon(self, pts: Iterable[Point], cls: str, style: str) -> None:
@@ -30,8 +31,7 @@ class Figure:
     def add_marker(self, p: Point, cls: str, style: str) -> None:
         self._elements.append(("circle", {"class": cls, "style": style}, [p]))
 
-    def add_ellipse(self, geo: EllipseGeometry, cls: str = "ellipse",
-                    style: str = "fill:none;stroke:#1f77b4;stroke-width:1.5") -> None:
+    def add_ellipse(self, geo: EllipseGeometry) -> None:
         ux, uy = geo.major_axis_direction
         vx, vy = -uy, ux
         cx, cy = geo.center
@@ -41,7 +41,7 @@ class Figure:
             ca, sa = math.cos(th), math.sin(th)
             pts.append((cx + geo.semi_major * ca * ux + geo.semi_minor * sa * vx,
                         cy + geo.semi_major * ca * uy + geo.semi_minor * sa * vy))
-        self.add_polyline(pts, cls, style)
+        self.add_polyline(pts, "ellipse", "fill:none;stroke:#1f77b4;stroke-width:1.5")
 
     def render(self) -> str:
         xs = [p[0] for _, _, pts in self._elements for p in pts]
@@ -53,9 +53,9 @@ class Figure:
         # offsets are divided by the span first, so no span's size overflows
         span = max(maxx - minx, maxy - miny) or 1.0
         pad = 0.05
-        scale = self.width / (1.0 + 2.0 * pad)
+        scale = WIDTH / (1.0 + 2.0 * pad)
         height = int(round(((maxy - miny) / span + 2.0 * pad) * scale))
-        marker_r = 0.008 * self.width
+        marker_r = 0.008 * WIDTH
 
         def to_px(p: Point) -> tuple[float, float]:
             return (((p[0] - minx) / span + pad) * scale,
@@ -77,6 +77,6 @@ class Figure:
                             f'r="{marker_r:.3f}" />')
         return ("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
                 f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                f'width="{self.width}" height="{height}" '
-                f'viewBox="0 0 {self.width} {height}">\n'
+                f'width="{WIDTH}" height="{height}" '
+                f'viewBox="0 0 {WIDTH} {height}">\n'
                 + "\n".join(body) + "\n</svg>\n")

@@ -488,6 +488,18 @@ class TestVerify:
                                       example_file])
         assert doc["passes"] == 5
 
+    def test_t3_on_a_kite_far_from_the_origin(self, capsys, tmp_path):
+        # the kite (0, 0), (-1, 2), (0, 5), (1, 2) moved by (1e8, 1e8): each
+        # trial's copy is built from the edges out of A1, so the rounding of
+        # coordinates near 1e8 cannot undo its MDQ classification
+        path = tmp_path / "far_kite.json"
+        path.write_text(json.dumps({"vertices": [
+            [1e8, 1e8], [1e8 - 1, 1e8 + 2], [1e8, 1e8 + 5], [1e8 + 1, 1e8 + 2]]}))
+        code, doc = run_json(capsys, ["verify", "--theorem", "t3",
+                                      "--trials", "6", str(path)])
+        assert code == 0
+        assert doc["passes"] == 6
+
     def test_t2_classifies_once_per_command(self, capsys, example_file,
                                             call_counts):
         # one classify in each trial's inscribe, one for the expected chords
