@@ -12,9 +12,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 any other library error (`InEllipseError`), 2
 parse error (including input that is not UTF-8 JSON, a non-numeric
-`--params` entry and `--trials` below 1), 3 non-convex input, 4 parameter
-out of range, 5 unwritable output path.  A failure prints one
-`error: ...` line on stderr and nothing on stdout.
+`--params` entry, `--trials` below 1, a negative `--seed` and a `--tol`
+that is not finite or is negative), 3 non-convex input, 4 parameter out of
+range, 5 unwritable output path.  A failure prints one `error: ...` line
+on stderr and nothing on stdout.
 
 `main(argv)` is the in-process entry point and the one path every command
 takes: it loads the document, classifies the quad once at the global
@@ -32,6 +33,7 @@ import argparse
 import functools
 import json
 import math
+import random
 import sys
 
 from .affine import normalize_to_qstvw
@@ -247,11 +249,11 @@ def cmd_verify(quad: Quadrilateral, rep: ClassificationReport,
                args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise _CliError(EXIT_PARSE, "--trials must be >= 1")
-    import numpy as np  # for the seeded streams; no other command needs it
-
+    if args.seed < 0:
+        raise _CliError(EXIT_PARSE, "--seed must be >= 0")
     runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
               "t3": _verify_t3_trial}[args.theorem]
-    results = [runner(quad, rep, np.random.default_rng(args.seed + i), args.tol)
+    results = [runner(quad, rep, random.Random(args.seed + i), args.tol)
                for i in range(args.trials)]
     margins = [r["margin"] for r in results if r["margin"] is not None]
     return {
@@ -349,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
                "min-ecc": cmd_min_ecc, "verify": cmd_verify,
                "plot": cmd_plot}[args.command]
     try:
+        if not 0.0 <= args.tol < math.inf:
+            raise _CliError(EXIT_PARSE, "--tol must be finite and >= 0")
         quad, label = _load_document(args.input)
         out = command(quad, classify(quad, args.tol), args)
     except _CliError as exc:

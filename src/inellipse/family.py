@@ -170,7 +170,7 @@ def qstvw_conic(s: float, t: float, v: float, w: float, r: float) -> ConicCoeffs
 
 
 def _horner(coeffs, x):
-    """Ascending coefficients evaluated at x (a float or a numpy array)."""
+    """Ascending coefficients evaluated at x (a float, or an array with + and *)."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c

@@ -122,9 +122,8 @@ class EccFunctional:
 
     def g(self, r):
         """Squared axis ratio (b/a)^2 of the member at r (float or array)."""
-        import numpy as np
-        o = self.o(r)
-        m = np.sqrt(np.maximum(self.m(r), 0.0))
+        o, m = self.o(r), self.m(r)
+        m = (0.5 * (m + abs(m))) ** 0.5  # the root of max(m, 0)
         return (o - m) / (o + m)
 
 

@@ -223,24 +223,20 @@ def diagonals(quad: Quadrilateral) -> DiagonalData:
                         0.5 - a, 0.5 - b)
 
 
-def _parallel(u: Point, v: Point, tol: float) -> bool:
-    return abs(_cross(u, v)) <= tol * math.hypot(*u) * math.hypot(*v)
-
-
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
     """Evaluate all classification predicates at relative tolerance `tol`."""
-    a1, a2, a3, a4 = quad.vertices
     diam = quad.diameter()
     a, b, c, d = quad.side_lengths()
     perim = a + b + c + d
     dd = diagonals(quad)
 
     mdq1, mdq2 = _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
-    s1, s2 = _unit_sub(a2, a1, diam), _unit_sub(a3, a2, diam)
-    s3, s4 = _unit_sub(a4, a3, diam), _unit_sub(a1, a4, diam)
-    trapezoid = _parallel(s1, s3, tol) or _parallel(s2, s4, tol)
-    tangential = abs(a + c - (b + d)) <= tol * perim
     u, v = dd.u1, dd.u2
+    # |S1 x S3| = D^2 |dd.a - dd.b| |u x v|, |S2 x S4| = D^2 |dd.a + dd.b - 1| |u x v|
+    cross = abs(_cross(u, v))
+    trapezoid = (abs(dd.a - dd.b) * cross <= tol * (b / diam) * (d / diam)
+                 or abs(dd.a + dd.b - 1.0) * cross <= tol * (c / diam) * (a / diam))
+    tangential = abs(a + c - (b + d)) <= tol * perim
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))

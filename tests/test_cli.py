@@ -369,6 +369,22 @@ class TestMainPath:
         assert captured.out == ""
         assert captured.err == "error: --trials must be >= 1\n"
 
+    def test_negative_seed_exit_2(self, capsys, example_file):
+        # a negative seed would silently reuse the stream of its absolute value
+        assert main(["verify", "--theorem", "t2", "--seed", "-1",
+                     example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_2(self, capsys, example_file, tol):
+        # nan and -1 would clear every flag, inf would set every flag
+        assert main(["--tol", tol, "min-ecc", example_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol must be finite and >= 0\n"
+
     def test_plot_param_out_of_range_exit_4(self, capsys, tmp_path,
                                             example_file):
         out = tmp_path / "fig.svg"
@@ -443,17 +459,20 @@ class TestOutput:
 
 class TestImport:
     @staticmethod
-    def _loaded_after(statement: str, module: str) -> bool:
-        """Whether `module` is in sys.modules after `statement` runs in a
-        fresh interpreter that imports this checkout's package."""
+    def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+        """Run `code` in a fresh interpreter that imports this checkout's
+        package."""
         src = os.path.dirname(os.path.dirname(inellipse.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; {statement}; print({module!r} in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        return out.strip() == "True"
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              env=env, capture_output=True, text=True)
+
+    def _loaded_after(self, statement: str, module: str) -> bool:
+        """Whether `module` is in sys.modules after `statement` runs."""
+        done = self._python(f"import sys; {statement}; print({module!r} in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip() == "True"
 
     def test_cli_does_not_load_test_generators(self):
         assert not self._loaded_after("import inellipse.cli", "inellipse.sampling")
@@ -461,8 +480,25 @@ class TestImport:
     @pytest.mark.parametrize("statement", ["import inellipse",
                                            "import inellipse.cli"])
     def test_numpy_is_not_loaded(self, statement):
-        # only `verify` and the frame cross-check `EccFunctional.g` use it
+        # the package depends on the standard library alone
         assert not self._loaded_after(statement, "numpy")
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
+        ["verify", "--theorem", "t1", "--trials", "3"],
+        ["verify", "--theorem", "t2", "--trials", "3"],
+        ["verify", "--theorem", "t3", "--trials", "3"],
+        ["plot", "--params", "0.3,0.6", "--out", "FIG"]],
+        ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2",
+             "verify-t3", "plot"])
+    def test_commands_run_without_numpy(self, tmp_path, example_file, argv):
+        # None in sys.modules makes every `import numpy` raise ImportError
+        argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
+        done = self._python('import sys; sys.modules["numpy"] = None; '
+                            'from inellipse.cli import main; sys.exit(main(sys.argv[1:]))',
+                            *argv, example_file)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 class TestVerify:
