@@ -1,14 +1,14 @@
 """The ellipses inscribed in a convex quadrilateral, as one dual pencil.
 
 The ellipses inscribed in a convex quad A1A2A3A4 are the line conics
-C*(lam) = lam (A1 A3' + A3 A1') + (1 - lam) (A2 A4' + A4 A2'), lam in (0, 1),
-A_i = (x_i, y_i, 1).  `inscribe` builds each member from the quad's
-`quad.diagonals`, about the diagonal intersection P = A1 + a D u1 =
+C*(lam) = lam (A1 A3' + A3 A1') + mu (A2 A4' + A4 A2'), lam, mu > 0,
+lam + mu = 1, A_i = (x_i, y_i, 1).  `inscribe` builds each member from the
+quad's `quad.diagonals`, about the diagonal intersection P = A1 + a D u1 =
 A2 + b D u2 of the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the
 quad's diameter, with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2
 (p = `off1` = 1/2 - a, q = `off2` = 1/2 - b, both 0 on a parallelogram).
 The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
-centre c = lam M1 + mu M2 (mu = 1 - lam) and shape
+centre c = lam M1 + mu M2 and shape
 
     S = (lam^2 p^2 + lam a(1-a)) u1u1' + (mu^2 q^2 + mu b(1-b)) u2u2'
         + lam mu p q (u1u2' + u2u1'),
@@ -21,7 +21,10 @@ lengths read them, not the rounded conic.  The member touches each side at
 C*(lam) l_i, a weighted mean of the side's two vertices.  The public
 parameter r in (0, 1) is the S1 contact's fraction along A1->A2 on every
 quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
-(-1, 1), v = 0 touching the side midpoints.
+(-1, 1), v = 0 touching the side midpoints.  The solvers carry a member as
+the ratio x = lam / mu in (0, inf), r = a / (a + x b), and build
+lam = x / (1 + x) and mu = 1 / (1 + x) from it, so that neither weight is a
+difference, however small it is.
 
 The paper's closed forms stay as formulas the tests check the pencil
 against: the (s,t) frame (0,0), (0,1), (s,t), (1,0), parametrized by the
@@ -45,12 +48,9 @@ from .errors import (CollinearTriangle, InEllipseError, NonPositiveWeights,
 from .quad import (DiagonalData, Quadrilateral, check_qstvw_region, diagonals,
                    in_region_g)
 
-#: margin keeping family parameters strictly inside their open interval
-J_MARGIN = 1e-9
-
 
 def check_unit_interval(x: float, name: str = "param") -> None:
-    if not (J_MARGIN <= x <= 1.0 - J_MARGIN):
+    if not 0.0 < x < 1.0:
         raise ParamOutOfRegion(f"{name}={x} not in the open unit interval")
 
 
@@ -132,7 +132,7 @@ def square_inellipse_conic(v: float) -> ConicCoeffs:
     Tangent to the sides at (-1, v), (-v, 1), (1, -v), (v, -1); v = 0 is
     the unit incircle.
     """
-    if not (abs(v) <= 1.0 - J_MARGIN):
+    if not abs(v) < 1.0:
         raise ParamOutOfRegion(f"v={v} not in (-1, 1)")
     return ConicCoeffs(1.0, 2.0 * v, 1.0, 0.0, 0.0, v * v - 1.0)
 
@@ -210,15 +210,15 @@ def _pencil_contacts(dd: DiagonalData, r: float, lam: float,
             _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
 
 
-def _inscribed(quad: Quadrilateral, dd: DiagonalData, r: float,
-               param: float) -> InscribedEllipse:
-    """The member of `quad`'s pencil, about its `diagonals` dd, touching S1 at
-    the fraction r along A1->A2, named `param`: c = P + D (lam p u1 + mu q
-    u2), S = f1 u1u1' + f2 u2u2' + f12 (u1u2' + u2u1') with f1 = lam (lam p^2
-    + a(1-a)), f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p, q the offsets
-    off1, off2), det S as a product, and the conic (x - c)' adj(S) (x - c) =
+def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
+               r: float, param: float) -> InscribedEllipse:
+    """The member of `quad`'s pencil, about its `diagonals` dd, at the weights
+    (lam, mu), which touches S1 at the fraction r along A1->A2, named
+    `param`: c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2'
+    + f12 (u1u2' + u2u1') with f1 = lam (lam p^2 + a(1-a)),
+    f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p, q the offsets off1,
+    off2), det S as a product, and the conic (x - c)' adj(S) (x - c) =
     D^2 det S, which raises where a coefficient is not finite."""
-    lam, mu = _weights(dd, r)
     p, q, al, be = dd.off1, dd.off2, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
     (x1, y1), (x2, y2), d = dd.u1, dd.u2, quad.diameter()
     f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
@@ -250,7 +250,7 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     par = dd.newton_line is None
     r = (1.0 + param) / 2.0 if par else param
     check_unit_interval(r, "(1 + v) / 2" if par else "param")
-    return _inscribed(quad, dd, r, param)
+    return _inscribed(quad, dd, *_weights(dd, r), r, param)
 
 
 def marden_foci(z1: Point, z2: Point, z3: Point,

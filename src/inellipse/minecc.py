@@ -1,18 +1,18 @@
 """Eccentricity functional over the inscribed family and its minimizer.
 
-The squared axis ratio k of the dual pencil's member at lam, with shape S,
-rises with H = det S / (tr S)^2 = k / (1 + k)^2.  This is the paper's
-N = O^2 - M (`N_factorization`) in the pencil: O = tr S, N = 4 det S, and
-G = (O - sqrt(M)) / (O + sqrt(M)) = k.  det S / (u1 x u2)^2 is the cubic
-lam (1 - lam) (l0 + l1 lam) and tr S is quadratic in lam, so H's critical
-points are the roots of one quartic, det' tr - 2 det tr', with no square
-root and no cusp at a circle.  One solver isolates its real roots in
-plain floats (`_real_roots`) and compares H at each.  An MDQ's optimum is
-the member whose diagonal-parallel diameters are equal (the paper's T3),
-the root of a quadratic in lam.  Both read the pencil from the quad's
-`DiagonalData` (a `classify` report's, when one is given).  The paper's
-(s,t,v,w) formulas (`EccFunctional`, `G_value`, `N_factorization`,
-`alpha_root`) stay as cross-checks, which no solver calls.
+The squared axis ratio k of the dual pencil's member, with shape S, rises
+with H = det S / (tr S)^2 = k / (1 + k)^2, the paper's N = O^2 - M
+(`N_factorization`) in the pencil: O = tr S, N = 4 det S and
+G = (O - sqrt(M)) / (O + sqrt(M)) = k.  Both solvers carry the member as the
+ratio x = lam / mu in (0, inf) of its weights, which holds 1e-20 as well as
+1/2.  H's critical points are the positive roots of one quartic in x, whose
+coefficients change sign exactly once (`_numeric`), so one bracketed Newton
+solve finds the optimum.  An MDQ's optimum is the member whose
+diagonal-parallel diameters are equal (the paper's T3), the positive root of
+a quadratic in x.  Both read the pencil from the quad's `DiagonalData` (a
+`classify` report's, when one is given).  The paper's (s,t,v,w) formulas
+(`EccFunctional`, `G_value`, `N_factorization`, `alpha_root`) stay as
+cross-checks, which no solver calls.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from .diameters import t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
-from .family import (InscribedEllipse, J_MARGIN, check_unit_interval,
+from .family import (InscribedEllipse, check_unit_interval,
                      qstvw_coeff_polys, _horner, _inscribed)
 from .quad import (ClassificationReport, DiagonalData, Quadrilateral,
                    check_qstvw_region, classify, diagonals, f_values)
@@ -42,7 +42,7 @@ def _mul(p, q) -> list[float]:
 
 
 def _bracket_root(p, dp, a: float, b: float, pa: float, pb: float) -> float:
-    """The root of p in (a, b), where p is monotone and p(a) = pa and
+    """The root of p in (a, b), where p has one root and p(a) = pa and
     p(b) = pb differ in sign: Newton steps from the secant point, and
     bisection wherever a step would leave the shrinking bracket."""
     x = a + (b - a) * pa / (pa - pb)
@@ -60,32 +60,6 @@ def _bracket_root(p, dp, a: float, b: float, pa: float, pb: float) -> float:
             return x
         x = nx if a < nx < b else 0.5 * (a + b)
     return x
-
-
-def _real_roots(p, lo: float, hi: float) -> list[float]:
-    """Ascending points of (lo, hi) where the polynomial p (ascending
-    coefficients) changes sign, and the roots of p' there at which p is 0.
-
-    The roots of p', found by the same recursion down to degree 1, split
-    (lo, hi) into brackets on which p is monotone; each bracket whose ends
-    differ in sign holds one root (`_bracket_root`).
-    """
-    p = list(p)
-    while p and p[-1] == 0.0:
-        p.pop()
-    if len(p) < 3:
-        x = -p[0] / p[1] if len(p) == 2 else lo
-        return [x] if lo < x < hi else []
-    dp = [k * p[k] for k in range(1, len(p))]
-    xs = [lo, *_real_roots(dp, lo, hi), hi]
-    vals = [_horner(p, x) for x in xs]
-    roots = []
-    for a, b, pa, pb in zip(xs, xs[1:], vals, vals[1:]):
-        if pa == 0.0 and a != lo:
-            roots.append(a)
-        elif pa != 0.0 and pb != 0.0 and (pa < 0.0) != (pb < 0.0):
-            roots.append(_bracket_root(p, dp, a, b, pa, pb))
-    return roots
 
 
 class EccFunctional:
@@ -250,56 +224,74 @@ class T3Report(NamedTuple):
 
 
 def _t3_root(dd: DiagonalData) -> float:
-    """The lam in (0,1) whose member has equal diameters parallel to the
-    two diagonals (T3): the closed-form optimum of an MDQ.
+    """The pencil ratio x = lam / mu whose member has equal diameters
+    parallel to the two diagonals (T3): the closed-form optimum of an MDQ.
 
     The lengths 4|u|^2 det S / (u' adj(S) u) are equal where
-    |u1|^2 k1 = |u2|^2 k2, with k1 = lam (lam p^2 + a(1-a)) and
+    |u1|^2 k1 = |u2|^2 k2, k1 = lam (lam p^2 + a(1-a)) and
     k2 = mu (mu q^2 + b(1-b)) (p, q the midpoint offsets) the diagonal of S
-    in the basis u1, u2: a quadratic in lam, -|u2|^2/4 at 0 and |u1|^2/4 at
-    1, with one root between.
-    """
+    in the basis u1, u2.  Over mu^2 that is A x^2 + B x - C = 0 with A, C > 0:
+    one positive root, taken in the form that does not cancel."""
     (x1, y1), (x2, y2) = dd.u1, dd.u2
     n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    pp, qq = dd.off1 * dd.off1, dd.off2 * dd.off2
-    c2, c1, c0 = n1 * pp - n2 * qq, n1 * al + n2 * (2.0 * qq + be), n2 * (qq + be)
-    # c2 lam^2 + c1 lam - c0 with c1, c0 > 0: the root that does not cancel
-    return 2.0 * c0 / (c1 + math.sqrt(max(c1 * c1 + 4.0 * c2 * c0, 0.0)))
+    qa, qb = n1 * (dd.off1 * dd.off1 + al), n1 * al - n2 * be
+    qc = n2 * (dd.off2 * dd.off2 + be)
+    disc = math.sqrt(qb * qb + 4.0 * qa * qc)
+    return 2.0 * qc / (qb + disc) if qb >= 0.0 else (disc - qb) / (2.0 * qa)
 
 
-def _optimum(quad: Quadrilateral, dd: DiagonalData, lam: float,
+def _optimum(quad: Quadrilateral, dd: DiagonalData, x: float,
              method: str) -> MinEccResult:
-    """The member at lam as a result, built as `inscribe` builds it from its
-    parameter, so that `inscribe(quad, r_star)` returns the same ellipse."""
-    wa, wb = lam * dd.b, (1.0 - lam) * dd.a
-    r = wb / (wa + wb)  # the S1 contact's fraction along A1->A2
+    """The member at the pencil ratio x as a result: lam = x / (1 + x),
+    mu = 1 / (1 + x) and the S1 contact's fraction r = a / (a + x b), none
+    of them a difference.  r rounds to 1 where x b < eps a, and then cannot
+    name the member in `inscribe`; the ellipse itself is exact."""
+    r = dd.a / (dd.a + x * dd.b)
     param = 2.0 * r - 1.0 if dd.newton_line is None else r
-    return MinEccResult(_inscribed(quad, dd, r, param), method)
+    ie = _inscribed(quad, dd, x / (1.0 + x), 1.0 / (1.0 + x), r, param)
+    return MinEccResult(ie, method)
+
+
+def _critical_quartic(dd: DiagonalData) -> tuple[float, ...]:
+    """q0..q4 of N' t - 2 N t', H = N / t^2 (u1 x u2)^2 in x: N = x (1 + x)
+    (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
+    tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a),
+    be = b(1-b) and p, q the midpoint offsets)."""
+    (x1, y1), (x2, y2) = dd.u1, dd.u2
+    n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
+    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    pp, qq = dd.off1 * dd.off1, dd.off2 * dd.off2
+    l0, l1 = al * (qq + be), be * (pp + al)
+    t0, t1, t2 = (n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * dd.off1 * dd.off2,
+                  n1 * (pp + al))
+    return (l0 * t0, 2.0 * (l0 + l1) * t0 - l0 * t1, 3.0 * (l1 * t0 - l0 * t2),
+            l1 * t1 - 2.0 * (l0 + l1) * t2, -l1 * t2)
 
 
 def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     """The member maximizing H = det S / (tr S)^2, which rises with the
-    squared axis ratio k as k / (1 + k)^2: the best root in J of H's
-    critical quartic det' tr - 2 det tr', det S taken over (u1 x u2)^2 as
-    lam (1 - lam) (l0 + l1 lam), a product with no cancellation."""
-    (x1, y1), (x2, y2) = dd.u1, dd.u2
-    n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
-    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    pp, qq, pq = dd.off1 * dd.off1, dd.off2 * dd.off2, dd.off1 * dd.off2
-    l0, l1 = al * (qq + be), pp * be - qq * al
-    # tr S = f1 |u1|^2 + f2 |u2|^2 + 2 f12 u1.u2, `_inscribed`'s weights expanded
-    tr = (n2 * (qq + be), n1 * al - n2 * (2.0 * qq + be) + 2.0 * c * pq,
-          n1 * pp + n2 * qq - 2.0 * c * pq)
-    crit = [x - 2.0 * y for x, y in zip(
-        _mul((l0, 2.0 * (l1 - l0), -3.0 * l1), tr),
-        _mul((0.0, l0, l1 - l0, -l1), (tr[1], 2.0 * tr[2])))]
-    roots = _real_roots(crit, J_MARGIN, 1.0 - J_MARGIN)
-    if not roots:
-        raise NoRootInJ("no critical point of H found in the open interval")
-    lam = max(roots, key=lambda x: x * (1.0 - x) * (l0 + l1 * x)
-              / _horner(tr, x) ** 2)
-    return _optimum(quad, dd, lam, "quartic_numeric")
+    squared axis ratio k as k / (1 + k)^2: the one positive root of its
+    critical quartic (`_critical_quartic`).
+
+    Certificate: q0 = l0 t0 > 0 > q4 = -l1 t2.  As t0 = n2 l0 / al and
+    t2 = n1 l1 / be, with A = 2 (l0 + l1) n2 / al and B = 2 (l0 + l1) n1 / be,
+    sign q1 = sign(A - t1), sign q2 = sign(A - B) and sign q3 = sign(t1 - B).
+    (A + B) / 2 - t1 = n1 p^2 + n2 q^2 - 2 c p q + n1 al + n2 be
+    + n2 be p^2 / al + n1 al q^2 / be, and n1 p^2 + n2 q^2 >= 2 |c p q|
+    (AM-GM, |c| <= sqrt(n1 n2)), so t1 < (A + B) / 2 <= max(A, B): q1 > 0
+    if A >= B, and q3 < 0 otherwise.  The signs run + ... - with exactly one
+    change, so by Descartes' rule H has exactly one critical point in the
+    whole pencil, its maximum.  It lies in x < 1 where the quartic is
+    negative at 1, and otherwise at 1 / y, y the root in (0, 1) of the
+    reversed quartic: one bracket, and no margin."""
+    crit = _critical_quartic(dd)
+    at1, x = sum(crit), 1.0
+    if at1 != 0.0:
+        p = crit if at1 < 0.0 else crit[::-1]
+        y = _bracket_root(p, [k * p[k] for k in range(1, 5)], 0.0, 1.0, p[0], at1)
+        x = y if at1 < 0.0 else 1.0 / y
+    return _optimum(quad, dd, x, "quartic_numeric")
 
 
 def min_ecc(quad: Quadrilateral,
@@ -324,8 +316,8 @@ def min_ecc(quad: Quadrilateral,
 
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver, independent of the closed form
-    and valid on every class: H = det S / (tr S)^2 compared at every root
-    in (0,1) of its critical quartic, isolated on monotone brackets."""
+    and valid on every class: the one critical point of H = det S / (tr S)^2
+    in the pencil, solved in one certified bracket (`_numeric`)."""
     return _numeric(quad, diagonals(quad))
 
 

@@ -188,6 +188,25 @@ def random_tangential_quad(rng: np.random.Generator,
     raise RuntimeError("tangential quad sampling failed")
 
 
+def random_thin_tangential_quad(rng: np.random.Generator, rho: float) -> Quadrilateral:
+    """A quad circumscribing a circle of radius rho, of diameter about 2:
+    two of its tangent lines turn by about rho from the top of the circle
+    and two from its bottom, so its diagonals differ in length by about
+    1 / rho; it is turned and moved at random by up to 1."""
+    turn = min(rho, 0.5) * rng.uniform(0.5, 1.5, size=4)
+    angles = (0.5 * math.pi - turn[0], 0.5 * math.pi + turn[1],
+              1.5 * math.pi - turn[2], 1.5 * math.pi + turn[3])
+    verts = []
+    for t1, t2 in zip(angles, angles[1:] + angles[:1]):
+        # lines x cos t + y sin t = rho meet at angle (t1 + t2) / 2
+        mid, half = 0.5 * (t1 + t2), 0.5 * (t2 - t1)
+        dist = rho / math.cos(half)
+        verts.append((dist * math.cos(mid), dist * math.sin(mid)))
+    rot = rotation(rng.uniform(0.0, 2.0 * math.pi))
+    shift = translation(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    return canonicalize([shift.compose(rot).apply(p) for p in verts])
+
+
 def random_orthodiagonal_quad(rng: np.random.Generator) -> Quadrilateral:
     """Random quad with perpendicular diagonals."""
     ang = rng.uniform(0.0, math.pi)
@@ -201,14 +220,15 @@ def random_orthodiagonal_quad(rng: np.random.Generator) -> Quadrilateral:
 
 
 def random_diagonal_quad(rng: np.random.Generator, a: float | None = None,
-                         b: float | None = None,
-                         orthodiagonal: bool = False) -> Quadrilateral:
+                         b: float | None = None, orthodiagonal: bool = False,
+                         rho: float | None = None) -> Quadrilateral:
     """A quad drawn from its diagonals u1 = A3 - A1 and u2 = A4 - A2, labeled
     clockwise from any vertex: A1 = P - a u1, A3 = P + (1 - a) u1,
     A2 = P - b u2 and A4 = P + (1 - b) u2 about the diagonal intersection P.
 
     a and b are uniform in (0.1, 0.9) unless given: b = 1/2 makes a type-1
     MDQ, a = 1/2 a type-2 MDQ, and a = 1/2 with `orthodiagonal` a kite.
+    |u2| = rho |u1| when `rho` is given.
     """
     a = rng.uniform(0.1, 0.9) if a is None else a
     b = rng.uniform(0.1, 0.9) if b is None else b
@@ -216,6 +236,8 @@ def random_diagonal_quad(rng: np.random.Generator, a: float | None = None,
     # u2 turned clockwise from u1 labels the vertices clockwise
     t2 = t1 - (0.5 * math.pi if orthodiagonal else rng.uniform(0.3, math.pi - 0.3))
     l1, l2 = rng.uniform(0.5, 3.0, size=2)
+    if rho is not None:
+        l2 = rho * l1
     u1 = (l1 * math.cos(t1), l1 * math.sin(t1))
     u2 = (l2 * math.cos(t2), l2 * math.sin(t2))
     px, py = rng.uniform(-3.0, 3.0, size=2)

@@ -286,6 +286,13 @@ class TestInscribe:
                 assert_points_close(got, sim.apply(src),
                                     1e-8 * moved.diameter())
 
+    def test_open_interval_reaches_its_ends(self, example_quad):
+        # every r in (0, 1) names a member, however near an end it lies
+        for r in (1e-12, 1.0 - 1e-12):
+            ie = inscribe(example_quad, r)
+            assert ie.param == r and 0.0 < ie.geometry.axis_ratio_sq < 1.0
+            assert_points_close(ie.tangency[0], (0.0, r), 1e-15)
+
     def test_random_quads_inscribed(self):
         rng = np.random.default_rng(22)
         for _ in range(50):

@@ -8,13 +8,13 @@ from inellipse.affine import AffineMap, normalize_to_qstvw
 from inellipse.conic import center, geometry, proportional, scale_normalized
 from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin)
-from inellipse.errors import NotMDQ, ParamOutOfRegion
+from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
 from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
                               min_ecc_numeric, p_quartic, verify_T3,
-                              _real_roots)
+                              _bracket_root, _critical_quartic)
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
@@ -298,72 +298,58 @@ class TestMinEccNumeric:
             assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-10
 
 
-class TestRealRoots:
-    @staticmethod
-    def _numpy_roots(coeffs, lo, hi, imag=1e-7):
-        roots = np.roots(np.trim_zeros(np.asarray(coeffs[::-1], float), "f"))
-        return sorted(float(x.real) for x in roots
-                      if abs(x.imag) <= imag and lo < x.real < hi)
+def _end_or_uniform(rng, lo, hi, edge):
+    """Uniform in (lo, hi), or within `edge` of one of its ends."""
+    pick = rng.integers(3)
+    if pick == 0:
+        return lo + edge * rng.uniform(0.0, 1.0)
+    if pick == 1:
+        return hi - edge * rng.uniform(0.0, 1.0)
+    return rng.uniform(lo, hi)
 
-    def _assert_roots(self, coeffs, lo, hi, want):
-        # the known roots of the rounded coefficients, numpy's eigenvalues,
-        # and a residual at the rounding level of the evaluation
-        got = _real_roots(coeffs, lo, hi)
-        assert got == sorted(got) and len(got) == len(want)
-        for g, w, n in zip(got, want, self._numpy_roots(coeffs, lo, hi)):
-            assert abs(g - w) <= 1e-9 and abs(g - n) <= 1e-9
-            bound = npoly.polyval(abs(g), np.abs(coeffs))
-            assert abs(npoly.polyval(g, coeffs)) <= 4.0 * np.finfo(float).eps * bound
-        return got
 
-    def test_simple_roots_match_numpy(self):
-        rng = np.random.default_rng(70)
-        for _ in range(300):
-            known = rng.uniform(-0.5, 1.5, size=4)
-            coeffs = rng.uniform(0.5, 2.0) * npoly.polyfromroots(known)
-            self._assert_roots(coeffs, 0.0, 1.0,
-                               sorted(x for x in known if 0.0 < x < 1.0))
+def _sign_changes(coeffs):
+    signs = [c > 0.0 for c in coeffs if c != 0.0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    def test_double_roots(self):
-        # a double root is no sign change: only the simple roots are sure to
-        # be reported, and whatever else is reported sits on the double root,
-        # which the rounding of the coefficients moves by about sqrt(eps)
-        rng = np.random.default_rng(71)
-        for _ in range(300):
-            double, *simple = rng.uniform(0.05, 0.95, size=3)
-            if min(abs(double - x) for x in simple) < 0.05:
+
+class TestCertificate:
+    def test_quartic_changes_sign_once_over_the_convex_space(self):
+        # split fractions within 1e-4 of an end, crossing angles within 0.01
+        # of 0 or pi and diagonal ratios down to 1e-10: q0 > 0 > q4 and one
+        # sign change between, so H has one critical point in the pencil
+        rng = np.random.default_rng(75)
+        drawn = 0
+        for _ in range(4000):
+            a, b = (_end_or_uniform(rng, 0.0, 1.0, 1e-4) for _ in range(2))
+            turn = _end_or_uniform(rng, 0.0, math.pi, 0.01)
+            t1 = rng.uniform(0.0, 2.0 * math.pi)
+            l1, l2 = 1.0, 10.0 ** rng.uniform(-10.0, 0.0)
+            if rng.integers(2):
+                l1, l2 = l2, l1
+            u1 = (l1 * math.cos(t1), l1 * math.sin(t1))
+            u2 = (l2 * math.cos(t1 - turn), l2 * math.sin(t1 - turn))
+            verts = [(-a * u1[0], -a * u1[1]), (-b * u2[0], -b * u2[1]),
+                     ((1 - a) * u1[0], (1 - a) * u1[1]),
+                     ((1 - b) * u2[0], (1 - b) * u2[1])]
+            try:
+                quad = quadrilateral(verts)
+            except NonConvexInput:
                 continue
-            coeffs = npoly.polyfromroots([double, double, *simple])
-            got = _real_roots(coeffs, 0.0, 1.0)
-            assert got == sorted(got)
-            for w in simple:
-                assert min(abs(g - w) for g in got) <= 1e-9
-            assert len(got) <= 4
-            near = self._numpy_roots(coeffs, 0.0, 1.0, imag=1e-6)
-            for g in got:
-                assert min(abs(g - w) for w in (double, *simple)) <= 1e-6
-                assert min(abs(g - n) for n in near) <= 1e-6
+            drawn += 1
+            crit = _critical_quartic(diagonals(quad))
+            assert crit[0] > 0.0 > crit[4]
+            assert _sign_changes(crit) == 1, crit
+        assert drawn >= 2000
 
-    def test_zero_leading_coefficients(self):
-        # quartic slots whose top coefficients are exactly 0: degree 3, 2, 1
-        rng = np.random.default_rng(72)
-        for degree in (3, 2, 1):
-            for _ in range(100):
-                known = rng.uniform(-0.5, 1.5, size=degree)
-                coeffs = np.append(npoly.polyfromroots(known), [0.0] * (4 - degree))
-                self._assert_roots(coeffs, 0.0, 1.0,
-                                   sorted(x for x in known if 0.0 < x < 1.0))
-        assert _real_roots([2.0, 0.0, 0.0, 0.0, 0.0], 0.0, 1.0) == []
-
-    def test_roots_near_the_ends(self):
-        # within 1e-9 of both ends of the solver's interval
-        rng = np.random.default_rng(73)
-        lo, hi = 1e-9, 1.0 - 1e-9
-        for _ in range(100):
-            known = [lo + rng.uniform(1e-12, 1e-9), rng.uniform(0.1, 0.9),
-                     hi - rng.uniform(1e-12, 1e-9), rng.uniform(1.5, 3.0)]
-            got = self._assert_roots(npoly.polyfromroots(known), lo, hi, known[:3])
-            assert abs(got[0] - known[0]) <= 1e-12 * known[0]
+    @pytest.mark.parametrize("root", [1e-12, 1.0 - 1e-12])
+    def test_bracket_root_finds_a_lone_root_near_either_end(self, root):
+        # (x - root)(x + 1)(x^2 + 1): every coefficient is 1 - root or
+        # +-root, so the rounded quartic keeps its root within an ulp
+        p = (-root, 1.0 - root, 1.0 - root, 1.0 - root, 1.0)
+        dp = [k * p[k] for k in range(1, 5)]
+        got = _bracket_root(p, dp, 0.0, 1.0, p[0], sum(p))
+        assert abs(got - root) <= 4.0 * math.ulp(root)
 
 
 class TestNumericMatchesT3:
@@ -467,6 +453,18 @@ class TestRStarRoundTrip:
                     assert_points_close(got, want, 1e-12 * quad.diameter())
                 assert_inscribed(ie, 1e-7 if res.method == "incircle" else 1e-9)
         assert methods == {"incircle", "alpha_closed_form", "quartic_numeric"}
+
+    def test_r_star_near_zero_round_trips(self):
+        # a thin MDQ whose optimum touches S1 about 1.5306e-13 along it
+        quad = canonicalize([(0, 0), (0.8999997, 0.3000006), (3, 1),
+                             (0.9000003, 0.2999994)]).rotate_labels(1)
+        res = min_ecc(quad)
+        assert res.r_star == pytest.approx(1.5306122449331e-13, rel=1e-9)
+        ie = inscribe(quad, res.r_star)
+        assert max(abs(x - y) for x, y in zip(ie.conic, res.ellipse.conic)) <= 1e-12
+        assert ie.geometry.axis_ratio_sq == pytest.approx(res.axis_ratio_sq, rel=1e-12)
+        for got, want in zip(ie.tangency, res.ellipse.tangency):
+            assert_points_close(got, want, 1e-12 * quad.diameter())
 
     def test_t3_root_is_alpha_root_on_type1_frames(self):
         # the pencil's closed form, mapped to r, is the paper's optimizer root
