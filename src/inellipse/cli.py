@@ -189,7 +189,7 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
 def _verify_t1_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
                      tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
-    margin = t1_margin(quad, inscribe(quad, r).conic)
+    margin = t1_margin(quad, inscribe(quad, r).adjugate)  # no conic is built
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
 
 

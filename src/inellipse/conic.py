@@ -41,7 +41,7 @@ class EllipseGeometry(NamedTuple):
 
 
 def sign_normalized(conic: ConicCoeffs) -> ConicCoeffs:
-    """Flip all six coefficients when a < 0 (or a = 0 and c < 0).
+    """Flip all six coefficients when a < 0 (or a = 0 and c < 0); else return conic.
 
     The ellipse test assumes the leading quadratic coefficients are
     positive; a real ellipse always has a*c > 0 so flipping on `a`
@@ -50,15 +50,15 @@ def sign_normalized(conic: ConicCoeffs) -> ConicCoeffs:
     a, b, c, d, e, f = conic
     if a < 0.0 or (a == 0.0 and c < 0.0):
         return ConicCoeffs(-a, -b, -c, -d, -e, -f)
-    return ConicCoeffs(a, b, c, d, e, f)
+    return conic
 
 
 def scale_normalized(conic: ConicCoeffs) -> ConicCoeffs:
     """Rescale so the maximum absolute coefficient is 1, then sign-normalize."""
-    m = max(abs(x) for x in conic)
+    m = max(map(abs, conic))
     if m == 0.0:
         raise InEllipseError("all conic coefficients are zero")
-    return sign_normalized(ConicCoeffs(*(x / m for x in conic)))
+    return sign_normalized(ConicCoeffs(*[x / m for x in conic]))
 
 
 def discriminants(conic: ConicCoeffs) -> tuple[float, float]:

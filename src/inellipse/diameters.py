@@ -65,9 +65,10 @@ def slope_of(p: Point, q: Point) -> Optional[float]:
     return dy / dx
 
 
-def conjugate_direction(conic: ConicCoeffs, u: Direction) -> Direction:
-    """The direction conjugate to u, unique up to sign and scale."""
-    a, b, c, _, _, _ = conic
+def conjugate_direction(conic: tuple, u: Direction) -> Direction:
+    """The direction conjugate to u, unique up to sign and scale.  Only the
+    quadratic part (a, b, c) = conic[:3] is read, so adj(S) serves too."""
+    a, b, c = conic[:3]
     wx = a * u[0] + 0.5 * b * u[1]
     wy = 0.5 * b * u[0] + c * u[1]
     if wx == 0.0 and wy == 0.0:
@@ -155,14 +156,13 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     return T2Report(par1, par2, margins_d1, margins_d2)
 
 
-def t1_margin(quad: Quadrilateral, conic: ConicCoeffs) -> float:
+def t1_margin(quad: Quadrilateral, conic: tuple) -> float:
     """Angle margin between conj(direction of D1) and the direction of D2."""
     d = quad.diameter()  # over which no product of the diagonals underflows
     d1, d2 = ((x / d, y / d) for x, y in quad.diagonal_vectors())
     return parallel_margin(conjugate_direction(conic, d1), d2)
 
 
-def check_T1(quad: Quadrilateral, conic: ConicCoeffs,
-             tol: float = PARALLEL_TOL) -> bool:
+def check_T1(quad: Quadrilateral, conic: tuple, tol: float = PARALLEL_TOL) -> bool:
     """True iff the conjugate of the D1-parallel diameter is parallel to D2."""
     return t1_margin(quad, conic) <= tol

@@ -16,9 +16,9 @@ centre c = lam M1 + mu M2 and shape
 
 Every entry of S has degree <= 2 in lam.  S is built at unit scale, in
 units of D, so that no quad's size or position can overflow or cancel it.
-`InscribedEllipse` carries c and S; its `geometry` and `verify_T3`'s
-lengths read them, not the rounded conic.  The member touches each side at
-C*(lam) l_i, a weighted mean of the side's two vertices.  The public
+`InscribedEllipse` carries c and S; its `geometry` and `verify_T3` read
+them, and `conic` derives the (lossy) coefficients.  The member touches each
+side at C*(lam) l_i, a weighted mean of the side's two vertices.  The public
 parameter r in (0, 1) is the S1 contact's fraction along A1->A2 on every
 quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
 (-1, 1), v = 0 touching the side midpoints.  The solvers carry a member as
@@ -63,10 +63,9 @@ class InscribedEllipse:
     fraction along A1->A2, for "qstvw", or a parallelogram's v = 2r - 1 in
     (-1,1) for "parallelogram".  The ellipse is (x - c)' S^-1 (x - c) = D^2,
     D the quad's diameter: `center` is c, `shape` is (Sxx, 2 Sxy, Syy, det S)
-    in units of D, and `conic` its max-abs normalized coefficients.
+    in units of D; `conic`, the max-abs normalized coefficients, is derived.
     """
 
-    conic: ConicCoeffs
     param: float
     tangency: tuple[Point, Point, Point, Point]
     frame: str
@@ -77,6 +76,21 @@ class InscribedEllipse:
     @cached_property
     def geometry(self) -> EllipseGeometry:
         return shape_geometry(self.center, self.shape, self.quad.diameter())
+
+    @property
+    def adjugate(self) -> tuple[float, float, float]:
+        """adj(S) = (Syy, -2 Sxy, Sxx): the conic's (a, b, c) up to scale."""
+        return self.shape[2], -self.shape[1], self.shape[0]
+
+    @property
+    def conic(self) -> ConicCoeffs:
+        """(x - c)' adj(S) (x - c) = D^2 det S, built per read; raises if not finite."""
+        (cx, cy), (a, b, c), d = self.center, self.adjugate, self.quad.diameter()
+        coeffs = (a, b, c, -b * cy - 2.0 * a * cx, -b * cx - 2.0 * c * cy,
+                  a * cx * cx + b * cx * cy + c * cy * cy - self.shape[3] * (d * d))
+        if not all(map(math.isfinite, coeffs)):
+            raise InEllipseError("conic coefficients overflow the float range")
+        return scale_normalized(coeffs)
 
 
 def _check_qst(s: float, t: float, q: float) -> None:
@@ -217,8 +231,7 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
     `param`: c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2'
     + f12 (u1u2' + u2u1') with f1 = lam (lam p^2 + a(1-a)),
     f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p, q the offsets off1,
-    off2), det S as a product, and the conic (x - c)' adj(S) (x - c) =
-    D^2 det S, which raises where a coefficient is not finite."""
+    off2), and det S as a product."""
     p, q, al, be = dd.off1, dd.off2, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
     (x1, y1), (x2, y2), d = dd.u1, dd.u2, quad.diameter()
     f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
@@ -227,16 +240,11 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
     syy = f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2
     det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
            * (x1 * y2 - y1 * x2) ** 2)
-    cx = dd.p[0] + d * (lam * p * x1 + mu * q * x2)
-    cy = dd.p[1] + d * (lam * p * y1 + mu * q * y2)
-    coeffs = (syy, -sxy2, sxx, sxy2 * cy - 2.0 * syy * cx, sxy2 * cx - 2.0 * sxx * cy,
-              syy * cx * cx - sxy2 * cx * cy + sxx * cy * cy - det * (d * d))
-    if not all(map(math.isfinite, coeffs)):
-        raise InEllipseError("conic coefficients overflow the float range")
-    return InscribedEllipse(scale_normalized(ConicCoeffs(*coeffs)), param,
-                            _pencil_contacts(dd, r, lam, mu),
+    center = (dd.p[0] + d * (lam * p * x1 + mu * q * x2),
+              dd.p[1] + d * (lam * p * y1 + mu * q * y2))
+    return InscribedEllipse(param, _pencil_contacts(dd, r, lam, mu),
                             "parallelogram" if dd.newton_line is None else "qstvw",
-                            quad, (cx, cy), (sxx, sxy2, syy, det))
+                            quad, center, (sxx, sxy2, syy, det))
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:

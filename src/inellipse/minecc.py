@@ -9,10 +9,10 @@ ratio x = lam / mu in (0, inf) of its weights, which holds 1e-20 as well as
 coefficients change sign exactly once (`_numeric`), so one bracketed Newton
 solve finds the optimum.  An MDQ's optimum is the member whose
 diagonal-parallel diameters are equal (the paper's T3), the positive root of
-a quadratic in x.  Both read the pencil from the quad's `DiagonalData` (a
-`classify` report's, when one is given).  The paper's (s,t,v,w) formulas
-(`EccFunctional`, `G_value`, `N_factorization`, `alpha_root`) stay as
-cross-checks, which no solver calls.
+a quadratic in x and the Newton start on every quad.  Both read the pencil
+from the quad's `DiagonalData` (a `classify` report's, when one is given).
+The paper's (s,t,v,w) formulas (`EccFunctional`, `G_value`,
+`N_factorization`, `alpha_root`) stay as cross-checks, which no solver calls.
 """
 
 from __future__ import annotations
@@ -41,23 +41,24 @@ def _mul(p, q) -> list[float]:
     return out
 
 
-def _bracket_root(p, dp, a: float, b: float, pa: float, pb: float) -> float:
-    """The root of p in (a, b), where p has one root and p(a) = pa and
-    p(b) = pb differ in sign: Newton steps from the secant point, and
-    bisection wherever a step would leave the shrinking bracket."""
-    x = a + (b - a) * pa / (pa - pb)
+def _bracket_root(p, a: float, b: float, pa: float, pb: float, x: float) -> float:
+    """The one root in (a, b) of the quartic p, p(a) = pa and p(b) = pb of
+    opposite sign: Newton steps from x (the secant point if x is outside),
+    bisecting where one would leave the bracket, and taking the last one."""
+    (p0, p1, p2, p3, p4), d2, d3, d4 = p, 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]
+    x = x if a < x < b else a + (b - a) * pa / (pa - pb)
     for _ in range(100):
-        px = _horner(p, x)
+        px = (((p4 * x + p3) * x + p2) * x + p1) * x + p0
         if px == 0.0:
             return x
         if (px < 0.0) == (pa < 0.0):
             a = x
         else:
             b = x
-        slope = _horner(dp, x)
+        slope = ((d4 * x + d3) * x + d2) * x + p1
         nx = x - px / slope if slope != 0.0 else 0.5 * (a + b)
         if abs(nx - x) <= 4.0 * sys.float_info.epsilon * abs(x):
-            return x
+            return nx if a < nx < b else x
         x = nx if a < nx < b else 0.5 * (a + b)
     return x
 
@@ -175,23 +176,11 @@ def alpha_root(s: float, v: float, w: float) -> float:
     in_j = [r for r in candidates if 0.0 < r < 1.0]
     if len(in_j) == 1:
         return in_j[0]
-    # ill-conditioned quadratic: fall back to bisection on the sign change
-    lo, hi = 0.0, 1.0
-    flo = a0
-    if flo >= 0.0:
+    # ill-conditioned quadratic: bracket the sign change, alpha(1) = s (v^2 + (w-1)^2)
+    if a0 >= 0.0:
         raise NoRootInJ("optimizer quadratic does not change sign on (0,1)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = (a2 * mid + a1) * mid + a0
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return _bracket_root((a0, a1, a2, 0.0, 0.0), 0.0, 1.0, a0,
+                         s * (v * v + (w - 1.0) ** 2), 0.5)
 
 
 class MinEccResult(NamedTuple):
@@ -284,12 +273,13 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     change, so by Descartes' rule H has exactly one critical point in the
     whole pencil, its maximum.  It lies in x < 1 where the quartic is
     negative at 1, and otherwise at 1 / y, y the root in (0, 1) of the
-    reversed quartic: one bracket, and no margin."""
+    reversed quartic: one bracket from the T3 root (`_t3_root`), no margin."""
     crit = _critical_quartic(dd)
     at1, x = sum(crit), 1.0
     if at1 != 0.0:
-        p = crit if at1 < 0.0 else crit[::-1]
-        y = _bracket_root(p, [k * p[k] for k in range(1, 5)], 0.0, 1.0, p[0], at1)
+        p, x3 = (crit if at1 < 0.0 else crit[::-1]), _t3_root(dd)
+        y = _bracket_root(p, 0.0, 1.0, p[0], at1,
+                          x3 if at1 < 0.0 else 1.0 / x3 if x3 > 0.0 else 0.0)
         x = y if at1 < 0.0 else 1.0 / y
     return _optimum(quad, dd, x, "quartic_numeric")
 
@@ -317,7 +307,7 @@ def min_ecc(quad: Quadrilateral,
 def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     """Numeric minimal-eccentricity solver, independent of the closed form
     and valid on every class: the one critical point of H = det S / (tr S)^2
-    in the pencil, solved in one certified bracket (`_numeric`)."""
+    in the pencil, one certified bracket from the T3 root (`_numeric`)."""
     return _numeric(quad, diagonals(quad))
 
 
@@ -342,10 +332,10 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     `quad` is an MDQ, whose minimal-eccentricity ellipse is computed here,
     or a `MinEccResult` from `min_ecc`, which is checked as it stands,
     without classifying the quad again.  Verifies that the conjugate of the
-    ellipse's D1-parallel diameter is parallel to D2, on the conic's
-    quadratic part, and that the two diameters have equal squared length
-    4 |u|^2 det S / (u' adj(S) u), read from the result's own shape S at unit
-    scale.  Near-circular optima (eccentricity below 1e-6) are reported as
+    ellipse's D1-parallel diameter is parallel to D2, on adj(S), and that
+    the two diameters have equal squared length 4 |u|^2 det S /
+    (u' adj(S) u), from the result's own shape S at unit scale, with no
+    conic.  Near-circular optima (eccentricity below 1e-6) are reported as
     vacuously true with the `near_circle` flag, as equal conjugate diameters
     degenerate there."""
     if isinstance(quad, MinEccResult):
@@ -358,10 +348,9 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     if res.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
 
-    par_margin = t1_margin(quad, res.ellipse.conic)
-    sxx, sxy2, syy, det = res.ellipse.shape
-    d = quad.diameter()
-    unit = [4.0 * (x * x + y * y) * det / (syy * x * x - sxy2 * x * y + sxx * y * y)
+    (a, b, c), det, d = res.ellipse.adjugate, res.ellipse.shape[3], quad.diameter()
+    par_margin = t1_margin(quad, (a, b, c))
+    unit = [4.0 * (x * x + y * y) * det / (a * x * x + b * x * y + c * y * y)
             for x, y in ((x / d, y / d) for x, y in quad.diagonal_vectors())]
     len_margin = abs(unit[0] - unit[1]) / max(unit)
     return T3Report(par_margin <= tol, len_margin <= tol, unit[0] * d * d,

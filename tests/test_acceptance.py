@@ -124,6 +124,7 @@ def test_criterion_05_property_t1_t2():
             r = rng.uniform(0.1, 0.9)
             ie = inscribe(quad, r)
             assert t1_margin(quad, ie.conic) <= 1e-7
+            assert t1_margin(quad, ie.adjugate) <= 1e-7
             rep = check_T2(quad, ie, 1e-7)
             if i % 2 == 0:
                 assert {"q2q3", "q1q4"} <= rep.parallel_to_d2
@@ -135,6 +136,7 @@ def test_criterion_05_property_t1_t2():
             quad = frame_quad(*frame)
             ie = inscribe(quad, rng.uniform(0.1, 0.9))
             assert t1_margin(quad, ie.conic) > 1e-4
+            assert t1_margin(quad, ie.adjugate) > 1e-4
             rep = check_T2(quad, ie, 1e-7)
             worst = min(rep.margins_d1["q1q2"], rep.margins_d1["q3q4"],
                         rep.margins_d2["q2q3"], rep.margins_d2["q1q4"])

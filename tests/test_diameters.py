@@ -245,18 +245,25 @@ class TestCheckT2:
 
 
 class TestCheckT1:
+    # a conic and a member's shape both supply the quadratic part (a, b, c)
     def test_example(self, example_quad):
         ie = inscribe(example_quad, EXAMPLE_R)
         assert check_T1(example_quad, ie.conic, 1e-9)
+        assert check_T1(example_quad, ie.adjugate, 1e-9)
 
     def test_non_mdq_fails(self):
         rng = np.random.default_rng(36)
         for _ in range(20):
             quad = frame_quad(*random_nonmdq_frame(rng))
             ie = inscribe(quad, rng.uniform(0.1, 0.9))
-            assert not check_T1(quad, ie.conic, 1e-7)
-            assert t1_margin(quad, ie.conic) > 1e-5
+            for quadratic in (ie.conic, ie.adjugate):
+                assert not check_T1(quad, quadratic, 1e-7)
+                assert t1_margin(quad, quadratic) > 1e-5
+            assert t1_margin(quad, ie.adjugate) == pytest.approx(
+                t1_margin(quad, ie.conic), rel=1e-9)
 
     def test_circle_in_square(self):
         square = canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)])
-        assert check_T1(square, inscribe(square, 0.0).conic, 1e-9)
+        ie = inscribe(square, 0.0)
+        assert check_T1(square, ie.conic, 1e-9)
+        assert check_T1(square, ie.adjugate, 1e-9)

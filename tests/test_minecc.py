@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from inellipse.conic import center, geometry, proportional, scale_normalized
 from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin)
 from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
+from inellipse import minecc
 from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
 from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               alpha_coeffs, alpha_root,
                               closed_form_diameter_len_sq, min_ecc,
                               min_ecc_numeric, p_quartic, verify_T3,
-                              _bracket_root, _critical_quartic)
+                              _bracket_root, _critical_quartic, _t3_root)
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
@@ -23,6 +25,7 @@ from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_s1s3_trapezoid, random_similarity,
                       random_tangential_quad, random_type1_frame,
                       random_type2_frame)
+from test_thin import MAKERS as THIN_MAKERS, RHOS as THIN_RHOS
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
                       assert_points_close)
@@ -128,6 +131,16 @@ class TestAlphaRoot:
             a0, a1, a2 = alpha_coeffs(s, s, w)
             assert a2 == 0.0
             assert alpha_root(s, s, w) == -a0 / a1
+
+    def test_ill_conditioned_fallback_finds_the_same_root(self, monkeypatch):
+        # a square root of nan leaves no candidate in (0, 1), so alpha_root
+        # takes its fallback, the bracketed solve on alpha(0) < 0 < alpha(1)
+        rng = np.random.default_rng(44)
+        frames = [random_type1_frame(rng) for _ in range(50)]
+        roots = [alpha_root(s, v, w) for s, _, v, w in frames]
+        monkeypatch.setattr(minecc, "math", SimpleNamespace(sqrt=lambda x: math.nan))
+        for (s, _, v, w), r in zip(frames, roots):
+            assert alpha_root(s, v, w) == pytest.approx(r, rel=1e-14, abs=0.0)
 
 
 class TestMinEcc:
@@ -345,11 +358,50 @@ class TestCertificate:
     @pytest.mark.parametrize("root", [1e-12, 1.0 - 1e-12])
     def test_bracket_root_finds_a_lone_root_near_either_end(self, root):
         # (x - root)(x + 1)(x^2 + 1): every coefficient is 1 - root or
-        # +-root, so the rounded quartic keeps its root within an ulp
+        # +-root, so the rounded quartic keeps its root within an ulp; a
+        # start of -1 is outside the bracket and takes the secant point
         p = (-root, 1.0 - root, 1.0 - root, 1.0 - root, 1.0)
-        dp = [k * p[k] for k in range(1, 5)]
-        got = _bracket_root(p, dp, 0.0, 1.0, p[0], sum(p))
-        assert abs(got - root) <= 4.0 * math.ulp(root)
+        for start in (-1.0, 1e-9, 0.5, 1.0 - 1e-9):
+            got = _bracket_root(p, 0.0, 1.0, p[0], sum(p), start)
+            assert abs(got - root) <= 4.0 * math.ulp(root), start
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+    def test_a_start_outside_the_bracket_takes_the_secant_point(self, start):
+        # roots 0.2, 0.5 and 0.8 in (0, 1), so the start decides which one
+        # the steps reach: the secant point 1/3 reaches 0.2, 0.79 reaches 0.8
+        p = (-0.08, 0.58, -0.84, -0.5, 1.0)
+        pa, pb = p[0], sum(p)
+        secant = _bracket_root(p, 0.0, 1.0, pa, pb, pa / (pa - pb))
+        assert abs(secant - 0.2) <= 1e-12
+        assert abs(_bracket_root(p, 0.0, 1.0, pa, pb, 0.79) - 0.8) <= 1e-12
+        assert _bracket_root(p, 0.0, 1.0, pa, pb, start) == secant
+
+    def test_t3_start_reaches_the_secant_start_root(self):
+        # the root in x = lam / mu from the T3 start, which `_numeric` uses,
+        # and from the secant start agree to 4 ulps, on generic draws and on
+        # every class of thin quad
+        rng = np.random.default_rng(77)
+        quads = [random_convex_quad(rng) for _ in range(500)]
+        quads += [make(rng, rho) for make in THIN_MAKERS.values()
+                  for rho in THIN_RHOS for _ in range(6)]
+        warm_inside = 0
+        for quad in quads:
+            dd = diagonals(quad)
+            crit = _critical_quartic(dd)
+            at1 = sum(crit)
+            if at1 == 0.0:
+                continue
+            p, x3 = (crit if at1 < 0.0 else crit[::-1]), _t3_root(dd)
+            warm = x3 if at1 < 0.0 else 1.0 / x3
+            warm_inside += 0.0 < warm < 1.0
+            xw, xs = (y if at1 < 0.0 else 1.0 / y
+                      for y in (_bracket_root(p, 0.0, 1.0, p[0], at1, start)
+                                for start in (warm, -1.0)))
+            assert abs(xw - xs) <= 4.0 * math.ulp(xs), quad.vertices
+            if dd.newton_line is not None:
+                # `_numeric` solves from the same start
+                assert min_ecc_numeric(quad).r_star == dd.a / (dd.a + xw * dd.b)
+        assert warm_inside >= 0.9 * len(quads)
 
 
 class TestNumericMatchesT3:
