@@ -118,12 +118,9 @@ def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
 def tangency_chords(ie: InscribedEllipse) -> TangencyChords:
     """Chords joining tangency points on consecutive sides."""
     q1, q2, q3, q4 = ie.tangency
-    chords = ((q1, q2), (q2, q3), (q3, q4), (q1, q4))
-    slopes = tuple(slope_of(p, q) for p, q in chords)
-    return TangencyChords(chords[0], chords[1], chords[2], chords[3], slopes)
-
-
-_CHORD_NAMES = ("q1q2", "q2q3", "q3q4", "q1q4")
+    return TangencyChords((q1, q2), (q2, q3), (q3, q4), (q1, q4),
+                          (slope_of(q1, q2), slope_of(q2, q3),
+                           slope_of(q3, q4), slope_of(q1, q4)))
 
 
 def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
@@ -132,7 +129,7 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
 
     For a type-1 midpoint diagonal quadrilateral the chords q2q3 and q1q4
     come out parallel to D2; for type 2, q1q2 and q3q4 parallel to D1; for
-    a non-MDQ quad all four sets are empty.
+    a non-MDQ quad both sets are empty.
     """
     q1, q2, q3, q4 = ie.tangency
     (d1x, d1y), (d2x, d2y) = quad.diagonal_vectors()
@@ -140,20 +137,23 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     if n1 == 0.0 or n2 == 0.0:
         raise InEllipseError("zero direction")
     d1x, d1y, d2x, d2y = d1x / n1, d1y / n1, d2x / n2, d2y / n2
-    margins_d1, margins_d2 = {}, {}
+    margins_d1, margins_d2, par1, par2 = {}, {}, [], []
     # each margin is `parallel_margin(chord, diagonal)`, raising as it does,
     # with the diagonals' unit vectors taken once
-    for name, (p, q) in zip(_CHORD_NAMES, ((q1, q2), (q2, q3), (q3, q4), (q1, q4))):
+    for name, p, q in (("q1q2", q1, q2), ("q2q3", q2, q3),
+                       ("q3q4", q3, q4), ("q1q4", q1, q4)):
         ux, uy = q[0] - p[0], q[1] - p[1]
         nu = math.hypot(ux, uy)
         if nu == 0.0:
             raise InEllipseError("zero direction")
         ux, uy = ux / nu, uy / nu
-        margins_d1[name] = abs(ux * d1y - uy * d1x)
-        margins_d2[name] = abs(ux * d2y - uy * d2x)
-    par1 = frozenset(n for n, m in margins_d1.items() if m <= tol)
-    par2 = frozenset(n for n, m in margins_d2.items() if m <= tol)
-    return T2Report(par1, par2, margins_d1, margins_d2)
+        m1 = margins_d1[name] = abs(ux * d1y - uy * d1x)
+        m2 = margins_d2[name] = abs(ux * d2y - uy * d2x)
+        if m1 <= tol:
+            par1.append(name)
+        if m2 <= tol:
+            par2.append(name)
+    return T2Report(frozenset(par1), frozenset(par2), margins_d1, margins_d2)
 
 
 def t1_margin(quad: Quadrilateral, conic: tuple) -> float:

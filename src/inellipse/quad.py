@@ -16,7 +16,11 @@ decides where the diagonals meet; its `DiagonalData` carries, besides the
 segments, M1, M2, P and the Newton line M1M2, the unit-scale directions
 u1 = (A3 - A1) / D, u2 = (A4 - A2) / D (D the diameter), the fractions
 P = A1 + a D u1 = A2 + b D u2, and the midpoint offsets off1, off2 with
-M1 = P + D off1 u1, M2 = P + D off2 u2.
+M1 = P + D off1 u1, M2 = P + D off2 u2.  This pencil data is computed once
+per `Quadrilateral`, on first use, and kept with the instance, like its
+diameter: it is immutable, lives exactly as long as the quad and is shared
+by every function that reads the quad's pencil.  An exception is not kept:
+a degenerate quad raises on every call.
 """
 
 from __future__ import annotations
@@ -88,6 +92,12 @@ class Quadrilateral:
         # the dataclass's equality, hash and repr (the vertices) never read
         v = self.vertices
         return max(_dist(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
+
+    @functools.cached_property
+    def _diagonals(self) -> DiagonalData:
+        # kept like _diameter; an exception is not kept, so a degenerate
+        # quad raises on every read
+        return _diagonal_data(self)
 
     def diagonal_vectors(self) -> tuple[Point, Point]:
         """Direction vectors (A3 - A1, A4 - A2) of the diagonals D1 and D2."""
@@ -206,10 +216,16 @@ def _bisects(frac: float, u: Point, tol: float) -> bool:
 
 
 def diagonals(quad: Quadrilateral) -> DiagonalData:
-    """The quad's `DiagonalData`.  On a parallelogram (both diagonals bisected
-    at CLASSIFY_TOL) the Newton line is None and the offsets are snapped to
-    0: the residue of M1 - M2 would hide the maximum of the pencil's axis
-    ratio."""
+    """The quad's `DiagonalData`, computed on the first call for this
+    `Quadrilateral` and shared by every later call: `classify` at any `tol`,
+    `inscribe`, `min_ecc_numeric` and `verify_T3` read the one immutable
+    pencil.  On a parallelogram (both diagonals bisected at CLASSIFY_TOL) the
+    Newton line is None and the offsets are snapped to 0: the residue of
+    M1 - M2 would hide the maximum of the pencil's axis ratio."""
+    return quad._diagonals
+
+
+def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     a1, a2, a3, a4 = quad.vertices
     d = quad.diameter()
     u1, u2, e = _unit_sub(a3, a1, d), _unit_sub(a4, a2, d), _unit_sub(a2, a1, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from inellipse.diameters import (check_T1, check_T2, conjugate_direction,
                                  diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin, slope_of, t1_margin,
                                  tangency_chords)
-from inellipse.errors import IsCircle
+from inellipse.errors import InEllipseError, IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
 
-from sampling import (frame_quad, random_ellipse, random_frame,
-                      random_nonmdq_frame, random_parallelogram)
+from sampling import (frame_quad, random_convex_quad, random_ellipse,
+                      random_frame, random_mdq_quad, random_nonmdq_frame,
+                      random_parallelogram)
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)
@@ -242,6 +244,62 @@ class TestCheckT2:
         rep = check_T2(quad, inscribe(quad, 0.4), 1e-9)
         assert rep.parallel_to_d1 == frozenset({"q1q2", "q3q4"})
         assert rep.parallel_to_d2 == frozenset({"q2q3", "q1q4"})
+
+
+class TestChordContract:
+    """`check_T2` and `tangency_chords` against `parallel_margin` and
+    `slope_of` applied chord by chord."""
+
+    NAMES = ("q1q2", "q2q3", "q3q4", "q1q4")
+
+    @staticmethod
+    def _members():
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            for quad in (random_convex_quad(rng), random_mdq_quad(rng, type1=True),
+                         random_mdq_quad(rng, type1=False), random_parallelogram(rng)):
+                for param in (0.15, 0.5, 0.85):
+                    yield quad, inscribe(quad, param)
+
+    @staticmethod
+    def _chords(ie):
+        q1, q2, q3, q4 = ie.tangency
+        return (q1, q2), (q2, q3), (q3, q4), (q1, q4)
+
+    def test_margins_and_sets(self):
+        for quad, ie in self._members():
+            diags = quad.diagonal_vectors()
+            rep = check_T2(quad, ie)
+            for margins, diag in ((rep.margins_d1, diags[0]), (rep.margins_d2, diags[1])):
+                assert list(margins) == list(self.NAMES)
+                for name, (p, q) in zip(self.NAMES, self._chords(ie)):
+                    assert margins[name] == parallel_margin((q[0] - p[0], q[1] - p[1]), diag)
+            # every margin as the tolerance is on the boundary: `<=` keeps it
+            for tol in [1e-9] + list(rep.margins_d1.values()) + list(rep.margins_d2.values()):
+                got = check_T2(quad, ie, tol)
+                assert got.margins_d1 == rep.margins_d1 and got.margins_d2 == rep.margins_d2
+                assert got.parallel_to_d1 == {n for n, m in rep.margins_d1.items() if m <= tol}
+                assert got.parallel_to_d2 == {n for n, m in rep.margins_d2.items() if m <= tol}
+            tol = rep.margins_d1["q2q3"]
+            assert "q2q3" in check_T2(quad, ie, tol).parallel_to_d1
+            assert "q2q3" not in check_T2(quad, ie, math.nextafter(tol, 0.0)).parallel_to_d1
+
+    def test_zero_length_chord_raises(self):
+        quad, ie = next(self._members())
+        q1, q2, q3, q4 = ie.tangency
+        for tangency in ((q1, q1, q3, q4), (q1, q2, q3, q1)):
+            with pytest.raises(InEllipseError):
+                check_T2(quad, dataclasses.replace(ie, tangency=tangency))
+
+    def test_chords_and_slopes(self):
+        _, first = next(self._members())
+        q1, q2, q3, q4 = first.tangency
+        vertical = dataclasses.replace(first, tangency=(q1, (q1[0], q1[1] + 1.0), q3, q4))
+        for ie in [vertical] + [ie for _, ie in self._members()]:
+            chords = tangency_chords(ie)
+            assert chords[:4] == self._chords(ie)
+            assert chords.slopes == tuple(slope_of(p, q) for p, q in self._chords(ie))
+        assert tangency_chords(vertical).slopes[0] is None
 
 
 class TestCheckT1:

@@ -1,14 +1,20 @@
+import copy
+import dataclasses
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inellipse import quad as quad_module
+from inellipse.cli import main
 from inellipse.errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
 from inellipse.family import inscribe
-from inellipse.quad import (canonicalize, classify, diagonals, f_values,
-                            mdq_type_qstvw, quadrilateral)
+from inellipse.quad import (Quadrilateral, canonicalize, classify, diagonals,
+                            f_values, mdq_type_qstvw, quadrilateral)
 
 from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
                       random_orthodiagonal_quad, random_parallelogram,
@@ -251,3 +257,57 @@ class TestDiameter:
         assert hash(quad) == hash(fresh)
         assert repr(quad) == before == repr(fresh)
         assert len({quad, fresh}) == 1
+
+
+class TestOnePencilPerQuad:
+    """`diagonals` is computed once per `Quadrilateral` and then shared."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = quad_module._diagonal_data
+
+        def counted(quad):
+            calls.append(quad)
+            return build(quad)
+        monkeypatch.setattr(quad_module, "_diagonal_data", counted)
+        return calls
+
+    def test_every_reader_shares_one_pencil(self):
+        quad = canonicalize(EXAMPLE_VERTICES)
+        dd = diagonals(quad)
+        assert diagonals(quad) is dd
+        assert classify(quad, 1e-9).diagonals is dd
+        assert classify(quad, 1e-5).diagonals is dd
+
+    def test_member_sweep_builds_the_pencil_once(self, builds):
+        quad = canonicalize(EXAMPLE_VERTICES)
+        for k in range(1, 17):
+            inscribe(quad, k / 17)
+        assert builds == [quad]
+
+    def test_verify_t2_builds_the_pencil_once(self, builds, tmp_path, capsys):
+        path = tmp_path / "example.json"
+        path.write_text(json.dumps({"vertices": EXAMPLE_VERTICES}))
+        assert main(["verify", "--theorem", "t2", "--trials", "20", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passes"] == 20
+        assert len(builds) == 1
+
+    def test_derived_quads_never_read_a_stale_pencil(self):
+        rng = np.random.default_rng(18)
+        for quad in [canonicalize(EXAMPLE_VERTICES), random_parallelogram(rng),
+                     random_mdq_quad(rng, type1=False), random_kite(rng)]:
+            dd = diagonals(quad)
+            derived = [quad.rotate_labels(1),
+                       dataclasses.replace(quad, vertices=quad.rotate_labels(2).vertices),
+                       copy.copy(quad), pickle.loads(pickle.dumps(quad))]
+            for other in derived:
+                assert diagonals(other) == quad_module._diagonal_data(other)
+            assert diagonals(derived[0]) != dd
+            assert diagonals(derived[0]).d1 == dd.d2
+
+    def test_a_degenerate_quad_raises_on_every_call(self):
+        quad = Quadrilateral(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                diagonals(quad)
