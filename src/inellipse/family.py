@@ -54,7 +54,7 @@ def check_unit_interval(x: float, name: str = "param") -> None:
         raise ParamOutOfRegion(f"{name}={x} not in the open unit interval")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InscribedEllipse:
     """An inscribed ellipse together with its provenance.
 
@@ -64,6 +64,14 @@ class InscribedEllipse:
     (-1,1) for "parallelogram".  The ellipse is (x - c)' S^-1 (x - c) = D^2,
     D the quad's diameter: `center` is c, `shape` is (Sxx, 2 Sxy, Syy, det S)
     in units of D; `conic`, the max-abs normalized coefficients, is derived.
+
+    `__init__` is written out because every `inscribe` and `min_ecc` builds
+    one: the generated `__init__` of a frozen dataclass assigns each field
+    through `object.__setattr__`, six calls, where this one fills the
+    instance's `vars` once.  It takes the fields by name, as the generated
+    one does, so `dataclasses.replace`, equality, hashing, pickling and the
+    cached `geometry` are unchanged, and assignment still raises
+    `FrozenInstanceError`.
     """
 
     param: float
@@ -72,6 +80,12 @@ class InscribedEllipse:
     quad: Quadrilateral
     center: Point
     shape: tuple[float, float, float, float]
+
+    def __init__(self, param: float, tangency: tuple[Point, Point, Point, Point],
+                 frame: str, quad: Quadrilateral, center: Point,
+                 shape: tuple[float, float, float, float]):
+        vars(self).update(param=param, tangency=tangency, frame=frame, quad=quad,
+                          center=center, shape=shape)
 
     @cached_property
     def geometry(self) -> EllipseGeometry:
@@ -208,20 +222,20 @@ def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
     return wa / (wa + wb), wb / (wa + wb)
 
 
-def _along(p: Point, q: Point, f: float) -> Point:
-    return (p[0] + f * (q[0] - p[0]), p[1] + f * (q[1] - p[1]))
-
-
 def _pencil_contacts(dd: DiagonalData, r: float, lam: float,
                      mu: float) -> tuple[Point, Point, Point, Point]:
     """Contacts C*(lam) l_i on S1..S4: each side's two vertices weighted lam b
     and mu a on S1 (the fraction r), lam b and mu (1 - a) on S2, lam (1 - b)
-    and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3."""
-    (a1, a3), (a2, a4) = dd.d1, dd.d2
+    and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3.  Each
+    is the point at its fraction f along its side, Ai + f (Aj - Ai)."""
+    ((x1, y1), (x3, y3)), ((x2, y2), (x4, y4)) = dd.d1, dd.d2
     lb, lb1 = lam * dd.b, lam * (1.0 - dd.b)
     ma, ma1 = mu * dd.a, mu * (1.0 - dd.a)
-    return (_along(a1, a2, r), _along(a2, a3, lb / (lb + ma1)),
-            _along(a3, a4, ma1 / (lb1 + ma1)), _along(a4, a1, lb1 / (lb1 + ma)))
+    f2, f3, f4 = lb / (lb + ma1), ma1 / (lb1 + ma1), lb1 / (lb1 + ma)
+    return ((x1 + r * (x2 - x1), y1 + r * (y2 - y1)),
+            (x2 + f2 * (x3 - x2), y2 + f2 * (y3 - y2)),
+            (x3 + f3 * (x4 - x3), y3 + f3 * (y4 - y3)),
+            (x4 + f4 * (x1 - x4), y4 + f4 * (y1 - y4)))
 
 
 def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,

@@ -25,8 +25,9 @@ from .diameters import t1_margin
 from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
 from .family import (InscribedEllipse, check_unit_interval,
                      qstvw_coeff_polys, _horner, _inscribed)
-from .quad import (ClassificationReport, DiagonalData, Quadrilateral,
-                   check_qstvw_region, classify, diagonals, f_values)
+from .quad import (CLASSIFY_TOL, ClassificationReport, DiagonalData,
+                   Quadrilateral, check_qstvw_region, classify, diagonals,
+                   f_values, _mdq_types, _tangential)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -292,15 +293,25 @@ def min_ecc(quad: Quadrilateral,
     the T3 member (`_t3_root`); every other quad gets `min_ecc_numeric`'s
     optimum.  A parallelogram's `r_star` is its v = 2r - 1.
 
-    The method is chosen from `report`, the quad's `classify` report, so a
+    The method reads two predicates: "incircle" if the quad is tangential,
+    else "alpha_closed_form" if it is an MDQ, else "quartic_numeric".  With
+    `report`, the quad's `classify` report, they are the report's, so a
     caller that classified the quad at its own tolerance gets the method
-    that report names; without one the quad is classified at the default
-    tolerance.  The pencil is the report's `diagonals`."""
-    rep = classify(quad) if report is None else report
-    dd = rep.diagonals
-    if rep.tangential or rep.mdq:
+    that report names, and the pencil is the report's `diagonals`.  Without
+    one, only these two are evaluated, at CLASSIFY_TOL, by the functions
+    `classify` itself calls (`quad._tangential` on the side lengths, then
+    `quad._mdq_types` on the quad's `diagonals`), so the method is the one
+    `min_ecc(quad, classify(quad))` takes; no full report is built."""
+    if report is None:
+        dd = diagonals(quad)
+        tangential = _tangential(quad.side_lengths(), CLASSIFY_TOL)
+        closed = tangential or any(_mdq_types(dd, CLASSIFY_TOL))
+    else:
+        dd, tangential = report.diagonals, report.tangential
+        closed = tangential or report.mdq
+    if closed:
         return _optimum(quad, dd, _t3_root(dd),
-                        "incircle" if rep.tangential else "alpha_closed_form")
+                        "incircle" if tangential else "alpha_closed_form")
     return _numeric(quad, dd)
 
 

@@ -150,14 +150,14 @@ class ClassificationReport(NamedTuple):
 
 def _validate_convex(vertices: Sequence[Point]) -> float:
     """Reject non-convex vertices; return the first two edges' unit-scale cross."""
-    diam = max(_dist(p, q) for i, p in enumerate(vertices)
-               for q in vertices[i + 1:])
+    pairs = [(p, q, _dist(p, q)) for i, p in enumerate(vertices)
+             for q in vertices[i + 1:]]
+    diam = max(dist for _, _, dist in pairs)
     if diam == 0.0:
         raise DuplicateVertex("all vertices coincide")
-    for i, p in enumerate(vertices):
-        for q in vertices[i + 1:]:
-            if _dist(p, q) <= 1e-12 * diam:
-                raise DuplicateVertex(f"vertices {p} and {q} coincide")
+    for p, q, dist in pairs:
+        if dist <= 1e-12 * diam:
+            raise DuplicateVertex(f"vertices {p} and {q} coincide")
     crosses = []
     for i in range(4):
         e1 = _unit_sub(vertices[(i + 1) % 4], vertices[i], diam)
@@ -215,6 +215,19 @@ def _bisects(frac: float, u: Point, tol: float) -> bool:
     return abs(0.5 - frac) * math.hypot(*u) <= tol
 
 
+def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
+    """Pitot's test on the side lengths (a, b, c, d): a + c = b + d within
+    `tol` of the perimeter.  `classify` and `min_ecc` both read it."""
+    a, b, c, d = sides
+    return abs(a + c - (b + d)) <= tol * (a + b + c + d)
+
+
+def _mdq_types(dd: DiagonalData, tol: float) -> tuple[bool, bool]:
+    """(type 1, type 2): whether P bisects D2, D1 within `tol` of the
+    diameter.  `classify` and `min_ecc` both read it."""
+    return _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
+
+
 def diagonals(quad: Quadrilateral) -> DiagonalData:
     """The quad's `DiagonalData`, computed on the first call for this
     `Quadrilateral` and shared by every later call: `classify` at any `tol`,
@@ -242,22 +255,23 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
     """Evaluate all classification predicates at relative tolerance `tol`."""
     diam = quad.diameter()
-    a, b, c, d = quad.side_lengths()
+    sides = quad.side_lengths()
+    a, b, c, d = sides
     perim = a + b + c + d
     dd = diagonals(quad)
 
-    mdq1, mdq2 = _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
+    mdq1, mdq2 = _mdq_types(dd, tol)
     u, v = dd.u1, dd.u2
     # |S1 x S3| = D^2 |dd.a - dd.b| |u x v|, |S2 x S4| = D^2 |dd.a + dd.b - 1| |u x v|
     cross = abs(_cross(u, v))
     trapezoid = (abs(dd.a - dd.b) * cross <= tol * (b / diam) * (d / diam)
                  or abs(dd.a + dd.b - 1.0) * cross <= tol * (c / diam) * (a / diam))
-    tangential = abs(a + c - (b + d)) <= tol * perim
+    tangential = _tangential(sides, tol)
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))
     return ClassificationReport(True, mdq1 and mdq2, trapezoid, tangential,
-                                orthodiagonal, kite, mdq1, mdq2, (a, b, c, d), dd)
+                                orthodiagonal, kite, mdq1, mdq2, sides, dd)
 
 
 def in_region_g(s: float, t: float) -> bool:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
 from inellipse.errors import (CollinearTriangle, InEllipseError,
                               NonPositiveWeights, ParamOutOfRegion)
-from inellipse.family import (inscribe, marden_foci, qst_center_param,
+from inellipse import family
+from inellipse.family import (InscribedEllipse, inscribe, marden_foci, qst_center_param,
                               qst_conic, qst_newton_line, qst_tangency,
                               qstvw_coeff_polys, qstvw_conic, qstvw_tangency,
                               square_inellipse_conic)
@@ -325,6 +328,68 @@ class TestInscribe:
                 assert_points_close(c, dd.m1, 1e-9 * quad.diameter())
             else:
                 assert_on_open_segment(c, dd.m1, dd.m2, 1e-9)
+
+
+class TestInscribedEllipseContract:
+    """`InscribedEllipse` has a written-out `__init__`; it must still behave
+    as the frozen dataclass it is declared as."""
+
+    FIELDS = ("param", "tangency", "frame", "quad", "center", "shape")
+
+    @pytest.fixture(params=["qstvw", "parallelogram"])
+    def member(self, request, example_quad):
+        if request.param == "qstvw":
+            return inscribe(example_quad, EXAMPLE_R)
+        member = inscribe(canonicalize([(0, 0), (1, 2), (4, 2), (3, 0)]), 0.25)
+        assert member.frame == "parallelogram"
+        return member
+
+    def test_fields_are_set_by_name_and_position(self, member):
+        assert tuple(f.name for f in dataclasses.fields(member)) == self.FIELDS
+        values = [getattr(member, name) for name in self.FIELDS]
+        assert InscribedEllipse(*values) == member
+        assert InscribedEllipse(**dict(zip(self.FIELDS, values))) == member
+        assert repr(member).startswith(f"InscribedEllipse(param={member.param!r}, ")
+
+    def test_assignment_and_deletion_raise(self, member):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            member.param = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del member.center
+
+    def test_replace(self, member):
+        assert dataclasses.replace(member) == member
+        moved = dataclasses.replace(member, center=(0.0, 0.0))
+        assert moved.center == (0.0, 0.0) and moved != member
+        assert moved.shape == member.shape and moved.quad is member.quad
+
+    def test_equal_members_compare_and_hash_equal(self, member):
+        again = inscribe(member.quad, member.param)
+        assert again is not member and again == member
+        assert hash(again) == hash(member)
+        assert len({member, again}) == 1
+        assert inscribe(member.quad, member.param / 2) != member
+
+    def test_pickle_round_trip(self, member):
+        for read_geometry in (False, True):
+            if read_geometry:
+                member.geometry
+            copy = pickle.loads(pickle.dumps(member))
+            assert copy == member and hash(copy) == hash(member)
+            assert copy.geometry == member.geometry
+
+    def test_geometry_is_computed_once_per_instance(self, member, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shape_geometry(*args)
+        shape_geometry = family.shape_geometry
+        monkeypatch.setattr(family, "shape_geometry", counted)
+        first = member.geometry
+        assert member.geometry is first and len(calls) == 1
+        other = inscribe(member.quad, member.param)
+        assert other.geometry == first and len(calls) == 2
 
 
 def _outcome(fn, *args):

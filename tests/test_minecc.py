@@ -17,7 +17,8 @@ from inellipse.minecc import (EccFunctional, G_value, N_factorization,
                               closed_form_diameter_len_sq, min_ecc,
                               min_ecc_numeric, p_quartic, verify_T3,
                               _bracket_root, _critical_quartic, _t3_root)
-from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
+from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
+                            quadrilateral)
 
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
@@ -250,6 +251,99 @@ class TestMinEcc:
             sim = random_similarity(rng)
             moved = quadrilateral([sim.apply(p) for p in quad.vertices])
             assert min_ecc(moved).eccentricity == pytest.approx(base, rel=1e-9)
+
+
+def _tangential_non_mdq(rng):
+    while True:
+        quad = random_tangential_quad(rng)
+        if not classify(quad).mdq:
+            return quad
+
+
+def _near_tangential(seed, k):
+    """A tangential non-MDQ whose A3 is moved along A2->A3 until
+    a + c - (b + d) is k * CLASSIFY_TOL of the perimeter: c grows by the
+    move and d by its cosine of the angle at A3, so the defect is monotone."""
+    a1, a2, a3, a4 = _tangential_non_mdq(np.random.default_rng(seed)).vertices
+    ex, ey = a3[0] - a2[0], a3[1] - a2[1]
+    norm = math.hypot(ex, ey)
+
+    def moved(step):
+        return quadrilateral([a1, a2, (a3[0] + step * ex / norm,
+                                       a3[1] + step * ey / norm), a4])
+
+    def defect(quad):
+        a, b, c, d = quad.side_lengths()
+        return (a + c - (b + d)) / (a + b + c + d)
+
+    # the defect is linear in the step to about 1e-6: two secant steps
+    steps = [0.0, 1e-6 * norm]
+    values = [defect(moved(x)) - k * CLASSIFY_TOL for x in steps]
+    for _ in range(2):
+        (x0, x1), (g0, g1) = steps, values
+        steps = [x1, x1 - g1 * (x1 - x0) / (g1 - g0)]
+        values = [g1, defect(moved(steps[1])) - k * CLASSIFY_TOL]
+    quad = moved(steps[1])
+    assert defect(quad) == pytest.approx(k * CLASSIFY_TOL, rel=1e-4)
+    return quad
+
+
+def _near_mdq(seed, k, type1):
+    """A quad whose diagonals meet k * CLASSIFY_TOL of the diameter from the
+    midpoint of D2 (type 1) or of D1 (type 2)."""
+    key = "b" if type1 else "a"
+    dd = diagonals(random_diagonal_quad(np.random.default_rng(seed), **{key: 0.5}))
+    norm = math.hypot(*(dd.u2 if type1 else dd.u1))
+    quad = random_diagonal_quad(np.random.default_rng(seed),
+                                **{key: 0.5 + k * CLASSIFY_TOL / norm})
+    dd = diagonals(quad)
+    frac, u = (dd.b, dd.u2) if type1 else (dd.a, dd.u1)
+    assert (frac - 0.5) * math.hypot(*u) == pytest.approx(k * CLASSIFY_TOL, rel=1e-4)
+    return quad
+
+
+def _dispatch_fields(res):
+    ie = res.ellipse
+    return repr((res.method, res.r_star, ie.center, ie.shape, ie.tangency))
+
+
+class TestDispatchWithoutReport:
+    """`min_ecc(quad)` evaluates only the two predicates it dispatches on,
+    through the functions `classify` calls: it must take the method and
+    build the member that `min_ecc(quad, classify(quad))` does, also on
+    either side of each threshold, where a predicate edited in only one of
+    the two places would send the quads apart."""
+
+    @pytest.mark.parametrize("make", [
+        random_convex_quad,
+        _tangential_non_mdq,
+        lambda rng: random_mdq_quad(rng, type1=True),
+        lambda rng: random_mdq_quad(rng, type1=False),
+        random_kite,
+        random_parallelogram,
+    ], ids=["generic", "tangential", "type1", "type2", "kite", "parallelogram"])
+    def test_same_result_as_with_the_report(self, make):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            quad = make(rng)
+            assert _dispatch_fields(min_ecc(quad)) == \
+                _dispatch_fields(min_ecc(quad, classify(quad)))
+
+    @pytest.mark.parametrize("make, method", [
+        (_near_tangential, "incircle"),
+        (lambda seed, k: _near_mdq(seed, k, True), "alpha_closed_form"),
+        (lambda seed, k: _near_mdq(seed, k, False), "alpha_closed_form"),
+    ], ids=["tangential", "type1", "type2"])
+    def test_same_result_at_either_side_of_a_threshold(self, make, method):
+        for seed in range(20):
+            methods = []
+            for k in (0.99, 1.01):
+                quad = make(seed, k)
+                res = min_ecc(quad)
+                assert _dispatch_fields(res) == \
+                    _dispatch_fields(min_ecc(quad, classify(quad)))
+                methods.append(res.method)
+            assert methods == [method, "quartic_numeric"]
 
 
 class TestMinEccNumeric:
