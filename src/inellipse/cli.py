@@ -36,13 +36,13 @@ import math
 import random
 import sys
 
-from .affine import normalize_to_qstvw
+from .affine import alpha_root, normalize_to_qstvw
 from .diameters import (CIRCLE_CUTOFF, check_T2, equal_diameter_pair,
                         t1_margin)
 from .errors import (InEllipseError, IsCircle, NonConvexInput,
                      ParamOutOfRegion)
 from .family import InscribedEllipse, inscribe
-from .minecc import alpha_root, min_ecc, verify_T3
+from .minecc import min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
                    canonicalize, classify)
 from .svgfig import Figure

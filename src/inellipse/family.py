@@ -25,28 +25,18 @@ quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
 the ratio x = lam / mu in (0, inf), r = a / (a + x b), and build
 lam = x / (1 + x) and mu = 1 / (1 + x) from it, so that neither weight is a
 difference, however small it is.
-
-The paper's closed forms stay as formulas the tests check the pencil
-against: the (s,t) frame (0,0), (0,1), (s,t), (1,0), parametrized by the
-bottom-side contact abscissa q, and the (s,t,v,w) frame (0,0), (0,1),
-(s,t), (v,w), whose six coefficient polynomials are quadratic in the
-left-side contact ordinate r, the pencil's r when the quad's own labeling
-is admissible.  `marden_foci` places the foci of a triangle's inellipse.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
                     shape_geometry)
-from .errors import (CollinearTriangle, InEllipseError, NonPositiveWeights,
-                     ParamOutOfRegion)
-from .quad import (DiagonalData, Quadrilateral, check_qstvw_region, diagonals,
-                   in_region_g)
+from .errors import InEllipseError, ParamOutOfRegion
+from .quad import DiagonalData, Quadrilateral, diagonals
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -107,115 +97,6 @@ class InscribedEllipse:
         return scale_normalized(coeffs)
 
 
-def _check_qst(s: float, t: float, q: float) -> None:
-    if not in_region_g(s, t):
-        raise ParamOutOfRegion(f"(s,t)=({s},{t}) outside region G")
-    check_unit_interval(q, "q")
-
-
-def qst_conic(s: float, t: float, q: float) -> ConicCoeffs:
-    """Inscribed-ellipse coefficients for the (s,t) frame, tangent at (q, 0)."""
-    _check_qst(s, t, q)
-    a = t * t
-    b = 4.0 * q * q * (t - 1.0) * t + 2.0 * q * t * (s - t + 2.0) - 2.0 * s * t
-    cc = ((1.0 - q) * s + q * t) ** 2
-    d = -2.0 * q * t * t
-    e = -2.0 * q * t * ((1.0 - q) * s + q * t)
-    f = q * q * t * t
-    return ConicCoeffs(a, b, cc, d, e, f)
-
-
-def qst_newton_line(s: float, t: float, x: float) -> float:
-    """Ordinate of the line through the diagonal midpoints of the (s,t) frame."""
-    return 0.5 * (s - t + 2.0 * x * (t - 1.0)) / (s - 1.0)
-
-
-def qst_center_param(s: float, t: float, q: float) -> tuple[float, Point]:
-    """Center abscissa h and center point of the family member at q.
-
-    The center lies on the open segment between the diagonal midpoints
-    (s/2, t/2) and (1/2, 1/2), at (h, L(h)) with h determined by q.
-    """
-    _check_qst(s, t, q)
-    h = 0.5 * (q * (t - s) + s) / (q * (t - 1.0) + 1.0)
-    return h, (h, qst_newton_line(s, t, h))
-
-
-def qst_tangency(s: float, t: float, q: float) -> tuple[Point, Point, Point, Point]:
-    """Closed-form tangency points on sides S1..S4 of the (s,t) frame."""
-    _check_qst(s, t, q)
-    den1 = (t - s) * q + s
-    den2 = (t - 1.0) * (s + t) * q + s
-    den3 = (s + t - 2.0) * q + 1.0
-    q1 = (0.0, q * t / den1)
-    q2 = ((1.0 - q) * s * s / den2, t * (s + q * (t - 1.0)) / den2)
-    q3 = ((s + q * (t - 1.0)) / den3, (1.0 - q) * t / den3)
-    q4 = (q, 0.0)
-    return q1, q2, q3, q4
-
-
-def square_inellipse_conic(v: float) -> ConicCoeffs:
-    """Inscribed-ellipse coefficients for the square [-1,1]^2 at parameter v.
-
-    Tangent to the sides at (-1, v), (-v, 1), (1, -v), (v, -1); v = 0 is
-    the unit incircle.
-    """
-    if not abs(v) < 1.0:
-        raise ParamOutOfRegion(f"v={v} not in (-1, 1)")
-    return ConicCoeffs(1.0, 2.0 * v, 1.0, 0.0, 0.0, v * v - 1.0)
-
-
-def qstvw_coeff_polys(s: float, t: float, v: float,
-                      w: float) -> tuple[tuple[float, ...], ...]:
-    """Coefficient polynomials (ascending powers of r) of the (s,t,v,w) family.
-
-    Returns six tuples for A, B, C, D, E, F of the family conic
-    A(r)x^2 + B(r)xy + C(r)y^2 + D(r)x + E(r)y + F(r).
-    """
-    a2 = (s * s + v * v * t * t + w * w * s * s
-          - 2.0 * t * v * s * (w + 1.0) + 2.0 * w * s * (2.0 * v - s))
-    a1 = 2.0 * v * (s * t - 2.0 * w * s - t * t * v + t * s * w)
-    a0 = t * t * v * v
-    b2 = -4.0 * v * s * (v - s)
-    b1 = -2.0 * v * s * (s * (w + 1.0) - v * (t + 2.0))
-    b0 = -2.0 * v * v * s * t
-    c0 = v * v * s * s
-    d2 = 2.0 * s * v * (t * v - s * (w + 1.0))
-    d1 = 2.0 * s * v * (2.0 * w * s - t * v)
-    e1 = -2.0 * v * v * s * s
-    f2 = s * s * v * v
-    return ((a0, a1, a2), (b0, b1, b2), (c0,), (0.0, d1, d2), (0.0, e1), (0.0, 0.0, f2))
-
-
-def qstvw_conic(s: float, t: float, v: float, w: float, r: float) -> ConicCoeffs:
-    """Inscribed-ellipse coefficients for the (s,t,v,w) frame at parameter r.
-
-    The family remains well defined when sides S2 and S4 are parallel (f3 = 0).
-    """
-    check_qstvw_region(s, t, v, w)
-    check_unit_interval(r, "r")
-    return ConicCoeffs(*(_horner(poly, r) for poly in qstvw_coeff_polys(s, t, v, w)))
-
-
-def _horner(coeffs, x):
-    """Ascending coefficients evaluated at x (a float, or an array with + and *)."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def qstvw_tangency(s: float, t: float, v: float, w: float,
-                   r: float) -> tuple[Point, Point, Point, Point]:
-    """Tangency points on sides S1..S4 of the (s,t,v,w) frame at parameter r:
-    the contacts of the frame quad's pencil member touching S1 at (0, r).
-    On S4 this is the paper's (q, (w/v)q), q = svr/((s - f2)r + f2)."""
-    check_qstvw_region(s, t, v, w)
-    check_unit_interval(r, "r")
-    dd = diagonals(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
-    return _pencil_contacts(dd, r, *_weights(dd, r))
-
-
 def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
     """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
     wa, wb = dd.a * (1.0 - r), dd.b * r
@@ -273,38 +154,3 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     r = (1.0 + param) / 2.0 if par else param
     check_unit_interval(r, "(1 + v) / 2" if par else "param")
     return _inscribed(quad, dd, *_weights(dd, r), r, param)
-
-
-def marden_foci(z1: Point, z2: Point, z3: Point,
-                t1: float, t2: float, t3: float
-                ) -> tuple[tuple[Point, Point], tuple[Point, Point, Point]]:
-    """Foci and tangency points of the ellipse inscribed in a triangle.
-
-    The foci are the zeros of t1/(z-z1) + t2/(z-z2) + t3/(z-z3) with the
-    weights normalized to sum to 1; the inscribed ellipse touches the side
-    z2z3 at (t2*z3 + t3*z2)/(t2 + t3) and cyclically.  Requires a positive
-    weight product and a nondegenerate triangle.
-    """
-    area2 = ((z2[0] - z1[0]) * (z3[1] - z1[1])
-             - (z2[1] - z1[1]) * (z3[0] - z1[0]))
-    scale = max(abs(z2[0] - z1[0]), abs(z2[1] - z1[1]),
-                abs(z3[0] - z1[0]), abs(z3[1] - z1[1]), 1e-300)
-    if abs(area2) <= 1e-12 * scale * scale:
-        raise CollinearTriangle("triangle vertices are collinear")
-    total = t1 + t2 + t3
-    if abs(total) <= 1e-300:
-        raise NonPositiveWeights("weights sum to zero")
-    t1, t2, t3 = t1 / total, t2 / total, t3 / total
-    if t1 * t2 * t3 <= 0.0:
-        raise NonPositiveWeights("weight product must be positive")
-    w1, w2, w3 = complex(*z1), complex(*z2), complex(*z3)
-    # numerator of the weighted pole sum: z^2 - b z + c
-    b = t1 * (w2 + w3) + t2 * (w1 + w3) + t3 * (w1 + w2)
-    c = t1 * w2 * w3 + t2 * w1 * w3 + t3 * w1 * w2
-    root = cmath.sqrt(b * b - 4.0 * c)
-    f1, f2 = (b + root) / 2.0, (b - root) / 2.0
-    zeta1 = (t2 * w3 + t3 * w2) / (t2 + t3)
-    zeta2 = (t1 * w3 + t3 * w1) / (t1 + t3)
-    zeta3 = (t1 * w2 + t2 * w1) / (t1 + t2)
-    as_pt = lambda z: (z.real, z.imag)
-    return (as_pt(f1), as_pt(f2)), (as_pt(zeta1), as_pt(zeta2), as_pt(zeta3))

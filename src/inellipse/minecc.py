@@ -2,7 +2,7 @@
 
 The squared axis ratio k of the dual pencil's member, with shape S, rises
 with H = det S / (tr S)^2 = k / (1 + k)^2, the paper's N = O^2 - M
-(`N_factorization`) in the pencil: O = tr S, N = 4 det S and
+(`affine.N_factorization`) in the pencil: O = tr S, N = 4 det S and
 G = (O - sqrt(M)) / (O + sqrt(M)) = k.  Both solvers carry the member as the
 ratio x = lam / mu in (0, inf) of its weights, which holds 1e-20 as well as
 1/2.  H's critical points are the positive roots of one quartic in x, whose
@@ -11,8 +11,6 @@ solve finds the optimum.  An MDQ's optimum is the member whose
 diagonal-parallel diameters are equal (the paper's T3), the positive root of
 a quadratic in x and the Newton start on every quad.  Both read the pencil
 from the quad's `DiagonalData` (a `classify` report's, when one is given).
-The paper's (s,t,v,w) formulas (`EccFunctional`, `G_value`,
-`N_factorization`, `alpha_root`) stay as cross-checks, which no solver calls.
 """
 
 from __future__ import annotations
@@ -22,24 +20,13 @@ import sys
 from typing import NamedTuple, Optional
 
 from .diameters import t1_margin
-from .errors import InEllipseError, NoRootInJ, NotMDQ, ParamOutOfRegion
-from .family import (InscribedEllipse, check_unit_interval,
-                     qstvw_coeff_polys, _horner, _inscribed)
+from .errors import NotMDQ
+from .family import InscribedEllipse, _inscribed
 from .quad import (CLASSIFY_TOL, ClassificationReport, DiagonalData,
-                   Quadrilateral, check_qstvw_region, classify, diagonals,
-                   f_values, _mdq_types, _tangential)
+                   Quadrilateral, classify, diagonals, _mdq_types, _tangential)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
-
-
-def _mul(p, q) -> list[float]:
-    """Product of two ascending coefficient sequences, in plain floats."""
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _bracket_root(p, a: float, b: float, pa: float, pb: float, x: float) -> float:
@@ -62,126 +49,6 @@ def _bracket_root(p, a: float, b: float, pa: float, pb: float, x: float) -> floa
             return nx if a < nx < b else x
         x = nx if a < nx < b else 0.5 * (a + b)
     return x
-
-
-class EccFunctional:
-    """Ascending coefficients of the (s,t,v,w) family's O = A + C,
-    M = (A - C)^2 + B^2, N = O^2 - M and G's critical quartic
-    p = 2*M*O' - O*M', from the quadratic part A, B, C of its conic."""
-
-    def __init__(self, s: float, t: float, v: float, w: float):
-        check_qstvw_region(s, t, v, w)
-        self.s, self.t, self.v, self.w = s, t, v, w
-        pa, pb, pc, _, _, _ = qstvw_coeff_polys(s, t, v, w)
-        pc = pc + (0.0,) * (3 - len(pc))
-        o = [x + y for x, y in zip(pa, pc)]
-        d = [x - y for x, y in zip(pa, pc)]
-        m = [x + y for x, y in zip(_mul(d, d), _mul(pb, pb))]
-        # p's degree-5 terms cancel identically
-        p = [2.0 * x - y for x, y in zip(
-            _mul(m, (o[1], 2.0 * o[2])),
-            _mul(o, (m[1], 2.0 * m[2], 3.0 * m[3], 4.0 * m[4])))]
-        self.o_coeffs, self.m_coeffs, self.p_coeffs = tuple(o), tuple(m), tuple(p[:5])
-        self.n_coeffs = tuple(x - y for x, y in zip(_mul(o, o), m))
-
-    def o(self, r):
-        return _horner(self.o_coeffs, r)
-
-    def m(self, r):
-        return _horner(self.m_coeffs, r)
-
-    def n(self, r):
-        return _horner(self.n_coeffs, r)
-
-    def p(self, r):
-        return _horner(self.p_coeffs, r)
-
-    def g(self, r):
-        """Squared axis ratio (b/a)^2 of the member at r (float or array)."""
-        o, m = self.o(r), self.m(r)
-        m = (0.5 * (m + abs(m))) ** 0.5  # the root of max(m, 0)
-        return (o - m) / (o + m)
-
-
-def G_value(s: float, t: float, v: float, w: float, r: float) -> float:
-    """Squared axis ratio of the (s,t,v,w) family member at r."""
-    check_unit_interval(r, "r")
-    return float(EccFunctional(s, t, v, w).g(r))
-
-
-def N_factorization(s: float, t: float, v: float, w: float,
-                    tol: float = 1e-9) -> tuple[float, float, float, float]:
-    """Roots (0, 1, f2/(v-s), v/(v-s)) of N, verified against the expansion.
-
-    N must factor as 16 s^2 v^2 r (1-r) ((s-v)r + v) ((s-v)r + f2); the
-    roots are all distinct for an admissible frame (f3 = 0 would merge the
-    last two, which is rejected).  The last two divide by v - s, so sides
-    S1 and S3 must not be parallel.
-    """
-    check_qstvw_region(s, t, v, w)
-    _, f2, f3 = f_values(s, t, v, w)
-    scale = max(abs(s), abs(t), abs(v), abs(w), 1.0)
-    if abs(f3) <= tol * scale * scale:
-        raise ParamOutOfRegion("frame requires f3 != 0 (parallel sides S2, S4)")
-    if abs(s - v) <= tol * scale:
-        raise ParamOutOfRegion("roots of N require s != v (parallel sides S1, S3)")
-    roots = (0.0, 1.0, f2 / (v - s), v / (v - s))
-    scale = max(1.0, *(abs(r) for r in roots))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(roots[i] - roots[j]) <= tol * scale:
-                raise ParamOutOfRegion("roots of N are not distinct")
-    func = EccFunctional(s, t, v, w)
-    k = 16.0 * s * s * v * v
-    expanded = [k * x for x in _mul(_mul([0.0, 1.0], [1.0, -1.0]),
-                                    _mul([v, s - v], [f2, s - v]))]
-    top = max(abs(x) for x in expanded + list(func.n_coeffs))
-    if max(abs(x - y) for x, y in zip(expanded, func.n_coeffs)) > tol * top:
-        raise InEllipseError("N does not match its factorization")
-    return roots
-
-
-def p_quartic(s: float, t: float, v: float, w: float) -> tuple[float, ...]:
-    """Ascending coefficients (degree <= 4) of p = 2*M*O' - O*M'."""
-    return EccFunctional(s, t, v, w).p_coeffs
-
-
-def alpha_coeffs(s: float, v: float, w: float) -> tuple[float, float, float]:
-    """Ascending coefficients of the type-1 optimizer quadratic.
-
-    alpha(r) = 2(s-v)(v^2+w^2+1) r^2 + 2v(v^2+w^2+1) r - s(v^2+(w+1)^2).
-    """
-    k = v * v + w * w + 1.0
-    return (-s * (v * v + (w + 1.0) ** 2), 2.0 * v * k, 2.0 * (s - v) * k)
-
-
-def alpha_root(s: float, v: float, w: float) -> float:
-    """Unique root in (0,1) of the type-1 optimizer quadratic.
-
-    Valid for type-1 frames, where t is determined by t = s(w+1)/v; the
-    admissibility conditions reduce to s, v > 0 and 2s - v > 0.
-    alpha(0) < 0 < alpha(1) guarantees the root exists.  On a
-    parallelogram's frame s = v, and alpha is linear with root -a0/a1.
-    """
-    if not (s > 0.0 and v > 0.0):
-        raise ParamOutOfRegion("type-1 frame requires s, v > 0")
-    if not 2.0 * s - v > 0.0:
-        raise ParamOutOfRegion("type-1 frame requires 2s - v > 0")
-    a0, a1, a2 = alpha_coeffs(s, v, w)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        raise NoRootInJ("optimizer quadratic has no real root")
-    # a1 > 0, so q < 0 and a0/q is the root that does not cancel
-    q = -0.5 * (a1 + math.sqrt(disc))
-    candidates = [q / a2, a0 / q] if a2 != 0.0 else [a0 / q]
-    in_j = [r for r in candidates if 0.0 < r < 1.0]
-    if len(in_j) == 1:
-        return in_j[0]
-    # ill-conditioned quadratic: bracket the sign change, alpha(1) = s (v^2 + (w-1)^2)
-    if a0 >= 0.0:
-        raise NoRootInJ("optimizer quadratic does not change sign on (0,1)")
-    return _bracket_root((a0, a1, a2, 0.0, 0.0), 0.0, 1.0, a0,
-                         s * (v * v + (w - 1.0) ** 2), 0.5)
 
 
 class MinEccResult(NamedTuple):
@@ -320,21 +187,6 @@ def min_ecc_numeric(quad: Quadrilateral) -> MinEccResult:
     and valid on every class: the one critical point of H = det S / (tr S)^2
     in the pencil, one certified bracket from the T3 root (`_numeric`)."""
     return _numeric(quad, diagonals(quad))
-
-
-def closed_form_diameter_len_sq(s: float, v: float, w: float,
-                                r1: float) -> tuple[float, float]:
-    """Frame-coordinate squared lengths of the two diagonal-parallel diameters.
-
-    With beta = (s-v)r1 + v and zeta = (s-v)r1 + s, the diameter parallel
-    to D1 has squared length (1 + ((w+1)/v)^2) v^2 s (1-r1) zeta / beta^2
-    and the one parallel to D2 has (1 + ((w-1)/v)^2) r1 s v^2 / beta.
-    """
-    beta = (s - v) * r1 + v
-    zeta = (s - v) * r1 + s
-    len1 = (1.0 + ((w + 1.0) / v) ** 2) * v * v * s * (1.0 - r1) * zeta / (beta * beta)
-    len2 = (1.0 + ((w - 1.0) / v) ** 2) * r1 * s * v * v / beta
-    return len1, len2
 
 
 def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conic import Point
-from .errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
+from .errors import DuplicateVertex, NonConvexInput
 
 CONVEXITY_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -88,8 +88,8 @@ class Quadrilateral:
 
     @functools.cached_property
     def _diameter(self) -> float:
-        # computed on first use and kept in the instance's __dict__, which
-        # the dataclass's equality, hash and repr (the vertices) never read
+        # set by canonicalize and quadrilateral, else computed on first use;
+        # kept in the instance's __dict__, which equality, hash and repr never read
         v = self.vertices
         return max(_dist(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
 
@@ -148,8 +148,8 @@ class ClassificationReport(NamedTuple):
         return self.mdq_type1 or self.mdq_type2
 
 
-def _validate_convex(vertices: Sequence[Point]) -> float:
-    """Reject non-convex vertices; return the first two edges' unit-scale cross."""
+def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
+    """Reject non-convex vertices; return (first edges' unit-scale cross, diameter)."""
     pairs = [(p, q, _dist(p, q)) for i, p in enumerate(vertices)
              for q in vertices[i + 1:]]
     diam = max(dist for _, _, dist in pairs)
@@ -167,7 +167,15 @@ def _validate_convex(vertices: Sequence[Point]) -> float:
         raise NonConvexInput("near-collinear consecutive vertices")
     if not (all(x > 0 for x in crosses) or all(x < 0 for x in crosses)):
         raise NonConvexInput("vertices are not in convex position")
-    return crosses[0]
+    return crosses[0], diam
+
+
+def _with_diameter(vertices, diam: float) -> Quadrilateral:
+    """A `Quadrilateral` whose `_diameter` (the `cached_property`'s slot) is
+    diam, set in place: writing to `vars(quad)` would build the instance dict."""
+    quad = Quadrilateral(vertices)
+    object.__setattr__(quad, "_diameter", diam)
+    return quad
 
 
 def quadrilateral(vertices: Iterable[Point]) -> Quadrilateral:
@@ -180,9 +188,10 @@ def quadrilateral(vertices: Iterable[Point]) -> Quadrilateral:
     pts = tuple((float(x), float(y)) for x, y in vertices)
     if len(pts) != 4:
         raise NonConvexInput("exactly four vertices required")
-    if _validate_convex(pts) > 0:
+    cross, diam = _validate_convex(pts)
+    if cross > 0:
         raise NonConvexInput("vertices are counterclockwise; expected clockwise")
-    return Quadrilateral(pts)
+    return _with_diameter(pts, diam)
 
 
 def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
@@ -201,12 +210,11 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     cx = sum(p[0] for p in pts) / 4.0
     cy = sum(p[1] for p in pts) / 4.0
     ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    _validate_convex(ordered)
+    _, diam = _validate_convex(ordered)
     # angle sort is counterclockwise; flip to clockwise
     ordered = [ordered[0]] + ordered[:0:-1]
     start = min(range(4), key=lambda i: (ordered[i][1], ordered[i][0]))
-    ordered = ordered[start:] + ordered[:start]
-    return Quadrilateral(tuple(ordered))
+    return _with_diameter(tuple(ordered[start:] + ordered[:start]), diam)
 
 
 def _bisects(frac: float, u: Point, tol: float) -> bool:
@@ -272,51 +280,3 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
             or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))
     return ClassificationReport(True, mdq1 and mdq2, trapezoid, tangential,
                                 orthodiagonal, kite, mdq1, mdq2, sides, dd)
-
-
-def in_region_g(s: float, t: float) -> bool:
-    """Membership in the parameter region {s,t > 0, s+t > 1, s != 1}."""
-    return s > 0.0 and t > 0.0 and s + t > 1.0 and abs(s - 1.0) > CLASSIFY_TOL
-
-
-def f_values(s: float, t: float, v: float, w: float) -> tuple[float, float, float]:
-    """Auxiliary frame quantities (f1, f2, f3).
-
-    f1 = v(t-1) + (1-w)s and f2 = vt - ws are positive exactly when the
-    frame vertices are convex; f3 = ws - v(t-1) is nonzero exactly when
-    sides S2 and S4 are not parallel.
-    """
-    f1 = v * (t - 1.0) + (1.0 - w) * s
-    f2 = v * t - w * s
-    f3 = w * s - v * (t - 1.0)
-    return f1, f2, f3
-
-
-def check_qstvw_region(s: float, t: float, v: float, w: float) -> None:
-    """Raise ParamOutOfRegion unless (s,t,v,w) is an admissible frame.
-
-    Checks s,v > 0, t > w and f1, f2 > 0.  Sides S1 and S3 may be parallel
-    (s = v), and so may S2 and S4 (f3 = 0): a parallelogram or a trapezoid
-    has an admissible frame like any other convex quad.
-    """
-    if not (s > 0.0 and v > 0.0):
-        raise ParamOutOfRegion("frame requires s, v > 0")
-    if not t > w:
-        raise ParamOutOfRegion("frame requires t > w")
-    f1, f2, _ = f_values(s, t, v, w)
-    if f1 <= 0.0 or f2 <= 0.0:
-        raise ParamOutOfRegion("frame is not convex (f1, f2 must be positive)")
-
-
-def mdq_type_qstvw(s: float, t: float, v: float, w: float,
-                   tol: float = CLASSIFY_TOL) -> tuple[bool, bool]:
-    """MDQ types of the frame with vertices (0,0),(0,1),(s,t),(v,w).
-
-    Type 1 holds iff vt = (w+1)s, type 2 iff (t-2)v = (w-1)s.
-    """
-    check_qstvw_region(s, t, v, w)
-    scale1 = abs(v * t) + abs((w + 1.0) * s) + 1.0
-    scale2 = abs((t - 2.0) * v) + abs((w - 1.0) * s) + 1.0
-    type1 = abs(v * t - (w + 1.0) * s) <= tol * scale1
-    type2 = abs((t - 2.0) * v - (w - 1.0) * s) <= tol * scale2
-    return type1, type2

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from inellipse.affine import AffineMap, rotation, scaling, translation
+from inellipse.affine import (AffineMap, G_value, alpha_root, f_values,
+                              rotation, scaling, translation)
 from inellipse.conic import ConicCoeffs
-from inellipse.minecc import G_value, alpha_root
-from inellipse.quad import Quadrilateral, canonicalize, f_values, quadrilateral
+from inellipse.quad import Quadrilateral, canonicalize, quadrilateral
 
 Frame = tuple[float, float, float, float]
 

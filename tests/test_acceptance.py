@@ -17,10 +17,11 @@ from inellipse.conic import (ConicCoeffs, center, evaluate, proportional,
 from inellipse.diameters import (check_T2, conjugate_direction,
                                  equal_conjugate_diameters, parallel_margin,
                                  slope_of, t1_margin, tangency_chords)
-from inellipse.family import inscribe, marden_foci, qst_conic
-from inellipse.minecc import (EccFunctional, G_value, alpha_coeffs, alpha_root,
-                              closed_form_diameter_len_sq, min_ecc,
-                              min_ecc_numeric, verify_T3)
+from inellipse.affine import (EccFunctional, G_value, alpha_coeffs, alpha_root,
+                              closed_form_diameter_len_sq, marden_foci,
+                              qst_conic)
+from inellipse.family import inscribe
+from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 from inellipse.conic import line_intersect
 

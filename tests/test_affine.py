@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from inellipse.affine import (AffineMap, IDENTITY, normalize_to_qstvw,
+from inellipse.affine import (AffineMap, EccFunctional, IDENTITY,
+                              check_qstvw_region, normalize_to_qstvw,
                               rotation, scaling, translation)
 from inellipse.conic import ConicCoeffs, center, proportional
 from inellipse.diameters import conjugate_direction, parallel_margin
 from inellipse.errors import SingularMap
-from inellipse.minecc import EccFunctional, min_ecc
-from inellipse.quad import (canonicalize, check_qstvw_region, classify,
-                            quadrilateral)
+from inellipse.minecc import min_ecc
+from inellipse.quad import canonicalize, classify, quadrilateral
 
 from sampling import (frame_quad, random_affine, random_convex_quad,
                       random_ellipse, random_frame, random_s1s3_trapezoid,
@@ -119,7 +119,7 @@ class TestNormalizeToQstvw:
                 sim = random_similarity(rng)
                 moved = quadrilateral([sim.apply(p) for p in quad.vertices])
                 fr = normalize_to_qstvw(moved)
-                from inellipse.quad import mdq_type_qstvw
+                from inellipse.affine import mdq_type_qstvw
                 got = mdq_type_qstvw(fr.s, fr.t, fr.v, fr.w, tol=1e-7)
                 assert got == (type1, not type1)
 

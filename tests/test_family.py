@@ -5,16 +5,16 @@ import pickle
 import numpy as np
 import pytest
 
-from inellipse.affine import AffineMap, normalize_to_qstvw
+from inellipse.affine import (AffineMap, marden_foci, normalize_to_qstvw,
+                              qst_center_param, qst_conic, qst_newton_line,
+                              qst_tangency, qstvw_coeff_polys, qstvw_conic,
+                              qstvw_tangency, square_inellipse_conic)
 from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
 from inellipse.errors import (CollinearTriangle, InEllipseError,
                               NonPositiveWeights, ParamOutOfRegion)
 from inellipse import family
-from inellipse.family import (InscribedEllipse, inscribe, marden_foci, qst_center_param,
-                              qst_conic, qst_newton_line, qst_tangency,
-                              qstvw_coeff_polys, qstvw_conic, qstvw_tangency,
-                              square_inellipse_conic)
+from inellipse.family import InscribedEllipse, inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric
 from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
@@ -247,7 +247,7 @@ class TestQstvwTangency:
             r = rng.uniform(0.02, 0.98)
             p1, _, _, p4 = qstvw_tangency(s, t, v, w, r)
             assert p1 == (0.0, r)
-            from inellipse.quad import f_values
+            from inellipse.affine import f_values
             _, f2, _ = f_values(s, t, v, w)
             qq = s * v * r / ((s - f2) * r + f2)
             assert_points_close(p4, (qq, w / v * qq), 1e-10 * max(s, v))

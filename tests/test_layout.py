@@ -1,0 +1,114 @@
+"""Module layout: the paper's frame formulas live in `inellipse.affine` alone,
+and no solver module reads them."""
+
+import ast
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import inellipse
+from inellipse import affine
+from inellipse.diameters import check_T2
+from inellipse.family import inscribe
+from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
+from inellipse.quad import classify
+
+from sampling import (random_convex_quad, random_kite, random_mdq_quad,
+                      random_parallelogram, random_tangential_quad)
+
+PACKAGE = Path(inellipse.__file__).parent
+
+#: the frame and closed-form names, by the module that defined them before
+MOVED = {
+    "quad": ("in_region_g", "f_values", "check_qstvw_region", "mdq_type_qstvw"),
+    "family": ("_check_qst", "qst_conic", "qst_newton_line", "qst_center_param",
+               "qst_tangency", "square_inellipse_conic", "qstvw_coeff_polys",
+               "qstvw_conic", "_horner", "qstvw_tangency", "marden_foci"),
+    "minecc": ("_mul", "EccFunctional", "G_value", "N_factorization", "p_quartic",
+               "alpha_coeffs", "alpha_root", "closed_form_diameter_len_sq"),
+}
+
+SOLVER_MODULES = ("quad", "conic", "family", "diameters", "minecc")
+
+#: every top-level name `inellipse` exported before the frame formulas moved
+EXPORTED = (
+    "ConicCoeffs", "EllipseGeometry", "center", "discriminants", "evaluate",
+    "geometry", "gradient", "is_ellipse", "line_intersect", "proportional",
+    "ClassificationReport", "DiagonalData", "Quadrilateral", "canonicalize",
+    "classify", "diagonals", "f_values", "mdq_type_qstvw", "quadrilateral",
+    "AffineMap", "QstvwFrame", "normalize_to_qstvw", "InscribedEllipse",
+    "inscribe", "marden_foci", "qst_center_param", "qst_conic", "qst_tangency",
+    "qstvw_conic", "qstvw_tangency", "DiameterPair", "TangencyChords",
+    "check_T1", "check_T2", "conjugate_direction", "diameter_endpoints",
+    "equal_conjugate_diameters", "tangency_chords", "EccFunctional", "G_value",
+    "MinEccResult", "N_factorization", "T3Report", "alpha_root", "min_ecc",
+    "min_ecc_numeric", "p_quartic", "verify_T3", "__version__",
+)
+
+
+@pytest.mark.parametrize("old, name", [(m, n) for m, names in MOVED.items() for n in names])
+def test_moved_name_is_defined_in_affine_only(old, name):
+    obj = getattr(affine, name)
+    assert obj.__module__ == "inellipse.affine"
+    assert not hasattr(sys.modules[f"inellipse.{old}"], name)
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES)
+def test_solver_module_does_not_import_affine(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            target = "." * node.level + (node.module or "")
+            assert target not in (".affine", "inellipse.affine"), (module, node.lineno)
+            assert not (target in (".", "inellipse")
+                        and any(a.name == "affine" for a in node.names)), module
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "inellipse.affine" for a in node.names), module
+
+
+def test_package_keeps_every_top_level_name():
+    missing = [name for name in EXPORTED if not hasattr(inellipse, name)]
+    assert missing == []
+
+
+def _quads():
+    rng = np.random.default_rng(20)
+    quads = []
+    for _ in range(5):
+        quads += [random_convex_quad(rng), random_mdq_quad(rng, type1=True),
+                  random_mdq_quad(rng, type1=False), random_kite(rng),
+                  random_parallelogram(rng), random_tangential_quad(rng)]
+    return quads
+
+
+def test_solvers_answer_with_every_affine_function_raising(monkeypatch):
+    quads = _quads()  # the MDQ draws go through affine's frames
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver reached inellipse.affine")
+    patched = {id(obj) for name, obj in vars(affine).items()
+               if not name.startswith("_") and callable(obj)
+               and getattr(obj, "__module__", None) == "inellipse.affine"}
+    assert len(patched) > 20
+    # rebind them in every module namespace that holds them, the package's too
+    for mod_name, module in list(sys.modules.items()):
+        if module is not None and (mod_name == "inellipse"
+                                   or mod_name.startswith("inellipse.")):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in patched:
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError):
+        inellipse.alpha_root(8.0, 6.0, 2.0)
+    for quad in quads:
+        rep = classify(quad)
+        member = inscribe(quad, 0.5)
+        res = min_ecc(quad)
+        assert res == min_ecc(quad, rep)
+        assert 0.0 <= min_ecc_numeric(quad).axis_ratio_sq <= 1.0
+        t3 = verify_T3(res)
+        if rep.mdq:
+            assert t3.near_circle or (t3.parallel and t3.equal_len)
+            assert verify_T3(quad) == t3
+        check_T2(quad, member)

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.affine import AffineMap, normalize_to_qstvw
+from inellipse.affine import (AffineMap, EccFunctional, G_value,
+                              N_factorization, alpha_coeffs, alpha_root,
+                              closed_form_diameter_len_sq, normalize_to_qstvw,
+                              p_quartic, qstvw_conic, square_inellipse_conic)
 from inellipse.conic import center, geometry, proportional, scale_normalized
 from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin)
 from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
 from inellipse import minecc
-from inellipse.family import inscribe, qstvw_conic, square_inellipse_conic
-from inellipse.minecc import (EccFunctional, G_value, N_factorization,
-                              alpha_coeffs, alpha_root,
-                              closed_form_diameter_len_sq, min_ecc,
-                              min_ecc_numeric, p_quartic, verify_T3,
+from inellipse.family import inscribe
+from inellipse.minecc import (min_ecc, min_ecc_numeric, verify_T3,
                               _bracket_root, _critical_quartic, _t3_root)
 from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
                             quadrilateral)
@@ -39,7 +39,7 @@ class TestGValue:
 
     def test_matches_conic_geometry(self):
         rng = np.random.default_rng(40)
-        from inellipse.family import qstvw_conic
+        from inellipse.affine import qstvw_conic
         for _ in range(100):
             s, t, v, w = random_frame(rng)
             r = rng.uniform(0.02, 0.98)

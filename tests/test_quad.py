@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inellipse import quad as quad_module
+from inellipse.affine import f_values, mdq_type_qstvw
 from inellipse.cli import main
 from inellipse.errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
 from inellipse.family import inscribe
 from inellipse.quad import (Quadrilateral, canonicalize, classify, diagonals,
-                            f_values, mdq_type_qstvw, quadrilateral)
+                            quadrilateral)
 
 from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
                       random_orthodiagonal_quad, random_parallelogram,
@@ -257,6 +258,28 @@ class TestDiameter:
         assert hash(quad) == hash(fresh)
         assert repr(quad) == before == repr(fresh)
         assert len({quad, fresh}) == 1
+
+    def test_constructors_keep_the_diameter_they_validated(self):
+        # canonicalize and quadrilateral store the diameter that convexity
+        # validation computed, in the slot the cached_property fills; it is
+        # the max of the same six distances, bit for bit
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(300):
+            scale, offset = 10.0 ** rng.uniform(-100, 100), rng.uniform(-1e3, 1e3, 2)
+            pts = [tuple(p) for p in scale * (rng.uniform(-10.0, 10.0, (4, 2)) + offset)]
+            try:
+                quad = canonicalize(pts)
+            except (NonConvexInput, DuplicateVertex):
+                continue
+            for q in (quad, quadrilateral(quad.vertices)):
+                v = q.vertices
+                fresh = max(quad_module._dist(v[i], v[j])
+                            for i in range(4) for j in range(i + 1, 4))
+                assert "_diameter" in vars(q)
+                assert vars(q)["_diameter"].hex() == fresh.hex()
+            checked += 1
+        assert checked >= 100
 
 
 class TestOnePencilPerQuad:
