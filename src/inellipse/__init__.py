@@ -3,6 +3,11 @@
 Construction and analysis of the inscribed-ellipse families of convex
 quadrilaterals: MDQ classification, tangency chords, conjugate diameters,
 and the unique minimal-eccentricity inscribed ellipse.
+
+The paper's frames and closed forms (`AffineMap`, `alpha_root`,
+`normalize_to_qstvw`, ...) live in `inellipse.affine`, which no solver
+reads; `import inellipse` does not load it.  Its names resolve here on
+first use, each to the `inellipse.affine` attribute of that moment.
 """
 
 from .conic import (ConicCoeffs, EllipseGeometry, center, discriminants,
@@ -16,9 +21,25 @@ from .diameters import (DiameterPair, TangencyChords, check_T1, check_T2,
                         equal_conjugate_diameters, tangency_chords)
 from .minecc import (MinEccResult, T3Report, min_ecc, min_ecc_numeric,
                      verify_T3)
-from .affine import (AffineMap, EccFunctional, G_value, N_factorization, QstvwFrame,
-                     alpha_root, f_values, marden_foci, mdq_type_qstvw,
-                     normalize_to_qstvw, p_quartic, qst_center_param, qst_conic,
-                     qst_tangency, qstvw_conic, qstvw_tangency)
 
 __version__ = "0.1.0"
+
+_FRAME_NAMES = frozenset((
+    "AffineMap", "EccFunctional", "G_value", "N_factorization", "QstvwFrame",
+    "alpha_root", "f_values", "marden_foci", "mdq_type_qstvw",
+    "normalize_to_qstvw", "p_quartic", "qst_center_param", "qst_conic",
+    "qst_tangency", "qstvw_conic", "qstvw_tangency"))
+
+
+def __getattr__(name):
+    # not cached in this namespace, so a rebinding in `inellipse.affine`
+    # (a tracer's or a test's) is what the package hands out, and undoing
+    # it leaves nothing stale behind
+    if name in _FRAME_NAMES:
+        from . import affine
+        return getattr(affine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _FRAME_NAMES)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .conic import ConicCoeffs, Direction, Point, scale_normalized
@@ -31,19 +30,28 @@ from .quad import CLASSIFY_TOL, Quadrilateral, canonicalize, diagonals
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> linear @ x + translation with invertible linear part."""
-
+class _AffineMapFields(NamedTuple):
     linear: Matrix2
     translation: Point
 
-    def __post_init__(self):
-        (m00, m01), (m10, m11) = self.linear
+
+class AffineMap(_AffineMapFields):
+    """x -> linear @ x + translation with invertible linear part."""
+
+    __slots__ = ()
+
+    def __new__(cls, linear: Matrix2, translation: Point):
+        (m00, m01), (m10, m11) = linear
         k = max(abs(m00), abs(m01), abs(m10), abs(m11))
         # det over k^2, taken on the entries over k so that neither overflows
         if k == 0.0 or abs(m00 / k * (m11 / k) - m01 / k * (m10 / k)) <= 1e-12:
-            raise SingularMap(f"linear part {self.linear} is singular")
+            raise SingularMap(f"linear part {linear} is singular")
+        return super().__new__(cls, linear, translation)
+
+    @classmethod
+    def _make(cls, iterable) -> "AffineMap":
+        # the base's `_make`, which `_replace` calls, would skip the check
+        return cls(*iterable)
 
     def det(self) -> float:
         (m00, m01), (m10, m11) = self.linear

@@ -30,13 +30,13 @@ difference, however small it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
                     shape_geometry)
 from .errors import InEllipseError, ParamOutOfRegion
-from .quad import DiagonalData, Quadrilateral, diagonals
+from .quad import DiagonalData, Quadrilateral, _Frozen, diagonals
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -44,8 +44,16 @@ def check_unit_interval(x: float, name: str = "param") -> None:
         raise ParamOutOfRegion(f"{name}={x} not in the open unit interval")
 
 
-@dataclass(frozen=True, init=False)
-class InscribedEllipse:
+class _InscribedEllipseFields(NamedTuple):
+    param: float
+    tangency: tuple[Point, Point, Point, Point]
+    frame: str
+    quad: Quadrilateral
+    center: Point
+    shape: tuple[float, float, float, float]
+
+
+class InscribedEllipse(_Frozen, _InscribedEllipseFields):
     """An inscribed ellipse together with its provenance.
 
     `tangency` lists one point per side, in side order S1..S4 of `quad`'s
@@ -54,28 +62,9 @@ class InscribedEllipse:
     (-1,1) for "parallelogram".  The ellipse is (x - c)' S^-1 (x - c) = D^2,
     D the quad's diameter: `center` is c, `shape` is (Sxx, 2 Sxy, Syy, det S)
     in units of D; `conic`, the max-abs normalized coefficients, is derived.
-
-    `__init__` is written out because every `inscribe` and `min_ecc` builds
-    one: the generated `__init__` of a frozen dataclass assigns each field
-    through `object.__setattr__`, six calls, where this one fills the
-    instance's `vars` once.  It takes the fields by name, as the generated
-    one does, so `dataclasses.replace`, equality, hashing, pickling and the
-    cached `geometry` are unchanged, and assignment still raises
-    `FrozenInstanceError`.
+    An immutable record, like `Quadrilateral`: its instance dict holds the
+    cached `geometry`, which equality, hashing and `repr` never read.
     """
-
-    param: float
-    tangency: tuple[Point, Point, Point, Point]
-    frame: str
-    quad: Quadrilateral
-    center: Point
-    shape: tuple[float, float, float, float]
-
-    def __init__(self, param: float, tangency: tuple[Point, Point, Point, Point],
-                 frame: str, quad: Quadrilateral, center: Point,
-                 shape: tuple[float, float, float, float]):
-        vars(self).update(param=param, tangency=tangency, frame=frame, quad=quad,
-                          center=center, shape=shape)
 
     @cached_property
     def geometry(self) -> EllipseGeometry:

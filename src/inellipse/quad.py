@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conic import Point
@@ -54,11 +53,31 @@ def _unit_sub(p: Point, q: Point, diam: float) -> Point:
     return ((p[0] - q[0]) / diam, (p[1] - q[1]) / diam)
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
-    """A strictly convex quadrilateral with clockwise-labeled vertices."""
+class _Frozen:
+    """Refuses to assign or delete any attribute, as a frozen record does.
 
+    `cached_property` writes the instance dict directly, so the lazily
+    computed slots of a subclass still fill on first read."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _QuadrilateralFields(NamedTuple):
     vertices: tuple[Point, Point, Point, Point]
+
+
+class Quadrilateral(_Frozen, _QuadrilateralFields):
+    """A strictly convex quadrilateral with clockwise-labeled vertices.
+
+    An immutable record of its `vertices`; unlike its `NamedTuple` base it
+    has an instance dict, which holds the lazily computed diameter and
+    pencil and which equality, hashing and `repr` never read."""
 
     @property
     def a1(self) -> Point:
@@ -172,7 +191,8 @@ def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
 
 def _with_diameter(vertices, diam: float) -> Quadrilateral:
     """A `Quadrilateral` whose `_diameter` (the `cached_property`'s slot) is
-    diam, set in place: writing to `vars(quad)` would build the instance dict."""
+    diam, already known from validation; `object.__setattr__` passes over
+    the quad's refusing `__setattr__`."""
     quad = Quadrilateral(vertices)
     object.__setattr__(quad, "_diameter", diam)
     return quad

@@ -39,6 +39,14 @@ class TestAffineMapBasics:
         with pytest.raises(SingularMap):
             AffineMap(((1.0, 2.0), (2.0, 4.0)), (0.0, 0.0))
 
+    def test_replace_keeps_the_singularity_check(self):
+        moved = IDENTITY._replace(translation=(1.0, 2.0))
+        assert moved == AffineMap(IDENTITY.linear, (1.0, 2.0))
+        with pytest.raises(SingularMap):
+            IDENTITY._replace(linear=((1.0, 2.0), (2.0, 4.0)))
+        with pytest.raises(AttributeError):
+            IDENTITY.translation = (1.0, 2.0)
+
     def test_apply_to_quad_recanonicalizes(self, example_quad):
         # a half-turn moves the lower-left corner; the image is relabeled
         m = rotation(math.pi)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -289,12 +288,12 @@ class TestChordContract:
         q1, q2, q3, q4 = ie.tangency
         for tangency in ((q1, q1, q3, q4), (q1, q2, q3, q1)):
             with pytest.raises(InEllipseError):
-                check_T2(quad, dataclasses.replace(ie, tangency=tangency))
+                check_T2(quad, ie._replace(tangency=tangency))
 
     def test_chords_and_slopes(self):
         _, first = next(self._members())
         q1, q2, q3, q4 = first.tangency
-        vertical = dataclasses.replace(first, tangency=(q1, (q1[0], q1[1] + 1.0), q3, q4))
+        vertical = first._replace(tangency=(q1, (q1[0], q1[1] + 1.0), q3, q4))
         for ie in [vertical] + [ie for _, ie in self._members()]:
             chords = tangency_chords(ie)
             assert chords[:4] == self._chords(ie)

@@ -1,7 +1,11 @@
 """Module layout: the paper's frame formulas live in `inellipse.affine` alone,
-and no solver module reads them."""
+no solver module reads them, and `import inellipse` loads neither them nor
+`dataclasses`."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,6 +75,43 @@ def test_solver_module_does_not_import_affine(module):
 def test_package_keeps_every_top_level_name():
     missing = [name for name in EXPORTED if not hasattr(inellipse, name)]
     assert missing == []
+
+
+#: the names `inellipse` resolves from `inellipse.affine` on first use
+FRAME_NAMES = (
+    "AffineMap", "EccFunctional", "G_value", "N_factorization", "QstvwFrame",
+    "alpha_root", "f_values", "marden_foci", "mdq_type_qstvw",
+    "normalize_to_qstvw", "p_quartic", "qst_center_param", "qst_conic",
+    "qst_tangency", "qstvw_conic", "qstvw_tangency",
+)
+
+_COLD_IMPORT = """
+import json, sys
+import inellipse
+after_package = sorted({"dataclasses", "inellipse.affine"} & set(sys.modules))
+import inellipse.cli
+after_cli = sorted({"dataclasses", "inellipse.affine"} & set(sys.modules))
+names = json.loads(sys.argv[1])
+same = [getattr(inellipse, name) is getattr(sys.modules["inellipse.affine"], name)
+        for name in names]
+listed = set(names) <= set(dir(inellipse))
+print(json.dumps([after_package, after_cli, same, listed, hasattr(inellipse, "nope")]))
+"""
+
+
+def test_cold_import_loads_no_dataclasses_and_no_frame_code():
+    # a fresh interpreter: pytest itself has imported dataclasses here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _COLD_IMPORT, json.dumps(FRAME_NAMES)],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    after_package, after_cli, same, listed, has_other = json.loads(done.stdout)
+    assert after_package == []
+    # the CLI's `paper_r_star` reads the frame code, so it loads `affine` eagerly
+    assert after_cli == ["inellipse.affine"]
+    assert same == [True] * len(FRAME_NAMES)
+    assert listed and not has_other
 
 
 def _quads():

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import json
 import math
@@ -322,8 +321,14 @@ class TestOnePencilPerQuad:
                      random_mdq_quad(rng, type1=False), random_kite(rng)]:
             dd = diagonals(quad)
             derived = [quad.rotate_labels(1),
-                       dataclasses.replace(quad, vertices=quad.rotate_labels(2).vertices),
+                       quad._replace(vertices=quad.rotate_labels(2).vertices),
                        copy.copy(quad), pickle.loads(pickle.dumps(quad))]
+            # a `_replace`d quad, even one with the same vertices, is a new
+            # instance that computes its own pencil
+            same = quad._replace()
+            assert same == quad and "_diagonals" not in vars(same)
+            assert "_diagonals" not in vars(derived[1])
+            assert diagonals(same) is not dd and diagonals(same) == dd
             for other in derived:
                 assert diagonals(other) == quad_module._diagonal_data(other)
             assert diagonals(derived[0]) != dd
