@@ -6,7 +6,7 @@ lam + mu = 1, A_i = (x_i, y_i, 1).  `inscribe` builds each member from the
 quad's `quad.diagonals`, about the diagonal intersection P = A1 + a D u1 =
 A2 + b D u2 of the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the
 quad's diameter, with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2
-(p = `off1` = 1/2 - a, q = `off2` = 1/2 - b, both 0 on a parallelogram).
+(p = `off1` = 1/2 - a, q = `off2` = 1/2 - b).
 The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
 centre c = lam M1 + mu M2 and shape
 
@@ -129,6 +129,17 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
     return InscribedEllipse(param, _pencil_contacts(dd, r, lam, mu),
                             "parallelogram" if dd.newton_line is None else "qstvw",
                             quad, center, (sxx, sxy2, syy, det))
+
+
+def _at_ratio(quad: Quadrilateral, dd: DiagonalData, x: float) -> InscribedEllipse:
+    """The member at the pencil ratio x = lam / mu, as the solvers carry it:
+    lam = x / (1 + x), mu = 1 / (1 + x) and the S1 contact's fraction
+    r = a / (a + x b), none of them a difference, named as `inscribe` names
+    it.  r rounds to 1 where x b < eps a, and then cannot name the member in
+    `inscribe`; the ellipse itself is exact."""
+    r = dd.a / (dd.a + x * dd.b)
+    return _inscribed(quad, dd, x / (1.0 + x), 1.0 / (1.0 + x), r,
+                      2.0 * r - 1.0 if dd.newton_line is None else r)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .diameters import t1_margin
 from .errors import NotMDQ
-from .family import InscribedEllipse, _inscribed
+from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, ClassificationReport, DiagonalData,
                    Quadrilateral, classify, diagonals, _mdq_types, _tangential)
 
@@ -98,18 +98,6 @@ def _t3_root(dd: DiagonalData) -> float:
     return 2.0 * qc / (qb + disc) if qb >= 0.0 else (disc - qb) / (2.0 * qa)
 
 
-def _optimum(quad: Quadrilateral, dd: DiagonalData, x: float,
-             method: str) -> MinEccResult:
-    """The member at the pencil ratio x as a result: lam = x / (1 + x),
-    mu = 1 / (1 + x) and the S1 contact's fraction r = a / (a + x b), none
-    of them a difference.  r rounds to 1 where x b < eps a, and then cannot
-    name the member in `inscribe`; the ellipse itself is exact."""
-    r = dd.a / (dd.a + x * dd.b)
-    param = 2.0 * r - 1.0 if dd.newton_line is None else r
-    ie = _inscribed(quad, dd, x / (1.0 + x), 1.0 / (1.0 + x), r, param)
-    return MinEccResult(ie, method)
-
-
 def _critical_quartic(dd: DiagonalData) -> tuple[float, ...]:
     """q0..q4 of N' t - 2 N t', H = N / t^2 (u1 x u2)^2 in x: N = x (1 + x)
     (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
@@ -149,7 +137,7 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
         y = _bracket_root(p, 0.0, 1.0, p[0], at1,
                           x3 if at1 < 0.0 else 1.0 / x3 if x3 > 0.0 else 0.0)
         x = y if at1 < 0.0 else 1.0 / y
-    return _optimum(quad, dd, x, "quartic_numeric")
+    return MinEccResult(_at_ratio(quad, dd, x), "quartic_numeric")
 
 
 def min_ecc(quad: Quadrilateral,
@@ -177,8 +165,8 @@ def min_ecc(quad: Quadrilateral,
         dd, tangential = report.diagonals, report.tangential
         closed = tangential or report.mdq
     if closed:
-        return _optimum(quad, dd, _t3_root(dd),
-                        "incircle" if tangential else "alpha_closed_form")
+        return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)),
+                            "incircle" if tangential else "alpha_closed_form")
     return _numeric(quad, dd)
 
 

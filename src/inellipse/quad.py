@@ -15,12 +15,12 @@ exactly when it reports both types.  `diagonals` is the one place that
 decides where the diagonals meet; its `DiagonalData` carries, besides the
 segments, M1, M2, P and the Newton line M1M2, the unit-scale directions
 u1 = (A3 - A1) / D, u2 = (A4 - A2) / D (D the diameter), the fractions
-P = A1 + a D u1 = A2 + b D u2, and the midpoint offsets off1, off2 with
-M1 = P + D off1 u1, M2 = P + D off2 u2.  This pencil data is computed once
-per `Quadrilateral`, on first use, and kept with the instance, like its
-diameter: it is immutable, lives exactly as long as the quad and is shared
-by every function that reads the quad's pencil.  An exception is not kept:
-a degenerate quad raises on every call.
+P = A1 + a D u1 = A2 + b D u2, and the midpoint offsets off1 = 1/2 - a,
+off2 = 1/2 - b, M1 = P + D off1 u1, M2 = P + D off2 u2; the Newton line is
+None on a parallelogram (at CLASSIFY_TOL), which names its parameter v.  It
+is computed once per `Quadrilateral`, on first use, and kept with the
+instance, like its diameter: immutable, living as long as the quad and
+shared by every function that reads its pencil.  An exception is not kept.
 """
 
 from __future__ import annotations
@@ -141,13 +141,13 @@ class DiagonalData(NamedTuple):
     m1: Point
     m2: Point
     p: Point
-    newton_line: Optional[tuple[Point, Point]]  # None for parallelograms
+    newton_line: Optional[tuple[Point, Point]]  # None names a parallelogram's v
     u1: Point  # (A3 - A1) / D
     u2: Point  # (A4 - A2) / D
     a: float  # P = A1 + a D u1
     b: float  # P = A2 + b D u2
-    off1: float  # M1 = P + D off1 u1; 0 on a parallelogram
-    off2: float  # M2 = P + D off2 u2; 0 on a parallelogram
+    off1: float  # M1 = P + D off1 u1, off1 = 1/2 - a
+    off2: float  # M2 = P + D off2 u2, off2 = 1/2 - b
 
 
 class ClassificationReport(NamedTuple):
@@ -261,8 +261,7 @@ def diagonals(quad: Quadrilateral) -> DiagonalData:
     `Quadrilateral` and shared by every later call: `classify` at any `tol`,
     `inscribe`, `min_ecc_numeric` and `verify_T3` read the one immutable
     pencil.  On a parallelogram (both diagonals bisected at CLASSIFY_TOL) the
-    Newton line is None and the offsets are snapped to 0: the residue of
-    M1 - M2 would hide the maximum of the pencil's axis ratio."""
+    Newton line is None, which names the family's parameter v = 2r - 1."""
     return quad._diagonals
 
 
@@ -274,10 +273,9 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
     m1, m2 = _midpoint(a1, a3), _midpoint(a2, a4)
     p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
-    if _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL):
-        return DiagonalData((a1, a3), (a2, a4), m1, m2, p, None, u1, u2, a, b, 0.0, 0.0)
-    return DiagonalData((a1, a3), (a2, a4), m1, m2, p, (m1, m2), u1, u2, a, b,
-                        0.5 - a, 0.5 - b)
+    par = _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL)
+    return DiagonalData((a1, a3), (a2, a4), m1, m2, p, None if par else (m1, m2),
+                        u1, u2, a, b, 0.5 - a, 0.5 - b)
 
 
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:

@@ -95,6 +95,18 @@ class TestDiagonals:
         assert dd.p == (0.5, 0.5)
         assert dd.newton_line is None
 
+    def test_offsets_are_the_quads_own_on_a_thin_near_parallelogram(self):
+        # D1 = A1A3 bisected, D2 cut at b = 0.7 and 1e-9 of the diameter long:
+        # the bisection test passes for D2 too, which names the parameter v,
+        # but M2 keeps its offset from P
+        b, length = 0.7, 2e-9
+        quad = quadrilateral([(0.0, 0.0), (1.0, b * length), (2.0, 0.0),
+                              (1.0, (b - 1.0) * length)])
+        dd = diagonals(quad)
+        assert dd.newton_line is None
+        assert dd.off1 == 0.5 - dd.a and dd.off2 == 0.5 - dd.b
+        assert abs(dd.off2 - (0.5 - b)) <= 1e-9
+
     def test_qst_intersection(self):
         s, t = 2.0, 3.0
         dd = diagonals(quadrilateral([(0, 0), (0, 1), (s, t), (1, 0)]))
@@ -206,7 +218,7 @@ class TestClassificationImplications:
             for tol in (1e-9, 1e-7):
                 rep = classify(quad, tol)
                 assert rep.parallelogram == (rep.mdq_type1 and rep.mdq_type2)
-            # the pencil's snap and v = 2r - 1 relabel are the same test
+            # the missing Newton line and v = 2r - 1 relabel are the same test
             par = classify(quad).parallelogram
             assert (inscribe(quad, 0.3).frame == "parallelogram") == par
             counts[par] += 1

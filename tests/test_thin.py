@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
 from inellipse.quad import classify
 
@@ -68,9 +69,29 @@ def reference_axis_ratio_sq(quad) -> float:
         return float(max(f1, f2))
 
 
+def side_gap(member) -> float:
+    """How far the member misses its quad's sides, in minor semi-axes: the
+    largest |h(n) - dist(c, side)| over the four sides, c the centre and
+    h(n) = sqrt(A^2 (n.e1)^2 + B^2 (n.e2)^2) the support function of the
+    ellipse with semi-axes A, B along e1, e2, at the side's unit normal n.
+    It is 0 exactly when the ellipse touches every side's line."""
+    g = member.geometry
+    (cx, cy), (ex, ey) = g.center, g.major_axis_direction
+    v = member.quad.vertices
+    gap = 0.0
+    for (px, py), (qx, qy) in zip(v, v[1:] + v[:1]):
+        side = math.hypot(qx - px, qy - py)
+        nx, ny = (qy - py) / side, (px - qx) / side
+        h = math.hypot(g.semi_major * (nx * ex + ny * ey),
+                       g.semi_minor * (ny * ex - nx * ey))
+        gap = max(gap, abs(h - abs(nx * (cx - px) + ny * (cy - py))))
+    return gap / g.semi_minor
+
+
 @pytest.mark.parametrize("kind", list(MAKERS))
 def test_thin_quads_reach_the_reference(kind):
-    # in both labelings, so that either diagonal is D1; every MDQ's optimum
+    # in both labelings, so that either diagonal is D1; every optimum, and
+    # one more member per quad, touches all four sides, every MDQ's optimum
     # also passes verify_T3, and no call raises
     rng = np.random.default_rng(76)
     for rho in RHOS:
@@ -79,11 +100,15 @@ def test_thin_quads_reach_the_reference(kind):
             ref = reference_axis_ratio_sq(quad)
             for labeled in (quad, quad.rotate_labels(1)):
                 rep = classify(labeled)
-                res = min_ecc(labeled, rep)
-                for got in (res, min_ecc_numeric(labeled)):
+                res, num = min_ecc(labeled, rep), min_ecc_numeric(labeled)
+                for got in (res, num):
                     assert abs(got.axis_ratio_sq - ref) <= 1e-9 * ref, (
                         kind, rho, labeled.vertices, got.method,
                         got.axis_ratio_sq, ref)
+                for member in (res.ellipse, num.ellipse, inscribe(labeled, 0.3)):
+                    assert side_gap(member) <= 1e-3, (
+                        kind, rho, labeled.vertices, member.param,
+                        side_gap(member))
                 if rep.mdq:
                     t3 = verify_T3(res)
                     assert t3.parallel and t3.equal_len, (kind, rho, t3)
