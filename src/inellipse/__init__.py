@@ -4,10 +4,10 @@ Construction and analysis of the inscribed-ellipse families of convex
 quadrilaterals: MDQ classification, tangency chords, conjugate diameters,
 and the unique minimal-eccentricity inscribed ellipse.
 
-The paper's frames and closed forms (`AffineMap`, `alpha_root`,
-`normalize_to_qstvw`, ...) live in `inellipse.affine`, which no solver
-reads; `import inellipse` does not load it.  Its names resolve here on
-first use, each to the `inellipse.affine` attribute of that moment.
+The paper's (s,t,v,w) frame, as far as the CLI reads it, lives in
+`inellipse.affine`, which no solver reads; `import inellipse` does not
+load it.  Its `normalize_to_qstvw` and `alpha_root` resolve here on first
+use, each to the `inellipse.affine` attribute of that moment.
 """
 
 from .conic import (ConicCoeffs, EllipseGeometry, center, discriminants,
@@ -24,11 +24,7 @@ from .minecc import (MinEccResult, T3Report, min_ecc, min_ecc_numeric,
 
 __version__ = "0.1.0"
 
-_FRAME_NAMES = frozenset((
-    "AffineMap", "EccFunctional", "G_value", "N_factorization", "QstvwFrame",
-    "alpha_root", "f_values", "marden_foci", "mdq_type_qstvw",
-    "normalize_to_qstvw", "p_quartic", "qst_center_param", "qst_conic",
-    "qst_tangency", "qstvw_conic", "qstvw_tangency"))
+_FRAME_NAMES = frozenset(("alpha_root", "normalize_to_qstvw"))
 
 
 def __getattr__(name):

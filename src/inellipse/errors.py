@@ -17,20 +17,8 @@ class ParamOutOfRegion(InEllipseError):
     """A frame or family parameter lies outside its admissible region."""
 
 
-class SingularMap(InEllipseError):
-    """Affine map is not invertible."""
-
-
 class IsCircle(InEllipseError):
     """Equal conjugate diameters are ambiguous for a circle."""
-
-
-class CollinearTriangle(InEllipseError):
-    """Triangle vertices for the focus construction are collinear."""
-
-
-class NonPositiveWeights(InEllipseError):
-    """Weight product must be positive for the focus construction."""
 
 
 class NoRootInJ(InEllipseError):

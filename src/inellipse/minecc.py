@@ -1,8 +1,8 @@
 """Eccentricity functional over the inscribed family and its minimizer.
 
 The squared axis ratio k of the dual pencil's member, with shape S, rises
-with H = det S / (tr S)^2 = k / (1 + k)^2, the paper's N = O^2 - M
-(`affine.N_factorization`) in the pencil: O = tr S, N = 4 det S and
+with H = det S / (tr S)^2 = k / (1 + k)^2, the paper's N = O^2 - M (the
+tests' `paper.N_factorization`) in the pencil: O = tr S, N = 4 det S and
 G = (O - sqrt(M)) / (O + sqrt(M)) = k.  Both solvers carry the member as the
 ratio x = lam / mu in (0, inf) of its weights, which holds 1e-20 as well as
 1/2.  H's critical points are the positive roots of one quartic in x, whose

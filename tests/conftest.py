@@ -80,7 +80,7 @@ def centered_form_conic(s, t, q):
     """Independent route to the (s,t) family conic: expand the centered form
     (x-h)^2 + B(x-h)(y-L) + C(y-L)^2 + F with h derived from the bottom
     tangency parameter q."""
-    from inellipse.affine import qst_newton_line
+    from paper import qst_newton_line
 
     h = 0.5 * (q * (t - s) + s) / (q * (t - 1.0) + 1.0)
     lq = qst_newton_line(s, t, h)

@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from inellipse.affine import (AffineMap, G_value, alpha_root, f_values,
-                              rotation, scaling, translation)
+from inellipse.affine import alpha_root, f_values
 from inellipse.conic import ConicCoeffs
 from inellipse.quad import Quadrilateral, canonicalize, quadrilateral
+
+from paper import AffineMap, G_value, rotation, scaling, translation
 
 Frame = tuple[float, float, float, float]
 

@@ -17,14 +17,14 @@ from inellipse.conic import (ConicCoeffs, center, evaluate, proportional,
 from inellipse.diameters import (check_T2, conjugate_direction,
                                  equal_conjugate_diameters, parallel_margin,
                                  slope_of, t1_margin, tangency_chords)
-from inellipse.affine import (EccFunctional, G_value, alpha_coeffs, alpha_root,
-                              closed_form_diameter_len_sq, marden_foci,
-                              qst_conic)
+from inellipse.affine import alpha_coeffs, alpha_root
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 from inellipse.conic import line_intersect
 
+from paper import (EccFunctional, G_value, closed_form_diameter_len_sq,
+                   marden_foci, qst_conic)
 from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,
                       random_nonmdq_frame, random_orthodiagonal_quad,
                       random_tangential_quad, random_type1_frame,

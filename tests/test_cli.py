@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import inellipse
@@ -17,6 +18,7 @@ from inellipse.family import inscribe
 from inellipse.quad import canonicalize
 
 from conftest import EXAMPLE_R_STAR, EXAMPLE_VERTICES
+from sampling import random_mdq_quad
 
 
 @pytest.fixture
@@ -292,15 +294,51 @@ class TestMinEcc:
         assert call_counts["min_ecc"] == 1
         assert call_counts["classify"] <= 3
 
-    def test_type1_report_gives_the_paper_root(self, capsys, example_file,
-                                                call_counts):
+    def test_type1_report_gives_the_paper_root(self, capsys, tmp_path,
+                                                example_file, call_counts):
         # the paper's alpha root, from the quad's own (s,t,v,w) frame, is
-        # reported beside the pencil's optimum
-        code, doc = run_json(capsys, ["min-ecc", example_file])
-        assert code == 0
-        assert doc["verification"]["paper_r_star"] == pytest.approx(
-            doc["min_ecc"]["r_star"], abs=1e-12)
-        assert call_counts["normalize_to_qstvw"] == 1
+        # reported beside the pencil's optimum on the worked example and on
+        # seeded type-1 MDQs, each reduced to its frame once
+        rng = np.random.default_rng(23)
+        paths = [example_file]
+        for i in range(40):
+            path = tmp_path / f"mdq_{i}.json"
+            quad = canonicalize(random_mdq_quad(rng, type1=True).vertices)
+            path.write_text(json.dumps({"vertices": quad.vertices}))
+            paths.append(str(path))
+        type1 = 0
+        for path in paths:
+            code, doc = run_json(capsys, ["min-ecc", path])
+            assert code == 0
+            cls = doc["classification"]
+            if not cls["mdq_type1"]:
+                continue  # canonical labels can make a type-1 draw type 2
+            assert not cls["parallelogram"]
+            type1 += 1
+            assert doc["verification"]["paper_r_star"] == pytest.approx(
+                doc["min_ecc"]["r_star"], abs=1e-12)
+            assert call_counts["normalize_to_qstvw"] == type1
+        assert type1 >= 15
+        # type-1 MDQs whose first admissible frame has label shift 1: their
+        # own labeling is no frame, and the paper root is null (on the second,
+        # alpha_root of the shifted frame is 0.202, not r* = 0.609)
+        shifted = ([[0.036035139077022285, -0.9993505234659656],
+                    [-0.11374607422895004, -0.660094359467953], [0, 0],
+                    [0.13138423630044996, 0.17094107879224132]],
+                   [[-0.13065723290861486, -0.7160471647639355],
+                    [-0.20432524038150832, -0.4563454789334927],
+                    [0.07130886711526027, 0.3907974398640711],
+                    [0.20432524038150832, 0.4563454789334927]])
+        for vertices in shifted:
+            path = tmp_path / "shift1.json"
+            path.write_text(json.dumps({"vertices": vertices}))
+            code, doc = run_json(capsys, ["min-ecc", str(path)])
+            assert code == 0
+            cls = doc["classification"]
+            assert cls["mdq_type1"] and not cls["parallelogram"]
+            assert doc["verification"]["paper_r_star"] is None
+            type1 += 1
+            assert call_counts["normalize_to_qstvw"] == type1
 
     def test_type2_report_has_no_paper_root(self, capsys, tmp_path):
         path = tmp_path / "type2.json"

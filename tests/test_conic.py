@@ -58,7 +58,7 @@ class TestCenter:
         assert_points_close(center(ConicCoeffs(1, 0, 1, -2, -2, 1)), (1, 1), 1e-14)
 
     def test_gradient_vanishes_at_center(self):
-        from inellipse.affine import qst_conic
+        from paper import qst_conic
         conic = qst_conic(2.0, 2.0, 0.5)
         c = center(conic)
         assert_points_close(c, (2 / 3, 2 / 3), 1e-14)
@@ -85,7 +85,7 @@ class TestGeometry:
 
     def test_example_ecc_matches_G(self):
         # two independent formulas for the axis ratio must agree
-        from inellipse.affine import G_value
+        from paper import G_value
         geo = geometry(EXAMPLE_CONIC)
         assert geo.eccentricity ** 2 == pytest.approx(
             1.0 - G_value(8, 4, 6, 2, EXAMPLE_R), abs=1e-12)

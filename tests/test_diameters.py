@@ -204,7 +204,7 @@ class TestT2SlopeFormulas:
                     break
             q = rng.uniform(0.05, 0.95)
             # chords built straight from the closed-form tangency points
-            from inellipse.affine import qst_tangency
+            from paper import qst_tangency
             p1, p2, p3, p4 = qst_tangency(s, t, q)
             expected = qst_chord_slopes(s, t, q)
             got = {

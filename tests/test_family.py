@@ -4,19 +4,19 @@ import pickle
 import numpy as np
 import pytest
 
-from inellipse.affine import (AffineMap, marden_foci, normalize_to_qstvw,
-                              qst_center_param, qst_conic, qst_newton_line,
-                              qst_tangency, qstvw_coeff_polys, qstvw_conic,
-                              qstvw_tangency, square_inellipse_conic)
+from inellipse.affine import normalize_to_qstvw
 from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
                              is_ellipse, proportional)
-from inellipse.errors import (CollinearTriangle, InEllipseError,
-                              NonPositiveWeights, ParamOutOfRegion)
+from inellipse.errors import InEllipseError, ParamOutOfRegion
 from inellipse import family
 from inellipse.family import InscribedEllipse, inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric
 from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
+from paper import (AffineMap, CollinearTriangle, NonPositiveWeights,
+                   marden_foci, qst_center_param, qst_conic, qst_newton_line,
+                   qst_tangency, qstvw_coeff_polys, qstvw_conic,
+                   qstvw_tangency, similarity_map, square_inellipse_conic)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
                       random_parallelogram, random_s1s3_trapezoid,
@@ -451,15 +451,16 @@ class TestParameterMeaning:
             fr = normalize_to_qstvw(quad)
             if fr.shift != 0:
                 continue
+            to_quad = similarity_map(quad).invert()
             for r in (0.05, 0.3, 0.6, 0.95):
-                pulled = fr.map.invert().apply_to_conic(
+                pulled = to_quad.apply_to_conic(
                     qstvw_conic(fr.s, fr.t, fr.v, fr.w, r))
                 ie = inscribe(quad, r)
                 if ie.frame == "parallelogram":
                     ie = inscribe(quad, 2.0 * r - 1.0)
                 assert max(abs(x - y) for x, y in zip(pulled, ie.conic)) <= 1e-12
                 for got, want in zip(ie.tangency, qstvw_tangency(fr.s, fr.t, fr.v, fr.w, r)):
-                    assert_points_close(got, fr.map.invert().apply(want),
+                    assert_points_close(got, to_quad.apply(want),
                                         1e-12 * quad.diameter())
             compared += 1
         assert compared >= 250

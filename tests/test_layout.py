@@ -1,8 +1,11 @@
-"""Module layout: the paper's frame formulas live in `inellipse.affine` alone,
-no solver module reads them, and `import inellipse` loads neither them nor
+"""Module layout: the package keeps only the frame code the CLI reads, in
+`inellipse.affine`, and the paper's other formulas live in the tests' `paper`
+module; no solver module reads either, no package module imports a test
+module, and `import inellipse` loads neither the frame code nor
 `dataclasses`."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import inellipse
+import paper
 from inellipse import affine
 from inellipse.diameters import check_T2
 from inellipse.family import inscribe
@@ -25,6 +29,7 @@ from sampling import (random_convex_quad, random_kite, random_mdq_quad,
 PACKAGE = Path(inellipse.__file__).parent
 
 #: the frame and closed-form names, by the module that defined them before
+#: they moved to `inellipse.affine`
 MOVED = {
     "quad": ("in_region_g", "f_values", "check_qstvw_region", "mdq_type_qstvw"),
     "family": ("_check_qst", "qst_conic", "qst_newton_line", "qst_center_param",
@@ -34,29 +39,41 @@ MOVED = {
                "alpha_coeffs", "alpha_root", "closed_form_diameter_len_sq"),
 }
 
+#: what `inellipse.affine` keeps of them, for the CLI's `paper_r_star`; the
+#: rest live in the tests' `paper` module
+KEPT = ("f_values", "check_qstvw_region", "alpha_coeffs", "alpha_root")
+
 SOLVER_MODULES = ("quad", "conic", "family", "diameters", "minecc")
 
-#: every top-level name `inellipse` exported before the frame formulas moved
+#: every top-level name `inellipse` exports: those it exported before the
+#: frame formulas moved, less the 14 frame names that left the package
 EXPORTED = (
     "ConicCoeffs", "EllipseGeometry", "center", "discriminants", "evaluate",
     "geometry", "gradient", "is_ellipse", "line_intersect", "proportional",
     "ClassificationReport", "DiagonalData", "Quadrilateral", "canonicalize",
-    "classify", "diagonals", "f_values", "mdq_type_qstvw", "quadrilateral",
-    "AffineMap", "QstvwFrame", "normalize_to_qstvw", "InscribedEllipse",
-    "inscribe", "marden_foci", "qst_center_param", "qst_conic", "qst_tangency",
-    "qstvw_conic", "qstvw_tangency", "DiameterPair", "TangencyChords",
+    "classify", "diagonals", "quadrilateral", "normalize_to_qstvw",
+    "InscribedEllipse", "inscribe", "DiameterPair", "TangencyChords",
     "check_T1", "check_T2", "conjugate_direction", "diameter_endpoints",
-    "equal_conjugate_diameters", "tangency_chords", "EccFunctional", "G_value",
-    "MinEccResult", "N_factorization", "T3Report", "alpha_root", "min_ecc",
-    "min_ecc_numeric", "p_quartic", "verify_T3", "__version__",
+    "equal_conjugate_diameters", "tangency_chords", "MinEccResult", "T3Report",
+    "alpha_root", "min_ecc", "min_ecc_numeric", "verify_T3", "__version__",
 )
+
+
+#: the package and each of its modules
+PACKAGE_MODULES = [inellipse] + [importlib.import_module(f"inellipse.{path.stem}")
+                                 for path in sorted(PACKAGE.glob("*.py"))
+                                 if path.stem != "__init__"]
 
 
 @pytest.mark.parametrize("old, name", [(m, n) for m, names in MOVED.items() for n in names])
 def test_moved_name_is_defined_in_affine_only(old, name):
-    obj = getattr(affine, name)
-    assert obj.__module__ == "inellipse.affine"
+    # a kept name is defined in `inellipse.affine` alone; a name that left the
+    # package is defined in `paper` and in no `inellipse` module
+    home = affine if name in KEPT else paper
+    assert getattr(home, name).__module__ == home.__name__
     assert not hasattr(sys.modules[f"inellipse.{old}"], name)
+    if home is paper:
+        assert [m.__name__ for m in PACKAGE_MODULES if hasattr(m, name)] == []
 
 
 @pytest.mark.parametrize("module", SOLVER_MODULES)
@@ -72,18 +89,26 @@ def test_solver_module_does_not_import_affine(module):
             assert all(a.name != "inellipse.affine" for a in node.names), module
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_package_module_imports_no_test_module(path):
+    # pytest puts `tests/` on sys.path, so only a scan catches such an import
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            parts = {part for name in names for part in name.split(".")}
+            assert not parts & {"paper", "sampling"}, (path.name, node.lineno)
+
+
 def test_package_keeps_every_top_level_name():
     missing = [name for name in EXPORTED if not hasattr(inellipse, name)]
     assert missing == []
 
 
 #: the names `inellipse` resolves from `inellipse.affine` on first use
-FRAME_NAMES = (
-    "AffineMap", "EccFunctional", "G_value", "N_factorization", "QstvwFrame",
-    "alpha_root", "f_values", "marden_foci", "mdq_type_qstvw",
-    "normalize_to_qstvw", "p_quartic", "qst_center_param", "qst_conic",
-    "qst_tangency", "qstvw_conic", "qstvw_tangency",
-)
+FRAME_NAMES = ("alpha_root", "normalize_to_qstvw")
 
 _COLD_IMPORT = """
 import json, sys
@@ -95,7 +120,11 @@ names = json.loads(sys.argv[1])
 same = [getattr(inellipse, name) is getattr(sys.modules["inellipse.affine"], name)
         for name in names]
 listed = set(names) <= set(dir(inellipse))
-print(json.dumps([after_package, after_cli, same, listed, hasattr(inellipse, "nope")]))
+frame = sorted(n for n, obj in vars(sys.modules["inellipse.affine"]).items()
+               if getattr(obj, "__module__", None) == "inellipse.affine"
+               and hasattr(inellipse, n))
+print(json.dumps([after_package, after_cli, same, listed, frame,
+                  hasattr(inellipse, "nope")]))
 """
 
 
@@ -106,12 +135,13 @@ def test_cold_import_loads_no_dataclasses_and_no_frame_code():
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", _COLD_IMPORT, json.dumps(FRAME_NAMES)],
                           env=env, capture_output=True, text=True, timeout=60, check=True)
-    after_package, after_cli, same, listed, has_other = json.loads(done.stdout)
+    after_package, after_cli, same, listed, frame, has_other = json.loads(done.stdout)
     assert after_package == []
     # the CLI's `paper_r_star` reads the frame code, so it loads `affine` eagerly
     assert after_cli == ["inellipse.affine"]
     assert same == [True] * len(FRAME_NAMES)
     assert listed and not has_other
+    assert frame == sorted(FRAME_NAMES)
 
 
 def _quads():
@@ -125,14 +155,15 @@ def _quads():
 
 
 def test_solvers_answer_with_every_affine_function_raising(monkeypatch):
-    quads = _quads()  # the MDQ draws go through affine's frames
+    quads = _quads()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a solver reached inellipse.affine")
-    patched = {id(obj) for name, obj in vars(affine).items()
-               if not name.startswith("_") and callable(obj)
-               and getattr(obj, "__module__", None) == "inellipse.affine"}
-    assert len(patched) > 20
+    public = {name: obj for name, obj in vars(affine).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == "inellipse.affine"}
+    assert sorted(public) == sorted(KEPT + ("QstvwFrame", "normalize_to_qstvw"))
+    patched = {id(obj) for obj in public.values()}
     # rebind them in every module namespace that holds them, the package's too
     for mod_name, module in list(sys.modules.items()):
         if module is not None and (mod_name == "inellipse"

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.affine import (AffineMap, EccFunctional, G_value,
-                              N_factorization, alpha_coeffs, alpha_root,
-                              closed_form_diameter_len_sq, normalize_to_qstvw,
-                              p_quartic, qstvw_conic, square_inellipse_conic)
+from inellipse.affine import alpha_coeffs, alpha_root, normalize_to_qstvw
 from inellipse.conic import center, geometry, proportional, scale_normalized
 from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin)
@@ -20,6 +17,9 @@ from inellipse.minecc import (min_ecc, min_ecc_numeric, verify_T3,
 from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
                             quadrilateral)
 
+from paper import (AffineMap, EccFunctional, G_value, N_factorization,
+                   closed_form_diameter_len_sq, p_quartic, qstvw_conic,
+                   similarity_map, square_inellipse_conic)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
                       random_nonmdq_frame, random_parallelogram,
@@ -39,7 +39,7 @@ class TestGValue:
 
     def test_matches_conic_geometry(self):
         rng = np.random.default_rng(40)
-        from inellipse.affine import qstvw_conic
+        from paper import qstvw_conic
         for _ in range(100):
             s, t, v, w = random_frame(rng)
             r = rng.uniform(0.02, 0.98)
@@ -678,7 +678,8 @@ class TestVerifyT3:
                 parallelograms += cls.parallelogram
                 r = (1.0 + res.r_star) / 2.0 if cls.parallelogram else res.r_star
                 closed = closed_form_diameter_len_sq(fr.s, fr.v, fr.w, r)
-                assert [x / fr.scale ** 2 for x in closed] == pytest.approx(
+                scale = math.hypot(*similarity_map(quad).linear[0])
+                assert [x / scale ** 2 for x in closed] == pytest.approx(
                     lens, rel=1e-12)
         assert paper >= 90 and parallelograms >= 45
 

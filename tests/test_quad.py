@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inellipse import quad as quad_module
-from inellipse.affine import f_values, mdq_type_qstvw
+from inellipse.affine import f_values
 from inellipse.cli import main
 from inellipse.errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
 from inellipse.family import inscribe
 from inellipse.quad import (Quadrilateral, canonicalize, classify, diagonals,
                             quadrilateral)
 
+from paper import mdq_type_qstvw
 from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
                       random_orthodiagonal_quad, random_parallelogram,
                       random_tangential_quad, random_type1_frame,
