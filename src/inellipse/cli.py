@@ -136,10 +136,9 @@ def cmd_inscribe(quad: Quadrilateral, rep: ClassificationReport,
             "ellipse": _ellipse_block(inscribe(quad, args.param))}
 
 
-def _smallest_angle(u, v) -> float:
+def _diagonal_angle(quad: Quadrilateral) -> float:
     # on the unit vectors, so that no length overflows or underflows
-    nu, nv = math.hypot(*u), math.hypot(*v)
-    (ux, uy), (vx, vy) = (u[0] / nu, u[1] / nu), (v[0] / nv, v[1] / nv)
+    (ux, uy), (vx, vy) = quad._diagonal_units
     return math.atan2(abs(ux * vy - uy * vx), abs(ux * vx + uy * vy))
 
 
@@ -162,8 +161,7 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
     if res.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
         out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
             math.sqrt(res.axis_ratio_sq))
-        out["min_ecc"]["diagonal_angle"] = _smallest_angle(
-            *quad.diagonal_vectors())
+        out["min_ecc"]["diagonal_angle"] = _diagonal_angle(quad)
     if rep.mdq:
         t3 = verify_T3(res)
         out["verification"] = {

@@ -54,11 +54,16 @@ def sign_normalized(conic: ConicCoeffs) -> ConicCoeffs:
 
 
 def scale_normalized(conic: ConicCoeffs) -> ConicCoeffs:
-    """Rescale so the maximum absolute coefficient is 1, then sign-normalize."""
+    """Rescale so the maximum absolute coefficient is 1, then sign-normalize:
+    x / -m where `sign_normalized` would flip x / m, the same float."""
     m = max(map(abs, conic))
     if m == 0.0:
         raise InEllipseError("all conic coefficients are zero")
-    return sign_normalized(ConicCoeffs(*[x / m for x in conic]))
+    a, b, c, d, e, f = conic
+    if a / m < 0.0 or (a / m == 0.0 and c / m < 0.0):
+        m = -m
+    return tuple.__new__(ConicCoeffs, (  # skips __new__ and its field-count check
+        a / m, b / m, c / m, d / m, e / m, f / m))
 
 
 def discriminants(conic: ConicCoeffs) -> tuple[float, float]:
@@ -108,9 +113,9 @@ def shape_geometry(c: Point, shape: tuple[float, float, float, float],
     v = (-0.5 * sxy2, -half) if syy >= sxx else (-half, -0.5 * sxy2)
     n = math.hypot(*v)  # 0 on a circle, where any direction qualifies
     direction = (v[0] / n, v[1] / n) if n > 0.0 else (1.0, 0.0)
-    return EllipseGeometry(c, math.sqrt(major_sq) * unit,
-                           math.sqrt(minor_sq) * unit,
-                           math.sqrt(max(1.0 - ratio, 0.0)), direction, ratio)
+    return tuple.__new__(EllipseGeometry, (  # skips __new__ and its field-count check
+        c, math.sqrt(major_sq) * unit, math.sqrt(minor_sq) * unit,
+        math.sqrt(max(1.0 - ratio, 0.0)), direction, ratio))
 
 
 def geometry(conic: ConicCoeffs) -> EllipseGeometry:
@@ -119,9 +124,8 @@ def geometry(conic: ConicCoeffs) -> EllipseGeometry:
     S = mu [[c, -b/2], [-b/2, a]], mu = 4 delta / Delta^2 and det S =
     mu^2 Delta / 4 (`shape_geometry`).  delta cancels on thin or far-off
     ellipses; `InscribedEllipse.geometry` reads the pencil's own c and S."""
-    norm = sign_normalized(conic)
-    a, b, c, d, e, f = norm
-    big, small = discriminants(norm)
+    a, b, c, d, e, f = norm = sign_normalized(conic)
+    big, small = discriminants(norm)  # norm passes through unflipped
     if big <= 0.0 or small <= 0.0:
         raise InEllipseError("geometry() requires an ellipse")
     mu = 4.0 * small / big / big

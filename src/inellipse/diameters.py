@@ -118,9 +118,9 @@ def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
 def tangency_chords(ie: InscribedEllipse) -> TangencyChords:
     """Chords joining tangency points on consecutive sides."""
     q1, q2, q3, q4 = ie.tangency
-    return TangencyChords((q1, q2), (q2, q3), (q3, q4), (q1, q4),
-                          (slope_of(q1, q2), slope_of(q2, q3),
-                           slope_of(q3, q4), slope_of(q1, q4)))
+    return tuple.__new__(TangencyChords, (  # skips __new__ and its field-count check
+        (q1, q2), (q2, q3), (q3, q4), (q1, q4),
+        (slope_of(q1, q2), slope_of(q2, q3), slope_of(q3, q4), slope_of(q1, q4))))
 
 
 def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
@@ -132,14 +132,10 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
     a non-MDQ quad both sets are empty.
     """
     q1, q2, q3, q4 = ie.tangency
-    (d1x, d1y), (d2x, d2y) = quad.diagonal_vectors()
-    n1, n2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
-    if n1 == 0.0 or n2 == 0.0:
-        raise InEllipseError("zero direction")
-    d1x, d1y, d2x, d2y = d1x / n1, d1y / n1, d2x / n2, d2y / n2
+    (d1x, d1y), (d2x, d2y) = quad._diagonal_units
     margins_d1, margins_d2, par1, par2 = {}, {}, [], []
     # each margin is `parallel_margin(chord, diagonal)`, raising as it does,
-    # with the diagonals' unit vectors taken once
+    # with the diagonals' unit vectors kept by the quad
     for name, p, q in (("q1q2", q1, q2), ("q2q3", q2, q3),
                        ("q3q4", q3, q4), ("q1q4", q1, q4)):
         ux, uy = q[0] - p[0], q[1] - p[1]
@@ -153,7 +149,8 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
             par1.append(name)
         if m2 <= tol:
             par2.append(name)
-    return T2Report(frozenset(par1), frozenset(par2), margins_d1, margins_d2)
+    return tuple.__new__(T2Report, (  # skips __new__ and its field-count check
+        frozenset(par1), frozenset(par2), margins_d1, margins_d2))
 
 
 def t1_margin(quad: Quadrilateral, conic: tuple) -> float:

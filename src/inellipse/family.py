@@ -126,9 +126,9 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
            * (x1 * y2 - y1 * x2) ** 2)
     center = (dd.p[0] + d * (lam * p * x1 + mu * q * x2),
               dd.p[1] + d * (lam * p * y1 + mu * q * y2))
-    return InscribedEllipse(param, _pencil_contacts(dd, r, lam, mu),
-                            "parallelogram" if dd.newton_line is None else "qstvw",
-                            quad, center, (sxx, sxy2, syy, det))
+    frame = "parallelogram" if dd.newton_line is None else "qstvw"
+    return tuple.__new__(InscribedEllipse, (  # skips __new__ and its field-count check
+        param, _pencil_contacts(dd, r, lam, mu), frame, quad, center, (sxx, sxy2, syy, det)))
 
 
 def _at_ratio(quad: Quadrilateral, dd: DiagonalData, x: float) -> InscribedEllipse:

@@ -30,7 +30,7 @@ import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conic import Point
-from .errors import DuplicateVertex, NonConvexInput
+from .errors import DuplicateVertex, InEllipseError, NonConvexInput
 
 CONVEXITY_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -76,8 +76,8 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
     """A strictly convex quadrilateral with clockwise-labeled vertices.
 
     An immutable record of its `vertices`; unlike its `NamedTuple` base it
-    has an instance dict, which holds the lazily computed diameter and
-    pencil and which equality, hashing and `repr` never read."""
+    has an instance dict, which holds the lazily computed diameter, pencil
+    and diagonal directions and which equality, hashing and `repr` never read."""
 
     @property
     def a1(self) -> Point:
@@ -117,6 +117,15 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
         # kept like _diameter; an exception is not kept, so a degenerate
         # quad raises on every read
         return _diagonal_data(self)
+
+    @functools.cached_property
+    def _diagonal_units(self) -> tuple[Point, Point]:
+        # (A3 - A1) / |A3 - A1| and (A4 - A2) / |A4 - A2|, for check_T2
+        (x1, y1), (x2, y2) = self.diagonal_vectors()
+        n1, n2 = math.hypot(x1, y1), math.hypot(x2, y2)
+        if n1 == 0.0 or n2 == 0.0:
+            raise InEllipseError("zero direction")
+        return (x1 / n1, y1 / n1), (x2 / n2, y2 / n2)
 
     def diagonal_vectors(self) -> tuple[Point, Point]:
         """Direction vectors (A3 - A1, A4 - A2) of the diagonals D1 and D2."""

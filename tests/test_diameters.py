@@ -13,9 +13,9 @@ from inellipse.errors import InEllipseError, IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
 
-from sampling import (frame_quad, random_convex_quad, random_ellipse,
-                      random_frame, random_mdq_quad, random_nonmdq_frame,
-                      random_parallelogram)
+from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
+                      random_ellipse, random_frame, random_mdq_quad,
+                      random_nonmdq_frame, random_parallelogram)
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)
@@ -257,6 +257,17 @@ class TestChordContract:
         for _ in range(10):
             for quad in (random_convex_quad(rng), random_mdq_quad(rng, type1=True),
                          random_mdq_quad(rng, type1=False), random_parallelogram(rng)):
+                for param in (0.15, 0.5, 0.85):
+                    yield quad, inscribe(quad, param)
+        # thin quads down to rho = 1e-9 and quads moved by up to 1e8
+        rng = np.random.default_rng(24)
+        for _ in range(4):
+            quads = [random_diagonal_quad(rng, rho=rho) for rho in (1e-3, 1e-6, 1e-9)]
+            shift = rng.uniform(-1e8, 1e8, 2)
+            quads += [quadrilateral([(x + shift[0], y + shift[1]) for x, y in q.vertices])
+                      for q in (random_convex_quad(rng), random_mdq_quad(rng, type1=True),
+                                random_mdq_quad(rng, type1=False), random_parallelogram(rng))]
+            for quad in quads:
                 for param in (0.15, 0.5, 0.85):
                     yield quad, inscribe(quad, param)
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from inellipse import quad as quad_module
 from inellipse.affine import f_values
 from inellipse.cli import main
-from inellipse.errors import DuplicateVertex, NonConvexInput, ParamOutOfRegion
+from inellipse.diameters import check_T2
+from inellipse.errors import (DuplicateVertex, InEllipseError, NonConvexInput,
+                              ParamOutOfRegion)
 from inellipse.family import inscribe
 from inellipse.quad import (Quadrilateral, canonicalize, classify, diagonals,
                             quadrilateral)
@@ -352,3 +354,17 @@ class TestOnePencilPerQuad:
         for _ in range(2):
             with pytest.raises(ZeroDivisionError):
                 diagonals(quad)
+
+    def test_check_t2_reads_one_pair_of_diagonal_units(self):
+        # kept like the pencil; a zero-length diagonal raises on every call
+        quad = canonicalize(EXAMPLE_VERTICES)
+        member = inscribe(quad, 0.3)
+        units = quad._diagonal_units
+        for k in range(1, 17):
+            check_T2(quad, inscribe(quad, k / 17))
+        assert quad._diagonal_units is units and vars(quad)["_diagonal_units"] is units
+        flat = Quadrilateral((quad.a1, quad.a2, quad.a1, quad.vertices[3]))
+        for _ in range(2):
+            with pytest.raises(InEllipseError, match="zero direction"):
+                check_T2(flat, member)
+        assert "_diagonal_units" not in vars(flat)
