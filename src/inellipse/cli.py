@@ -21,10 +21,11 @@ on stderr and nothing on stdout.
 takes: it loads the document, classifies the quad once at the global
 `--tol`, runs the command on that report, adds the document's `label`,
 maps library errors to exit codes and serializes.  So every decision of a
-command reads that one classification; each `verify --theorem t3` trial
-classifies its moved quad at `--tol` too.  `main` returns the exit code
-and may be called any number of times in one process; the argument parser
-is built on the first call and reused by later ones.
+command reads that one classification, or `min_ecc(quad, --tol)`'s two
+flags of it; each `verify --theorem t3` trial classifies its moved quad at
+`--tol` too.  `main` returns the exit code and may be called any number of
+times in one process; the argument parser is built on the first call and
+reused by later ones.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (InEllipseError, IsCircle, NonConvexInput,
 from .family import InscribedEllipse, inscribe
 from .minecc import min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
-                   canonicalize, classify)
+                   canonicalize, classify, diagonals, _midpoint)
 from .svgfig import Figure
 
 EXIT_LIBRARY = 1
@@ -92,7 +93,6 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
 
 def _classification_block(quad: Quadrilateral,
                           rep: ClassificationReport) -> dict:
-    dd = rep.diagonals
     return {
         "vertices": [list(p) for p in quad.vertices],
         "convex": rep.convex,
@@ -104,8 +104,9 @@ def _classification_block(quad: Quadrilateral,
         "mdq_type1": rep.mdq_type1,
         "mdq_type2": rep.mdq_type2,
         "side_lengths": list(rep.side_lengths),
-        "diagonal_midpoints": [list(dd.m1), list(dd.m2)],
-        "diagonal_intersection": list(dd.p),
+        "diagonal_midpoints": [list(_midpoint(quad.a1, quad.a3)),
+                               list(_midpoint(quad.a2, quad.a4))],
+        "diagonal_intersection": list(diagonals(quad).p),
     }
 
 
@@ -144,7 +145,7 @@ def _diagonal_angle(quad: Quadrilateral) -> float:
 
 def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
                 args: argparse.Namespace) -> dict:
-    res = min_ecc(quad, rep)
+    res = min_ecc(quad, args.tol)
     out = {
         "classification": _classification_block(quad, rep),
         "ellipse": _ellipse_block(res.ellipse),
@@ -219,10 +220,14 @@ def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
 def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
     """`quad` rotated and scaled by 0.3 to 3 about A1, with A1 moved to within
     5 diameters of the origin: built from the edges out of A1, so that the
-    copy carries rounding at the quad's scale, wherever the quad lies."""
+    copy carries rounding at the quad's scale, wherever the quad lies.  A quad
+    wider than 1/16 of the float range is moved and scaled as one that wide,
+    so that the copy, within 11 such widths of the origin, stays in range."""
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    k = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
     d = quad.diameter()
+    shrink = min(1.0, sys.float_info.max / 16.0 / d)
+    k = math.exp(rng.uniform(math.log(0.3), math.log(3.0))) * shrink
+    d *= shrink
     tx, ty = rng.uniform(-5.0, 5.0) * d, rng.uniform(-5.0, 5.0) * d
     c, s = math.cos(angle) * k, math.sin(angle) * k
     ox, oy = quad.a1
@@ -238,7 +243,7 @@ def _verify_t3_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
     moved_rep = classify(moved, tol)
     if not moved_rep.mdq:
         return {"margin": None, "passed": False, "reason": "not an MDQ"}
-    t3 = verify_T3(min_ecc(moved, moved_rep), tol=max(tol, 1e-7))
+    t3 = verify_T3(min_ecc(moved, tol), tol=max(tol, 1e-7))
     margin = max(t3.parallel_margin, t3.length_margin)
     return {"margin": margin, "passed": bool(t3.parallel and t3.equal_len)}
 
@@ -273,12 +278,12 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
         raise _CliError(EXIT_PARSE, f"--params: {exc}")
     fig = Figure()
     fig.add_polygon(quad.vertices, "quad", "fill:none;stroke:#000;stroke-width:2")
-    dd = rep.diagonals
+    a1, a2, a3, a4 = quad.vertices
     diag_style = "stroke:#888;stroke-width:1;stroke-dasharray:6,4"
-    fig.add_segment(*dd.d1, "diagonal", diag_style)
-    fig.add_segment(*dd.d2, "diagonal", diag_style)
-    if dd.newton_line is not None:
-        fig.add_segment(*dd.newton_line, "newton",
+    fig.add_segment(a1, a3, "diagonal", diag_style)
+    fig.add_segment(a2, a4, "diagonal", diag_style)
+    if not diagonals(quad).names_v:
+        fig.add_segment(_midpoint(a1, a3), _midpoint(a2, a4), "newton",
                         "stroke:#d62728;stroke-width:1.2")
     for param in params:
         ie = inscribe(quad, param)
@@ -287,7 +292,7 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
             fig.add_marker(p, "tangency", "fill:#2ca02c")
     if rep.mdq:
         try:
-            pair = equal_diameter_pair(min_ecc(quad, rep).ellipse.geometry)
+            pair = equal_diameter_pair(min_ecc(quad, args.tol).ellipse.geometry)
             style = "stroke:#9467bd;stroke-width:1.5"
             fig.add_segment(*pair.endpoints1, "diameter", style)
             fig.add_segment(*pair.endpoints2, "diameter", style)

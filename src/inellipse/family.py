@@ -3,10 +3,10 @@
 The ellipses inscribed in a convex quad A1A2A3A4 are the line conics
 C*(lam) = lam (A1 A3' + A3 A1') + mu (A2 A4' + A4 A2'), lam, mu > 0,
 lam + mu = 1, A_i = (x_i, y_i, 1).  `inscribe` builds each member from the
-quad's `quad.diagonals`, about the diagonal intersection P = A1 + a D u1 =
+quad's pencil, `quad.diagonals`: the diagonal intersection P = A1 + a D u1 =
 A2 + b D u2 of the diagonals u1 = (A3 - A1) / D, u2 = (A4 - A2) / D, D the
 quad's diameter, with the diagonal midpoints M1 = P + D p u1, M2 = P + D q u2
-(p = `off1` = 1/2 - a, q = `off2` = 1/2 - b).
+(p = 1/2 - a, q = 1/2 - b, computed from a and b where they are read).
 The member is the ellipse (x - c)' S^-1 (x - c) = D^2 with
 centre c = lam M1 + mu M2 and shape
 
@@ -92,13 +92,13 @@ def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
     return wa / (wa + wb), wb / (wa + wb)
 
 
-def _pencil_contacts(dd: DiagonalData, r: float, lam: float,
+def _pencil_contacts(quad: Quadrilateral, dd: DiagonalData, r: float, lam: float,
                      mu: float) -> tuple[Point, Point, Point, Point]:
     """Contacts C*(lam) l_i on S1..S4: each side's two vertices weighted lam b
     and mu a on S1 (the fraction r), lam b and mu (1 - a) on S2, lam (1 - b)
     and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3.  Each
     is the point at its fraction f along its side, Ai + f (Aj - Ai)."""
-    ((x1, y1), (x3, y3)), ((x2, y2), (x4, y4)) = dd.d1, dd.d2
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad.vertices
     lb, lb1 = lam * dd.b, lam * (1.0 - dd.b)
     ma, ma1 = mu * dd.a, mu * (1.0 - dd.a)
     f2, f3, f4 = lb / (lb + ma1), ma1 / (lb1 + ma1), lb1 / (lb1 + ma)
@@ -114,9 +114,9 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
     (lam, mu), which touches S1 at the fraction r along A1->A2, named
     `param`: c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2'
     + f12 (u1u2' + u2u1') with f1 = lam (lam p^2 + a(1-a)),
-    f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p, q the offsets off1,
-    off2), and det S as a product."""
-    p, q, al, be = dd.off1, dd.off2, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p = 1/2 - a, q = 1/2 - b),
+    and det S as a product."""
+    p, q, al, be = 0.5 - dd.a, 0.5 - dd.b, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
     (x1, y1), (x2, y2), d = dd.u1, dd.u2, quad.diameter()
     f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
     sxx = f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2
@@ -126,9 +126,10 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
            * (x1 * y2 - y1 * x2) ** 2)
     center = (dd.p[0] + d * (lam * p * x1 + mu * q * x2),
               dd.p[1] + d * (lam * p * y1 + mu * q * y2))
-    frame = "parallelogram" if dd.newton_line is None else "qstvw"
+    frame = "parallelogram" if dd.names_v else "qstvw"
     return tuple.__new__(InscribedEllipse, (  # skips __new__ and its field-count check
-        param, _pencil_contacts(dd, r, lam, mu), frame, quad, center, (sxx, sxy2, syy, det)))
+        param, _pencil_contacts(quad, dd, r, lam, mu), frame, quad, center,
+        (sxx, sxy2, syy, det)))
 
 
 def _at_ratio(quad: Quadrilateral, dd: DiagonalData, x: float) -> InscribedEllipse:
@@ -139,7 +140,7 @@ def _at_ratio(quad: Quadrilateral, dd: DiagonalData, x: float) -> InscribedEllip
     `inscribe`; the ellipse itself is exact."""
     r = dd.a / (dd.a + x * dd.b)
     return _inscribed(quad, dd, x / (1.0 + x), 1.0 / (1.0 + x), r,
-                      2.0 * r - 1.0 if dd.newton_line is None else r)
+                      2.0 * r - 1.0 if dd.names_v else r)
 
 
 def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
@@ -150,7 +151,6 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     in (-1,1), so that v = 0 touches the side midpoints.
     """
     dd = diagonals(quad)
-    par = dd.newton_line is None
-    r = (1.0 + param) / 2.0 if par else param
-    check_unit_interval(r, "(1 + v) / 2" if par else "param")
+    r = (1.0 + param) / 2.0 if dd.names_v else param
+    check_unit_interval(r, "(1 + v) / 2" if dd.names_v else "param")
     return _inscribed(quad, dd, *_weights(dd, r), r, param)

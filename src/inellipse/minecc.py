@@ -10,20 +10,21 @@ coefficients change sign exactly once (`_numeric`), so one bracketed Newton
 solve finds the optimum.  An MDQ's optimum is the member whose
 diagonal-parallel diameters are equal (the paper's T3), the positive root of
 a quadratic in x and the Newton start on every quad.  Both read the pencil
-from the quad's `DiagonalData` (a `classify` report's, when one is given).
+from the quad's `DiagonalData`, the midpoint offsets p = 1/2 - a and
+q = 1/2 - b computed where they are read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .diameters import t1_margin
 from .errors import NotMDQ
 from .family import InscribedEllipse, _at_ratio
-from .quad import (CLASSIFY_TOL, ClassificationReport, DiagonalData,
-                   Quadrilateral, classify, diagonals, _mdq_types, _tangential)
+from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
+                   diagonals, _mdq_types, _summable, _tangential)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
@@ -89,11 +90,10 @@ def _t3_root(dd: DiagonalData) -> float:
     k2 = mu (mu q^2 + b(1-b)) (p, q the midpoint offsets) the diagonal of S
     in the basis u1, u2.  Over mu^2 that is A x^2 + B x - C = 0 with A, C > 0:
     one positive root, taken in the form that does not cancel."""
-    (x1, y1), (x2, y2) = dd.u1, dd.u2
+    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
     n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    qa, qb = n1 * (dd.off1 * dd.off1 + al), n1 * al - n2 * be
-    qc = n2 * (dd.off2 * dd.off2 + be)
+    qa, qb, qc = n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be)
     disc = math.sqrt(qb * qb + 4.0 * qa * qc)
     return 2.0 * qc / (qb + disc) if qb >= 0.0 else (disc - qb) / (2.0 * qa)
 
@@ -103,13 +103,12 @@ def _critical_quartic(dd: DiagonalData) -> tuple[float, ...]:
     (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
     tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a),
     be = b(1-b) and p, q the midpoint offsets)."""
-    (x1, y1), (x2, y2) = dd.u1, dd.u2
+    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
     n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
     al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    pp, qq = dd.off1 * dd.off1, dd.off2 * dd.off2
+    pp, qq = p * p, q * q
     l0, l1 = al * (qq + be), be * (pp + al)
-    t0, t1, t2 = (n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * dd.off1 * dd.off2,
-                  n1 * (pp + al))
+    t0, t1, t2 = n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * p * q, n1 * (pp + al)
     return (l0 * t0, 2.0 * (l0 + l1) * t0 - l0 * t1, 3.0 * (l1 * t0 - l0 * t2),
             l1 * t1 - 2.0 * (l0 + l1) * t2, -l1 * t2)
 
@@ -140,31 +139,22 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     return MinEccResult(_at_ratio(quad, dd, x), "quartic_numeric")
 
 
-def min_ecc(quad: Quadrilateral,
-            report: Optional[ClassificationReport] = None) -> MinEccResult:
+def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse, in the quad's dual
     pencil.  A tangential quad's incircle, whose diameters along the two
     diagonals are equal, and an MDQ's optimum, parallelograms included, are
     the T3 member (`_t3_root`); every other quad gets `min_ecc_numeric`'s
     optimum.  A parallelogram's `r_star` is its v = 2r - 1.
 
-    The method reads two predicates: "incircle" if the quad is tangential,
-    else "alpha_closed_form" if it is an MDQ, else "quartic_numeric".  With
-    `report`, the quad's `classify` report, they are the report's, so a
-    caller that classified the quad at its own tolerance gets the method
-    that report names, and the pencil is the report's `diagonals`.  Without
-    one, only these two are evaluated, at CLASSIFY_TOL, by the functions
-    `classify` itself calls (`quad._tangential` on the side lengths, then
-    `quad._mdq_types` on the quad's `diagonals`), so the method is the one
-    `min_ecc(quad, classify(quad))` takes; no full report is built."""
-    if report is None:
-        dd = diagonals(quad)
-        tangential = _tangential(quad.side_lengths(), CLASSIFY_TOL)
-        closed = tangential or any(_mdq_types(dd, CLASSIFY_TOL))
-    else:
-        dd, tangential = report.diagonals, report.tangential
-        closed = tangential or report.mdq
-    if closed:
+    The method reads two predicates at `tol`, through the functions
+    `classify` itself calls: "incircle" if the quad is tangential
+    (`quad._tangential` on the side lengths), else "alpha_closed_form" if it
+    is an MDQ (`quad._mdq_types` on the quad's `diagonals`), else
+    "quartic_numeric".  So the method is the one that `classify(quad, tol)`
+    names, and no full report is built."""
+    dd = diagonals(quad)
+    tangential = _tangential(_summable(quad.side_lengths()), tol)
+    if tangential or any(_mdq_types(dd, tol)):
         return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)),
                             "incircle" if tangential else "alpha_closed_form")
     return _numeric(quad, dd)
@@ -195,7 +185,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         rep = classify(quad)
         if not rep.mdq:
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
-        res = min_ecc(quad, rep)
+        res = min_ecc(quad)
     if res.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
 

@@ -12,22 +12,22 @@ Diagonals are D1 = A1A3 and D2 = A2A4.  A midpoint diagonal quadrilateral
 diagonal: type 1 bisects D2, type 2 bisects D1.  A parallelogram, whose
 diagonals bisect one another, is both: `classify` reports `parallelogram`
 exactly when it reports both types.  `diagonals` is the one place that
-decides where the diagonals meet; its `DiagonalData` carries, besides the
-segments, M1, M2, P and the Newton line M1M2, the unit-scale directions
-u1 = (A3 - A1) / D, u2 = (A4 - A2) / D (D the diameter), the fractions
-P = A1 + a D u1 = A2 + b D u2, and the midpoint offsets off1 = 1/2 - a,
-off2 = 1/2 - b, M1 = P + D off1 u1, M2 = P + D off2 u2; the Newton line is
-None on a parallelogram (at CLASSIFY_TOL), which names its parameter v.  It
-is computed once per `Quadrilateral`, on first use, and kept with the
-instance, like its diameter: immutable, living as long as the quad and
-shared by every function that reads its pencil.  An exception is not kept.
+decides where the diagonals meet; its `DiagonalData` is the quad's pencil:
+the intersection P, the unit-scale directions u1 = (A3 - A1) / D,
+u2 = (A4 - A2) / D (D the diameter) and the fractions P = A1 + a D u1 =
+A2 + b D u2, so that the midpoints are M1 = P + D (1/2 - a) u1 and
+M2 = P + D (1/2 - b) u2; `names_v` is true on a parallelogram (at
+CLASSIFY_TOL), whose parameter is v.  It is computed once per
+`Quadrilateral`, on first use, and kept with the instance, like its
+diameter: immutable, living as long as the quad and shared by every
+function that reads its pencil.  An exception is not kept.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .conic import Point
 from .errors import DuplicateVertex, InEllipseError, NonConvexInput
@@ -145,18 +145,12 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
 
 
 class DiagonalData(NamedTuple):
-    d1: tuple[Point, Point]
-    d2: tuple[Point, Point]
-    m1: Point
-    m2: Point
     p: Point
-    newton_line: Optional[tuple[Point, Point]]  # None names a parallelogram's v
     u1: Point  # (A3 - A1) / D
     u2: Point  # (A4 - A2) / D
     a: float  # P = A1 + a D u1
     b: float  # P = A2 + b D u2
-    off1: float  # M1 = P + D off1 u1, off1 = 1/2 - a
-    off2: float  # M2 = P + D off2 u2, off2 = 1/2 - b
+    names_v: bool  # a parallelogram at CLASSIFY_TOL, whose parameter is v
 
 
 class ClassificationReport(NamedTuple):
@@ -169,7 +163,6 @@ class ClassificationReport(NamedTuple):
     mdq_type1: bool
     mdq_type2: bool
     side_lengths: tuple[float, float, float, float]
-    diagonals: DiagonalData
 
     @property
     def mdq(self) -> bool:
@@ -177,12 +170,18 @@ class ClassificationReport(NamedTuple):
 
 
 def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
-    """Reject non-convex vertices; return (first edges' unit-scale cross, diameter)."""
+    """Reject non-finite or non-convex vertices; return (first edges' unit-scale
+    cross, diameter)."""
+    for p in vertices:
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise NonConvexInput(f"non-finite vertex {p}")
     pairs = [(p, q, _dist(p, q)) for i, p in enumerate(vertices)
              for q in vertices[i + 1:]]
     diam = max(dist for _, _, dist in pairs)
     if diam == 0.0:
         raise DuplicateVertex("all vertices coincide")
+    if not math.isfinite(diam):
+        raise NonConvexInput("the diameter overflows the float range")
     for p, q, dist in pairs:
         if dist <= 1e-12 * diam:
             raise DuplicateVertex(f"vertices {p} and {q} coincide")
@@ -233,11 +232,9 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     pts = [(float(x), float(y)) for x, y in raw_vertices]
     if len(pts) != 4:
         raise NonConvexInput("exactly four vertices required")
-    for p in pts:
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-            raise NonConvexInput(f"non-finite vertex {p}")
-    cx = sum(p[0] for p in pts) / 4.0
-    cy = sum(p[1] for p in pts) / 4.0
+    # quarters first, so that the sum cannot overflow; exact but for subnormals
+    cx = sum(0.25 * p[0] for p in pts)
+    cy = sum(0.25 * p[1] for p in pts)
     ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
     _, diam = _validate_convex(ordered)
     # angle sort is counterclockwise; flip to clockwise
@@ -252,9 +249,15 @@ def _bisects(frac: float, u: Point, tol: float) -> bool:
     return abs(0.5 - frac) * math.hypot(*u) <= tol
 
 
+def _summable(sides: tuple[float, float, float, float]) -> tuple[float, ...]:
+    """The side lengths, quartered where their sum, below pi diameters,
+    overflows: exactly, as none of them is then near the subnormals."""
+    return sides if sum(sides) < math.inf else tuple(0.25 * x for x in sides)
+
+
 def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
-    """Pitot's test on the side lengths (a, b, c, d): a + c = b + d within
-    `tol` of the perimeter.  `classify` and `min_ecc` both read it."""
+    """Pitot's test on the `_summable` side lengths (a, b, c, d): a + c = b + d
+    within `tol` of the perimeter.  `classify` and `min_ecc` both read it."""
     a, b, c, d = sides
     return abs(a + c - (b + d)) <= tol * (a + b + c + d)
 
@@ -268,9 +271,9 @@ def _mdq_types(dd: DiagonalData, tol: float) -> tuple[bool, bool]:
 def diagonals(quad: Quadrilateral) -> DiagonalData:
     """The quad's `DiagonalData`, computed on the first call for this
     `Quadrilateral` and shared by every later call: `classify` at any `tol`,
-    `inscribe`, `min_ecc_numeric` and `verify_T3` read the one immutable
-    pencil.  On a parallelogram (both diagonals bisected at CLASSIFY_TOL) the
-    Newton line is None, which names the family's parameter v = 2r - 1."""
+    `inscribe`, `min_ecc` and `verify_T3` read the one immutable pencil.
+    `names_v` is true on a parallelogram (both diagonals bisected at
+    CLASSIFY_TOL), whose family parameter is v = 2r - 1."""
     return quad._diagonals
 
 
@@ -280,11 +283,9 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     u1, u2, e = _unit_sub(a3, a1, d), _unit_sub(a4, a2, d), _unit_sub(a2, a1, d)
     cross = _cross(u1, u2)
     a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
-    m1, m2 = _midpoint(a1, a3), _midpoint(a2, a4)
     p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
-    par = _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL)
-    return DiagonalData((a1, a3), (a2, a4), m1, m2, p, None if par else (m1, m2),
-                        u1, u2, a, b, 0.5 - a, 0.5 - b)
+    names_v = _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL)
+    return DiagonalData(p, u1, u2, a, b, names_v)
 
 
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
@@ -292,7 +293,6 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     diam = quad.diameter()
     sides = quad.side_lengths()
     a, b, c, d = sides
-    perim = a + b + c + d
     dd = diagonals(quad)
 
     mdq1, mdq2 = _mdq_types(dd, tol)
@@ -301,9 +301,10 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     cross = abs(_cross(u, v))
     trapezoid = (abs(dd.a - dd.b) * cross <= tol * (b / diam) * (d / diam)
                  or abs(dd.a + dd.b - 1.0) * cross <= tol * (c / diam) * (a / diam))
-    tangential = _tangential(sides, tol)
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
-    kite = ((abs(a - b) <= tol * perim and abs(c - d) <= tol * perim)
-            or (abs(b - c) <= tol * perim and abs(a - d) <= tol * perim))
-    return ClassificationReport(True, mdq1 and mdq2, trapezoid, tangential,
-                                orthodiagonal, kite, mdq1, mdq2, sides, dd)
+    sa, sb, sc, sd = summable = _summable(sides)
+    perim = sa + sb + sc + sd
+    kite = ((abs(sa - sb) <= tol * perim and abs(sc - sd) <= tol * perim)
+            or (abs(sb - sc) <= tol * perim and abs(sa - sd) <= tol * perim))
+    return ClassificationReport(True, mdq1 and mdq2, trapezoid, _tangential(summable, tol),
+                                orthodiagonal, kite, mdq1, mdq2, sides)

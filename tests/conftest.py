@@ -59,6 +59,13 @@ def assert_tangent_at(conic, point, seg_p, seg_q, scale, tol=1e-9):
     assert perp <= tol * scale
 
 
+def diagonal_midpoints(quad):
+    """(M1, M2), the midpoints of D1 = A1A3 and D2 = A2A4: the Newton segment."""
+    a1, a2, a3, a4 = quad.vertices
+    return ((0.5 * (a1[0] + a3[0]), 0.5 * (a1[1] + a3[1])),
+            (0.5 * (a2[0] + a4[0]), 0.5 * (a2[1] + a4[1])))
+
+
 def assert_on_open_segment(point, seg_p, seg_q, tol=1e-9):
     lam, perp = segment_param(point, seg_p, seg_q)
     scale = math.dist(seg_p, seg_q)

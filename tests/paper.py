@@ -270,8 +270,9 @@ def qstvw_tangency(s: float, t: float, v: float, w: float,
     On S4 this is the paper's (q, (w/v)q), q = svr/((s - f2)r + f2)."""
     check_qstvw_region(s, t, v, w)
     check_unit_interval(r, "r")
-    dd = diagonals(Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w))))
-    return _pencil_contacts(dd, r, *_weights(dd, r))
+    quad = Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w)))
+    dd = diagonals(quad)
+    return _pencil_contacts(quad, dd, r, *_weights(dd, r))
 
 
 def _mul(p, q) -> list[float]:

@@ -20,7 +20,7 @@ from inellipse.diameters import (check_T2, conjugate_direction,
 from inellipse.affine import alpha_coeffs, alpha_root
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
-from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
+from inellipse.quad import canonicalize, classify, quadrilateral
 from inellipse.conic import line_intersect
 
 from paper import (EccFunctional, G_value, closed_form_diameter_len_sq,
@@ -32,7 +32,7 @@ from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,
 from conftest import (EXAMPLE_CONIC, EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC,
                       EXAMPLE_R, EXAMPLE_R_STAR, EXAMPLE_VERTICES,
                       assert_on_open_segment, assert_points_close,
-                      centered_form_conic)
+                      centered_form_conic, diagonal_midpoints)
 
 
 @contextmanager
@@ -212,8 +212,7 @@ def test_criterion_08_derivation_consistency():
         for _ in range(200):
             quad = frame_quad(*random_frame(rng))
             ie = inscribe(quad, rng.uniform(0.02, 0.98))
-            dd = diagonals(quad)
-            assert_on_open_segment(center(ie.conic), dd.m1, dd.m2, 1e-9)
+            assert_on_open_segment(center(ie.conic), *diagonal_midpoints(quad), 1e-9)
 
 
 def test_criterion_09_marden():

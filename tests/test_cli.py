@@ -79,13 +79,13 @@ def strict_loads(text):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of `classify`, `diagonals`, `normalize_to_qstvw` and `min_ecc`,
-    counted in every module namespace that holds them, so calls between
-    modules are counted too."""
+    """Calls of `classify`, `normalize_to_qstvw` and `min_ecc`, and builds of
+    the pencil (`_diagonal_data`), counted in every module namespace that
+    holds them, so calls between modules are counted too."""
     calls = {"classify": 0, "normalize_to_qstvw": 0, "min_ecc": 0,
-             "diagonals": 0}
+             "_diagonal_data": 0}
     for name, fn in (("classify", quad.classify),
-                     ("diagonals", quad.diagonals),
+                     ("_diagonal_data", quad._diagonal_data),
                      ("normalize_to_qstvw", affine.normalize_to_qstvw),
                      ("min_ecc", minecc.min_ecc)):
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -105,6 +105,7 @@ class TestClassify:
         assert cls["mdq_type1"] is True
         assert cls["mdq_type2"] is False
         assert cls["parallelogram"] is False
+        assert cls["diagonal_midpoints"] == [[4.0, 2.0], [3.0, 1.5]]
         assert doc["label"] == "worked-example"
 
     def test_square_flags(self, capsys, square_file):
@@ -118,6 +119,13 @@ class TestClassify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"vertices": [[0, 0], [4, 0], [2, 3], [2, 1]]}))
         assert main(["classify", str(path)]) == 3
+        # a square whose diameter overflows the float range
+        path.write_text(json.dumps({"vertices": [[-1e308, -1e308], [-1e308, 1e308],
+                                                 [1e308, 1e308], [1e308, -1e308]]}))
+        capsys.readouterr()
+        assert main(["classify", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: the diameter overflows the float range\n"
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -348,13 +356,13 @@ class TestMinEcc:
         assert "paper_r_star" not in doc["verification"]
 
     def test_classifies_at_most_twice(self, capsys, example_file, call_counts):
-        # once, at --tol: the report, the dispatch in min_ecc and the
-        # verification block all read that one classification
+        # once, at --tol: the report and the verification block read that
+        # one classification, and min_ecc's dispatch its two predicates
         code, _ = run_json(capsys, ["min-ecc", example_file])
         assert code == 0
         assert call_counts["classify"] == 1
-        # the report's diagonals are the ones `classify` computed
-        assert call_counts["diagonals"] == 1
+        # the report, the dispatch and the solver read one pencil
+        assert call_counts["_diagonal_data"] == 1
 
     def test_tol_reaches_the_dispatch(self, capsys, near_mdq_file):
         # an MDQ at --tol 1e-5 but not at the default 1e-9: the method is

@@ -11,8 +11,8 @@ from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
                                  parallel_margin)
 from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
 from inellipse import minecc
-from inellipse.family import inscribe
-from inellipse.minecc import (min_ecc, min_ecc_numeric, verify_T3,
+from inellipse.family import _at_ratio, inscribe
+from inellipse.minecc import (MinEccResult, min_ecc, min_ecc_numeric, verify_T3,
                               _bracket_root, _critical_quartic, _t3_root)
 from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
                             quadrilateral)
@@ -29,7 +29,7 @@ from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
 from test_thin import MAKERS as THIN_MAKERS, RHOS as THIN_RHOS
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
-                      assert_points_close)
+                      assert_points_close, diagonal_midpoints)
 
 
 class TestGValue:
@@ -260,10 +260,10 @@ def _tangential_non_mdq(rng):
             return quad
 
 
-def _near_tangential(seed, k):
+def _near_tangential(seed, k, tol):
     """A tangential non-MDQ whose A3 is moved along A2->A3 until
-    a + c - (b + d) is k * CLASSIFY_TOL of the perimeter: c grows by the
-    move and d by its cosine of the angle at A3, so the defect is monotone."""
+    a + c - (b + d) is k * tol of the perimeter: c grows by the move and d
+    by its cosine of the angle at A3, so the defect is monotone."""
     a1, a2, a3, a4 = _tangential_non_mdq(np.random.default_rng(seed)).vertices
     ex, ey = a3[0] - a2[0], a3[1] - a2[1]
     norm = math.hypot(ex, ey)
@@ -278,27 +278,27 @@ def _near_tangential(seed, k):
 
     # the defect is linear in the step to about 1e-6: two secant steps
     steps = [0.0, 1e-6 * norm]
-    values = [defect(moved(x)) - k * CLASSIFY_TOL for x in steps]
+    values = [defect(moved(x)) - k * tol for x in steps]
     for _ in range(2):
         (x0, x1), (g0, g1) = steps, values
         steps = [x1, x1 - g1 * (x1 - x0) / (g1 - g0)]
-        values = [g1, defect(moved(steps[1])) - k * CLASSIFY_TOL]
+        values = [g1, defect(moved(steps[1])) - k * tol]
     quad = moved(steps[1])
-    assert defect(quad) == pytest.approx(k * CLASSIFY_TOL, rel=1e-4)
+    assert defect(quad) == pytest.approx(k * tol, rel=1e-4)
     return quad
 
 
-def _near_mdq(seed, k, type1):
-    """A quad whose diagonals meet k * CLASSIFY_TOL of the diameter from the
-    midpoint of D2 (type 1) or of D1 (type 2)."""
+def _near_mdq(seed, k, tol, type1):
+    """A quad whose diagonals meet k * tol of the diameter from the midpoint
+    of D2 (type 1) or of D1 (type 2)."""
     key = "b" if type1 else "a"
     dd = diagonals(random_diagonal_quad(np.random.default_rng(seed), **{key: 0.5}))
     norm = math.hypot(*(dd.u2 if type1 else dd.u1))
     quad = random_diagonal_quad(np.random.default_rng(seed),
-                                **{key: 0.5 + k * CLASSIFY_TOL / norm})
+                                **{key: 0.5 + k * tol / norm})
     dd = diagonals(quad)
     frac, u = (dd.b, dd.u2) if type1 else (dd.a, dd.u1)
-    assert (frac - 0.5) * math.hypot(*u) == pytest.approx(k * CLASSIFY_TOL, rel=1e-4)
+    assert (frac - 0.5) * math.hypot(*u) == pytest.approx(k * tol, rel=1e-4)
     return quad
 
 
@@ -307,12 +307,27 @@ def _dispatch_fields(res):
     return repr((res.method, res.r_star, ie.center, ie.shape, ie.tangency))
 
 
+def _named_method(rep):
+    """The method that a `classify` report's flags name."""
+    return ("incircle" if rep.tangential
+            else "alpha_closed_form" if rep.mdq else "quartic_numeric")
+
+
+def _method_member(quad, method):
+    """The fields of the member that `method` builds: the T3 member of the
+    closed forms or `min_ecc_numeric`'s optimum."""
+    if method == "quartic_numeric":
+        return _dispatch_fields(min_ecc_numeric(quad))
+    dd = diagonals(quad)
+    return _dispatch_fields(MinEccResult(_at_ratio(quad, dd, _t3_root(dd)), method))
+
+
 class TestDispatchWithoutReport:
-    """`min_ecc(quad)` evaluates only the two predicates it dispatches on,
-    through the functions `classify` calls: it must take the method and
-    build the member that `min_ecc(quad, classify(quad))` does, also on
-    either side of each threshold, where a predicate edited in only one of
-    the two places would send the quads apart."""
+    """`min_ecc(quad, tol)` evaluates only the two predicates it dispatches
+    on, through the functions `classify` calls: it must take the method
+    that `classify(quad, tol)`'s flags name, and build that method's member,
+    at 1e-9 and at 1e-5, also on either side of each threshold, where a
+    predicate edited in only one of the two places would send them apart."""
 
     @pytest.mark.parametrize("make", [
         random_convex_quad,
@@ -326,24 +341,28 @@ class TestDispatchWithoutReport:
         rng = np.random.default_rng(19)
         for _ in range(100):
             quad = make(rng)
-            assert _dispatch_fields(min_ecc(quad)) == \
-                _dispatch_fields(min_ecc(quad, classify(quad)))
+            for tol in (CLASSIFY_TOL, 1e-5):
+                res = min_ecc(quad, tol)
+                assert res.method == _named_method(classify(quad, tol))
+                assert _dispatch_fields(res) == _method_member(quad, res.method)
+            assert min_ecc(quad) == min_ecc(quad, CLASSIFY_TOL)
 
     @pytest.mark.parametrize("make, method", [
         (_near_tangential, "incircle"),
-        (lambda seed, k: _near_mdq(seed, k, True), "alpha_closed_form"),
-        (lambda seed, k: _near_mdq(seed, k, False), "alpha_closed_form"),
+        (lambda seed, k, tol: _near_mdq(seed, k, tol, True), "alpha_closed_form"),
+        (lambda seed, k, tol: _near_mdq(seed, k, tol, False), "alpha_closed_form"),
     ], ids=["tangential", "type1", "type2"])
     def test_same_result_at_either_side_of_a_threshold(self, make, method):
-        for seed in range(20):
-            methods = []
-            for k in (0.99, 1.01):
-                quad = make(seed, k)
-                res = min_ecc(quad)
-                assert _dispatch_fields(res) == \
-                    _dispatch_fields(min_ecc(quad, classify(quad)))
-                methods.append(res.method)
-            assert methods == [method, "quartic_numeric"]
+        for tol in (CLASSIFY_TOL, 1e-5):
+            for seed in range(20):
+                methods = []
+                for k in (0.99, 1.01):
+                    quad = make(seed, k, tol)
+                    res = min_ecc(quad, tol)
+                    assert res.method == _named_method(classify(quad, tol))
+                    assert _dispatch_fields(res) == _method_member(quad, res.method)
+                    methods.append(res.method)
+                assert methods == [method, "quartic_numeric"], (tol, seed)
 
 
 class TestMinEccNumeric:
@@ -492,7 +511,7 @@ class TestCertificate:
                       for y in (_bracket_root(p, 0.0, 1.0, p[0], at1, start)
                                 for start in (warm, -1.0)))
             assert abs(xw - xs) <= 4.0 * math.ulp(xs), quad.vertices
-            if dd.newton_line is not None:
+            if not dd.names_v:
                 # `_numeric` solves from the same start
                 assert min_ecc_numeric(quad).r_star == dd.a / (dd.a + xw * dd.b)
         assert warm_inside >= 0.9 * len(quads)
@@ -727,9 +746,7 @@ class TestVerifyT3:
             quad = frame_quad(*random_type1_frame(rng, min_ecc=1e-3))
             res = min_ecc(quad)
             pair = equal_conjugate_diameters(res.ellipse.conic)
-            dd = diagonals(quad)
-            d1 = (dd.d1[1][0] - dd.d1[0][0], dd.d1[1][1] - dd.d1[0][1])
-            d2 = (dd.d2[1][0] - dd.d2[0][0], dd.d2[1][1] - dd.d2[0][1])
+            d1, d2 = quad.diagonal_vectors()
             m1 = min(parallel_margin(pair.dir1, d1), parallel_margin(pair.dir2, d1))
             m2 = min(parallel_margin(pair.dir1, d2), parallel_margin(pair.dir2, d2))
             assert m1 <= 1e-7 and m2 <= 1e-7
@@ -741,10 +758,10 @@ class TestVerifyT3:
         for _ in range(20):
             quad = frame_quad(*random_type1_frame(rng, min_ecc=1e-3))
             res = min_ecc(quad)
-            dd = diagonals(quad)
+            m1, m2 = diagonal_midpoints(quad)
             c = center(res.ellipse.conic)
-            assert_on_open_segment(c, dd.m1, dd.m2, 1e-8)
+            assert_on_open_segment(c, m1, m2, 1e-8)
             # the Newton line direction is the D1 direction here
-            d1 = (dd.d1[1][0] - dd.d1[0][0], dd.d1[1][1] - dd.d1[0][1])
-            nl = (dd.m2[0] - dd.m1[0], dd.m2[1] - dd.m1[1])
+            d1 = quad.diagonal_vectors()[0]
+            nl = (m2[0] - m1[0], m2[1] - m1[1])
             assert parallel_margin(d1, nl) <= 1e-9

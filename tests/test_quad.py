@@ -23,7 +23,7 @@ from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
                       random_orthodiagonal_quad, random_parallelogram,
                       random_tangential_quad, random_type1_frame,
                       random_type2_frame)
-from conftest import EXAMPLE_VERTICES, assert_points_close
+from conftest import EXAMPLE_VERTICES, assert_points_close, diagonal_midpoints
 
 
 class TestCanonicalize:
@@ -42,6 +42,16 @@ class TestCanonicalize:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateVertex):
             canonicalize([(0, 0), (0, 0), (1, 1), (0, 1)])
+        # both constructors share one validator: an infinite vertex and an
+        # overflowing diameter are named as such, not as coinciding vertices
+        for build, vertices, message in (
+                (quadrilateral, [(0, 0), (0, 1), (1, 1), (math.inf, 0)],
+                 "non-finite vertex"),
+                (canonicalize, [(-1e308, -1e308), (-1e308, 1e308), (1e308, 1e308),
+                                (1e308, -1e308)], "diameter overflows")):
+            with pytest.raises(NonConvexInput, match=message) as info:
+                build(vertices)
+            assert not isinstance(info.value, DuplicateVertex)
 
     def test_interior_point_rejected(self):
         with pytest.raises(NonConvexInput):
@@ -87,28 +97,34 @@ def test_canonicalize_rotation_and_reversal(frame):
 class TestDiagonals:
     def test_example(self, example_quad):
         dd = diagonals(example_quad)
-        assert dd.m1 == (4.0, 2.0)
-        assert dd.m2 == (3.0, 1.5)
+        m1, m2 = diagonal_midpoints(example_quad)
+        assert m1 == (4.0, 2.0)
+        assert m2 == (3.0, 1.5)
         # diagonal lines: y = x/2 and y = 1 + x/6 meet at (3, 1.5)
         assert_points_close(dd.p, (3.0, 1.5), 1e-12)
 
     def test_parallelogram_midpoints_coincide(self):
-        dd = diagonals(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
-        assert dd.m1 == dd.m2 == (0.5, 0.5)
+        quad = canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)])
+        dd = diagonals(quad)
+        m1, m2 = diagonal_midpoints(quad)
+        assert m1 == m2 == (0.5, 0.5)
         assert dd.p == (0.5, 0.5)
-        assert dd.newton_line is None
+        assert dd.names_v
 
     def test_offsets_are_the_quads_own_on_a_thin_near_parallelogram(self):
         # D1 = A1A3 bisected, D2 cut at b = 0.7 and 1e-9 of the diameter long:
         # the bisection test passes for D2 too, which names the parameter v,
-        # but M2 keeps its offset from P
+        # but M2 keeps its offset from P: M2 = P + D (1/2 - b) u2
         b, length = 0.7, 2e-9
         quad = quadrilateral([(0.0, 0.0), (1.0, b * length), (2.0, 0.0),
                               (1.0, (b - 1.0) * length)])
         dd = diagonals(quad)
-        assert dd.newton_line is None
-        assert dd.off1 == 0.5 - dd.a and dd.off2 == 0.5 - dd.b
-        assert abs(dd.off2 - (0.5 - b)) <= 1e-9
+        assert dd.names_v
+        d, (m1, m2) = quad.diameter(), diagonal_midpoints(quad)
+        for m, off, u in ((m1, 0.5 - dd.a, dd.u1), (m2, 0.5 - dd.b, dd.u2)):
+            assert_points_close(m, (dd.p[0] + d * off * u[0], dd.p[1] + d * off * u[1]),
+                                1e-15 * d)
+        assert abs((0.5 - dd.b) - (0.5 - b)) <= 1e-9
 
     def test_qst_intersection(self):
         s, t = 2.0, 3.0
@@ -314,8 +330,10 @@ class TestOnePencilPerQuad:
         quad = canonicalize(EXAMPLE_VERTICES)
         dd = diagonals(quad)
         assert diagonals(quad) is dd
-        assert classify(quad, 1e-9).diagonals is dd
-        assert classify(quad, 1e-5).diagonals is dd
+        # `classify` at any tol reads the kept pencil, never a new one
+        for tol in (1e-9, 1e-5):
+            classify(quad, tol)
+            assert vars(quad)["_diagonals"] is dd
 
     def test_member_sweep_builds_the_pencil_once(self, builds):
         quad = canonicalize(EXAMPLE_VERTICES)
@@ -347,7 +365,7 @@ class TestOnePencilPerQuad:
             for other in derived:
                 assert diagonals(other) == quad_module._diagonal_data(other)
             assert diagonals(derived[0]) != dd
-            assert diagonals(derived[0]).d1 == dd.d2
+            assert diagonals(derived[0]).u1 == dd.u2
 
     def test_a_degenerate_quad_raises_on_every_call(self):
         quad = Quadrilateral(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))

@@ -42,10 +42,27 @@ def scaled(vertices, k):
     return [(x * 10.0 ** k, y * 10.0 ** k) for x, y in vertices]
 
 
+def _top_exponent(vertices):
+    """The exponent, not an integer, that scales the largest coordinate to
+    m * 1e307 for the largest m in 15, 14, ..., 1 that `canonicalize`
+    accepts: the shape at about its largest accepted size, where the sum of
+    its side lengths overflows the float range."""
+    top = max(abs(x) for p in vertices for x in p)
+    for m in range(15, 0, -1):
+        k = math.log10(m * 1e307 / top)
+        try:
+            canonicalize(scaled(vertices, k))
+        except NonConvexInput:
+            continue
+        return k
+    raise AssertionError("no size near the float limit is accepted")
+
+
 def accepted(vertices):
-    """(k, quad) for every exponent whose scaled quad `canonicalize` accepts."""
+    """(k, quad) for every exponent whose scaled quad `canonicalize` accepts,
+    and the shape at about its largest accepted size."""
     out = []
-    for k in EXPONENTS:
+    for k in list(EXPONENTS) + [_top_exponent(vertices)]:
         try:
             out.append((k, canonicalize(scaled(vertices, k))))
         except NonConvexInput:

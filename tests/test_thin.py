@@ -100,7 +100,7 @@ def test_thin_quads_reach_the_reference(kind):
             ref = reference_axis_ratio_sq(quad)
             for labeled in (quad, quad.rotate_labels(1)):
                 rep = classify(labeled)
-                res, num = min_ecc(labeled, rep), min_ecc_numeric(labeled)
+                res, num = min_ecc(labeled), min_ecc_numeric(labeled)
                 for got in (res, num):
                     assert abs(got.axis_ratio_sq - ref) <= 1e-9 * ref, (
                         kind, rho, labeled.vertices, got.method,
