@@ -64,10 +64,11 @@ class _CliError(Exception):
 def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            text = sys.stdin.read()
+        else:  # one binary read and one decode, newlines read as text mode reads them
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     # ValueError covers bytes that are not UTF-8 (UnicodeDecodeError), text
     # that is not JSON (JSONDecodeError) and integers past the digit limit;
     # RecursionError covers arrays or objects nested too deep to decode

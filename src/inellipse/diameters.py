@@ -16,7 +16,7 @@ from .conic import (ConicCoeffs, Direction, EllipseGeometry, Point, center,
                     geometry, is_ellipse, line_intersect)
 from .errors import InEllipseError, IsCircle
 from .family import InscribedEllipse
-from .quad import Quadrilateral
+from .quad import Quadrilateral, diagonals
 
 PARALLEL_TOL = 1e-9
 
@@ -155,9 +155,8 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
 
 def t1_margin(quad: Quadrilateral, conic: tuple) -> float:
     """Angle margin between conj(direction of D1) and the direction of D2."""
-    d = quad.diameter()  # over which no product of the diagonals underflows
-    d1, d2 = ((x / d, y / d) for x, y in quad.diagonal_vectors())
-    return parallel_margin(conjugate_direction(conic, d1), d2)
+    dd = diagonals(quad)  # at unit scale, where no product of u1, u2 underflows
+    return parallel_margin(conjugate_direction(conic, dd.u1), dd.u2)
 
 
 def check_T1(quad: Quadrilateral, conic: tuple, tol: float = PARALLEL_TOL) -> bool:

@@ -30,13 +30,12 @@ difference, however small it is.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
                     shape_geometry)
 from .errors import InEllipseError, ParamOutOfRegion
-from .quad import DiagonalData, Quadrilateral, _Frozen, diagonals
+from .quad import DiagonalData, Quadrilateral, _Frozen, _kept, diagonals
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -66,7 +65,7 @@ class InscribedEllipse(_Frozen, _InscribedEllipseFields):
     cached `geometry`, which equality, hashing and `repr` never read.
     """
 
-    @cached_property
+    @_kept
     def geometry(self) -> EllipseGeometry:
         return shape_geometry(self.center, self.shape, self.quad.diameter())
 

@@ -93,24 +93,29 @@ def _t3_root(dd: DiagonalData) -> float:
     (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
     n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    qa, qb, qc = n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be)
+    return _positive_root(n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be))
+
+
+def _positive_root(qa: float, qb: float, qc: float) -> float:
+    """The root x > 0 of qa x^2 + qb x - qc, qa, qc > 0, taken without cancellation."""
     disc = math.sqrt(qb * qb + 4.0 * qa * qc)
     return 2.0 * qc / (qb + disc) if qb >= 0.0 else (disc - qb) / (2.0 * qa)
 
 
-def _critical_quartic(dd: DiagonalData) -> tuple[float, ...]:
+def _critical_quartic(dd: DiagonalData) -> tuple[tuple[float, ...], float]:
     """q0..q4 of N' t - 2 N t', H = N / t^2 (u1 x u2)^2 in x: N = x (1 + x)
     (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
-    tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a),
-    be = b(1-b) and p, q the midpoint offsets)."""
+    tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a), be = b(1-b),
+    p, q the midpoint offsets), and the T3 root of t2 x^2 + (n1 al - n2 be) x - t0."""
     (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
     n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
     al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
     pp, qq = p * p, q * q
     l0, l1 = al * (qq + be), be * (pp + al)
     t0, t1, t2 = n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * p * q, n1 * (pp + al)
-    return (l0 * t0, 2.0 * (l0 + l1) * t0 - l0 * t1, 3.0 * (l1 * t0 - l0 * t2),
-            l1 * t1 - 2.0 * (l0 + l1) * t2, -l1 * t2)
+    return ((l0 * t0, 2.0 * (l0 + l1) * t0 - l0 * t1, 3.0 * (l1 * t0 - l0 * t2),
+             l1 * t1 - 2.0 * (l0 + l1) * t2, -l1 * t2),
+            _positive_root(t2, n1 * al - n2 * be, t0))
 
 
 def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
@@ -129,10 +134,10 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     whole pencil, its maximum.  It lies in x < 1 where the quartic is
     negative at 1, and otherwise at 1 / y, y the root in (0, 1) of the
     reversed quartic: one bracket from the T3 root (`_t3_root`), no margin."""
-    crit = _critical_quartic(dd)
+    crit, x3 = _critical_quartic(dd)
     at1, x = sum(crit), 1.0
     if at1 != 0.0:
-        p, x3 = (crit if at1 < 0.0 else crit[::-1]), _t3_root(dd)
+        p = crit if at1 < 0.0 else crit[::-1]
         y = _bracket_root(p, 0.0, 1.0, p[0], at1,
                           x3 if at1 < 0.0 else 1.0 / x3 if x3 > 0.0 else 0.0)
         x = y if at1 < 0.0 else 1.0 / y
@@ -190,9 +195,9 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
 
     (a, b, c), det, d = res.ellipse.adjugate, res.ellipse.shape[3], quad.diameter()
-    par_margin = t1_margin(quad, (a, b, c))
+    par_margin, dd = t1_margin(quad, (a, b, c)), diagonals(quad)
     unit = [4.0 * (x * x + y * y) * det / (a * x * x + b * x * y + c * y * y)
-            for x, y in ((x / d, y / d) for x, y in quad.diagonal_vectors())]
+            for x, y in (dd.u1, dd.u2)]
     len_margin = abs(unit[0] - unit[1]) / max(unit)
     return T3Report(par_margin <= tol, len_margin <= tol, unit[0] * d * d,
                     unit[1] * d * d, False, par_margin, len_margin)

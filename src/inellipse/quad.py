@@ -17,10 +17,10 @@ the intersection P, the unit-scale directions u1 = (A3 - A1) / D,
 u2 = (A4 - A2) / D (D the diameter) and the fractions P = A1 + a D u1 =
 A2 + b D u2, so that the midpoints are M1 = P + D (1/2 - a) u1 and
 M2 = P + D (1/2 - b) u2; `names_v` is true on a parallelogram (at
-CLASSIFY_TOL), whose parameter is v.  It is computed once per
-`Quadrilateral`, on first use, and kept with the instance, like its
-diameter: immutable, living as long as the quad and shared by every
-function that reads its pencil.  An exception is not kept.
+CLASSIFY_TOL), whose parameter is v.  It decides convexity too, so the
+validating constructors build it and keep it with the quad, like its
+diameter; any other `Quadrilateral` computes it on first use.  Immutable,
+it lives as long as the quad, shared by every reader.  No exception is kept.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def _cross(u: Point, v: Point) -> float:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+#: |p - q|, the same float as math.hypot(p[0] - q[0], p[1] - q[1]) in one C call
+_dist = math.dist
 
 
 def _midpoint(p: Point, q: Point) -> Point:
@@ -53,11 +53,22 @@ def _unit_sub(p: Point, q: Point, diam: float) -> Point:
     return ((p[0] - q[0]) / diam, (p[1] - q[1]) / diam)
 
 
+class _kept(functools.cached_property):
+    """`functools.cached_property` without its lock, which an immutable record
+    does not need: kept in the instance dict on first read.  No exception is kept."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 class _Frozen:
     """Refuses to assign or delete any attribute, as a frozen record does.
 
-    `cached_property` writes the instance dict directly, so the lazily
-    computed slots of a subclass still fill on first read."""
+    `_kept` writes the instance dict directly, so the lazily computed slots
+    of a subclass still fill on first read."""
 
     __slots__ = ()
 
@@ -76,8 +87,8 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
     """A strictly convex quadrilateral with clockwise-labeled vertices.
 
     An immutable record of its `vertices`; unlike its `NamedTuple` base it
-    has an instance dict, which holds the lazily computed diameter, pencil
-    and diagonal directions and which equality, hashing and `repr` never read."""
+    has an instance dict, which holds its diameter, pencil and diagonal
+    directions once computed and which equality, hashing and `repr` never read."""
 
     @property
     def a1(self) -> Point:
@@ -105,20 +116,20 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
         """The largest distance between two vertices."""
         return self._diameter
 
-    @functools.cached_property
+    @_kept
     def _diameter(self) -> float:
         # set by canonicalize and quadrilateral, else computed on first use;
         # kept in the instance's __dict__, which equality, hash and repr never read
         v = self.vertices
         return max(_dist(v[i], v[j]) for i in range(4) for j in range(i + 1, 4))
 
-    @functools.cached_property
+    @_kept
     def _diagonals(self) -> DiagonalData:
-        # kept like _diameter; an exception is not kept, so a degenerate
-        # quad raises on every read
+        # set and kept like _diameter; an exception is not kept, so a
+        # degenerate quad raises on every read
         return _diagonal_data(self)
 
-    @functools.cached_property
+    @_kept
     def _diagonal_units(self) -> tuple[Point, Point]:
         # (A3 - A1) / |A3 - A1| and (A4 - A2) / |A4 - A2|, for check_T2
         (x1, y1), (x2, y2) = self.diagonal_vectors()
@@ -169,14 +180,16 @@ class ClassificationReport(NamedTuple):
         return self.mdq_type1 or self.mdq_type2
 
 
-def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
-    """Reject non-finite or non-convex vertices; return (first edges' unit-scale
-    cross, diameter)."""
-    for p in vertices:
+def _convex(checked: Sequence[Point], labeled: tuple) -> Quadrilateral:
+    """The quad `labeled`, keeping its diameter and pencil, if its vertices are
+    finite, distinct (pairs scanned in the order `checked`) and strictly convex:
+    the consecutive edges' crosses over D^2, b X, (1 - a) X, (1 - b) X and a X
+    (X = u1 x u2), each exceed CONVEXITY_TOL in size, and a and b lie in (0, 1)."""
+    for p in checked:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise NonConvexInput(f"non-finite vertex {p}")
-    pairs = [(p, q, _dist(p, q)) for i, p in enumerate(vertices)
-             for q in vertices[i + 1:]]
+    pairs = [(p, q, _dist(p, q)) for i, p in enumerate(checked)
+             for q in checked[i + 1:]]
     diam = max(dist for _, _, dist in pairs)
     if diam == 0.0:
         raise DuplicateVertex("all vertices coincide")
@@ -185,24 +198,23 @@ def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
     for p, q, dist in pairs:
         if dist <= 1e-12 * diam:
             raise DuplicateVertex(f"vertices {p} and {q} coincide")
-    crosses = []
-    for i in range(4):
-        e1 = _unit_sub(vertices[(i + 1) % 4], vertices[i], diam)
-        e2 = _unit_sub(vertices[(i + 2) % 4], vertices[(i + 1) % 4], diam)
-        crosses.append(_cross(e1, e2))
-    if any(abs(x) <= CONVEXITY_TOL for x in crosses):
+    quad = Quadrilateral(labeled)  # `_kept` slots set past its refusing __setattr__
+    quad.__dict__["_diameter"] = diam
+    try:
+        dd = _diagonal_data(quad)
+    except ZeroDivisionError:  # X = 0: the crosses are +-e x u1 and +-e x u2
+        e, u1, u2 = (_unit_sub(labeled[i], labeled[j], diam)
+                     for i, j in ((1, 0), (2, 0), (3, 1)))
+        near, convex = min(abs(_cross(e, u1)), abs(_cross(e, u2))), False
+    else:
+        near = min(abs(dd.a), abs(dd.b), abs(1.0 - dd.a), abs(1.0 - dd.b)) * abs(
+            _cross(dd.u1, dd.u2))
+        convex = 0.0 < dd.a < 1.0 and 0.0 < dd.b < 1.0
+    if near <= CONVEXITY_TOL:
         raise NonConvexInput("near-collinear consecutive vertices")
-    if not (all(x > 0 for x in crosses) or all(x < 0 for x in crosses)):
+    if not convex:
         raise NonConvexInput("vertices are not in convex position")
-    return crosses[0], diam
-
-
-def _with_diameter(vertices, diam: float) -> Quadrilateral:
-    """A `Quadrilateral` whose `_diameter` (the `cached_property`'s slot) is
-    diam, already known from validation; `object.__setattr__` passes over
-    the quad's refusing `__setattr__`."""
-    quad = Quadrilateral(vertices)
-    object.__setattr__(quad, "_diameter", diam)
+    quad.__dict__["_diagonals"] = dd
     return quad
 
 
@@ -216,10 +228,11 @@ def quadrilateral(vertices: Iterable[Point]) -> Quadrilateral:
     pts = tuple((float(x), float(y)) for x, y in vertices)
     if len(pts) != 4:
         raise NonConvexInput("exactly four vertices required")
-    cross, diam = _validate_convex(pts)
-    if cross > 0:
+    quad = _convex(pts, pts)
+    dd = quad._diagonals
+    if _cross(dd.u1, dd.u2) > 0:
         raise NonConvexInput("vertices are counterclockwise; expected clockwise")
-    return _with_diameter(pts, diam)
+    return quad
 
 
 def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
@@ -236,11 +249,11 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     cx = sum(0.25 * p[0] for p in pts)
     cy = sum(0.25 * p[1] for p in pts)
     ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    _, diam = _validate_convex(ordered)
-    # angle sort is counterclockwise; flip to clockwise
-    ordered = [ordered[0]] + ordered[:0:-1]
-    start = min(range(4), key=lambda i: (ordered[i][1], ordered[i][0]))
-    return _with_diameter(tuple(ordered[start:] + ordered[:start]), diam)
+    # angle sort is counterclockwise; flip to clockwise and start at the lower
+    # left before `_convex` builds the pencil, as 1 - a rounds on a relabel
+    cw = [ordered[0]] + ordered[:0:-1]
+    start = min(range(4), key=lambda i: (cw[i][1], cw[i][0]))
+    return _convex(ordered, tuple(cw[start:] + cw[:start]))
 
 
 def _bisects(frac: float, u: Point, tol: float) -> bool:
@@ -269,9 +282,8 @@ def _mdq_types(dd: DiagonalData, tol: float) -> tuple[bool, bool]:
 
 
 def diagonals(quad: Quadrilateral) -> DiagonalData:
-    """The quad's `DiagonalData`, computed on the first call for this
-    `Quadrilateral` and shared by every later call: `classify` at any `tol`,
-    `inscribe`, `min_ecc` and `verify_T3` read the one immutable pencil.
+    """The quad's `DiagonalData`, kept by the quad and shared by every call:
+    `classify` at any `tol`, `inscribe`, `min_ecc` and `verify_T3` read it.
     `names_v` is true on a parallelogram (both diagonals bisected at
     CLASSIFY_TOL), whose family parameter is v = 2r - 1."""
     return quad._diagonals

@@ -150,6 +150,31 @@ class TestClassify:
         assert captured.err.startswith("error: cannot read input: ")
         assert captured.err.count("\n") == 1
 
+    def test_a_file_reads_as_text_mode_reads_it(self, capsys, tmp_path):
+        # read as bytes and decoded once: CRLF and CR newlines read as LF, so
+        # reports and parse-error offsets are the same, and a UTF-8 BOM is
+        # not stripped
+        path = tmp_path / "example.json"
+        text = json.dumps({"vertices": EXAMPLE_VERTICES, "label": "worked-example"},
+                          indent=1)
+        broken = '{\n "vertices": [[0, 0],\n [0, 1] [8, 4], [6, 2]]}\n'
+        runs = {}
+        for newline in ("\n", "\r\n", "\r"):
+            for name, doc in (("example", text), ("broken", broken)):
+                path.write_bytes(doc.replace("\n", newline).encode())
+                runs[name, newline] = main(["min-ecc", str(path)]), *capsys.readouterr()
+        assert runs["example", "\n"][0] == 0 and runs["example", "\n"][2] == ""
+        assert runs["broken", "\n"] == (2, "", "error: cannot read input: Expecting ',' "
+                                         "delimiter: line 3 column 9 (char 32)\n")
+        for newline in ("\r\n", "\r"):
+            for name in ("example", "broken"):
+                assert runs[name, newline] == runs[name, "\n"]
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["min-ecc", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read input: Unexpected UTF-8 "
+                                       "BOM (decode using utf-8-sig): line 1 column 1 "
+                                       "(char 0)\n")
+
 
 class TestInscribe:
     def test_example_r37(self, capsys, example_file):

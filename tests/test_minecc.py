@@ -463,7 +463,7 @@ class TestCertificate:
             except NonConvexInput:
                 continue
             drawn += 1
-            crit = _critical_quartic(diagonals(quad))
+            crit, _ = _critical_quartic(diagonals(quad))
             assert crit[0] > 0.0 > crit[4]
             assert _sign_changes(crit) == 1, crit
         assert drawn >= 2000
@@ -500,11 +500,13 @@ class TestCertificate:
         warm_inside = 0
         for quad in quads:
             dd = diagonals(quad)
-            crit = _critical_quartic(dd)
+            crit, x3 = _critical_quartic(dd)
+            # the start shares the quartic's terms and is the T3 root, bit for bit
+            assert x3 == _t3_root(dd)
             at1 = sum(crit)
             if at1 == 0.0:
                 continue
-            p, x3 = (crit if at1 < 0.0 else crit[::-1]), _t3_root(dd)
+            p = crit if at1 < 0.0 else crit[::-1]
             warm = x3 if at1 < 0.0 else 1.0 / x3
             warm_inside += 0.0 < warm < 1.0
             xw, xs = (y if at1 < 0.0 else 1.0 / y

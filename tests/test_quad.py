@@ -3,6 +3,9 @@ import itertools
 import json
 import math
 import pickle
+import random
+import struct
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from inellipse import quad as quad_module
 from inellipse.affine import f_values
 from inellipse.cli import main
+from inellipse.conic import Point
 from inellipse.diameters import check_T2
 from inellipse.errors import (DuplicateVertex, InEllipseError, NonConvexInput,
                               ParamOutOfRegion)
 from inellipse.family import inscribe
-from inellipse.quad import (Quadrilateral, canonicalize, classify, diagonals,
-                            quadrilateral)
+from inellipse.quad import (CONVEXITY_TOL, Quadrilateral, canonicalize, classify,
+                            diagonals, quadrilateral)
 
 from paper import mdq_type_qstvw
 from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
@@ -24,6 +28,12 @@ from sampling import (frame_quad, random_affine, random_kite, random_mdq_quad,
                       random_tangential_quad, random_type1_frame,
                       random_type2_frame)
 from conftest import EXAMPLE_VERTICES, assert_points_close, diagonal_midpoints
+
+
+def _hexed(dd):
+    """A `DiagonalData` with every float as its hex string."""
+    return [[x.hex() for x in f] if isinstance(f, tuple) else
+            f if isinstance(f, bool) else f.hex() for f in dd]
 
 
 class TestCanonicalize:
@@ -290,9 +300,10 @@ class TestDiameter:
         assert len({quad, fresh}) == 1
 
     def test_constructors_keep_the_diameter_they_validated(self):
-        # canonicalize and quadrilateral store the diameter that convexity
-        # validation computed, in the slot the cached_property fills; it is
-        # the max of the same six distances, bit for bit
+        # canonicalize and quadrilateral store the diameter that validation
+        # computed, in the slot `_kept` fills: the max of the six distances,
+        # bit for bit; and the pencil they validated the quad on, which is
+        # the one a bare `Quadrilateral` on the same vertices builds
         rng = np.random.default_rng(23)
         checked = 0
         for _ in range(300):
@@ -304,12 +315,162 @@ class TestDiameter:
                 continue
             for q in (quad, quadrilateral(quad.vertices)):
                 v = q.vertices
-                fresh = max(quad_module._dist(v[i], v[j])
+                fresh = max(math.hypot(v[i][0] - v[j][0], v[i][1] - v[j][1])
                             for i in range(4) for j in range(i + 1, 4))
                 assert "_diameter" in vars(q)
                 assert vars(q)["_diameter"].hex() == fresh.hex()
+                kept, bare = vars(q)["_diagonals"], diagonals(Quadrilateral(v))
+                assert _hexed(kept) == _hexed(bare)
             checked += 1
         assert checked >= 100
+
+    def test_dist_is_hypot_bit_for_bit(self):
+        # `_dist` is math.dist, which rounds as math.hypot of the differences
+        # does: at scales 1e-300 to 1e300 and on random bit patterns, which
+        # reach the subnormals and the edge of overflow
+        rng = random.Random(31)
+        scaled = [[rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+                   for _ in range(4)] for _ in range(20000)]
+        patterns = [list(struct.unpack("4d", rng.randbytes(32))) for _ in range(20000)]
+        for x0, y0, x1, y1 in scaled + patterns:
+            dx, dy = x0 - x1, y0 - y1
+            if math.isfinite(dx) and math.isfinite(dy):
+                want = math.hypot(dx, dy)
+                assert quad_module._dist((x0, y0), (x1, y1)).hex() == want.hex()
+
+
+# The validator that tested convexity on consecutive unit edges before the
+# pencil did, and the helpers it read, kept unchanged as the oracle.
+def _validate_convex(vertices: Sequence[Point]) -> tuple[float, float]:
+    """Reject non-finite or non-convex vertices; return (first edges' unit-scale
+    cross, diameter)."""
+    for p in vertices:
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise NonConvexInput(f"non-finite vertex {p}")
+    pairs = [(p, q, _dist(p, q)) for i, p in enumerate(vertices)
+             for q in vertices[i + 1:]]
+    diam = max(dist for _, _, dist in pairs)
+    if diam == 0.0:
+        raise DuplicateVertex("all vertices coincide")
+    if not math.isfinite(diam):
+        raise NonConvexInput("the diameter overflows the float range")
+    for p, q, dist in pairs:
+        if dist <= 1e-12 * diam:
+            raise DuplicateVertex(f"vertices {p} and {q} coincide")
+    crosses = []
+    for i in range(4):
+        e1 = _unit_sub(vertices[(i + 1) % 4], vertices[i], diam)
+        e2 = _unit_sub(vertices[(i + 2) % 4], vertices[(i + 1) % 4], diam)
+        crosses.append(_cross(e1, e2))
+    if any(abs(x) <= CONVEXITY_TOL for x in crosses):
+        raise NonConvexInput("near-collinear consecutive vertices")
+    if not (all(x > 0 for x in crosses) or all(x < 0 for x in crosses)):
+        raise NonConvexInput("vertices are not in convex position")
+    return crosses[0], diam
+
+
+def _dist(p: Point, q: Point) -> float:
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _unit_sub(p: Point, q: Point, diam: float) -> Point:
+    """p - q over the diameter: an edge whose products cannot over- or underflow."""
+    return ((p[0] - q[0]) / diam, (p[1] - q[1]) / diam)
+
+
+def _cross(u: Point, v: Point) -> float:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _oracle_quadrilateral(vertices):
+    pts = tuple((float(x), float(y)) for x, y in vertices)
+    cross, diam = _validate_convex(pts)
+    if cross > 0:
+        raise NonConvexInput("vertices are counterclockwise; expected clockwise")
+    return pts, diam
+
+
+def _oracle_canonicalize(raw_vertices):
+    pts = [(float(x), float(y)) for x, y in raw_vertices]
+    cx = sum(0.25 * p[0] for p in pts)
+    cy = sum(0.25 * p[1] for p in pts)
+    ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    _, diam = _validate_convex(ordered)
+    ordered = [ordered[0]] + ordered[:0:-1]
+    start = min(range(4), key=lambda i: (ordered[i][1], ordered[i][0]))
+    return tuple(ordered[start:] + ordered[:start]), diam
+
+
+def _acceptance_inputs(rng, n):
+    """n seeded inputs of each kind: uniform draws, a vertex 1e-16 to 1e-8
+    diameters off the line through its neighbours, scales 1e-200 to 1e200,
+    small integer grids, where duplicates and parallel diagonals are common,
+    and two pairs of vertices each within 1e-13 of one another, which the
+    message names in the order the pairs are scanned."""
+    def uniform():
+        return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+
+    for _ in range(n):
+        yield uniform()
+        pts = sorted(uniform(), key=lambda p: math.atan2(p[1], p[0]))
+        k, t = rng.randrange(4), rng.uniform(0.05, 0.95)
+        (px, py), (qx, qy) = pts[k - 1], pts[(k + 1) % 4]
+        off = 10.0 ** rng.uniform(-16, -8) * rng.choice((-1, 1))
+        pts[k] = (px + t * (qx - px) - (qy - py) * off, py + t * (qy - py) + (qx - px) * off)
+        rng.shuffle(pts)
+        yield pts
+        scale = 10.0 ** rng.uniform(-200, 200)
+        yield [(scale * (x + 3.0), scale * (y - 2.0)) for x, y in uniform()]
+        m = rng.choice((2, 3, 4, 6))
+        yield [(float(rng.randint(0, m)), float(rng.randint(0, m))) for _ in range(4)]
+        pts = [q for p in uniform()[:2]
+               for q in (p, (p[0] + rng.uniform(-1e-13, 1e-13), p[1]))]
+        rng.shuffle(pts)
+        yield pts
+
+
+def _outcome(build, vertices):
+    try:
+        got = build(vertices)
+    except InEllipseError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, Quadrilateral):
+        assert "_diagonals" in vars(got)
+        return got.vertices, got.diameter().hex()
+    return got[0], got[1].hex()
+
+
+class TestValidationOnThePencil:
+    """`canonicalize` and `quadrilateral` test convexity on the pencil's
+    crosses b X, (1 - a) X, (1 - b) X and a X; they accept, reject, name and
+    label every input as the unit-edge validator did."""
+
+    def test_matches_the_unit_edge_validator(self):
+        rng = random.Random(7)
+        kinds = {"accepted": 0, "NonConvexInput": 0, "DuplicateVertex": 0}
+        for pts in _acceptance_inputs(rng, 1000):
+            # convex inputs to `quadrilateral` in either orientation
+            cx, cy = sum(p[0] for p in pts) / 4.0, sum(p[1] for p in pts) / 4.0
+            srt = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+            for build, oracle, given in (
+                    (canonicalize, _oracle_canonicalize, pts),
+                    (quadrilateral, _oracle_quadrilateral, pts),
+                    (quadrilateral, _oracle_quadrilateral, srt),
+                    (quadrilateral, _oracle_quadrilateral, srt[::-1])):
+                want = _outcome(oracle, given)
+                assert _outcome(build, given) == want, (build.__name__, given)
+                kinds[want[0] if isinstance(want[0], str) else "accepted"] += 1
+        # every kind of outcome is well represented
+        assert min(kinds.values()) >= 1000, kinds
+
+    def test_parallel_diagonals_are_named_as_before(self):
+        # the pencil cannot be built when X = 0; the crosses then come in
+        # opposite pairs, near zero on a line and of both signs on a bowtie
+        for vertices in ([(0, 0), (1, 0), (1, 1), (2, 1)], [(0, 0), (1, 1), (2, 2), (3, 3)],
+                         [(0, 0), (2, 1), (1, 1), (3, 2)], [(0, 0), (2, 2), (1, 1), (3, 3)]):
+            for build, oracle in ((quadrilateral, _oracle_quadrilateral),
+                                  (canonicalize, _oracle_canonicalize)):
+                assert _outcome(build, vertices) == _outcome(oracle, vertices)
 
 
 class TestOnePencilPerQuad:
