@@ -18,14 +18,14 @@ range, 5 unwritable output path.  A failure prints one `error: ...` line
 on stderr and nothing on stdout.
 
 `main(argv)` is the in-process entry point and the one path every command
-takes: it loads the document, classifies the quad once at the global
-`--tol`, runs the command on that report, adds the document's `label`,
-maps library errors to exit codes and serializes.  So every decision of a
-command reads that one classification, or `min_ecc(quad, --tol)`'s two
-flags of it; each `verify --theorem t3` trial classifies its moved quad at
-`--tol` too.  `main` returns the exit code and may be called any number of
-times in one process; the argument parser is built on the first call and
-reused by later ones.
+takes: it loads the document, runs the command, adds the document's
+`label`, maps library errors to exit codes and serializes.  A command that
+reads the quad's class classifies it once at the global `--tol`, and every
+decision it makes reads that one classification, or `min_ecc(quad, --tol)`'s
+two flags of it; `verify --theorem t1` and `t3` read none, and each `t3`
+trial classifies its moved quad at `--tol` instead.  `main` returns the exit
+code and may be called any number of times in one process; the argument
+parser is built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ class _CliError(Exception):
 def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
     try:
         if path == "-":
-            text = sys.stdin.read()
-        else:  # one binary read and one decode, newlines read as text mode reads them
+            data = sys.stdin.buffer.read()
+        else:
             with open(path, "rb") as fh:
-                text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(text)
+                data = fh.read()
+        # one strict decode whatever the locale, newlines read as text mode reads them
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     # ValueError covers bytes that are not UTF-8 (UnicodeDecodeError), text
     # that is not JSON (JSONDecodeError) and integers past the digit limit;
     # RecursionError covers arrays or objects nested too deep to decode
@@ -127,14 +128,12 @@ def _ellipse_block(ie: InscribedEllipse) -> dict:
     }
 
 
-def cmd_classify(quad: Quadrilateral, rep: ClassificationReport,
-                 args: argparse.Namespace) -> dict:
-    return {"classification": _classification_block(quad, rep)}
+def cmd_classify(quad: Quadrilateral, args: argparse.Namespace) -> dict:
+    return {"classification": _classification_block(quad, classify(quad, args.tol))}
 
 
-def cmd_inscribe(quad: Quadrilateral, rep: ClassificationReport,
-                 args: argparse.Namespace) -> dict:
-    return {"classification": _classification_block(quad, rep),
+def cmd_inscribe(quad: Quadrilateral, args: argparse.Namespace) -> dict:
+    return {"classification": _classification_block(quad, classify(quad, args.tol)),
             "ellipse": _ellipse_block(inscribe(quad, args.param))}
 
 
@@ -144,8 +143,8 @@ def _diagonal_angle(quad: Quadrilateral) -> float:
     return math.atan2(abs(ux * vy - uy * vx), abs(ux * vx + uy * vy))
 
 
-def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
-                args: argparse.Namespace) -> dict:
+def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
+    rep = classify(quad, args.tol)
     res = min_ecc(quad, args.tol)
     out = {
         "classification": _classification_block(quad, rep),
@@ -186,8 +185,7 @@ def cmd_min_ecc(quad: Quadrilateral, rep: ClassificationReport,
     return out
 
 
-def _verify_t1_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
-                     tol: float) -> dict:
+def _verify_t1_trial(quad: Quadrilateral, rep: None, rng, tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
     margin = t1_margin(quad, inscribe(quad, r).adjugate)  # no conic is built
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
@@ -237,9 +235,8 @@ def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
                          for x, y in quad.vertices])
 
 
-def _verify_t3_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
-                     tol: float) -> dict:
-    # the quad's own report says nothing of the moved quad's class
+def _verify_t3_trial(quad: Quadrilateral, rep: None, rng, tol: float) -> dict:
+    # the quad's own class says nothing of the moved quad's
     moved = _similar_quad(quad, rng)
     moved_rep = classify(moved, tol)
     if not moved_rep.mdq:
@@ -249,14 +246,15 @@ def _verify_t3_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
     return {"margin": margin, "passed": bool(t3.parallel and t3.equal_len)}
 
 
-def cmd_verify(quad: Quadrilateral, rep: ClassificationReport,
-               args: argparse.Namespace) -> dict:
+def cmd_verify(quad: Quadrilateral, args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise _CliError(EXIT_PARSE, "--trials must be >= 1")
     if args.seed < 0:
         raise _CliError(EXIT_PARSE, "--seed must be >= 0")
     runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
               "t3": _verify_t3_trial}[args.theorem]
+    # only T2's trials read the input quad's class
+    rep = classify(quad, args.tol) if args.theorem == "t2" else None
     results = [runner(quad, rep, random.Random(args.seed + i), args.tol)
                for i in range(args.trials)]
     margins = [r["margin"] for r in results if r["margin"] is not None]
@@ -271,8 +269,7 @@ def cmd_verify(quad: Quadrilateral, rep: ClassificationReport,
     }
 
 
-def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
-             args: argparse.Namespace) -> None:
+def cmd_plot(quad: Quadrilateral, args: argparse.Namespace) -> None:
     try:
         params = [float(x) for x in args.params.split(",") if x.strip()]
     except ValueError as exc:
@@ -291,7 +288,7 @@ def cmd_plot(quad: Quadrilateral, rep: ClassificationReport,
         fig.add_ellipse(ie.geometry)
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
-    if rep.mdq:
+    if classify(quad, args.tol).mdq:
         try:
             pair = equal_diameter_pair(min_ecc(quad, args.tol).ellipse.geometry)
             style = "stroke:#9467bd;stroke-width:1.5"
@@ -358,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 0.0 <= args.tol < math.inf:
             raise _CliError(EXIT_PARSE, "--tol must be finite and >= 0")
         quad, label = _load_document(args.input)
-        out = command(quad, classify(quad, args.tol), args)
+        out = command(quad, args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

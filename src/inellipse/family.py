@@ -18,7 +18,8 @@ Every entry of S has degree <= 2 in lam.  S is built at unit scale, in
 units of D, so that no quad's size or position can overflow or cancel it.
 `InscribedEllipse` carries c and S; its `geometry` and `verify_T3` read
 them, and `conic` derives the (lossy) coefficients.  The member touches each
-side at C*(lam) l_i, a weighted mean of the side's two vertices.  The public
+side at C*(lam) l_i, a weighted mean of the side's two vertices, which
+`_inscribed` computes in the same pass as c and S.  The public
 parameter r in (0, 1) is the S1 contact's fraction along A1->A2 on every
 quad, lam = a(1 - r) / (a(1 - r) + b r); a parallelogram's is v = 2r - 1 in
 (-1, 1), v = 0 touching the side midpoints.  The solvers carry a member as
@@ -91,22 +92,6 @@ def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
     return wa / (wa + wb), wb / (wa + wb)
 
 
-def _pencil_contacts(quad: Quadrilateral, dd: DiagonalData, r: float, lam: float,
-                     mu: float) -> tuple[Point, Point, Point, Point]:
-    """Contacts C*(lam) l_i on S1..S4: each side's two vertices weighted lam b
-    and mu a on S1 (the fraction r), lam b and mu (1 - a) on S2, lam (1 - b)
-    and mu (1 - a) on S3, lam (1 - b) and mu a on S4, lam on A1 or A3.  Each
-    is the point at its fraction f along its side, Ai + f (Aj - Ai)."""
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad.vertices
-    lb, lb1 = lam * dd.b, lam * (1.0 - dd.b)
-    ma, ma1 = mu * dd.a, mu * (1.0 - dd.a)
-    f2, f3, f4 = lb / (lb + ma1), ma1 / (lb1 + ma1), lb1 / (lb1 + ma)
-    return ((x1 + r * (x2 - x1), y1 + r * (y2 - y1)),
-            (x2 + f2 * (x3 - x2), y2 + f2 * (y3 - y2)),
-            (x3 + f3 * (x4 - x3), y3 + f3 * (y4 - y3)),
-            (x4 + f4 * (x1 - x4), y4 + f4 * (y1 - y4)))
-
-
 def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
                r: float, param: float) -> InscribedEllipse:
     """The member of `quad`'s pencil, about its `diagonals` dd, at the weights
@@ -114,20 +99,28 @@ def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
     `param`: c = P + D (lam p u1 + mu q u2), S = f1 u1u1' + f2 u2u2'
     + f12 (u1u2' + u2u1') with f1 = lam (lam p^2 + a(1-a)),
     f2 = mu (mu q^2 + b(1-b)), f12 = lam mu p q (p = 1/2 - a, q = 1/2 - b),
-    and det S as a product."""
-    p, q, al, be = 0.5 - dd.a, 0.5 - dd.b, dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
-    (x1, y1), (x2, y2), d = dd.u1, dd.u2, quad.diameter()
+    and det S as a product.  Its contacts C*(lam) l_i on S1..S4 weight each
+    side's two vertices lam b and mu a on S1 (the fraction r), lam b and
+    mu (1 - a) on S2, lam (1 - b) and mu (1 - a) on S3, lam (1 - b) and mu a
+    on S4, lam on A1 or A3: each the point Ai + f (Aj - Ai) at its fraction f."""
+    (px, py), (x1, y1), (x2, y2), a, b, names_v = dd
+    p, q, al, be, d = 0.5 - a, 0.5 - b, a * (1.0 - a), b * (1.0 - b), quad._diameter
     f1, f2, f12 = lam * (lam * p * p + al), mu * (mu * q * q + be), lam * mu * p * q
     sxx = f1 * x1 * x1 + f2 * x2 * x2 + 2.0 * f12 * x1 * x2
     sxy2 = 2.0 * (f1 * x1 * y1 + f2 * x2 * y2 + f12 * (x1 * y2 + y1 * x2))
     syy = f1 * y1 * y1 + f2 * y2 * y2 + 2.0 * f12 * y1 * y2
     det = (lam * mu * (lam * p * p * be + mu * q * q * al + al * be)
            * (x1 * y2 - y1 * x2) ** 2)
-    center = (dd.p[0] + d * (lam * p * x1 + mu * q * x2),
-              dd.p[1] + d * (lam * p * y1 + mu * q * y2))
-    frame = "parallelogram" if dd.names_v else "qstvw"
+    center = (px + d * (lam * p * x1 + mu * q * x2), py + d * (lam * p * y1 + mu * q * y2))
+    (v1x, v1y), (v2x, v2y), (v3x, v3y), (v4x, v4y) = quad.vertices
+    lb, lb1, ma, ma1 = lam * b, lam * (1.0 - b), mu * a, mu * (1.0 - a)
+    c2, c3, c4 = lb / (lb + ma1), ma1 / (lb1 + ma1), lb1 / (lb1 + ma)
+    tangency = ((v1x + r * (v2x - v1x), v1y + r * (v2y - v1y)),
+                (v2x + c2 * (v3x - v2x), v2y + c2 * (v3y - v2y)),
+                (v3x + c3 * (v4x - v3x), v3y + c3 * (v4y - v3y)),
+                (v4x + c4 * (v1x - v4x), v4y + c4 * (v1y - v4y)))
     return tuple.__new__(InscribedEllipse, (  # skips __new__ and its field-count check
-        param, _pencil_contacts(quad, dd, r, lam, mu), frame, quad, center,
+        param, tangency, "parallelogram" if names_v else "qstvw", quad, center,
         (sxx, sxy2, syy, det)))
 
 

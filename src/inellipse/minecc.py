@@ -24,10 +24,12 @@ from .diameters import t1_margin
 from .errors import NotMDQ
 from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
-                   diagonals, _mdq_types, _summable, _tangential)
+                   diagonals, _mdq_types, _tangential)
 
 #: below this eccentricity the minimal ellipse is reported as a circle
 NEAR_CIRCLE_ECC = 1e-6
+#: `_bracket_root`'s last step, relative to x: 4 eps, a power of two
+_STEP_TOL = 4.0 * sys.float_info.epsilon
 
 
 def _bracket_root(p, a: float, b: float, pa: float, pb: float, x: float) -> float:
@@ -36,17 +38,18 @@ def _bracket_root(p, a: float, b: float, pa: float, pb: float, x: float) -> floa
     bisecting where one would leave the bracket, and taking the last one."""
     (p0, p1, p2, p3, p4), d2, d3, d4 = p, 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]
     x = x if a < x < b else a + (b - a) * pa / (pa - pb)
+    neg_a = pa < 0.0
     for _ in range(100):
         px = (((p4 * x + p3) * x + p2) * x + p1) * x + p0
         if px == 0.0:
             return x
-        if (px < 0.0) == (pa < 0.0):
+        if (px < 0.0) == neg_a:
             a = x
         else:
             b = x
         slope = ((d4 * x + d3) * x + d2) * x + p1
         nx = x - px / slope if slope != 0.0 else 0.5 * (a + b)
-        if abs(nx - x) <= 4.0 * sys.float_info.epsilon * abs(x):
+        if abs(nx - x) <= _STEP_TOL * abs(x):
             return nx if a < nx < b else x
         x = nx if a < nx < b else 0.5 * (a + b)
     return x
@@ -90,9 +93,9 @@ def _t3_root(dd: DiagonalData) -> float:
     k2 = mu (mu q^2 + b(1-b)) (p, q the midpoint offsets) the diagonal of S
     in the basis u1, u2.  Over mu^2 that is A x^2 + B x - C = 0 with A, C > 0:
     one positive root, taken in the form that does not cancel."""
-    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
-    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    _, (x1, y1), (x2, y2), a, b, _ = dd
+    p, q, n1, n2 = 0.5 - a, 0.5 - b, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    al, be = a * (1.0 - a), b * (1.0 - b)
     return _positive_root(n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be))
 
 
@@ -107,9 +110,9 @@ def _critical_quartic(dd: DiagonalData) -> tuple[tuple[float, ...], float]:
     (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
     tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a), be = b(1-b),
     p, q the midpoint offsets), and the T3 root of t2 x^2 + (n1 al - n2 be) x - t0."""
-    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
+    _, (x1, y1), (x2, y2), a, b, _ = dd
     n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
-    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    p, q, al, be = 0.5 - a, 0.5 - b, a * (1.0 - a), b * (1.0 - b)
     pp, qq = p * p, q * q
     l0, l1 = al * (qq + be), be * (pp + al)
     t0, t1, t2 = n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * p * q, n1 * (pp + al)
@@ -141,7 +144,8 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
         y = _bracket_root(p, 0.0, 1.0, p[0], at1,
                           x3 if at1 < 0.0 else 1.0 / x3 if x3 > 0.0 else 0.0)
         x = y if at1 < 0.0 else 1.0 / y
-    return MinEccResult(_at_ratio(quad, dd, x), "quartic_numeric")
+    return tuple.__new__(MinEccResult, (  # skips __new__ and its field-count check
+        _at_ratio(quad, dd, x), "quartic_numeric"))
 
 
 def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
@@ -154,14 +158,16 @@ def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     The method reads two predicates at `tol`, through the functions
     `classify` itself calls: "incircle" if the quad is tangential
     (`quad._tangential` on the side lengths), else "alpha_closed_form" if it
-    is an MDQ (`quad._mdq_types` on the quad's `diagonals`), else
+    is an MDQ (`quad._mdq_types` on the quad's kept pencil), else
     "quartic_numeric".  So the method is the one that `classify(quad, tol)`
     names, and no full report is built."""
-    dd = diagonals(quad)
-    tangential = _tangential(_summable(quad.side_lengths()), tol)
-    if tangential or any(_mdq_types(dd, tol)):
-        return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)),
-                            "incircle" if tangential else "alpha_closed_form")
+    dd = quad._diagonals
+    tangential = _tangential(quad.side_lengths(), tol)
+    type1, type2 = _mdq_types(dd, tol)
+    if tangential or type1 or type2:
+        return tuple.__new__(MinEccResult, (  # skips __new__ and its field-count check
+            _at_ratio(quad, dd, _t3_root(dd)),
+            "incircle" if tangential else "alpha_closed_form"))
     return _numeric(quad, dd)
 
 

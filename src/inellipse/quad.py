@@ -256,12 +256,6 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     return _convex(ordered, tuple(cw[start:] + cw[:start]))
 
 
-def _bisects(frac: float, u: Point, tol: float) -> bool:
-    """Whether P, at `frac` along the diagonal D u, is its midpoint within
-    `tol`: |P - M| / D = |1/2 - frac| |u|."""
-    return abs(0.5 - frac) * math.hypot(*u) <= tol
-
-
 def _summable(sides: tuple[float, float, float, float]) -> tuple[float, ...]:
     """The side lengths, quartered where their sum, below pi diameters,
     overflows: exactly, as none of them is then near the subnormals."""
@@ -269,16 +263,24 @@ def _summable(sides: tuple[float, float, float, float]) -> tuple[float, ...]:
 
 
 def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
-    """Pitot's test on the `_summable` side lengths (a, b, c, d): a + c = b + d
-    within `tol` of the perimeter.  `classify` and `min_ecc` both read it."""
+    """Pitot's test on the side lengths (a, b, c, d), `_summable` where their
+    sum overflows: a + c = b + d within `tol` of the perimeter.  `classify`
+    and `min_ecc` both read it."""
     a, b, c, d = sides
-    return abs(a + c - (b + d)) <= tol * (a + b + c + d)
+    perim = a + b + c + d
+    if not perim < math.inf:
+        a, b, c, d = _summable(sides)
+        perim = a + b + c + d
+    return abs(a + c - (b + d)) <= tol * perim
 
 
 def _mdq_types(dd: DiagonalData, tol: float) -> tuple[bool, bool]:
     """(type 1, type 2): whether P bisects D2, D1 within `tol` of the
-    diameter.  `classify` and `min_ecc` both read it."""
-    return _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
+    diameter, |P - M| / D = |1/2 - frac| |u| for P at `frac` along D u.
+    `classify`, `min_ecc` and the pencil's `names_v` all read it."""
+    _, (x1, y1), (x2, y2), a, b, _ = dd
+    return (abs(0.5 - b) * math.hypot(x2, y2) <= tol,
+            abs(0.5 - a) * math.hypot(x1, y1) <= tol)
 
 
 def diagonals(quad: Quadrilateral) -> DiagonalData:
@@ -296,8 +298,8 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     cross = _cross(u1, u2)
     a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
     p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
-    names_v = _bisects(a, u1, CLASSIFY_TOL) and _bisects(b, u2, CLASSIFY_TOL)
-    return DiagonalData(p, u1, u2, a, b, names_v)
+    type1, type2 = _mdq_types((p, u1, u2, a, b, None), CLASSIFY_TOL)  # names_v not yet known
+    return DiagonalData(p, u1, u2, a, b, type1 and type2)
 
 
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
@@ -314,9 +316,9 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     trapezoid = (abs(dd.a - dd.b) * cross <= tol * (b / diam) * (d / diam)
                  or abs(dd.a + dd.b - 1.0) * cross <= tol * (c / diam) * (a / diam))
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
-    sa, sb, sc, sd = summable = _summable(sides)
+    sa, sb, sc, sd = _summable(sides)
     perim = sa + sb + sc + sd
     kite = ((abs(sa - sb) <= tol * perim and abs(sc - sd) <= tol * perim)
             or (abs(sb - sc) <= tol * perim and abs(sa - sd) <= tol * perim))
-    return ClassificationReport(True, mdq1 and mdq2, trapezoid, _tangential(summable, tol),
+    return ClassificationReport(True, mdq1 and mdq2, trapezoid, _tangential(sides, tol),
                                 orthodiagonal, kite, mdq1, mdq2, sides)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from inellipse.affine import check_qstvw_region, f_values
 from inellipse.conic import ConicCoeffs, Direction, Point, scale_normalized
 from inellipse.errors import InEllipseError, ParamOutOfRegion
-from inellipse.family import _pencil_contacts, _weights, check_unit_interval
+from inellipse.family import _inscribed, _weights, check_unit_interval
 from inellipse.quad import CLASSIFY_TOL, Quadrilateral, canonicalize, diagonals
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
@@ -272,7 +272,7 @@ def qstvw_tangency(s: float, t: float, v: float, w: float,
     check_unit_interval(r, "r")
     quad = Quadrilateral(((0.0, 0.0), (0.0, 1.0), (s, t), (v, w)))
     dd = diagonals(quad)
-    return _pencil_contacts(quad, dd, r, *_weights(dd, r))
+    return _inscribed(quad, dd, *_weights(dd, r), r, r).tangency
 
 
 def _mul(p, q) -> list[float]:

@@ -175,6 +175,26 @@ class TestClassify:
                                        "BOM (decode using utf-8-sig): line 1 column 1 "
                                        "(char 0)\n")
 
+    def test_stdin_reads_as_a_file_reads(self, tmp_path):
+        # stdin is read as bytes and decoded as a file is, whatever the
+        # locale: bytes that are not UTF-8 exit 2, and CRLF and CR newlines
+        # read as LF, parse-error offsets included
+        src = os.path.dirname(os.path.dirname(inellipse.__file__))
+        env = dict(os.environ, LC_ALL="C")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / "input.json"
+        not_utf8 = b'{"vertices": [[0, 0], [0, 1], [8, 4], [6, 2]], "label": "\xff"}'
+        broken = b'{\r\n "vertices": [[0, 0],\r\n [0, 1] [8, 4], [6, 2]]}\r\n'
+        for data in (not_utf8, broken, broken.replace(b"\r\n", b"\r")):
+            path.write_bytes(data)
+            runs = [subprocess.run([sys.executable, "-m", "inellipse.cli", "min-ecc", arg],
+                                   input=data, env=env, capture_output=True)
+                    for arg in (str(path), "-")]
+            assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [
+                (2, b"", runs[0].stderr)] * 2
+            assert runs[0].stderr.startswith(b"error: cannot read input: ")
+            assert runs[0].stderr.count(b"\n") == 1
+
 
 class TestInscribe:
     def test_example_r37(self, capsys, example_file):
@@ -422,16 +442,36 @@ class TestMainPath:
 
     @pytest.mark.parametrize("argv", [
         ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-        ["verify", "--theorem", "t1", "--trials", "3"],
         ["verify", "--theorem", "t2", "--trials", "3"],
         ["plot", "--params", "0.3,0.6", "--out", "FIG"]],
-        ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2", "plot"])
+        ids=["classify", "inscribe", "min-ecc", "verify-t2", "plot"])
     def test_classifies_once(self, capsys, tmp_path, example_file,
                              call_counts, argv):
         argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
         assert main(argv + [example_file]) == 0
         capsys.readouterr()
         assert call_counts["classify"] == 1
+
+    def test_verify_t1_does_not_classify(self, capsys, example_file, call_counts):
+        # T1 holds on every member of every quad, so no trial reads the class
+        assert main(["verify", "--theorem", "t1", "--trials", "3", example_file]) == 0
+        capsys.readouterr()
+        assert call_counts["classify"] == 0
+
+    def test_verify_t3_classifies_each_moved_quad_once(self, capsys, monkeypatch,
+                                                       example_file, call_counts):
+        # each trial classifies its moved quad, and none reads the input's class
+        counted, classified = cli.classify, []
+
+        def recording(q, *args):
+            classified.append(q.vertices)
+            return counted(q, *args)
+
+        monkeypatch.setattr(cli, "classify", recording)
+        assert main(["verify", "--theorem", "t3", "--trials", "4", example_file]) == 0
+        capsys.readouterr()
+        assert call_counts["classify"] == len(classified) == 4
+        assert canonicalize(EXAMPLE_VERTICES).vertices not in classified
 
     def test_zero_trials_exit_2(self, capsys, example_file):
         assert main(["verify", "--theorem", "t2", "--trials", "0",

@@ -1,10 +1,17 @@
-"""Each per-member read runs in one pass; these pin it, bit for bit, to the
-composition of the public helpers it fuses: `InscribedEllipse.conic` to the
-max-abs scaling then `sign_normalized`, and `conic.geometry` to
-`shape_geometry` of the sign-normalized conic's `center`, Delta and delta
-(`tests/test_diameters.py::TestChordContract` pins the chords and `check_T2`).
-The members come from seeded draws of every class, thin quads and quads far
-from the origin.  Floats compare by `repr`, which tells -0.0 from 0.0."""
+"""Each per-member read and each `min_ecc` solve runs in one pass; these pin
+it, bit for bit, to the composition of the helpers it fuses:
+`InscribedEllipse.conic` to the max-abs scaling then `sign_normalized`,
+`conic.geometry` to `shape_geometry` of the sign-normalized conic's
+`center`, Delta and delta (`tests/test_diameters.py::TestChordContract` pins
+the chords and `check_T2`), and `min_ecc`, `min_ecc_numeric`, `classify` and
+the members' contacts to the separate predicates, quartic, Newton loop and
+contact helper they replace, copied below as oracles.  The quads come from
+seeded draws of every class, thin quads, quads far from the origin and
+quads whose side lengths sum past the float range.  Floats compare by
+`repr`, which tells -0.0 from 0.0."""
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,13 +20,16 @@ from inellipse.conic import (ConicCoeffs, center, discriminants, geometry,
                              scale_normalized, shape_geometry, sign_normalized)
 from inellipse.diameters import check_T2, tangency_chords
 from inellipse.errors import InEllipseError
-from inellipse.family import inscribe
-from inellipse.quad import quadrilateral
+from inellipse.family import _at_ratio, _weights, inscribe
+from inellipse.minecc import MinEccResult, _positive_root, min_ecc, min_ecc_numeric
+from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 
 from sampling import (random_convex_quad, random_diagonal_quad, random_kite,
                       random_mdq_quad, random_orthodiagonal_quad,
                       random_parallelogram, random_s1s3_trapezoid,
                       random_tangential_quad, random_thin_tangential_quad)
+from conftest import EXAMPLE_VERTICES
+from test_scale import GENERIC, KITE, SQUARE, TRAPEZOID, _top_exponent, scaled
 
 PARAMS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
@@ -42,6 +52,11 @@ def _quads():
 
 
 QUADS = _quads()
+
+#: each test_scale shape at about its largest accepted size
+LARGEST = [canonicalize(scaled(v, _top_exponent(v)))
+           for v in (EXAMPLE_VERTICES, GENERIC, SQUARE, KITE, TRAPEZOID)]
+TOLS = (1e-9, 1e-5, 0.0)
 
 
 def _members():
@@ -113,6 +128,131 @@ def test_geometry_is_the_composition_of_the_helpers():
 def test_records_built_past_their_new_have_every_field():
     # `tuple.__new__` skips the generated `__new__` and its field count
     for quad, ie in _members():
-        records = [ie, ie.conic, ie.geometry, tangency_chords(ie), check_T2(quad, ie)]
+        records = [ie, ie.conic, ie.geometry, tangency_chords(ie), check_T2(quad, ie),
+                   min_ecc(quad), min_ecc_numeric(quad)]
         for rec in records:
             assert len(rec) == len(type(rec)._fields), type(rec).__name__
+
+
+# The oracles: the steps `min_ecc` and `_inscribed` fuse, each its own
+# helper reading the pencil by attribute.
+
+def _summable(sides):
+    return sides if sum(sides) < math.inf else tuple(0.25 * x for x in sides)
+
+
+def _tangential(sides, tol):
+    a, b, c, d = sides
+    return abs(a + c - (b + d)) <= tol * (a + b + c + d)
+
+
+def _bisects(frac, u, tol):
+    return abs(0.5 - frac) * math.hypot(*u) <= tol
+
+
+def _mdq_types(dd, tol):
+    return _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
+
+
+def _pencil_contacts(quad, dd, r, lam, mu):
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad.vertices
+    lb, lb1 = lam * dd.b, lam * (1.0 - dd.b)
+    ma, ma1 = mu * dd.a, mu * (1.0 - dd.a)
+    f2, f3, f4 = lb / (lb + ma1), ma1 / (lb1 + ma1), lb1 / (lb1 + ma)
+    return ((x1 + r * (x2 - x1), y1 + r * (y2 - y1)),
+            (x2 + f2 * (x3 - x2), y2 + f2 * (y3 - y2)),
+            (x3 + f3 * (x4 - x3), y3 + f3 * (y4 - y3)),
+            (x4 + f4 * (x1 - x4), y4 + f4 * (y1 - y4)))
+
+
+def _bracket_root(p, a, b, pa, pb, x):
+    (p0, p1, p2, p3, p4), d2, d3, d4 = p, 2.0 * p[2], 3.0 * p[3], 4.0 * p[4]
+    x = x if a < x < b else a + (b - a) * pa / (pa - pb)
+    for _ in range(100):
+        px = (((p4 * x + p3) * x + p2) * x + p1) * x + p0
+        if px == 0.0:
+            return x
+        if (px < 0.0) == (pa < 0.0):
+            a = x
+        else:
+            b = x
+        slope = ((d4 * x + d3) * x + d2) * x + p1
+        nx = x - px / slope if slope != 0.0 else 0.5 * (a + b)
+        if abs(nx - x) <= 4.0 * sys.float_info.epsilon * abs(x):
+            return nx if a < nx < b else x
+        x = nx if a < nx < b else 0.5 * (a + b)
+    return x
+
+
+def _t3_root(dd):
+    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    return _positive_root(n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be))
+
+
+def _critical_quartic(dd):
+    (x1, y1), (x2, y2), p, q = dd.u1, dd.u2, 0.5 - dd.a, 0.5 - dd.b
+    n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
+    al, be = dd.a * (1.0 - dd.a), dd.b * (1.0 - dd.b)
+    pp, qq = p * p, q * q
+    l0, l1 = al * (qq + be), be * (pp + al)
+    t0, t1, t2 = n2 * (qq + be), n1 * al + n2 * be + 2.0 * c * p * q, n1 * (pp + al)
+    return ((l0 * t0, 2.0 * (l0 + l1) * t0 - l0 * t1, 3.0 * (l1 * t0 - l0 * t2),
+             l1 * t1 - 2.0 * (l0 + l1) * t2, -l1 * t2),
+            _positive_root(t2, n1 * al - n2 * be, t0))
+
+
+def _numeric(quad, dd):
+    crit, x3 = _critical_quartic(dd)
+    at1, x = sum(crit), 1.0
+    if at1 != 0.0:
+        p = crit if at1 < 0.0 else crit[::-1]
+        y = _bracket_root(p, 0.0, 1.0, p[0], at1,
+                          x3 if at1 < 0.0 else 1.0 / x3 if x3 > 0.0 else 0.0)
+        x = y if at1 < 0.0 else 1.0 / y
+    return MinEccResult(_at_ratio(quad, dd, x), "quartic_numeric")
+
+
+def _min_ecc(quad, tol):
+    dd = diagonals(quad)
+    tangential = _tangential(_summable(quad.side_lengths()), tol)
+    if tangential or any(_mdq_types(dd, tol)):
+        return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)),
+                            "incircle" if tangential else "alpha_closed_form")
+    return _numeric(quad, dd)
+
+
+def test_the_solve_draws_cover_every_method_and_an_overflowing_perimeter():
+    methods = {_min_ecc(q, tol).method for q in QUADS + LARGEST for tol in TOLS}
+    assert methods == {"incircle", "alpha_closed_form", "quartic_numeric"}
+    assert any(sum(q.side_lengths()) == math.inf for q in LARGEST)
+
+
+def test_min_ecc_is_the_composition_of_the_helpers():
+    for quad in QUADS + LARGEST:
+        for tol in TOLS:
+            assert _outcome(min_ecc, quad, tol) == _outcome(_min_ecc, quad, tol)
+        assert _outcome(min_ecc_numeric, quad) == _outcome(_numeric, quad, diagonals(quad))
+
+
+def test_classify_reads_the_oracle_predicates():
+    for quad in QUADS + LARGEST:
+        dd = diagonals(quad)
+        assert dd.names_v == all(_mdq_types(dd, 1e-9))
+        for tol in TOLS:
+            type1, type2 = _mdq_types(dd, tol)
+            rep = classify(quad, tol)
+            want = rep._replace(
+                parallelogram=type1 and type2, mdq_type1=type1, mdq_type2=type2,
+                tangential=_tangential(_summable(quad.side_lengths()), tol))
+            assert repr(rep) == repr(want)
+
+
+def test_member_contacts_are_the_pencil_contacts():
+    for quad in QUADS + LARGEST:
+        dd = diagonals(quad)
+        for param in PARAMS:
+            r = (1.0 + param) / 2.0 if dd.names_v else param
+            ie = inscribe(quad, param)
+            assert repr(ie.tangency) == repr(_pencil_contacts(quad, dd, r, *_weights(dd, r)))
