@@ -11,11 +11,12 @@ Subcommands:
     plot --params R1,R2 --out  SVG figure
 
 Exit codes: 0 success, 1 any other library error (`InEllipseError`), 2
-parse error (including input that is not UTF-8 JSON, a non-numeric
-`--params` entry, `--trials` below 1, a negative `--seed` and a `--tol`
-that is not finite or is negative), 3 non-convex input, 4 parameter out of
-range, 5 unwritable output path.  A failure prints one `error: ...` line
-on stderr and nothing on stdout.
+parse error (including input that is not UTF-8 JSON, a coordinate that is
+not a JSON number, a non-numeric `--params` entry, `--trials` below 1, a
+negative `--seed` and a `--tol` that is not finite or is negative), 3
+non-convex input (a coordinate beyond the float range included), 4
+parameter out of range, 5 unwritable output path.  A failure prints one
+`error: ...` line on stderr and nothing on stdout.
 
 `main(argv)` is the in-process entry point and the one path every command
 takes: it loads the document, runs the command, adds the document's
@@ -81,10 +82,12 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
     if (not isinstance(verts, list) or len(verts) != 4
             or any(not isinstance(v, (list, tuple)) or len(v) != 2 for v in verts)):
         raise _CliError(EXIT_PARSE, "'vertices' must be four [x, y] pairs")
+    if any(type(c) not in (int, float) for v in verts for c in v):
+        raise _CliError(EXIT_PARSE, "vertex coordinates must be numbers")
     try:
         pts = [(float(x), float(y)) for x, y in verts]
-    except (TypeError, ValueError):
-        raise _CliError(EXIT_PARSE, "vertex coordinates must be numbers")
+    except OverflowError:  # an integer past the float range, as 1e400 is
+        raise _CliError(EXIT_NONCONVEX, "a vertex coordinate overflows the float range")
     try:
         quad = canonicalize(pts)
     except NonConvexInput as exc:
@@ -312,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="inellipse",
         description="Inscribed ellipses in convex quadrilaterals")
     parser.add_argument("--tol", type=float, default=CLASSIFY_TOL,
-                        help="relative tolerance for geometric predicates")
+                        help="classification tolerance: a fraction of a diagonal "
+                             "(MDQ, trapezoid) or of the perimeter (tangential, "
+                             "kite), or a cosine (orthodiagonal)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):

@@ -158,12 +158,12 @@ def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     The method reads two predicates at `tol`, through the functions
     `classify` itself calls: "incircle" if the quad is tangential
     (`quad._tangential` on the side lengths), else "alpha_closed_form" if it
-    is an MDQ (`quad._mdq_types` on the quad's kept pencil), else
+    is an MDQ (`quad._mdq_types` on the kept pencil's fractions a and b), else
     "quartic_numeric".  So the method is the one that `classify(quad, tol)`
     names, and no full report is built."""
     dd = quad._diagonals
     tangential = _tangential(quad.side_lengths(), tol)
-    type1, type2 = _mdq_types(dd, tol)
+    type1, type2 = _mdq_types(dd.a, dd.b, tol)
     if tangential or type1 or type2:
         return tuple.__new__(MinEccResult, (  # skips __new__ and its field-count check
             _at_ratio(quad, dd, _t3_root(dd)),
@@ -193,8 +193,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     if isinstance(quad, MinEccResult):
         res, quad = quad, quad.ellipse.quad
     else:
-        rep = classify(quad)
-        if not rep.mdq:
+        if not classify(quad).mdq:
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad)
     if res.eccentricity < NEAR_CIRCLE_ECC:

@@ -11,8 +11,9 @@ Diagonals are D1 = A1A3 and D2 = A2A4.  A midpoint diagonal quadrilateral
 (MDQ) has its diagonal intersection at the midpoint of at least one
 diagonal: type 1 bisects D2, type 2 bisects D1.  A parallelogram, whose
 diagonals bisect one another, is both: `classify` reports `parallelogram`
-exactly when it reports both types.  `diagonals` is the one place that
-decides where the diagonals meet; its `DiagonalData` is the quad's pencil:
+exactly when it reports both types.  Both, and `trapezoid`, read the
+fractions at which the diagonals cut one another.  `diagonals` is the one
+place that decides where they meet; its `DiagonalData` is the quad's pencil:
 the intersection P, the unit-scale directions u1 = (A3 - A1) / D,
 u2 = (A4 - A2) / D (D the diameter) and the fractions P = A1 + a D u1 =
 A2 + b D u2, so that the midpoints are M1 = P + D (1/2 - a) u1 and
@@ -165,6 +166,12 @@ class DiagonalData(NamedTuple):
 
 
 class ClassificationReport(NamedTuple):
+    """`classify`'s flags, each testing `tol` in one unit.  On the pencil's
+    fractions a of D1 and b of D2: `mdq_type1` |1/2 - b|, `mdq_type2` |1/2 - a|,
+    `parallelogram` both, `trapezoid` |a - b| or |a + b - 1|, so an MDQ and
+    trapezoid is a parallelogram at 2 tol.  `orthodiagonal` the diagonals'
+    |cos|; over the perimeter, `tangential` Pitot's and `kite` side defects."""
+
     convex: bool
     parallelogram: bool
     trapezoid: bool
@@ -274,20 +281,15 @@ def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
     return abs(a + c - (b + d)) <= tol * perim
 
 
-def _mdq_types(dd: DiagonalData, tol: float) -> tuple[bool, bool]:
-    """(type 1, type 2): whether P bisects D2, D1 within `tol` of the
-    diameter, |P - M| / D = |1/2 - frac| |u| for P at `frac` along D u.
-    `classify`, `min_ecc` and the pencil's `names_v` all read it."""
-    _, (x1, y1), (x2, y2), a, b, _ = dd
-    return (abs(0.5 - b) * math.hypot(x2, y2) <= tol,
-            abs(0.5 - a) * math.hypot(x1, y1) <= tol)
+def _mdq_types(a: float, b: float, tol: float) -> tuple[bool, bool]:
+    """(type 1, type 2): |1/2 - b| <= tol and |1/2 - a| <= tol, fractions of D2
+    and D1.  `classify`, `min_ecc` and the pencil's `names_v` all read it."""
+    return abs(0.5 - b) <= tol, abs(0.5 - a) <= tol
 
 
 def diagonals(quad: Quadrilateral) -> DiagonalData:
     """The quad's `DiagonalData`, kept by the quad and shared by every call:
-    `classify` at any `tol`, `inscribe`, `min_ecc` and `verify_T3` read it.
-    `names_v` is true on a parallelogram (both diagonals bisected at
-    CLASSIFY_TOL), whose family parameter is v = 2r - 1."""
+    `classify` at any `tol`, `inscribe`, `min_ecc` and `verify_T3` read it."""
     return quad._diagonals
 
 
@@ -298,23 +300,16 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     cross = _cross(u1, u2)
     a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
     p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
-    type1, type2 = _mdq_types((p, u1, u2, a, b, None), CLASSIFY_TOL)  # names_v not yet known
-    return DiagonalData(p, u1, u2, a, b, type1 and type2)
+    return DiagonalData(p, u1, u2, a, b, all(_mdq_types(a, b, CLASSIFY_TOL)))
 
 
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
-    """Evaluate all classification predicates at relative tolerance `tol`."""
-    diam = quad.diameter()
+    """Every classification flag at `tol`, each in its `ClassificationReport` unit."""
     sides = quad.side_lengths()
-    a, b, c, d = sides
-    dd = diagonals(quad)
-
-    mdq1, mdq2 = _mdq_types(dd, tol)
-    u, v = dd.u1, dd.u2
-    # |S1 x S3| = D^2 |dd.a - dd.b| |u x v|, |S2 x S4| = D^2 |dd.a + dd.b - 1| |u x v|
-    cross = abs(_cross(u, v))
-    trapezoid = (abs(dd.a - dd.b) * cross <= tol * (b / diam) * (d / diam)
-                 or abs(dd.a + dd.b - 1.0) * cross <= tol * (c / diam) * (a / diam))
+    _, u, v, a, b, _ = diagonals(quad)
+    mdq1, mdq2 = _mdq_types(a, b, tol)
+    # S1 x S3 = D^2 (a - b) (u1 x u2) and S2 x S4 = D^2 (a + b - 1) (u1 x u2)
+    trapezoid = abs(a - b) <= tol or abs(a + b - 1.0) <= tol
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     sa, sb, sc, sd = _summable(sides)
     perim = sa + sb + sc + sd

@@ -126,16 +126,29 @@ class TestClassify:
         assert main(["classify", str(path)]) == 3
         assert capsys.readouterr().err == \
             "error: the diameter overflows the float range\n"
+        # an integer literal past the float range exits 3, as 1e400 does
+        for first in ("1" + "0" * 400, "-1" + "0" * 400, "1e400"):
+            path.write_text('{"vertices": [[%s, 0], [0, 1], [8, 4], [6, 2]]}' % first)
+            assert main(["classify", str(path)]) == 3, first
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, captured
+            assert captured.err.startswith("error: "), captured
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["classify", str(path)]) == 2
 
-    def test_schema_error_exit_2(self, tmp_path):
+    def test_schema_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1]]}))
         assert main(["classify", str(path)]) == 2
+        # a string or a boolean is not a coordinate, even one float() reads
+        for first in (["0", "0"], [False, 0], ["nan", 0]):
+            path.write_text(json.dumps({"vertices": [first] + EXAMPLE_VERTICES[1:]}))
+            capsys.readouterr()
+            assert main(["classify", str(path)]) == 2, first
+            assert capsys.readouterr() == ("", "error: vertex coordinates must be numbers\n")
 
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00{}",
                                          b'{"vertices": ' + b"[" * 100000,

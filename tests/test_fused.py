@@ -146,12 +146,16 @@ def _tangential(sides, tol):
     return abs(a + c - (b + d)) <= tol * (a + b + c + d)
 
 
-def _bisects(frac, u, tol):
-    return abs(0.5 - frac) * math.hypot(*u) <= tol
+def _bisects(frac, tol):
+    return abs(0.5 - frac) <= tol
 
 
 def _mdq_types(dd, tol):
-    return _bisects(dd.b, dd.u2, tol), _bisects(dd.a, dd.u1, tol)
+    return _bisects(dd.b, tol), _bisects(dd.a, tol)
+
+
+def _trapezoid(dd, tol):
+    return abs(dd.a - dd.b) <= tol or abs(dd.a + dd.b - 1.0) <= tol
 
 
 def _pencil_contacts(quad, dd, r, lam, mu):
@@ -245,6 +249,7 @@ def test_classify_reads_the_oracle_predicates():
             rep = classify(quad, tol)
             want = rep._replace(
                 parallelogram=type1 and type2, mdq_type1=type1, mdq_type2=type2,
+                trapezoid=_trapezoid(dd, tol),
                 tangential=_tangential(_summable(quad.side_lengths()), tol))
             assert repr(rep) == repr(want)
 

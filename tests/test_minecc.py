@@ -289,16 +289,13 @@ def _near_tangential(seed, k, tol):
 
 
 def _near_mdq(seed, k, tol, type1):
-    """A quad whose diagonals meet k * tol of the diameter from the midpoint
-    of D2 (type 1) or of D1 (type 2)."""
+    """A quad whose diagonals meet k * tol of D2 (type 1) or of D1 (type 2)
+    from that diagonal's midpoint."""
     key = "b" if type1 else "a"
-    dd = diagonals(random_diagonal_quad(np.random.default_rng(seed), **{key: 0.5}))
-    norm = math.hypot(*(dd.u2 if type1 else dd.u1))
-    quad = random_diagonal_quad(np.random.default_rng(seed),
-                                **{key: 0.5 + k * tol / norm})
+    quad = random_diagonal_quad(np.random.default_rng(seed), **{key: 0.5 + k * tol})
     dd = diagonals(quad)
-    frac, u = (dd.b, dd.u2) if type1 else (dd.a, dd.u1)
-    assert (frac - 0.5) * math.hypot(*u) == pytest.approx(k * tol, rel=1e-4)
+    frac = dd.b if type1 else dd.a
+    assert frac - 0.5 == pytest.approx(k * tol, rel=1e-4)
     return quad
 
 
@@ -322,12 +319,28 @@ def _method_member(quad, method):
     return _dispatch_fields(MinEccResult(_at_ratio(quad, dd, _t3_root(dd)), method))
 
 
+def _assert_flags_at_their_margins(quad):
+    """Each diagonal flag is `margin <= tol`, its margin read off the pencil:
+    checked at tol = margin and one ulp below, where `min_ecc` must take the
+    method that the flags name."""
+    dd = diagonals(quad)
+    margins = {"mdq_type1": abs(0.5 - dd.b), "mdq_type2": abs(0.5 - dd.a),
+               "trapezoid": min(abs(dd.a - dd.b), abs(dd.a + dd.b - 1.0))}
+    for flag, margin in margins.items():
+        for tol in (margin, math.nextafter(margin, 0.0)):
+            rep = classify(quad, tol)
+            assert getattr(rep, flag) == (margin <= tol), (flag, margin, tol)
+            assert min_ecc(quad, tol).method == _named_method(rep), (flag, tol)
+
+
 class TestDispatchWithoutReport:
     """`min_ecc(quad, tol)` evaluates only the two predicates it dispatches
     on, through the functions `classify` calls: it must take the method
     that `classify(quad, tol)`'s flags name, and build that method's member,
     at 1e-9 and at 1e-5, also on either side of each threshold, where a
-    predicate edited in only one of the two places would send them apart."""
+    predicate edited in only one of the two places would send them apart.
+    Each diagonal flag is exactly its margin, a fraction of a diagonal, at
+    most `tol`."""
 
     @pytest.mark.parametrize("make", [
         random_convex_quad,
@@ -346,6 +359,7 @@ class TestDispatchWithoutReport:
                 assert res.method == _named_method(classify(quad, tol))
                 assert _dispatch_fields(res) == _method_member(quad, res.method)
             assert min_ecc(quad) == min_ecc(quad, CLASSIFY_TOL)
+            _assert_flags_at_their_margins(quad)
 
     @pytest.mark.parametrize("make, method", [
         (_near_tangential, "incircle"),
@@ -362,6 +376,7 @@ class TestDispatchWithoutReport:
                     assert res.method == _named_method(classify(quad, tol))
                     assert _dispatch_fields(res) == _method_member(quad, res.method)
                     methods.append(res.method)
+                    _assert_flags_at_their_margins(quad)
                 assert methods == [method, "quartic_numeric"], (tol, seed)
 
 

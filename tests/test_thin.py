@@ -10,7 +10,7 @@ import pytest
 
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
-from inellipse.quad import classify
+from inellipse.quad import classify, diagonals
 
 from sampling import random_diagonal_quad, random_thin_tangential_quad
 
@@ -112,3 +112,19 @@ def test_thin_quads_reach_the_reference(kind):
                 if rep.mdq:
                     t3 = verify_T3(res)
                     assert t3.parallel and t3.equal_len, (kind, rho, t3)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-8, 1e-9])
+def test_a_short_diagonal_is_bisected_only_at_its_midpoint(rho):
+    # the MDQ flags are fractions of a diagonal, so a D2 far shorter than
+    # D1, cut away from its midpoint, is not bisected, however short
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        quad = random_diagonal_quad(rng, rho=rho)
+        dd = diagonals(quad)
+        assert min(abs(0.5 - dd.a), abs(0.5 - dd.b)) > 1e-5
+        assert not dd.names_v
+        for tol in (1e-9, 1e-5):
+            rep = classify(quad, tol)
+            assert not (rep.mdq_type1 or rep.mdq_type2), (tol, dd)
+            assert min_ecc(quad, tol).method != "alpha_closed_form", (tol, dd)
