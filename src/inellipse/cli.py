@@ -316,8 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Inscribed ellipses in convex quadrilaterals")
     parser.add_argument("--tol", type=float, default=CLASSIFY_TOL,
                         help="classification tolerance: a fraction of a diagonal "
-                             "(MDQ, trapezoid) or of the perimeter (tangential, "
-                             "kite), or a cosine (orthodiagonal)")
+                             "(MDQ, trapezoid) or of the perimeter (tangential), "
+                             "or a cosine (orthodiagonal); kite is an MDQ type "
+                             "and orthodiagonal")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):

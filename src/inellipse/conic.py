@@ -110,9 +110,9 @@ def shape_geometry(c: Point, shape: tuple[float, float, float, float],
     minor_sq = det / major_sq
     ratio = minor_sq / major_sq
     half = 0.5 * (abs(sxx - syy) + root)
-    v = (-0.5 * sxy2, -half) if syy >= sxx else (-half, -0.5 * sxy2)
-    n = math.hypot(*v)  # 0 on a circle, where any direction qualifies
-    direction = (v[0] / n, v[1] / n) if n > 0.0 else (1.0, 0.0)
+    vx, vy = (-0.5 * sxy2, -half) if syy >= sxx else (-half, -0.5 * sxy2)
+    n = math.hypot(vx, vy)  # 0 on a circle, where any direction qualifies
+    direction = (vx / n, vy / n) if n > 0.0 else (1.0, 0.0)
     return tuple.__new__(EllipseGeometry, (  # skips __new__ and its field-count check
         c, math.sqrt(major_sq) * unit, math.sqrt(minor_sq) * unit,
         math.sqrt(max(1.0 - ratio, 0.0)), direction, ratio))
@@ -120,17 +120,23 @@ def shape_geometry(c: Point, shape: tuple[float, float, float, float],
 
 def geometry(conic: ConicCoeffs) -> EllipseGeometry:
     """Semi-axes, eccentricity and major-axis direction of an ellipse: the
-    sign-normalized conic is (x - c)' S^-1 (x - c) = 1 with c its `center`,
+    sign-normalized conic is (x - c)' S^-1 (x - c) = 1 with c its centre,
     S = mu [[c, -b/2], [-b/2, a]], mu = 4 delta / Delta^2 and det S =
-    mu^2 Delta / 4 (`shape_geometry`).  delta cancels on thin or far-off
-    ellipses; `InscribedEllipse.geometry` reads the pencil's own c and S."""
-    a, b, c, d, e, f = norm = sign_normalized(conic)
-    big, small = discriminants(norm)  # norm passes through unflipped
+    mu^2 Delta / 4 (`shape_geometry`).  It normalizes the signs and computes
+    Delta, delta and c itself, the same floats as `sign_normalized`,
+    `discriminants` and `center`, which stay public and serve the tests as
+    oracles.  delta cancels on thin or far-off ellipses;
+    `InscribedEllipse.geometry` reads the pencil's own c and S."""
+    a, b, c, d, e, f = conic
+    if a < 0.0 or (a == 0.0 and c < 0.0):
+        a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
+    big = 4.0 * a * c - b * b
+    small = c * d * d + a * e * e - b * d * e - f * big
     if big <= 0.0 or small <= 0.0:
         raise InEllipseError("geometry() requires an ellipse")
     mu = 4.0 * small / big / big
-    return shape_geometry(center(norm), (mu * c, -mu * b, mu * a,
-                                         0.25 * mu * (mu * big)))
+    return shape_geometry(((b * e - 2.0 * c * d) / big, (b * d - 2.0 * a * e) / big),
+                          (mu * c, -mu * b, mu * a, 0.25 * mu * (mu * big)))
 
 
 def evaluate(conic: ConicCoeffs, p: Point) -> float:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .conic import (ConicCoeffs, EllipseGeometry, Point, scale_normalized,
                     shape_geometry)
 from .errors import InEllipseError, ParamOutOfRegion
-from .quad import DiagonalData, Quadrilateral, _Frozen, _kept, diagonals
+from .quad import DiagonalData, Quadrilateral, _Frozen, _kept
 
 
 def check_unit_interval(x: float, name: str = "param") -> None:
@@ -78,9 +78,10 @@ class InscribedEllipse(_Frozen, _InscribedEllipseFields):
     @property
     def conic(self) -> ConicCoeffs:
         """(x - c)' adj(S) (x - c) = D^2 det S, built per read; raises if not finite."""
-        (cx, cy), (a, b, c), d = self.center, self.adjugate, self.quad.diameter()
+        (cx, cy), (c, b, a, det), d = self.center, self.shape, self.quad._diameter
+        b = -b  # (a, b, c) is the adjugate
         coeffs = (a, b, c, -b * cy - 2.0 * a * cx, -b * cx - 2.0 * c * cy,
-                  a * cx * cx + b * cx * cy + c * cy * cy - self.shape[3] * (d * d))
+                  a * cx * cx + b * cx * cy + c * cy * cy - det * (d * d))
         if not all(map(math.isfinite, coeffs)):
             raise InEllipseError("conic coefficients overflow the float range")
         return scale_normalized(coeffs)
@@ -142,7 +143,12 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
     touches S1, except on a parallelogram, whose parameter is v = 2r - 1
     in (-1,1), so that v = 0 touches the side midpoints.
     """
-    dd = diagonals(quad)
-    r = (1.0 + param) / 2.0 if dd.names_v else param
-    check_unit_interval(r, "(1 + v) / 2" if dd.names_v else "param")
-    return _inscribed(quad, dd, *_weights(dd, r), r, param)
+    dd = quad._diagonals
+    if dd.names_v:
+        r, name = (1.0 + param) / 2.0, "(1 + v) / 2"
+    else:
+        r, name = param, "param"
+    if not 0.0 < r < 1.0:  # `check_unit_interval`'s test and message
+        raise ParamOutOfRegion(f"{name}={r} not in the open unit interval")
+    wa, wb = dd.a * (1.0 - r), dd.b * r  # `_weights`, the same floats
+    return _inscribed(quad, dd, wa / (wa + wb), wb / (wa + wb), r, param)

@@ -170,7 +170,8 @@ class ClassificationReport(NamedTuple):
     fractions a of D1 and b of D2: `mdq_type1` |1/2 - b|, `mdq_type2` |1/2 - a|,
     `parallelogram` both, `trapezoid` |a - b| or |a + b - 1|, so an MDQ and
     trapezoid is a parallelogram at 2 tol.  `orthodiagonal` the diagonals'
-    |cos|; over the perimeter, `tangential` Pitot's and `kite` side defects."""
+    |cos|; `kite` an MDQ type and `orthodiagonal`, each at its own unit;
+    `tangential` Pitot's defect over the perimeter."""
 
     convex: bool
     parallelogram: bool
@@ -311,9 +312,7 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     # S1 x S3 = D^2 (a - b) (u1 x u2) and S2 x S4 = D^2 (a + b - 1) (u1 x u2)
     trapezoid = abs(a - b) <= tol or abs(a + b - 1.0) <= tol
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
-    sa, sb, sc, sd = _summable(sides)
-    perim = sa + sb + sc + sd
-    kite = ((abs(sa - sb) <= tol * perim and abs(sc - sd) <= tol * perim)
-            or (abs(sb - sc) <= tol * perim and abs(sa - sd) <= tol * perim))
+    # a convex kite: one diagonal bisected by the other at a right angle
+    kite = (mdq1 or mdq2) and orthodiagonal
     return ClassificationReport(True, mdq1 and mdq2, trapezoid, _tangential(sides, tol),
                                 orthodiagonal, kite, mdq1, mdq2, sides)

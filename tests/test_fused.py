@@ -1,8 +1,10 @@
 """Each per-member read and each `min_ecc` solve runs in one pass; these pin
 it, bit for bit, to the composition of the helpers it fuses:
-`InscribedEllipse.conic` to the max-abs scaling then `sign_normalized`,
-`conic.geometry` to `shape_geometry` of the sign-normalized conic's
-`center`, Delta and delta (`tests/test_diameters.py::TestChordContract` pins
+`inscribe` to `diagonals`, `check_unit_interval`, `_weights` and
+`_inscribed`, values and errors alike, `InscribedEllipse.conic` to the
+max-abs scaling then `sign_normalized`, `conic.geometry` to
+`shape_geometry` of the sign-normalized conic's `center`, Delta and delta
+(`tests/test_diameters.py::TestChordContract` pins
 the chords and `check_T2`), and `min_ecc`, `min_ecc_numeric`, `classify` and
 the members' contacts to the separate predicates, quartic, Newton loop and
 contact helper they replace, copied below as oracles.  The quads come from
@@ -20,7 +22,7 @@ from inellipse.conic import (ConicCoeffs, center, discriminants, geometry,
                              scale_normalized, shape_geometry, sign_normalized)
 from inellipse.diameters import check_T2, tangency_chords
 from inellipse.errors import InEllipseError
-from inellipse.family import _at_ratio, _weights, inscribe
+from inellipse.family import _at_ratio, _inscribed, _weights, check_unit_interval, inscribe
 from inellipse.minecc import MinEccResult, _positive_root, min_ecc, min_ecc_numeric
 from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
 
@@ -91,11 +93,29 @@ def _composed_geometry(conic):
                                          0.25 * mu * (mu * big)))
 
 
+def _composed_inscribe(quad, param):
+    # the composition `inscribe` replaces: the pencil, the interval check on
+    # r (v's (1 + v) / 2 on a parallelogram), then the weights
+    dd = diagonals(quad)
+    r = (1.0 + param) / 2.0 if dd.names_v else param
+    check_unit_interval(r, "(1 + v) / 2" if dd.names_v else "param")
+    return _inscribed(quad, dd, *_weights(dd, r), r, param)
+
+
 def test_the_draws_cover_far_and_failing_members():
     # far-off quads and a geometry that raises are among the draws, so both
     # branches of each pin below are exercised
     assert sum(max(map(abs, sum(q.vertices, ()))) > 1e6 for q in QUADS) >= 8
     assert any(isinstance(_outcome(geometry, ie.conic), tuple) for _, ie in _members())
+
+
+def test_inscribe_is_the_composition_of_the_helpers():
+    # 0, 1 and 1.5 are out of range as r, and -1 and 1 as a parallelogram's v
+    names_v = [diagonals(q).names_v for q in QUADS + LARGEST]
+    assert any(names_v) and not all(names_v)
+    for quad, v in zip(QUADS + LARGEST, names_v):
+        for param in PARAMS + (0, 1, 1.5) + ((-1, 1) if v else ()):
+            assert _outcome(inscribe, quad, param) == _outcome(_composed_inscribe, quad, param)
 
 
 def test_member_conic_is_the_scaled_raw_coefficients():

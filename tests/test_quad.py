@@ -220,6 +220,14 @@ class TestClassificationImplications:
         if rep.mdq and rep.trapezoid:
             assert (wide or rep).parallelogram
 
+    def test_thin_quad_with_paired_sides_is_no_kite(self):
+        # its sides pair up within 1e-9 of the perimeter, yet neither diagonal
+        # is bisected and they cross at |cos| about 0.32: a kite is an MDQ
+        # whose diagonals are perpendicular, not a quad with paired sides
+        rep = classify(canonicalize([(0, 0), (0.3, -1e-9), (1, 0), (0.300000001, 2e-9)]))
+        assert not (rep.kite or rep.mdq or rep.orthodiagonal)
+        self._check(rep)
+
     def test_over_random_quads(self):
         rng = np.random.default_rng(42)
         tol = 1e-8
