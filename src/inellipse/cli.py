@@ -47,7 +47,6 @@ from .family import InscribedEllipse, inscribe
 from .minecc import min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
                    canonicalize, classify, diagonals, _midpoint)
-from .svgfig import Figure
 
 EXIT_LIBRARY = 1
 EXIT_PARSE = 2
@@ -67,8 +66,8 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
         if path == "-":
             data = sys.stdin.buffer.read()
         else:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            with open(path, "rb", buffering=0) as fh:  # one read, no buffer between
+                data = fh.readall()
         # one strict decode whatever the locale, newlines read as text mode reads them
         doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     # ValueError covers bytes that are not UTF-8 (UnicodeDecodeError), text
@@ -79,17 +78,19 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise _CliError(EXIT_PARSE, "input must be an object with a 'vertices' key")
     verts = doc["vertices"]
-    if (not isinstance(verts, list) or len(verts) != 4
-            or any(not isinstance(v, (list, tuple)) or len(v) != 2 for v in verts)):
+    if not isinstance(verts, list) or len(verts) != 4:
         raise _CliError(EXIT_PARSE, "'vertices' must be four [x, y] pairs")
-    if any(type(c) not in (int, float) for v in verts for c in v):
-        raise _CliError(EXIT_PARSE, "vertex coordinates must be numbers")
+    # every shape before any type, so a bad shape anywhere names the shape
+    for v in verts:
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise _CliError(EXIT_PARSE, "'vertices' must be four [x, y] pairs")
+    for x, y in verts:
+        if type(x) not in (int, float) or type(y) not in (int, float):
+            raise _CliError(EXIT_PARSE, "vertex coordinates must be numbers")
     try:
-        pts = [(float(x), float(y)) for x, y in verts]
-    except OverflowError:  # an integer past the float range, as 1e400 is
+        quad = canonicalize(verts)
+    except OverflowError:  # float() of an integer past the float range, as 1e400 is
         raise _CliError(EXIT_NONCONVEX, "a vertex coordinate overflows the float range")
-    try:
-        quad = canonicalize(pts)
     except NonConvexInput as exc:
         raise _CliError(EXIT_NONCONVEX, str(exc))
     label = doc.get("label")
@@ -98,8 +99,10 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
 
 def _classification_block(quad: Quadrilateral,
                           rep: ClassificationReport) -> dict:
+    # json.dumps writes a tuple as an array: the kept tuples go in as they are
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad.vertices
     return {
-        "vertices": [list(p) for p in quad.vertices],
+        "vertices": quad.vertices,
         "convex": rep.convex,
         "parallelogram": rep.parallelogram,
         "trapezoid": rep.trapezoid,
@@ -108,10 +111,10 @@ def _classification_block(quad: Quadrilateral,
         "kite": rep.kite,
         "mdq_type1": rep.mdq_type1,
         "mdq_type2": rep.mdq_type2,
-        "side_lengths": list(rep.side_lengths),
-        "diagonal_midpoints": [list(_midpoint(quad.a1, quad.a3)),
-                               list(_midpoint(quad.a2, quad.a4))],
-        "diagonal_intersection": list(diagonals(quad).p),
+        "side_lengths": rep.side_lengths,
+        "diagonal_midpoints": [(0.5 * (x1 + x3), 0.5 * (y1 + y3)),
+                               (0.5 * (x2 + x4), 0.5 * (y2 + y4))],
+        "diagonal_intersection": quad._diagonals.p,
     }
 
 
@@ -119,15 +122,15 @@ def _ellipse_block(ie: InscribedEllipse) -> dict:
     # the library's conics are max-abs and sign normalized already
     conic, geo = ie.conic, ie.geometry
     return {
-        "coefficients": list(conic),
-        "coeff_scale": max(abs(x) for x in conic),
+        "coefficients": conic,
+        "coeff_scale": max(map(abs, conic)),
         "param": ie.param,
         "frame": ie.frame,
-        "center": list(geo.center),
+        "center": geo.center,
         "eccentricity": geo.eccentricity,
         "axis_ratio_sq": geo.axis_ratio_sq,
         "semi_axes": [geo.semi_major, geo.semi_minor],
-        "tangency": [list(p) for p in ie.tangency],
+        "tangency": ie.tangency,
     }
 
 
@@ -277,6 +280,8 @@ def cmd_plot(quad: Quadrilateral, args: argparse.Namespace) -> None:
         params = [float(x) for x in args.params.split(",") if x.strip()]
     except ValueError as exc:
         raise _CliError(EXIT_PARSE, f"--params: {exc}")
+    from .svgfig import Figure  # only plot draws, so only plot loads it
+
     fig = Figure()
     fig.add_polygon(quad.vertices, "quad", "fill:none;stroke:#000;stroke-width:2")
     a1, a2, a3, a4 = quad.vertices

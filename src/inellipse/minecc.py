@@ -20,8 +20,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .diameters import t1_margin
-from .errors import NotMDQ
+from .errors import InEllipseError, NotMDQ
 from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
                    diagonals, _mdq_types, _tangential)
@@ -196,13 +195,25 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         if not classify(quad).mdq:
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad)
-    if res.eccentricity < NEAR_CIRCLE_ECC:
+    ie = res.ellipse
+    if ie.geometry.eccentricity < NEAR_CIRCLE_ECC:
         return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
 
-    (a, b, c), det, d = res.ellipse.adjugate, res.ellipse.shape[3], quad.diameter()
-    par_margin, dd = t1_margin(quad, (a, b, c)), diagonals(quad)
-    unit = [4.0 * (x * x + y * y) * det / (a * x * x + b * x * y + c * y * y)
-            for x, y in (dd.u1, dd.u2)]
-    len_margin = abs(unit[0] - unit[1]) / max(unit)
-    return T3Report(par_margin <= tol, len_margin <= tol, unit[0] * d * d,
-                    unit[1] * d * d, False, par_margin, len_margin)
+    # adj(S) = (a, b, c) = (Syy, -2 Sxy, Sxx), read with the pencil once
+    (c, b, a, det), d, dd = ie.shape, quad._diameter, quad._diagonals
+    b = -b
+    (x1, y1), (x2, y2) = dd.u1, dd.u2
+    # `t1_margin` on adj(S): the conjugate w of u1, then |sin| of w and u2
+    wx, wy = -(0.5 * b * x1 + c * y1), a * x1 + 0.5 * b * y1
+    if wx == 0.0 and wy == 0.0:
+        raise InEllipseError("degenerate quadratic part")
+    nw, n2 = math.hypot(wx, wy), math.hypot(x2, y2)
+    if nw == 0.0 or n2 == 0.0:
+        raise InEllipseError("zero direction")
+    par_margin = abs(wx / nw * (y2 / n2) - wy / nw * (x2 / n2))
+    len1 = 4.0 * (x1 * x1 + y1 * y1) * det / (a * x1 * x1 + b * x1 * y1 + c * y1 * y1)
+    len2 = 4.0 * (x2 * x2 + y2 * y2) * det / (a * x2 * x2 + b * x2 * y2 + c * y2 * y2)
+    len_margin = abs(len1 - len2) / max(len1, len2)
+    return tuple.__new__(T3Report, (  # skips __new__ and its field-count check
+        par_margin <= tol, len_margin <= tol, len1 * d * d, len2 * d * d, False,
+        par_margin, len_margin))

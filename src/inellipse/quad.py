@@ -196,16 +196,18 @@ def _convex(checked: Sequence[Point], labeled: tuple) -> Quadrilateral:
     for p in checked:
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             raise NonConvexInput(f"non-finite vertex {p}")
-    pairs = [(p, q, _dist(p, q)) for i, p in enumerate(checked)
-             for q in checked[i + 1:]]
-    diam = max(dist for _, _, dist in pairs)
+    p0, p1, p2, p3 = checked
+    dists = (_dist(p0, p1), _dist(p0, p2), _dist(p0, p3),
+             _dist(p1, p2), _dist(p1, p3), _dist(p2, p3))
+    diam = max(dists)
     if diam == 0.0:
         raise DuplicateVertex("all vertices coincide")
     if not math.isfinite(diam):
         raise NonConvexInput("the diameter overflows the float range")
-    for p, q, dist in pairs:
-        if dist <= 1e-12 * diam:
-            raise DuplicateVertex(f"vertices {p} and {q} coincide")
+    if min(dists) <= 1e-12 * diam:  # name the first coincident pair
+        for (i, j), dist in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), dists):
+            if dist <= 1e-12 * diam:
+                raise DuplicateVertex(f"vertices {checked[i]} and {checked[j]} coincide")
     quad = Quadrilateral(labeled)  # `_kept` slots set past its refusing __setattr__
     quad.__dict__["_diameter"] = diam
     try:

@@ -12,10 +12,11 @@ import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
-from inellipse.diameters import diameter_endpoints
+from inellipse.diameters import CIRCLE_CUTOFF, diameter_endpoints
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
-from inellipse.quad import canonicalize
+from inellipse.minecc import verify_T3
+from inellipse.quad import canonicalize, classify, diagonals
 
 from conftest import EXAMPLE_R_STAR, EXAMPLE_VERTICES
 from sampling import random_mdq_quad
@@ -150,6 +151,14 @@ class TestClassify:
             assert main(["classify", str(path)]) == 2, first
             assert capsys.readouterr() == ("", "error: vertex coordinates must be numbers\n")
 
+    def test_a_bad_shape_anywhere_wins_over_a_bad_type(self, capsys, tmp_path):
+        # every vertex's shape is checked before any vertex's types
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(
+            {"vertices": [["0", 0]] + EXAMPLE_VERTICES[1:3] + [[6, 2, 0]]}))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: 'vertices' must be four [x, y] pairs\n")
+
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00{}",
                                          b'{"vertices": ' + b"[" * 100000,
                                          b'{"vertices": ' + b"1" * 5000 + b"}"],
@@ -276,7 +285,84 @@ class TestEllipseBlock:
         assert block["axis_ratio_sq"] == ell["axis_ratio_sq"]
 
 
+def _list_built_report(q, label=None, tol=1e-9):
+    """The `min-ecc` document built from the library's results, every point
+    and tuple rebuilt as a list."""
+    rep, res = classify(q, tol), minecc.min_ecc(q, tol)
+    ie = res.ellipse
+    conic, geo = ie.conic, ie.geometry
+    a1, a2, a3, a4 = q.vertices
+    out = {
+        "classification": {
+            "vertices": [list(p) for p in q.vertices],
+            "convex": rep.convex, "parallelogram": rep.parallelogram,
+            "trapezoid": rep.trapezoid, "tangential": rep.tangential,
+            "orthodiagonal": rep.orthodiagonal, "kite": rep.kite,
+            "mdq_type1": rep.mdq_type1, "mdq_type2": rep.mdq_type2,
+            "side_lengths": list(rep.side_lengths),
+            "diagonal_midpoints": [[0.5 * (a1[0] + a3[0]), 0.5 * (a1[1] + a3[1])],
+                                   [0.5 * (a2[0] + a4[0]), 0.5 * (a2[1] + a4[1])]],
+            "diagonal_intersection": list(diagonals(q).p),
+        },
+        "ellipse": {
+            "coefficients": list(conic),
+            "coeff_scale": max(abs(x) for x in conic),
+            "param": ie.param, "frame": ie.frame, "center": list(geo.center),
+            "eccentricity": geo.eccentricity, "axis_ratio_sq": geo.axis_ratio_sq,
+            "semi_axes": [geo.semi_major, geo.semi_minor],
+            "tangency": [list(p) for p in ie.tangency],
+        },
+        "min_ecc": {"r_star": res.r_star, "method": res.method,
+                    "eccentricity": geo.eccentricity, "axis_ratio_sq": geo.axis_ratio_sq},
+    }
+    if geo.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
+        (ux, uy), (vx, vy) = q._diagonal_units
+        out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
+            math.sqrt(geo.axis_ratio_sq))
+        out["min_ecc"]["diagonal_angle"] = math.atan2(abs(ux * vy - uy * vx),
+                                                      abs(ux * vx + uy * vy))
+    if rep.mdq:
+        t3 = verify_T3(res)
+        out["verification"] = {
+            "t3_parallel": t3.parallel, "t3_equal_lengths": t3.equal_len,
+            "diameter_len_sq": [t3.len1_sq, t3.len2_sq],
+            "near_circle": t3.near_circle, "parallel_margin": t3.parallel_margin,
+            "length_margin": t3.length_margin,
+        }
+        if rep.mdq_type1 and not rep.parallelogram:
+            try:
+                fr = affine.normalize_to_qstvw(q)
+                paper = affine.alpha_root(fr.s, fr.v, fr.w) if fr.shift == 0 else None
+            except InEllipseError:
+                paper = None
+            out["verification"]["paper_r_star"] = paper
+    if label:
+        out["label"] = label
+    return out
+
+
 class TestMinEcc:
+    @pytest.mark.parametrize("vertices, label", [
+        (EXAMPLE_VERTICES, "worked-example"), ([[0, 0], [0, 1], [1, 1], [1, 0]], None),
+        ([[0, 0], [-1, 2], [0, 5], [1, 2]], None),
+        ([[0, 0], [0.8999997, 0.3000006], [3, 1], [0.9000003, 0.2999994]], None),
+        ([[0, 0], [1, 0], [1.2, 1], [0.1, 0.8]], None),
+        ([[x + 1e8, y + 1e8] for x, y in EXAMPLE_VERTICES], None),
+        ([[x * 1e-100, y * 1e-100] for x, y in EXAMPLE_VERTICES], None)],
+        ids=["example", "square", "kite", "thin_type1", "generic", "moved_1e8",
+             "scaled_1e-100"])
+    def test_stdout_is_the_list_built_report(self, capsys, tmp_path, vertices, label):
+        # tuples encode as arrays: the report equals, byte for byte, the one
+        # built from lists out of the library's own results
+        path = tmp_path / "quad.json"
+        doc = {"vertices": vertices}
+        if label:
+            doc["label"] = label
+        path.write_text(json.dumps(doc))
+        assert main(["min-ecc", str(path)]) == 0
+        want = json.dumps(_list_built_report(canonicalize(vertices), label)) + "\n"
+        assert capsys.readouterr() == (want, "")
+
     def test_example(self, capsys, example_file):
         code, doc = run_json(capsys, ["min-ecc", example_file])
         assert code == 0

@@ -7,7 +7,9 @@ max-abs scaling then `sign_normalized`, `conic.geometry` to
 (`tests/test_diameters.py::TestChordContract` pins
 the chords and `check_T2`), and `min_ecc`, `min_ecc_numeric`, `classify` and
 the members' contacts to the separate predicates, quartic, Newton loop and
-contact helper they replace, copied below as oracles.  The quads come from
+contact helper they replace, copied below as oracles, and `verify_T3` to
+`t1_margin`, the length formula 4|u|^2 det S / (u' adj(S) u) and the
+`T3Report` constructor.  The quads come from
 seeded draws of every class, thin quads, quads far from the origin and
 quads whose side lengths sum past the float range.  Floats compare by
 `repr`, which tells -0.0 from 0.0."""
@@ -20,11 +22,13 @@ import pytest
 
 from inellipse.conic import (ConicCoeffs, center, discriminants, geometry,
                              scale_normalized, shape_geometry, sign_normalized)
-from inellipse.diameters import check_T2, tangency_chords
-from inellipse.errors import InEllipseError
-from inellipse.family import _at_ratio, _inscribed, _weights, check_unit_interval, inscribe
-from inellipse.minecc import MinEccResult, _positive_root, min_ecc, min_ecc_numeric
-from inellipse.quad import canonicalize, classify, diagonals, quadrilateral
+from inellipse.diameters import check_T2, t1_margin, tangency_chords
+from inellipse.errors import InEllipseError, NotMDQ
+from inellipse.family import (InscribedEllipse, _at_ratio, _inscribed, _weights,
+                              check_unit_interval, inscribe)
+from inellipse.minecc import (NEAR_CIRCLE_ECC, MinEccResult, T3Report, _positive_root,
+                              min_ecc, min_ecc_numeric, verify_T3)
+from inellipse.quad import Quadrilateral, canonicalize, classify, diagonals, quadrilateral
 
 from sampling import (random_convex_quad, random_diagonal_quad, random_kite,
                       random_mdq_quad, random_orthodiagonal_quad,
@@ -281,3 +285,57 @@ def test_member_contacts_are_the_pencil_contacts():
             r = (1.0 + param) / 2.0 if dd.names_v else param
             ie = inscribe(quad, param)
             assert repr(ie.tangency) == repr(_pencil_contacts(quad, dd, r, *_weights(dd, r)))
+
+
+def _verify_T3(quad, tol=1e-7):
+    # the composition `verify_T3` fuses: `t1_margin` on adj(S), then the
+    # diameter lengths, each pencil quantity read by attribute
+    if isinstance(quad, MinEccResult):
+        res, quad = quad, quad.ellipse.quad
+    else:
+        if not classify(quad).mdq:
+            raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
+        res = min_ecc(quad)
+    if res.eccentricity < NEAR_CIRCLE_ECC:
+        return T3Report(True, True, 0.0, 0.0, True, 0.0, 0.0)
+    (a, b, c), det, d = res.ellipse.adjugate, res.ellipse.shape[3], quad.diameter()
+    par_margin, dd = t1_margin(quad, (a, b, c)), diagonals(quad)
+    unit = [4.0 * (x * x + y * y) * det / (a * x * x + b * x * y + c * y * y)
+            for x, y in (dd.u1, dd.u2)]
+    len_margin = abs(unit[0] - unit[1]) / max(unit)
+    return T3Report(par_margin <= tol, len_margin <= tol, unit[0] * d * d,
+                    unit[1] * d * d, False, par_margin, len_margin)
+
+
+def _degenerate_results():
+    """Optima whose shape has a zero quadratic part, and one whose quad's
+    kept pencil has a zero D2 direction: each member keeps the real
+    optimum's geometry, so that the check gets past the near-circle test."""
+    res = min_ecc(canonicalize(EXAMPLE_VERTICES))
+    ie = res.ellipse
+    flat = tuple.__new__(InscribedEllipse, (*ie[:5], (0.0, 0.0, 0.0, 1.0)))
+    quad = Quadrilateral(ie.quad.vertices)
+    quad.__dict__["_diagonals"] = diagonals(ie.quad)._replace(u2=(0.0, 0.0))
+    no_d2 = tuple.__new__(InscribedEllipse, (*ie[:3], quad, *ie[4:]))
+    for member in (flat, no_d2):
+        member.__dict__["geometry"] = ie.geometry
+    return [MinEccResult(m, res.method) for m in (flat, no_d2)]
+
+
+def test_verify_T3_is_the_composition_of_the_helpers():
+    results = [min_ecc(q, tol) for q in QUADS + LARGEST for tol in TOLS]
+    # MDQs and non-MDQs, and a near-circle optimum that takes the early return
+    assert {r.method for r in results} == {"incircle", "alpha_closed_form",
+                                           "quartic_numeric"}
+    assert any(r.eccentricity < NEAR_CIRCLE_ECC for r in results)
+    for res in results:
+        for tol in (1e-7, 1e-12, 0.0):
+            assert _outcome(verify_T3, res, tol) == _outcome(_verify_T3, res, tol)
+    for quad in QUADS + LARGEST:  # a quad in, NotMDQ off the MDQs
+        assert _outcome(verify_T3, quad) == _outcome(_verify_T3, quad)
+    degenerate = _degenerate_results()
+    assert [_outcome(verify_T3, r) for r in degenerate] == [
+        ("InEllipseError", "degenerate quadratic part"),
+        ("InEllipseError", "zero direction")]
+    for res in degenerate:
+        assert _outcome(verify_T3, res) == _outcome(_verify_T3, res)

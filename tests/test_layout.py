@@ -115,7 +115,8 @@ import json, sys
 import inellipse
 after_package = sorted({"dataclasses", "inellipse.affine"} & set(sys.modules))
 import inellipse.cli
-after_cli = sorted({"dataclasses", "inellipse.affine"} & set(sys.modules))
+after_cli = sorted({"dataclasses", "inellipse.affine", "inellipse.svgfig"}
+                   & set(sys.modules))
 names = json.loads(sys.argv[1])
 same = [getattr(inellipse, name) is getattr(sys.modules["inellipse.affine"], name)
         for name in names]
@@ -137,7 +138,8 @@ def test_cold_import_loads_no_dataclasses_and_no_frame_code():
                           env=env, capture_output=True, text=True, timeout=60, check=True)
     after_package, after_cli, same, listed, frame, has_other = json.loads(done.stdout)
     assert after_package == []
-    # the CLI's `paper_r_star` reads the frame code, so it loads `affine` eagerly
+    # the CLI's `paper_r_star` reads the frame code, so it loads `affine`
+    # eagerly; only `plot` draws, so only `plot` loads `svgfig`
     assert after_cli == ["inellipse.affine"]
     assert same == [True] * len(FRAME_NAMES)
     assert listed and not has_other

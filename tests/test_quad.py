@@ -63,6 +63,15 @@ class TestCanonicalize:
                 build(vertices)
             assert not isinstance(info.value, DuplicateVertex)
 
+    def test_two_coincident_pairs_name_the_first_in_scan_order(self):
+        # the angle sort puts the pair astride the negative x axis first and
+        # last, and the exact pair at (1, 0) in between: pairs are scanned
+        # (0, 1), (0, 2), (0, 3), (1, 2), ..., so the 2e-13 pair is named
+        # before the one at distance 0
+        with pytest.raises(DuplicateVertex) as info:
+            canonicalize([(-1.0, 1e-13), (1.0, 0.0), (-1.0, -1e-13), (1.0, 0.0)])
+        assert str(info.value) == "vertices (-1.0, -1e-13) and (-1.0, 1e-13) coincide"
+
     def test_interior_point_rejected(self):
         with pytest.raises(NonConvexInput):
             canonicalize([(0, 0), (4, 0), (2, 3), (2, 1)])
