@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conic import (ConicCoeffs, Direction, EllipseGeometry, Point, center,
-                    geometry, is_ellipse, line_intersect)
+from .conic import Direction, EllipseGeometry, Point
 from .errors import InEllipseError, IsCircle
 from .family import InscribedEllipse
 from .quad import Quadrilateral, diagonals
@@ -74,21 +73,6 @@ def conjugate_direction(conic: tuple, u: Direction) -> Direction:
     if wx == 0.0 and wy == 0.0:
         raise InEllipseError("degenerate quadratic part")
     return (-wy, wx)
-
-
-def diameter_endpoints(conic: ConicCoeffs, u: Direction) -> tuple[Point, Point]:
-    """The two intersections of the diameter with direction u."""
-    pts = line_intersect(conic, center(conic), u)
-    if len(pts) != 2:
-        raise InEllipseError("diameter does not meet the conic twice")
-    return pts[0], pts[1]
-
-
-def equal_conjugate_diameters(conic: ConicCoeffs) -> DiameterPair:
-    """`equal_diameter_pair` of the conic's `geometry`."""
-    if not is_ellipse(conic):
-        raise InEllipseError("equal conjugate diameters require an ellipse")
-    return equal_diameter_pair(geometry(conic))
 
 
 def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
@@ -157,8 +141,3 @@ def t1_margin(quad: Quadrilateral, conic: tuple) -> float:
     """Angle margin between conj(direction of D1) and the direction of D2."""
     dd = diagonals(quad)  # at unit scale, where no product of u1, u2 underflows
     return parallel_margin(conjugate_direction(conic, dd.u1), dd.u2)
-
-
-def check_T1(quad: Quadrilateral, conic: tuple, tol: float = PARALLEL_TOL) -> bool:
-    """True iff the conjugate of the D1-parallel diameter is parallel to D2."""
-    return t1_margin(quad, conic) <= tol

@@ -39,11 +39,6 @@ from .errors import InEllipseError, ParamOutOfRegion
 from .quad import DiagonalData, Quadrilateral, _Frozen, _kept
 
 
-def check_unit_interval(x: float, name: str = "param") -> None:
-    if not 0.0 < x < 1.0:
-        raise ParamOutOfRegion(f"{name}={x} not in the open unit interval")
-
-
 class _InscribedEllipseFields(NamedTuple):
     param: float
     tangency: tuple[Point, Point, Point, Point]
@@ -85,12 +80,6 @@ class InscribedEllipse(_Frozen, _InscribedEllipseFields):
         if not all(map(math.isfinite, coeffs)):
             raise InEllipseError("conic coefficients overflow the float range")
         return scale_normalized(coeffs)
-
-
-def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
-    """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
-    wa, wb = dd.a * (1.0 - r), dd.b * r
-    return wa / (wa + wb), wb / (wa + wb)
 
 
 def _inscribed(quad: Quadrilateral, dd: DiagonalData, lam: float, mu: float,
@@ -148,7 +137,7 @@ def inscribe(quad: Quadrilateral, param: float) -> InscribedEllipse:
         r, name = (1.0 + param) / 2.0, "(1 + v) / 2"
     else:
         r, name = param, "param"
-    if not 0.0 < r < 1.0:  # `check_unit_interval`'s test and message
+    if not 0.0 < r < 1.0:
         raise ParamOutOfRegion(f"{name}={r} not in the open unit interval")
-    wa, wb = dd.a * (1.0 - r), dd.b * r  # `_weights`, the same floats
+    wa, wb = dd.a * (1.0 - r), dd.b * r  # lam = a(1 - r) / (a(1 - r) + b r)
     return _inscribed(quad, dd, wa / (wa + wb), wb / (wa + wb), r, param)

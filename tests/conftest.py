@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import settings
 
-from inellipse.conic import ConicCoeffs, evaluate, gradient
+from inellipse.conic import ConicCoeffs
 from inellipse.quad import Quadrilateral, canonicalize
+
+from conics import evaluate, gradient
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")

@@ -7,7 +7,10 @@ contact q (`qst_*`), the unit square's family, and the (s,t,v,w) frame
 pencil's r when the quad's own labeling is admissible) and its
 eccentricity functional; beside them affine maps on points, quads, conics
 and directions, the similarity that `inellipse.affine.normalize_to_qstvw`
-applies (`similarity_map`), and `marden_foci`, a triangle's inellipse foci.
+applies (`similarity_map`), `marden_foci`, a triangle's inellipse foci,
+and the pencil's weights at the S1 contact r (`_weights`) with the open
+interval check on a parameter (`check_unit_interval`), which `inscribe`
+does inline.
 The frame's region check, `f_values` and the type-1 root `alpha_root` stay
 in `inellipse.affine`, whose `normalize_to_qstvw` the CLI reads.
 """
@@ -21,8 +24,9 @@ from typing import NamedTuple
 from inellipse.affine import check_qstvw_region, f_values
 from inellipse.conic import ConicCoeffs, Direction, Point, scale_normalized
 from inellipse.errors import InEllipseError, ParamOutOfRegion
-from inellipse.family import _inscribed, _weights, check_unit_interval
-from inellipse.quad import CLASSIFY_TOL, Quadrilateral, canonicalize, diagonals
+from inellipse.family import _inscribed
+from inellipse.quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, canonicalize,
+                            diagonals)
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -163,6 +167,17 @@ def similarity_map(quad: Quadrilateral) -> AffineMap:
     lin = ((uy, -ux), (ux, uy))
     return AffineMap(lin, (-(lin[0][0] * a1[0] + lin[0][1] * a1[1]),
                            -(lin[1][0] * a1[0] + lin[1][1] * a1[1])))
+
+
+def check_unit_interval(x: float, name: str = "param") -> None:
+    if not 0.0 < x < 1.0:
+        raise ParamOutOfRegion(f"{name}={x} not in the open unit interval")
+
+
+def _weights(dd: DiagonalData, r: float) -> tuple[float, float]:
+    """(lam, 1 - lam) of the member touching S1 at the fraction r along A1->A2."""
+    wa, wb = dd.a * (1.0 - r), dd.b * r
+    return wa / (wa + wb), wb / (wa + wb)
 
 
 def _check_qst(s: float, t: float, q: float) -> None:

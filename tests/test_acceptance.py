@@ -12,17 +12,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.conic import (ConicCoeffs, center, evaluate, proportional,
-                             scale_normalized)
-from inellipse.diameters import (check_T2, conjugate_direction,
-                                 equal_conjugate_diameters, parallel_margin,
+from inellipse.conic import ConicCoeffs, scale_normalized
+from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
                                  slope_of, t1_margin, tangency_chords)
 from inellipse.affine import alpha_coeffs, alpha_root
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
 from inellipse.quad import canonicalize, classify, quadrilateral
-from inellipse.conic import line_intersect
 
+from conics import center, equal_conjugate_diameters, line_intersect, proportional
 from paper import (EccFunctional, G_value, closed_form_diameter_len_sq,
                    marden_foci, qst_conic)
 from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,

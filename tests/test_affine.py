@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from inellipse.affine import check_qstvw_region, normalize_to_qstvw
-from inellipse.conic import ConicCoeffs, center, proportional
+from inellipse.conic import ConicCoeffs
 from inellipse.diameters import conjugate_direction, parallel_margin
 from inellipse.minecc import min_ecc
 from inellipse.quad import canonicalize, classify, quadrilateral
 
+from conics import center, proportional
 from paper import (AffineMap, EccFunctional, IDENTITY, SingularMap, rotation,
                    scaling, similarity_map, translation)
 from sampling import (frame_quad, random_affine, random_convex_quad,

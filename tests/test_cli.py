@@ -11,14 +11,15 @@ import pytest
 import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
-from inellipse.conic import ConicCoeffs, center, geometry, scale_normalized
-from inellipse.diameters import CIRCLE_CUTOFF, diameter_endpoints
+from inellipse.conic import ConicCoeffs, geometry, scale_normalized
+from inellipse.diameters import CIRCLE_CUTOFF
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
 from inellipse.minecc import verify_T3
 from inellipse.quad import canonicalize, classify, diagonals
 
 from conftest import EXAMPLE_R_STAR, EXAMPLE_VERTICES
+from conics import center, diameter_endpoints
 from sampling import random_mdq_quad
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from inellipse.conic import (ConicCoeffs, center, discriminants, evaluate,
-                             geometry, gradient, is_ellipse, line_intersect,
-                             proportional, scale_normalized, sign_normalized)
+from inellipse.conic import ConicCoeffs, geometry, scale_normalized
 from inellipse.errors import InEllipseError
 
+from conics import (center, discriminants, evaluate, gradient, is_ellipse,
+                    line_intersect, proportional, sign_normalized)
 from sampling import random_ellipse
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 

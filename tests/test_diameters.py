@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from inellipse.conic import ConicCoeffs, center, geometry, line_intersect
-from inellipse.diameters import (check_T1, check_T2, conjugate_direction,
-                                 diameter_endpoints, equal_conjugate_diameters,
-                                 parallel_margin, slope_of, t1_margin,
-                                 tangency_chords)
+from inellipse.conic import ConicCoeffs, geometry
+from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
+                                 slope_of, t1_margin, tangency_chords)
 from inellipse.errors import InEllipseError, IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
 
+from conics import (center, check_T1, diameter_endpoints,
+                    equal_conjugate_diameters, line_intersect)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_ellipse, random_frame, random_mdq_quad,
                       random_nonmdq_frame, random_parallelogram)

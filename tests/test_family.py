@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from inellipse.affine import normalize_to_qstvw
-from inellipse.conic import (ConicCoeffs, center, evaluate, gradient,
-                             is_ellipse, proportional)
+from inellipse.conic import ConicCoeffs
 from inellipse.errors import InEllipseError, ParamOutOfRegion
 from inellipse import family
 from inellipse.family import InscribedEllipse, inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric
 from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
+from conics import center, evaluate, gradient, is_ellipse, proportional
 from paper import (AffineMap, CollinearTriangle, NonPositiveWeights,
                    marden_foci, qst_center_param, qst_conic, qst_newton_line,
                    qst_tangency, qstvw_coeff_polys, qstvw_conic,

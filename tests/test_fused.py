@@ -9,7 +9,9 @@ the chords and `check_T2`), and `min_ecc`, `min_ecc_numeric`, `classify` and
 the members' contacts to the separate predicates, quartic, Newton loop and
 contact helper they replace, copied below as oracles, and `verify_T3` to
 `t1_margin`, the length formula 4|u|^2 det S / (u' adj(S) u) and the
-`T3Report` constructor.  The quads come from
+`T3Report` constructor.  `check_unit_interval` and `_weights` are the
+tests' `paper` helpers, and `sign_normalized`, `discriminants` and
+`center` those of `conics`.  The quads come from
 seeded draws of every class, thin quads, quads far from the origin and
 quads whose side lengths sum past the float range.  Floats compare by
 `repr`, which tells -0.0 from 0.0."""
@@ -20,16 +22,16 @@ import sys
 import numpy as np
 import pytest
 
-from inellipse.conic import (ConicCoeffs, center, discriminants, geometry,
-                             scale_normalized, shape_geometry, sign_normalized)
+from inellipse.conic import ConicCoeffs, geometry, scale_normalized, shape_geometry
 from inellipse.diameters import check_T2, t1_margin, tangency_chords
 from inellipse.errors import InEllipseError, NotMDQ
-from inellipse.family import (InscribedEllipse, _at_ratio, _inscribed, _weights,
-                              check_unit_interval, inscribe)
+from inellipse.family import InscribedEllipse, _at_ratio, _inscribed, inscribe
 from inellipse.minecc import (NEAR_CIRCLE_ECC, MinEccResult, T3Report, _positive_root,
                               min_ecc, min_ecc_numeric, verify_T3)
 from inellipse.quad import Quadrilateral, canonicalize, classify, diagonals, quadrilateral
 
+from conics import center, discriminants, sign_normalized
+from paper import _weights, check_unit_interval
 from sampling import (random_convex_quad, random_diagonal_quad, random_kite,
                       random_mdq_quad, random_orthodiagonal_quad,
                       random_parallelogram, random_s1s3_trapezoid,

@@ -1,8 +1,9 @@
 """Module layout: the package keeps only the frame code the CLI reads, in
 `inellipse.affine`, and the paper's other formulas live in the tests' `paper`
-module; no solver module reads either, no package module imports a test
-module, and `import inellipse` loads neither the frame code nor
-`dataclasses`."""
+module, the general-conic helpers in the tests' `conics`; no solver module
+reads the frame code, no package module imports a test module, every public
+definition is exported or read by the package, and `import inellipse` loads
+neither the frame code nor `dataclasses`."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conics
 import inellipse
 import paper
 from inellipse import affine
@@ -45,17 +47,27 @@ KEPT = ("f_values", "check_qstvw_region", "alpha_coeffs", "alpha_root")
 
 SOLVER_MODULES = ("quad", "conic", "family", "diameters", "minecc")
 
-#: every top-level name `inellipse` exports: those it exported before the
-#: frame formulas moved, less the 14 frame names that left the package
+#: the general-conic and pencil-parameter helpers that only the tests read,
+#: by the module that defined them before they moved to the tests' `conics`
+#: (the conic and diameter helpers) and `paper` (the family's two)
+TEST_ONLY = {
+    "conic": ("TANGENT_TOL", "sign_normalized", "discriminants", "is_ellipse",
+              "center", "evaluate", "gradient", "line_intersect", "proportional"),
+    "diameters": ("diameter_endpoints", "equal_conjugate_diameters", "check_T1"),
+    "family": ("check_unit_interval", "_weights"),
+}
+
+#: every top-level name `inellipse` exports, `inellipse.__all__`: those it
+#: exported before the frame formulas moved, less the 14 frame names that
+#: left the package and the 10 of `TEST_ONLY` it exported
 EXPORTED = (
-    "ConicCoeffs", "EllipseGeometry", "center", "discriminants", "evaluate",
-    "geometry", "gradient", "is_ellipse", "line_intersect", "proportional",
+    "ConicCoeffs", "EllipseGeometry", "geometry",
     "ClassificationReport", "DiagonalData", "Quadrilateral", "canonicalize",
     "classify", "diagonals", "quadrilateral", "normalize_to_qstvw",
     "InscribedEllipse", "inscribe", "DiameterPair", "TangencyChords",
-    "check_T1", "check_T2", "conjugate_direction", "diameter_endpoints",
-    "equal_conjugate_diameters", "tangency_chords", "MinEccResult", "T3Report",
-    "alpha_root", "min_ecc", "min_ecc_numeric", "verify_T3", "__version__",
+    "check_T2", "conjugate_direction", "tangency_chords", "MinEccResult",
+    "T3Report", "alpha_root", "min_ecc", "min_ecc_numeric", "verify_T3",
+    "__version__",
 )
 
 
@@ -99,12 +111,76 @@ def test_package_module_imports_no_test_module(path):
             if isinstance(node, ast.ImportFrom):
                 names.append(node.module or "")
             parts = {part for name in names for part in name.split(".")}
-            assert not parts & {"paper", "sampling"}, (path.name, node.lineno)
+            assert not parts & {"conics", "paper", "sampling"}, (path.name, node.lineno)
+
+
+def _top_level_names(path):
+    """The names a module's top level defines or assigns, imports aside."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("old, name", [(m, n) for m, names in TEST_ONLY.items()
+                                       for n in names])
+def test_test_only_name_is_defined_in_the_tests_only(old, name):
+    home = paper if old == "family" else conics
+    assert name in _top_level_names(Path(home.__file__))
+    assert [m.__name__ for m in PACKAGE_MODULES if hasattr(m, name)] == []
 
 
 def test_package_keeps_every_top_level_name():
     missing = [name for name in EXPORTED if not hasattr(inellipse, name)]
     assert missing == []
+    assert sorted(EXPORTED) == sorted(inellipse.__all__)
+
+
+def _package_reads():
+    """(module, name) of each package definition that package code outside
+    it reads: a loaded name defined at a module's top level or imported from
+    a package module, or an attribute of an imported package module."""
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _top_level_names(path)
+        names, modules = {}, {}  # local name -> (module, name), -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        names[a.asname or a.name] = (node.module, a.name)
+                    else:
+                        modules[a.asname or a.name] = a.name
+        for stmt in tree.body:
+            itself = (path.stem, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                hit = None
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    hit = names.get(node.id) or ((path.stem, node.id)
+                                                 if node.id in own else None)
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    hit = (modules[node.value.id], node.attr)
+                if hit is not None and hit != itself:
+                    reads.add(hit)
+    return reads
+
+
+def test_every_public_definition_is_exported_or_read_by_the_package():
+    # a helper that only the tests read belongs in the tests; a reader in its
+    # own module counts, its own body does not, so the first of any chain of
+    # helpers that no package code reads is caught
+    reads = _package_reads()
+    unread = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in inellipse.__all__
+              and (path.stem, node.name) not in reads]
+    assert unread == []
 
 
 #: the names `inellipse` resolves from `inellipse.affine` on first use

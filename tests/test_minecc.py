@@ -6,9 +6,8 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from inellipse.affine import alpha_coeffs, alpha_root, normalize_to_qstvw
-from inellipse.conic import center, geometry, proportional, scale_normalized
-from inellipse.diameters import (diameter_endpoints, equal_conjugate_diameters,
-                                 parallel_margin)
+from inellipse.conic import geometry, scale_normalized
+from inellipse.diameters import parallel_margin
 from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
 from inellipse import minecc
 from inellipse.family import _at_ratio, inscribe
@@ -17,6 +16,7 @@ from inellipse.minecc import (MinEccResult, min_ecc, min_ecc_numeric, verify_T3,
 from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
                             quadrilateral)
 
+from conics import center, diameter_endpoints, equal_conjugate_diameters, proportional
 from paper import (AffineMap, EccFunctional, G_value, N_factorization,
                    closed_form_diameter_len_sq, p_quartic, qstvw_conic,
                    similarity_map, square_inellipse_conic)
