@@ -85,7 +85,7 @@ def normalize_to_qstvw(quad: Quadrilateral) -> QstvwFrame:
         except ParamOutOfRegion as exc:
             first_error = first_error or exc
             continue
-        return QstvwFrame(s, t, v, w, shift)
+        return tuple.__new__(QstvwFrame, (s, t, v, w, shift))  # skips __new__
     raise first_error
 
 

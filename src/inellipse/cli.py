@@ -54,6 +54,10 @@ EXIT_NONCONVEX = 3
 EXIT_PARAM = 4
 EXIT_OUTPUT = 5
 
+#: `json.dumps` with its defaults but the circular-reference check: each
+#: report is a fresh tree of dicts, lists and tuples, none holding itself
+_encode = json.JSONEncoder(check_circular=False).encode
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -99,7 +103,7 @@ def _load_document(path: str) -> tuple[Quadrilateral, str | None]:
 
 def _classification_block(quad: Quadrilateral,
                           rep: ClassificationReport) -> dict:
-    # json.dumps writes a tuple as an array: the kept tuples go in as they are
+    # the encoder writes a tuple as an array: the kept tuples go in as they are
     (x1, y1), (x2, y2), (x3, y3), (x4, y4) = quad.vertices
     return {
         "vertices": quad.vertices,
@@ -152,22 +156,23 @@ def _diagonal_angle(quad: Quadrilateral) -> float:
 def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
     rep = classify(quad, args.tol)
     res = min_ecc(quad, args.tol)
+    geo = res.ellipse.geometry
     out = {
         "classification": _classification_block(quad, rep),
         "ellipse": _ellipse_block(res.ellipse),
         "min_ecc": {
             "r_star": res.r_star,
             "method": res.method,
-            "eccentricity": res.eccentricity,
-            "axis_ratio_sq": res.axis_ratio_sq,
+            "eccentricity": geo.eccentricity,
+            "axis_ratio_sq": geo.axis_ratio_sq,
         },
     }
     # exploratory: compare the angle 2 atan(b/a) between the minimal ellipse's
     # equal conjugate diameters (ambiguous on a circle) with the angle between
     # the diagonals (reported for every quad; equal only for MDQs)
-    if res.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
+    if geo.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
         out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
-            math.sqrt(res.axis_ratio_sq))
+            math.sqrt(geo.axis_ratio_sq))
         out["min_ecc"]["diagonal_angle"] = _diagonal_angle(quad)
     if rep.mdq:
         t3 = verify_T3(res)
@@ -378,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     if label:
         out["label"] = label
     # serialize first so a failure never leaves half a document on stdout;
-    # without `indent` json.dumps runs its C encoder
-    sys.stdout.write(json.dumps(out) + "\n")
+    # without `indent` the encoder runs in C
+    sys.stdout.write(_encode(out) + "\n")
     return 0
 
 

@@ -153,7 +153,7 @@ class Quadrilateral(_Frozen, _QuadrilateralFields):
         """
         k %= 4
         v = self.vertices
-        return Quadrilateral(tuple(v[(i + k) % 4] for i in range(4)))
+        return tuple.__new__(Quadrilateral, (v[k:] + v[:k],))  # skips __new__
 
 
 class DiagonalData(NamedTuple):
@@ -208,7 +208,7 @@ def _convex(checked: Sequence[Point], labeled: tuple) -> Quadrilateral:
         for (i, j), dist in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), dists):
             if dist <= 1e-12 * diam:
                 raise DuplicateVertex(f"vertices {checked[i]} and {checked[j]} coincide")
-    quad = Quadrilateral(labeled)  # `_kept` slots set past its refusing __setattr__
+    quad = tuple.__new__(Quadrilateral, (labeled,))  # `_kept` slots set past __setattr__
     quad.__dict__["_diameter"] = diam
     try:
         dd = _diagonal_data(quad)
@@ -255,15 +255,19 @@ def canonicalize(raw_vertices: Iterable[Point]) -> Quadrilateral:
     pts = [(float(x), float(y)) for x, y in raw_vertices]
     if len(pts) != 4:
         raise NonConvexInput("exactly four vertices required")
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
     # quarters first, so that the sum cannot overflow; exact but for subnormals
-    cx = sum(0.25 * p[0] for p in pts)
-    cy = sum(0.25 * p[1] for p in pts)
-    ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    cx = sum((0.25 * x0, 0.25 * x1, 0.25 * x2, 0.25 * x3))
+    cy = sum((0.25 * y0, 0.25 * y1, 0.25 * y2, 0.25 * y3))
+    keys = (math.atan2(y0 - cy, x0 - cx), math.atan2(y1 - cy, x1 - cx),
+            math.atan2(y2 - cy, x2 - cx), math.atan2(y3 - cy, x3 - cx))
+    i0, i1, i2, i3 = sorted(range(4), key=keys.__getitem__)  # tied angles keep input order
     # angle sort is counterclockwise; flip to clockwise and start at the lower
     # left before `_convex` builds the pencil, as 1 - a rounds on a relabel
-    cw = [ordered[0]] + ordered[:0:-1]
-    start = min(range(4), key=lambda i: (cw[i][1], cw[i][0]))
-    return _convex(ordered, tuple(cw[start:] + cw[:start]))
+    cw = (pts[i0], pts[i3], pts[i2], pts[i1])
+    low = [(y, x) for x, y in cw]
+    start = low.index(min(low))  # the first of equal minima
+    return _convex((pts[i0], pts[i1], pts[i2], pts[i3]), cw[start:] + cw[:start])
 
 
 def _summable(sides: tuple[float, float, float, float]) -> tuple[float, ...]:
@@ -303,7 +307,8 @@ def _diagonal_data(quad: Quadrilateral) -> DiagonalData:
     cross = _cross(u1, u2)
     a, b = _cross(e, u2) / cross, _cross(e, u1) / cross
     p = (a1[0] + a * (a3[0] - a1[0]), a1[1] + a * (a3[1] - a1[1]))
-    return DiagonalData(p, u1, u2, a, b, all(_mdq_types(a, b, CLASSIFY_TOL)))
+    return tuple.__new__(DiagonalData, (  # skips __new__ and its field-count check
+        p, u1, u2, a, b, all(_mdq_types(a, b, CLASSIFY_TOL))))
 
 
 def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationReport:
@@ -316,5 +321,6 @@ def classify(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> ClassificationRe
     orthodiagonal = abs(u[0] * v[0] + u[1] * v[1]) <= tol * math.hypot(*u) * math.hypot(*v)
     # a convex kite: one diagonal bisected by the other at a right angle
     kite = (mdq1 or mdq2) and orthodiagonal
-    return ClassificationReport(True, mdq1 and mdq2, trapezoid, _tangential(sides, tol),
-                                orthodiagonal, kite, mdq1, mdq2, sides)
+    return tuple.__new__(ClassificationReport, (  # skips __new__ and its field-count check
+        True, mdq1 and mdq2, trapezoid, _tangential(sides, tol), orthodiagonal, kite,
+        mdq1, mdq2, sides))

@@ -9,20 +9,19 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.conic import ConicCoeffs, scale_normalized
+from inellipse.conic import scale_normalized
 from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
-                                 slope_of, t1_margin, tangency_chords)
-from inellipse.affine import alpha_coeffs, alpha_root
+                                 t1_margin, tangency_chords)
+from inellipse.affine import alpha_coeffs
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
-from inellipse.quad import canonicalize, classify, quadrilateral
+from inellipse.quad import canonicalize, classify
 
 from conics import center, equal_conjugate_diameters, line_intersect, proportional
-from paper import (EccFunctional, G_value, closed_form_diameter_len_sq,
-                   marden_foci, qst_conic)
+from paper import (EccFunctional, closed_form_diameter_len_sq, marden_foci,
+                   qst_conic)
 from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,
                       random_nonmdq_frame, random_orthodiagonal_quad,
                       random_tangential_quad, random_type1_frame,

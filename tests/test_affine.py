@@ -11,7 +11,7 @@ from inellipse.quad import canonicalize, classify, quadrilateral
 
 from conics import center, proportional
 from paper import (AffineMap, EccFunctional, IDENTITY, SingularMap, rotation,
-                   scaling, similarity_map, translation)
+                   scaling, similarity_map)
 from sampling import (frame_quad, random_affine, random_convex_quad,
                       random_ellipse, random_frame, random_s1s3_trapezoid,
                       random_similarity, random_tangential_quad,

@@ -11,7 +11,7 @@ import pytest
 import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
-from inellipse.conic import ConicCoeffs, geometry, scale_normalized
+from inellipse.conic import ConicCoeffs, geometry
 from inellipse.diameters import CIRCLE_CUTOFF
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
@@ -656,16 +656,18 @@ class TestOutput:
         ["verify", "--theorem", "t2", "--trials", "3"],
         ["verify", "--theorem", "t3", "--trials", "2"]])
     def test_one_compact_line(self, capsys, tmp_path, argv):
-        label = "trap\u00e8ze \u0394 \u56db\u8fb9\u5f62"
-        path = tmp_path / "labelled.json"
-        path.write_text(json.dumps({"vertices": EXAMPLE_VERTICES, "label": label}))
-        assert main(argv + [str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("\n") and out.count("\n") == 1
-        line = out[:-1]
-        doc = json.loads(line)
-        assert doc["label"] == label
-        assert json.dumps(doc) == line
+        # the second label holds what the encoder escapes: a quote, a
+        # backslash, a tab and a control character
+        for label in ("trap\u00e8ze \u0394 \u56db\u8fb9\u5f62", "q\"b\\s\tt\u0001"):
+            path = tmp_path / "labelled.json"
+            path.write_text(json.dumps({"vertices": EXAMPLE_VERTICES, "label": label}))
+            assert main(argv + [str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and out.count("\n") == 1
+            line = out[:-1]
+            doc = json.loads(line)
+            assert doc["label"] == label
+            assert json.dumps(doc) == line
 
 
 class TestImport:

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from inellipse.conic import ConicCoeffs, geometry
+from inellipse.conic import ConicCoeffs
 from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
                                  slope_of, t1_margin, tangency_chords)
 from inellipse.errors import InEllipseError, IsCircle
@@ -14,8 +13,8 @@ from inellipse.quad import canonicalize, quadrilateral
 from conics import (center, check_T1, diameter_endpoints,
                     equal_conjugate_diameters, line_intersect)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
-                      random_ellipse, random_frame, random_mdq_quad,
-                      random_nonmdq_frame, random_parallelogram)
+                      random_ellipse, random_mdq_quad, random_nonmdq_frame,
+                      random_parallelogram)
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)

@@ -14,9 +14,9 @@ from inellipse.quad import Quadrilateral, canonicalize, diagonals, quadrilateral
 
 from conics import center, evaluate, gradient, is_ellipse, proportional
 from paper import (AffineMap, CollinearTriangle, NonPositiveWeights,
-                   marden_foci, qst_center_param, qst_conic, qst_newton_line,
-                   qst_tangency, qstvw_coeff_polys, qstvw_conic,
-                   qstvw_tangency, similarity_map, square_inellipse_conic)
+                   marden_foci, qst_center_param, qst_conic, qst_tangency,
+                   qstvw_coeff_polys, qstvw_conic, qstvw_tangency, similarity_map,
+                   square_inellipse_conic)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
                       random_parallelogram, random_s1s3_trapezoid,

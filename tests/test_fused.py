@@ -13,22 +13,27 @@ contact helper they replace, copied below as oracles, and `verify_T3` to
 tests' `paper` helpers, and `sign_normalized`, `discriminants` and
 `center` those of `conics`.  The quads come from
 seeded draws of every class, thin quads, quads far from the origin and
-quads whose side lengths sum past the float range.  Floats compare by
-`repr`, which tells -0.0 from 0.0."""
+quads whose side lengths sum past the float range.  `canonicalize` is
+pinned to the closure-based ordering it replaces, on those quads in every
+input order and on inputs whose keys tie or that it rejects.  Floats compare
+by `repr`, which tells -0.0 from 0.0."""
 
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from inellipse.affine import normalize_to_qstvw
 from inellipse.conic import ConicCoeffs, geometry, scale_normalized, shape_geometry
 from inellipse.diameters import check_T2, t1_margin, tangency_chords
-from inellipse.errors import InEllipseError, NotMDQ
+from inellipse.errors import InEllipseError, NonConvexInput, NotMDQ
 from inellipse.family import InscribedEllipse, _at_ratio, _inscribed, inscribe
 from inellipse.minecc import (NEAR_CIRCLE_ECC, MinEccResult, T3Report, _positive_root,
                               min_ecc, min_ecc_numeric, verify_T3)
-from inellipse.quad import Quadrilateral, canonicalize, classify, diagonals, quadrilateral
+from inellipse.quad import (Quadrilateral, _convex, canonicalize, classify, diagonals,
+                            quadrilateral)
 
 from conics import center, discriminants, sign_normalized
 from paper import _weights, check_unit_interval
@@ -153,11 +158,64 @@ def test_geometry_is_the_composition_of_the_helpers():
 
 def test_records_built_past_their_new_have_every_field():
     # `tuple.__new__` skips the generated `__new__` and its field count
+    near_circle = verify_T3(min_ecc(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)])))
+    assert near_circle.near_circle
+    records = [near_circle]
+    for quad in QUADS:
+        records += [canonicalize(quad.vertices), diagonals(quad), classify(quad),
+                    normalize_to_qstvw(quad), quad.rotate_labels(1)]
     for quad, ie in _members():
-        records = [ie, ie.conic, ie.geometry, tangency_chords(ie), check_T2(quad, ie),
-                   min_ecc(quad), min_ecc_numeric(quad)]
-        for rec in records:
-            assert len(rec) == len(type(rec)._fields), type(rec).__name__
+        records += [ie, ie.conic, ie.geometry, tangency_chords(ie), check_T2(quad, ie),
+                    min_ecc(quad), min_ecc_numeric(quad)]
+    for rec in records:
+        assert len(rec) == len(type(rec)._fields), type(rec).__name__
+
+
+def _closure_canonicalize(raw_vertices):
+    # the ordering `canonicalize` replaces: a lambda per angle key and per
+    # lower-left key, and each centroid coordinate summed from a generator
+    pts = [(float(x), float(y)) for x, y in raw_vertices]
+    if len(pts) != 4:
+        raise NonConvexInput("exactly four vertices required")
+    cx = sum(0.25 * p[0] for p in pts)
+    cy = sum(0.25 * p[1] for p in pts)
+    ordered = sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    cw = [ordered[0]] + ordered[:0:-1]
+    start = min(range(4), key=lambda i: (cw[i][1], cw[i][0]))
+    return _convex(ordered, tuple(cw[start:] + cw[:start]))
+
+
+def _canonical(fn, verts):
+    """repr of the labeled quad, its kept diameter and pencil, or the error's
+    type and message."""
+    try:
+        quad = fn(verts)
+    except InEllipseError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(quad), repr(quad._diameter), repr(quad._diagonals)
+
+
+#: inputs whose angle or lower-left keys tie, or that `canonicalize` rejects
+ODD_VERTICES = (
+    ((0, 1), (1, 0), (0, -1), (-1, 0)),  # at equal angles about the centroid, one at pi
+    ((1, 0), (2, 0), (-1.5, 1), (-1.5, -1)),  # two at one angle
+    ((0, 0), (1, 0), (1, 1), (0, 1)),  # two lowest vertices
+    ((0, 0), (0, 0), (1, 1), (1, 0)),  # a duplicated vertex
+    ((1, 0), (1 + 2 ** -44, 0), (-1, 1), (-1, -1)),  # two coincide, on one ray
+    ((1, 1), (1, 1), (1, 1), (1, 1)),
+    ((0, 0), (math.nan, 1), (1, 1), (1, 0)),
+    ((0, 0), (0, 1), (math.inf, 1), (1, 0)),
+    ((0, 0), (1, 0), (2, 0), (1, 1)),  # three collinear
+    ((0, 0), (1, 0), (2, 0), (3, 0)),
+    ((0, 0), (4, 0), (0, 4), (1, 1)),  # one inside the triangle of the others
+)
+
+
+def test_canonicalize_orders_as_the_closures_did():
+    # every input order, so that ties meet in each position
+    for verts in [q.vertices for q in QUADS] + list(ODD_VERTICES):
+        for order in itertools.permutations(verts):
+            assert _canonical(canonicalize, order) == _canonical(_closure_canonicalize, order)
 
 
 # The oracles: the steps `min_ecc` and `_inscribed` fuse, each its own

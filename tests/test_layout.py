@@ -3,7 +3,8 @@
 module, the general-conic helpers in the tests' `conics`; no solver module
 reads the frame code, no package module imports a test module, every public
 definition is exported or read by the package, and `import inellipse` loads
-neither the frame code nor `dataclasses`."""
+neither the frame code nor `dataclasses`; no module of the package or the
+tests imports a name it never reads."""
 
 import ast
 import importlib
@@ -181,6 +182,31 @@ def test_every_public_definition_is_exported_or_read_by_the_package():
               and not node.name.startswith("_") and node.name not in inellipse.__all__
               and (path.stem, node.name) not in reads]
     assert unread == []
+
+
+def _unread_imports(path):
+    """The names a module imports and never reads: no `Name` node loads
+    them and `__all__` does not list them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unread = {f"{path.parent.name}/{path.name}": names for path in modules
+              if (names := _unread_imports(path))}
+    assert unread == {}
 
 
 #: the names `inellipse` resolves from `inellipse.affine` on first use
