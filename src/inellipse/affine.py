@@ -6,9 +6,9 @@ A1 at (0,0) and A2 at (0,1); it is admissible where s, v > 0, t > w and
 f1, f2 > 0.  `normalize_to_qstvw` maps a convex quad to that frame by a
 similarity, which preserves eccentricity, choosing only a cyclic label
 shift k (frame A_i is the original A_(i+k)); an odd shift swaps the
-diagonals' roles, so a type-2 MDQ is type 1 there.  `alpha_root` is a
-type-1 MDQ's optimum in its frame.  The paper's other frame formulas,
-which only the tests read, live in the tests' `paper` module.
+diagonals' roles, so a type-2 MDQ is type 1 there.  `alpha_root`, a type-1
+MDQ's optimum in its frame, takes the T3 root's `minecc._positive_root`.
+The tests' `paper` module holds the paper's other frame formulas.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NoRootInJ, ParamOutOfRegion
-from .minecc import _bracket_root
+from .minecc import _bracket_root, _positive_root
 from .quad import Quadrilateral
 
 
@@ -101,25 +101,21 @@ def alpha_coeffs(s: float, v: float, w: float) -> tuple[float, float, float]:
 def alpha_root(s: float, v: float, w: float) -> float:
     """Unique root in (0,1) of the type-1 optimizer quadratic.
 
-    Valid for type-1 frames, where t is determined by t = s(w+1)/v; the
-    admissibility conditions reduce to s, v > 0 and 2s - v > 0.
-    alpha(0) < 0 < alpha(1) guarantees the root exists.  On a
-    parallelogram's frame s = v, and alpha is linear with root -a0/a1.
+    Valid for type-1 frames (t = s(w+1)/v); checks s, v > 0 and 2s - v > 0
+    (f1 > 0), not t > w.  alpha(0) < 0 < alpha(1) guarantees the root.  On
+    a parallelogram's frame s = v, and alpha is linear with root -a0/a1.
     """
     if not (s > 0.0 and v > 0.0):
         raise ParamOutOfRegion("type-1 frame requires s, v > 0")
     if not 2.0 * s - v > 0.0:
         raise ParamOutOfRegion("type-1 frame requires 2s - v > 0")
     a0, a1, a2 = alpha_coeffs(s, v, w)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        raise NoRootInJ("optimizer quadratic has no real root")
-    # a1 > 0, so q < 0 and a0/q is the root that does not cancel
-    q = -0.5 * (a1 + math.sqrt(disc))
-    candidates = [q / a2, a0 / q] if a2 != 0.0 else [a0 / q]
-    in_j = [r for r in candidates if 0.0 < r < 1.0]
-    if len(in_j) == 1:
-        return in_j[0]
+    try:  # a1 > 0: the root that does not cancel, whatever a2's sign
+        r = _positive_root(a2, a1, -a0)
+    except ValueError:
+        raise NoRootInJ("optimizer quadratic has no real root") from None
+    if 0.0 < r < 1.0:
+        return r
     # ill-conditioned quadratic: bracket the sign change, alpha(1) = s (v^2 + (w-1)^2)
     if a0 >= 0.0:
         raise NoRootInJ("optimizer quadratic does not change sign on (0,1)")

@@ -9,9 +9,9 @@ ratio x = lam / mu in (0, inf) of its weights, which holds 1e-20 as well as
 coefficients change sign exactly once (`_numeric`), so one bracketed Newton
 solve finds the optimum.  An MDQ's optimum is the member whose
 diagonal-parallel diameters are equal (the paper's T3), the positive root of
-a quadratic in x and the Newton start on every quad.  Both read the pencil
-from the quad's `DiagonalData`, the midpoint offsets p = 1/2 - a and
-q = 1/2 - b computed where they are read.
+a quadratic in x that `_critical_quartic` returns, and the Newton start on
+every quad.  Both read the pencil from the quad's `DiagonalData`, the
+midpoint offsets p = 1/2 - a and q = 1/2 - b computed where they are read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import InEllipseError, NotMDQ
+from .diameters import conjugate_direction, parallel_margin
+from .errors import NotMDQ
 from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
                    diagonals, _mdq_types, _tangential)
@@ -83,21 +84,6 @@ class T3Report(NamedTuple):
     length_margin: float
 
 
-def _t3_root(dd: DiagonalData) -> float:
-    """The pencil ratio x = lam / mu whose member has equal diameters
-    parallel to the two diagonals (T3): the closed-form optimum of an MDQ.
-
-    The lengths 4|u|^2 det S / (u' adj(S) u) are equal where
-    |u1|^2 k1 = |u2|^2 k2, k1 = lam (lam p^2 + a(1-a)) and
-    k2 = mu (mu q^2 + b(1-b)) (p, q the midpoint offsets) the diagonal of S
-    in the basis u1, u2.  Over mu^2 that is A x^2 + B x - C = 0 with A, C > 0:
-    one positive root, taken in the form that does not cancel."""
-    _, (x1, y1), (x2, y2), a, b, _ = dd
-    p, q, n1, n2 = 0.5 - a, 0.5 - b, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-    al, be = a * (1.0 - a), b * (1.0 - b)
-    return _positive_root(n1 * (p * p + al), n1 * al - n2 * be, n2 * (q * q + be))
-
-
 def _positive_root(qa: float, qb: float, qc: float) -> float:
     """The root x > 0 of qa x^2 + qb x - qc, qa, qc > 0, taken without cancellation."""
     disc = math.sqrt(qb * qb + 4.0 * qa * qc)
@@ -108,7 +94,9 @@ def _critical_quartic(dd: DiagonalData) -> tuple[tuple[float, ...], float]:
     """q0..q4 of N' t - 2 N t', H = N / t^2 (u1 x u2)^2 in x: N = x (1 + x)
     (l1 x + l0) = det S / (mu^4 (u1 x u2)^2), t = t2 x^2 + t1 x + t0 =
     tr S / mu^2 (n1 = |u1|^2, n2 = |u2|^2, c = u1.u2, al = a(1-a), be = b(1-b),
-    p, q the midpoint offsets), and the T3 root of t2 x^2 + (n1 al - n2 be) x - t0."""
+    p, q the midpoint offsets), and the T3 root, where the diameters along u1
+    and u2 are equal: n1 k1 = n2 k2 for S's diagonal k1 = lam (lam p^2 + al),
+    k2 = mu (mu q^2 + be) in u1, u2, over mu^2 t2 x^2 + (n1 al - n2 be) x = t0."""
     _, (x1, y1), (x2, y2), a, b, _ = dd
     n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
     p, q, al, be = 0.5 - a, 0.5 - b, a * (1.0 - a), b * (1.0 - b)
@@ -135,7 +123,7 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
     change, so by Descartes' rule H has exactly one critical point in the
     whole pencil, its maximum.  It lies in x < 1 where the quartic is
     negative at 1, and otherwise at 1 / y, y the root in (0, 1) of the
-    reversed quartic: one bracket from the T3 root (`_t3_root`), no margin."""
+    reversed quartic: one bracket from the T3 root, no margin."""
     crit, x3 = _critical_quartic(dd)
     at1, x = sum(crit), 1.0
     if at1 != 0.0:
@@ -151,8 +139,8 @@ def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse, in the quad's dual
     pencil.  A tangential quad's incircle, whose diameters along the two
     diagonals are equal, and an MDQ's optimum, parallelograms included, are
-    the T3 member (`_t3_root`); every other quad gets `min_ecc_numeric`'s
-    optimum.  A parallelogram's `r_star` is its v = 2r - 1.
+    the T3 member (`_critical_quartic`'s root); every other quad gets
+    `min_ecc_numeric`'s optimum.  A parallelogram's `r_star` is v = 2r - 1.
 
     The method reads two predicates at `tol`, through the functions
     `classify` itself calls: "incircle" if the quad is tangential
@@ -165,7 +153,7 @@ def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     type1, type2 = _mdq_types(dd.a, dd.b, tol)
     if tangential or type1 or type2:
         return tuple.__new__(MinEccResult, (  # skips __new__ and its field-count check
-            _at_ratio(quad, dd, _t3_root(dd)),
+            _at_ratio(quad, dd, _critical_quartic(dd)[1]),
             "incircle" if tangential else "alpha_closed_form"))
     return _numeric(quad, dd)
 
@@ -200,18 +188,9 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         return tuple.__new__(T3Report, (  # skips __new__ and its field-count check
             True, True, 0.0, 0.0, True, 0.0, 0.0))
 
-    # adj(S) = (a, b, c) = (Syy, -2 Sxy, Sxx), read with the pencil once
-    (c, b, a, det), d, dd = ie.shape, quad._diameter, quad._diagonals
-    b = -b
-    (x1, y1), (x2, y2) = dd.u1, dd.u2
-    # `t1_margin` on adj(S): the conjugate w of u1, then |sin| of w and u2
-    wx, wy = -(0.5 * b * x1 + c * y1), a * x1 + 0.5 * b * y1
-    if wx == 0.0 and wy == 0.0:
-        raise InEllipseError("degenerate quadratic part")
-    nw, n2 = math.hypot(wx, wy), math.hypot(x2, y2)
-    if nw == 0.0 or n2 == 0.0:
-        raise InEllipseError("zero direction")
-    par_margin = abs(wx / nw * (y2 / n2) - wy / nw * (x2 / n2))
+    adj, dd = ie.adjugate, quad._diagonals  # `t1_margin` on adj(S), with the kept pencil
+    par_margin = parallel_margin(conjugate_direction(adj, dd.u1), dd.u2)
+    (a, b, c), det, d, (x1, y1), (x2, y2) = adj, ie.shape[3], quad._diameter, dd.u1, dd.u2
     len1 = 4.0 * (x1 * x1 + y1 * y1) * det / (a * x1 * x1 + b * x1 * y1 + c * y1 * y1)
     len2 = 4.0 * (x2 * x2 + y2 * y2) * det / (a * x2 * x2 + b * x2 * y2 + c * y2 * y2)
     len_margin = abs(len1 - len2) / max(len1, len2)

@@ -12,7 +12,8 @@ and the pencil's weights at the S1 contact r (`_weights`) with the open
 interval check on a parameter (`check_unit_interval`), which `inscribe`
 does inline.
 The frame's region check, `f_values` and the type-1 root `alpha_root` stay
-in `inellipse.affine`, whose `normalize_to_qstvw` the CLI reads.
+in `inellipse.affine`, whose `normalize_to_qstvw` the CLI reads;
+`alpha_root_two_roots` is the oracle for that root.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import cmath
 import math
 from typing import NamedTuple
 
-from inellipse.affine import check_qstvw_region, f_values
+from inellipse.affine import alpha_coeffs, check_qstvw_region, f_values
 from inellipse.conic import ConicCoeffs, Direction, Point, scale_normalized
-from inellipse.errors import InEllipseError, ParamOutOfRegion
+from inellipse.errors import InEllipseError, NoRootInJ, ParamOutOfRegion
 from inellipse.family import _inscribed
+from inellipse.minecc import _bracket_root
 from inellipse.quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, canonicalize,
                             diagonals)
 
@@ -379,6 +381,30 @@ def N_factorization(s: float, t: float, v: float, w: float,
 def p_quartic(s: float, t: float, v: float, w: float) -> tuple[float, ...]:
     """Ascending coefficients (degree <= 4) of p = 2*M*O' - O*M'."""
     return EccFunctional(s, t, v, w).p_coeffs
+
+
+def alpha_root_two_roots(s: float, v: float, w: float) -> float:
+    """The type-1 root from both roots of the optimizer quadratic, keeping the
+    one in (0, 1), with `inellipse.affine.alpha_root`'s errors and bracketed
+    fallback: the oracle for that function, which takes only the root that
+    does not cancel."""
+    if not (s > 0.0 and v > 0.0):
+        raise ParamOutOfRegion("type-1 frame requires s, v > 0")
+    if not 2.0 * s - v > 0.0:
+        raise ParamOutOfRegion("type-1 frame requires 2s - v > 0")
+    a0, a1, a2 = alpha_coeffs(s, v, w)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        raise NoRootInJ("optimizer quadratic has no real root")
+    q = -0.5 * (a1 + math.sqrt(disc))
+    candidates = [q / a2, a0 / q] if a2 != 0.0 else [a0 / q]
+    in_j = [r for r in candidates if 0.0 < r < 1.0]
+    if len(in_j) == 1:
+        return in_j[0]
+    if a0 >= 0.0:
+        raise NoRootInJ("optimizer quadratic does not change sign on (0,1)")
+    return _bracket_root((a0, a1, a2, 0.0, 0.0), 0.0, 1.0, a0,
+                         s * (v * v + (w - 1.0) ** 2), 0.5)
 
 
 def closed_form_diameter_len_sq(s: float, v: float, w: float,

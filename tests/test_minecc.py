@@ -9,23 +9,24 @@ from inellipse.affine import alpha_coeffs, alpha_root, normalize_to_qstvw
 from inellipse.conic import geometry, scale_normalized
 from inellipse.diameters import parallel_margin
 from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
-from inellipse import minecc
+from inellipse import affine, minecc
 from inellipse.family import _at_ratio, inscribe
 from inellipse.minecc import (MinEccResult, min_ecc, min_ecc_numeric, verify_T3,
-                              _bracket_root, _critical_quartic, _t3_root)
+                              _bracket_root, _critical_quartic)
 from inellipse.quad import (CLASSIFY_TOL, canonicalize, classify, diagonals,
                             quadrilateral)
 
 from conics import center, diameter_endpoints, equal_conjugate_diameters, proportional
 from paper import (AffineMap, EccFunctional, G_value, N_factorization,
-                   closed_form_diameter_len_sq, p_quartic, qstvw_conic,
-                   similarity_map, square_inellipse_conic)
+                   alpha_root_two_roots, closed_form_diameter_len_sq, p_quartic,
+                   qstvw_conic, similarity_map, square_inellipse_conic)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_frame, random_kite, random_mdq_quad,
                       random_nonmdq_frame, random_parallelogram,
                       random_s1s3_trapezoid, random_similarity,
                       random_tangential_quad, random_type1_frame,
                       random_type2_frame)
+from test_fused import _t3_root
 from test_thin import MAKERS as THIN_MAKERS, RHOS as THIN_RHOS
 from conftest import (EXAMPLE_EQUAL_LEN_SQ, EXAMPLE_MIN_CONIC, EXAMPLE_R,
                       EXAMPLE_R_STAR, assert_inscribed, assert_on_open_segment,
@@ -100,7 +101,59 @@ class TestPQuartic:
         assert abs(val) <= 1e-7 * np.max(np.abs(coeffs))
 
 
+def _alpha_draws(rng, n):
+    """n (s, v, w) frames of each kind, in Python floats: log-uniform s, v in
+    1e-6..1e6; s = v (a2 = 0, alpha linear); v <= 0 and 2s - v <= 0 (outside
+    the region); v <= 1e-17 with w = 1 (the root rounds to 1); v in
+    1e-12..1e-6 with s near v / 2 and w near 1 (near a double root, where
+    the discriminant can round below 0); and (1e-200, 1e-200, -1), where
+    a0 = -0.0."""
+    def logu(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    def coin():
+        return rng.random() < 0.5
+    draws = []
+    for _ in range(n):
+        s, v, t = logu(-6, 6), logu(-6, 6), logu(-12, -6)
+        w = (-1.0 if coin() else 1.0) * logu(-6, 6)
+        draws += [(s, v, w), (s, s, w), (s, -v if coin() else 0.0, w),
+                  (s, 2.0 * s * (1.0 + logu(-16, 0) if coin() else 1.0), w),
+                  (s, logu(-30, -17), 1.0),
+                  (t / 2.0 * (1.0 + logu(-17, -1)), t,
+                   1.0 + rng.standard_normal() * logu(-17, -1))]
+    return draws + [(1e-200, 1e-200, -1.0)]
+
+
+def _alpha_outcome(fn, s, v, w):
+    try:
+        return repr(fn(s, v, w))
+    except Exception as exc:  # the type and message are compared
+        return (type(exc).__name__, str(exc))
+
+
 class TestAlphaRoot:
+    def test_is_the_two_root_form(self, monkeypatch):
+        # bit for bit, errors included, the bracketed fallback among them:
+        # the draws reach it where the root rounds to 1 or near a double root
+        reached = []
+
+        def counted(*args):
+            reached.append(args)
+            return _bracket_root(*args)
+        monkeypatch.setattr(affine, "_bracket_root", counted)
+        outcomes = set()
+        for s, v, w in _alpha_draws(np.random.default_rng(45), 5000):
+            got = _alpha_outcome(alpha_root, s, v, w)
+            assert got == _alpha_outcome(alpha_root_two_roots, s, v, w), (s, v, w)
+            outcomes.add(got if isinstance(got, tuple) else "root")
+        assert outcomes == {
+            "root", ("ParamOutOfRegion", "type-1 frame requires s, v > 0"),
+            ("ParamOutOfRegion", "type-1 frame requires 2s - v > 0"),
+            ("NoRootInJ", "optimizer quadratic has no real root"),
+            ("NoRootInJ", "optimizer quadratic does not change sign on (0,1)")}
+        assert reached
+
     def test_example_coefficients_exact(self):
         assert alpha_coeffs(8, 6, 2) == (-360.0, 492.0, 164.0)
 
@@ -516,7 +569,8 @@ class TestCertificate:
         for quad in quads:
             dd = diagonals(quad)
             crit, x3 = _critical_quartic(dd)
-            # the start shares the quartic's terms and is the T3 root, bit for bit
+            # the start shares the quartic's terms and is, bit for bit, the T3
+            # root of the tests' own copy of its quadratic
             assert x3 == _t3_root(dd)
             at1 = sum(crit)
             if at1 == 0.0:
