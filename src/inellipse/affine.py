@@ -104,6 +104,8 @@ def alpha_root(s: float, v: float, w: float) -> float:
     Valid for type-1 frames (t = s(w+1)/v); checks s, v > 0 and 2s - v > 0
     (f1 > 0), not t > w.  alpha(0) < 0 < alpha(1) guarantees the root.  On
     a parallelogram's frame s = v, and alpha is linear with root -a0/a1.
+    Where its discriminant rounds below 0 (a2 < 0, a near-double root at 1),
+    the root is 1 - y, y that of alpha(1 - y), whose discriminant does not cancel.
     """
     if not (s > 0.0 and v > 0.0):
         raise ParamOutOfRegion("type-1 frame requires s, v > 0")
@@ -112,8 +114,10 @@ def alpha_root(s: float, v: float, w: float) -> float:
     a0, a1, a2 = alpha_coeffs(s, v, w)
     try:  # a1 > 0: the root that does not cancel, whatever a2's sign
         r = _positive_root(a2, a1, -a0)
-    except ValueError:
-        raise NoRootInJ("optimizer quadratic has no real root") from None
+    except ValueError:  # alpha(1 - y) = alpha(1) - 2k (2s - v) y + a2 y^2
+        k = v * v + w * w + 1.0
+        y = _positive_root(-a2, 2.0 * k * (2.0 * s - v), s * (v * v + (w - 1.0) ** 2))
+        return min(1.0 - y, math.nextafter(1.0, 0.0))  # kept below 1 if it rounds to 1
     if 0.0 < r < 1.0:
         return r
     # ill-conditioned quadratic: bracket the sign change, alpha(1) = s (v^2 + (w-1)^2)

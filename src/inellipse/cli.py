@@ -24,9 +24,13 @@ takes: it loads the document, runs the command, adds the document's
 reads the quad's class classifies it once at the global `--tol`, and every
 decision it makes reads that one classification, or `min_ecc(quad, --tol)`'s
 two flags of it; `verify --theorem t1` and `t3` read none, and each `t3`
-trial classifies its moved quad at `--tol` instead.  `main` returns the exit
-code and may be called any number of times in one process; the argument
-parser is built on the first call and reused by later ones.
+trial classifies its moved quad at `--tol` instead.  One near-circle rule,
+the optimum's `EllipseGeometry.near_circle`, decides for `min-ecc` and
+`plot`: where it holds, `near_circle` is true, no `equal_conjugate_angle`
+or `diagonal_angle` is printed and no equal conjugate diameters are drawn;
+elsewhere both angles are printed and an MDQ's two diameters drawn.  `main`
+returns the exit code and may be called any number of times in one process;
+the argument parser is built on the first call and reused by later ones.
 """
 
 from __future__ import annotations
@@ -39,10 +43,8 @@ import random
 import sys
 
 from .affine import alpha_root, normalize_to_qstvw
-from .diameters import (CIRCLE_CUTOFF, check_T2, equal_diameter_pair,
-                        t1_margin)
-from .errors import (InEllipseError, IsCircle, NonConvexInput,
-                     ParamOutOfRegion)
+from .diameters import check_T2, equal_diameter_pair, t1_margin
+from .errors import InEllipseError, NonConvexInput, ParamOutOfRegion
 from .family import InscribedEllipse, inscribe
 from .minecc import min_ecc, verify_T3
 from .quad import (CLASSIFY_TOL, ClassificationReport, Quadrilateral,
@@ -147,12 +149,6 @@ def cmd_inscribe(quad: Quadrilateral, args: argparse.Namespace) -> dict:
             "ellipse": _ellipse_block(inscribe(quad, args.param))}
 
 
-def _diagonal_angle(quad: Quadrilateral) -> float:
-    # on the unit vectors, so that no length overflows or underflows
-    (ux, uy), (vx, vy) = quad._diagonal_units
-    return math.atan2(abs(ux * vy - uy * vx), abs(ux * vx + uy * vy))
-
-
 def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
     rep = classify(quad, args.tol)
     res = min_ecc(quad, args.tol)
@@ -168,12 +164,14 @@ def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
         },
     }
     # exploratory: compare the angle 2 atan(b/a) between the minimal ellipse's
-    # equal conjugate diameters (ambiguous on a circle) with the angle between
-    # the diagonals (reported for every quad; equal only for MDQs)
-    if geo.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
+    # equal conjugate diameters (left out where `near_circle` holds) with the
+    # angle between the diagonals, on their unit vectors (equal only for MDQs)
+    if not geo.near_circle:
+        (ux, uy), (vx, vy) = quad._diagonal_units
         out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
             math.sqrt(geo.axis_ratio_sq))
-        out["min_ecc"]["diagonal_angle"] = _diagonal_angle(quad)
+        out["min_ecc"]["diagonal_angle"] = math.atan2(abs(ux * vy - uy * vx),
+                                                      abs(ux * vx + uy * vy))
     if rep.mdq:
         t3 = verify_T3(res)
         out["verification"] = {
@@ -196,27 +194,16 @@ def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
     return out
 
 
-def _verify_t1_trial(quad: Quadrilateral, rep: None, rng, tol: float) -> dict:
+def _verify_t1_trial(quad: Quadrilateral, expected: None, rng, tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
     margin = t1_margin(quad, inscribe(quad, r).adjugate)  # no conic is built
     return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
 
 
-def _t2_expected_chords(rep: ClassificationReport) -> tuple[set, set] | None:
-    """The tangency chords that T2 makes parallel to d1 and to d2: those of
-    type 2 and those of type 1 (both on a parallelogram), or None when the
-    classified quad is not an MDQ."""
-    if not rep.mdq:
-        return None
-    return ({"q1q2", "q3q4"} if rep.mdq_type2 else set(),
-            {"q2q3", "q1q4"} if rep.mdq_type1 else set())
-
-
-def _verify_t2_trial(quad: Quadrilateral, rep: ClassificationReport, rng,
+def _verify_t2_trial(quad: Quadrilateral, expected: tuple[set, set] | None, rng,
                      tol: float) -> dict:
     r = rng.uniform(0.02, 0.98)
     t2 = check_T2(quad, inscribe(quad, r), tol)
-    expected = _t2_expected_chords(rep)
     if expected is None:
         margin = min(min(t2.margins_d1.values()), min(t2.margins_d2.values()))
         return {"param": r, "margin": margin, "passed": False}
@@ -246,7 +233,7 @@ def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
                          for x, y in quad.vertices])
 
 
-def _verify_t3_trial(quad: Quadrilateral, rep: None, rng, tol: float) -> dict:
+def _verify_t3_trial(quad: Quadrilateral, expected: None, rng, tol: float) -> dict:
     # the quad's own class says nothing of the moved quad's
     moved = _similar_quad(quad, rng)
     moved_rep = classify(moved, tol)
@@ -264,9 +251,14 @@ def cmd_verify(quad: Quadrilateral, args: argparse.Namespace) -> dict:
         raise _CliError(EXIT_PARSE, "--seed must be >= 0")
     runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
               "t3": _verify_t3_trial}[args.theorem]
-    # only T2's trials read the input quad's class
-    rep = classify(quad, args.tol) if args.theorem == "t2" else None
-    results = [runner(quad, rep, random.Random(args.seed + i), args.tol)
+    # only T2's trials read the input quad's class, once per run: the tangency
+    # chords T2 makes parallel to d1 and to d2, those of type 2 and those of
+    # type 1 (both on a parallelogram), or None when it is not an MDQ
+    expected = None
+    if args.theorem == "t2" and (rep := classify(quad, args.tol)).mdq:
+        expected = ({"q1q2", "q3q4"} if rep.mdq_type2 else set(),
+                    {"q2q3", "q1q4"} if rep.mdq_type1 else set())
+    results = [runner(quad, expected, random.Random(args.seed + i), args.tol)
                for i in range(args.trials)]
     margins = [r["margin"] for r in results if r["margin"] is not None]
     return {
@@ -302,13 +294,12 @@ def cmd_plot(quad: Quadrilateral, args: argparse.Namespace) -> None:
         for p in ie.tangency:
             fig.add_marker(p, "tangency", "fill:#2ca02c")
     if classify(quad, args.tol).mdq:
-        try:
-            pair = equal_diameter_pair(min_ecc(quad, args.tol).ellipse.geometry)
+        geo = min_ecc(quad, args.tol).ellipse.geometry
+        if not geo.near_circle:  # where `equal_diameter_pair` raises IsCircle
+            pair = equal_diameter_pair(geo)
             style = "stroke:#9467bd;stroke-width:1.5"
             fig.add_segment(*pair.endpoints1, "diameter", style)
             fig.add_segment(*pair.endpoints2, "diameter", style)
-        except IsCircle:
-            pass
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(fig.render())

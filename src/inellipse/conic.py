@@ -22,6 +22,9 @@ from .errors import InEllipseError
 Point = tuple[float, float]
 Direction = tuple[float, float]
 
+#: below this eccentricity an ellipse is treated as a circle
+NEAR_CIRCLE_ECC = 1e-6
+
 
 class ConicCoeffs(NamedTuple):
     a: float
@@ -39,6 +42,12 @@ class EllipseGeometry(NamedTuple):
     eccentricity: float
     major_axis_direction: Direction
     axis_ratio_sq: float  # (semi_minor / semi_major)^2 = 1 - eccentricity^2
+
+    @property
+    def near_circle(self) -> bool:
+        """The package's one near-circle rule, which `verify_T3`,
+        `equal_diameter_pair` and the CLI read: eccentricity below 1e-6."""
+        return self.eccentricity < NEAR_CIRCLE_ECC
 
 
 def scale_normalized(conic: ConicCoeffs) -> ConicCoeffs:

@@ -19,9 +19,6 @@ from .quad import Quadrilateral, diagonals
 
 PARALLEL_TOL = 1e-9
 
-#: axis ratio above which an ellipse is treated as a circle
-CIRCLE_CUTOFF = 1.0 - 1e-9
-
 
 class DiameterPair(NamedTuple):
     dir1: Direction
@@ -79,10 +76,11 @@ def equal_diameter_pair(geo: EllipseGeometry) -> DiameterPair:
     """The unique conjugate diameter pair of equal length of an ellipse.
 
     The directions are a*u_major +/- b*u_minor for semi-axes a, b; both
-    diameters have squared length 2(a^2 + b^2).  Circles are rejected as
-    every perpendicular pair would qualify.
+    diameters have squared length 2(a^2 + b^2).  It raises `IsCircle` where
+    `geo.near_circle`, as every perpendicular pair would qualify; elsewhere
+    the pair is conjugate on `geo`, its direction good to about eps / ecc^2.
     """
-    if geo.axis_ratio_sq > CIRCLE_CUTOFF ** 2:
+    if geo.near_circle:
         raise IsCircle("equal conjugate diameters of a circle are ambiguous")
     ux, uy = geo.major_axis_direction
     vx, vy = -uy, ux

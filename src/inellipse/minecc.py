@@ -26,8 +26,6 @@ from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
                    diagonals, _mdq_types, _tangential)
 
-#: below this eccentricity the minimal ellipse is reported as a circle
-NEAR_CIRCLE_ECC = 1e-6
 #: `_bracket_root`'s last step, relative to x: 4 eps, a power of two
 _STEP_TOL = 4.0 * sys.float_info.epsilon
 
@@ -174,9 +172,9 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
     ellipse's D1-parallel diameter is parallel to D2, on adj(S), and that
     the two diameters have equal squared length 4 |u|^2 det S /
     (u' adj(S) u), from the result's own shape S at unit scale, with no
-    conic.  Near-circular optima (eccentricity below 1e-6) are reported as
-    vacuously true with the `near_circle` flag, as equal conjugate diameters
-    degenerate there."""
+    conic.  An optimum that is `EllipseGeometry.near_circle` (the rule the
+    CLI and `equal_diameter_pair` read too) passes vacuously, flagged
+    `near_circle`, as equal conjugate diameters degenerate there."""
     if isinstance(quad, MinEccResult):
         res, quad = quad, quad.ellipse.quad
     else:
@@ -184,7 +182,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
             raise NotMDQ("quad is not a midpoint diagonal quadrilateral")
         res = min_ecc(quad)
     ie = res.ellipse
-    if ie.geometry.eccentricity < NEAR_CIRCLE_ECC:
+    if ie.geometry.near_circle:
         return tuple.__new__(T3Report, (  # skips __new__ and its field-count check
             True, True, 0.0, 0.0, True, 0.0, 0.0))
 

@@ -12,7 +12,6 @@ import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, geometry
-from inellipse.diameters import CIRCLE_CUTOFF
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
 from inellipse.minecc import verify_T3
@@ -316,7 +315,7 @@ def _list_built_report(q, label=None, tol=1e-9):
         "min_ecc": {"r_star": res.r_star, "method": res.method,
                     "eccentricity": geo.eccentricity, "axis_ratio_sq": geo.axis_ratio_sq},
     }
-    if geo.axis_ratio_sq <= CIRCLE_CUTOFF ** 2:
+    if not geo.near_circle:
         (ux, uy), (vx, vy) = q._diagonal_units
         out["min_ecc"]["equal_conjugate_angle"] = 2.0 * math.atan(
             math.sqrt(geo.axis_ratio_sq))
@@ -841,6 +840,52 @@ class TestPlot:
     def test_unwritable_exit_5(self, example_file):
         assert main(["plot", "--params", "0.5",
                      "--out", "/nonexistent-dir/x.svg", example_file]) == 5
+
+
+def _near_kite(theta):
+    """An MDQ whose diagonals are theta rad from perpendicular, A2A4 bisected
+    at P = 0: A1 = (-0.3, 0), A3 = (0.7, 0), A2 and A4 = -+0.35 (cos phi,
+    sin phi), phi = pi/2 - theta.  Its optimum's eccentricity is about
+    1.4e-6 at theta = 1e-12 and 3.2e-5 at 5e-10."""
+    c, s = math.cos(math.pi / 2 - theta), math.sin(math.pi / 2 - theta)
+    return [[-0.3, 0.0], [-0.35 * c, -0.35 * s], [0.7, 0.0], [0.35 * c, 0.35 * s]]
+
+
+class TestNearCircleRule:
+    """`verify_T3`, the min-ecc report and the plot read one near-circle rule:
+    `verification.near_circle` is false exactly where the report prints the
+    equal conjugate angle and the plot draws the two equal diameters."""
+
+    @pytest.mark.parametrize("vertices, near_circle", [
+        *[(_near_kite(theta), False) for theta in (1e-12, 1e-11, 1e-10, 5e-10)],
+        ([[0, 0], [0, 1], [1, 1], [1, 0]], True), ([[0, 0], [-1, 2], [0, 5], [1, 2]], True)],
+        ids=["theta_1e-12", "theta_1e-11", "theta_1e-10", "theta_5e-10", "square", "kite"])
+    def test_report_and_plot_agree_with_verify_T3(self, capsys, tmp_path, vertices,
+                                                  near_circle):
+        path, svg = tmp_path / "quad.json", tmp_path / "fig.svg"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, doc = run_json(capsys, ["min-ecc", str(path)])
+        assert code == 0
+        ver, block = doc["verification"], doc["min_ecc"]
+        assert ver["near_circle"] is near_circle
+        assert ver["t3_parallel"] and ver["t3_equal_lengths"]
+        assert ("equal_conjugate_angle" in block) is not near_circle
+        assert ("diagonal_angle" in block) is not near_circle
+        t3 = verify_T3(minecc.min_ecc(canonicalize(vertices)))
+        assert (t3.near_circle, t3.parallel, t3.equal_len) == (near_circle, True, True)
+        assert main(["plot", "--out", str(svg), str(path)]) == 0
+        assert svg.read_text().count('class="diameter"') == (0 if near_circle else 2)
+
+    def test_band_angles_are_the_diagonals(self, capsys, tmp_path):
+        # on an MDQ the equal conjugate diameters lie along the diagonals: the
+        # angle 2 atan(b/a) resolves theta in the band, as b/a = 1 - theta
+        path = tmp_path / "quad.json"
+        for theta in (1e-12, 1e-11, 1e-10, 5e-10):
+            path.write_text(json.dumps({"vertices": _near_kite(theta)}))
+            block = run_json(capsys, ["min-ecc", str(path)])[1]["min_ecc"]
+            assert block["diagonal_angle"] == pytest.approx(math.pi / 2 - theta, abs=1e-15)
+            assert block["equal_conjugate_angle"] == pytest.approx(
+                block["diagonal_angle"], abs=1e-15)
 
 
 class TestParserReuse:

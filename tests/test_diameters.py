@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from inellipse.conic import ConicCoeffs
-from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
-                                 slope_of, t1_margin, tangency_chords)
+from inellipse.conic import NEAR_CIRCLE_ECC, ConicCoeffs, shape_geometry
+from inellipse.diameters import (check_T2, conjugate_direction, equal_diameter_pair,
+                                 parallel_margin, slope_of, t1_margin, tangency_chords)
 from inellipse.errors import InEllipseError, IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
@@ -18,6 +18,19 @@ from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
 from conftest import EXAMPLE_CONIC, EXAMPLE_R, assert_points_close
 
 UNIT_CIRCLE = ConicCoeffs(1, 0, 1, 0, 0, -1)
+
+
+def _assert_conjugate_and_equal(pair, a, b, c):
+    """`pair` is conjugate for the quadratic part (a, b, c), and its two
+    diameters, measured between their endpoints, have its equal length."""
+    u, v = pair.dir1, pair.dir2
+    form = a * u[0] * v[0] + 0.5 * b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
+    scale = max(abs(a), abs(b), abs(c)) * math.hypot(*u) * math.hypot(*v)
+    assert abs(form) <= 1e-9 * scale
+    l1 = math.dist(*pair.endpoints1) ** 2
+    l2 = math.dist(*pair.endpoints2) ** 2
+    assert l1 == pytest.approx(pair.len1_sq, rel=1e-9)
+    assert l2 == pytest.approx(l1, rel=1e-9)
 
 
 class TestConjugateDirection:
@@ -80,17 +93,7 @@ class TestEqualConjugateDiameters:
         rng = np.random.default_rng(31)
         for _ in range(100):
             conic = random_ellipse(rng)
-            pair = equal_conjugate_diameters(conic)
-            a, b, c, *_ = conic
-            u, v = pair.dir1, pair.dir2
-            form = (a * u[0] * v[0] + 0.5 * b * (u[0] * v[1] + u[1] * v[0])
-                    + c * u[1] * v[1])
-            scale = max(abs(a), abs(b), abs(c)) * math.hypot(*u) * math.hypot(*v)
-            assert abs(form) <= 1e-9 * scale
-            l1 = math.dist(*pair.endpoints1) ** 2
-            l2 = math.dist(*pair.endpoints2) ** 2
-            assert l1 == pytest.approx(pair.len1_sq, rel=1e-9)
-            assert l2 == pytest.approx(l1, rel=1e-9)
+            _assert_conjugate_and_equal(equal_conjugate_diameters(conic), *conic[:3])
 
     def test_uniqueness_by_direction_sweep(self):
         rng = np.random.default_rng(32)
@@ -111,6 +114,40 @@ class TestEqualConjugateDiameters:
             wraps = 1 if np.sign(f[0]) * np.sign(f[-1]) < 0 else 0
             # the unordered equal pair is hit twice per half-turn
             assert sign_changes + wraps == 2
+
+
+def _near_circle_shape(ecc, angle):
+    """(Sxx, 2 Sxy, Syy, det S) of the ellipse x' S^-1 x = 1 with semi-axes 1
+    and sqrt(1 - ecc^2), its major axis at `angle`."""
+    k, c, s = 1.0 - ecc * ecc, math.cos(angle), math.sin(angle)
+    return (c * c + k * s * s, 2.0 * (1.0 - k) * c * s, s * s + k * c * c, k)
+
+
+class TestEqualDiameterPairThreshold:
+    """Either side of the one near-circle rule, `EllipseGeometry.near_circle`."""
+
+    ANGLES = (0.0, 0.3, 1.0, 2.5, -0.7)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_just_inside_raises(self, angle):
+        geo = shape_geometry((0.0, 0.0), _near_circle_shape(0.99 * NEAR_CIRCLE_ECC, angle))
+        assert geo.near_circle
+        with pytest.raises(IsCircle):
+            equal_diameter_pair(geo)
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_just_outside_is_conjugate_and_equal(self, angle):
+        # on the pair's own ellipse: conjugate for its quadratic part adj(S),
+        # with its endpoints on it
+        shape = _near_circle_shape(1.01 * NEAR_CIRCLE_ECC, angle)
+        geo = shape_geometry((0.5, -2.0), shape)
+        assert not geo.near_circle
+        pair = equal_diameter_pair(geo)
+        a, b, c = shape[2], -shape[1], shape[0]
+        _assert_conjugate_and_equal(pair, a, b, c)
+        for x, y in pair.endpoints1 + pair.endpoints2:
+            x, y = x - 0.5, y + 2.0
+            assert (a * x * x + b * x * y + c * y * y) / shape[3] == pytest.approx(1.0, rel=1e-9)
 
 
 class TestChordMidpointLaw:

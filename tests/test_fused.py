@@ -26,12 +26,13 @@ import numpy as np
 import pytest
 
 from inellipse.affine import normalize_to_qstvw
-from inellipse.conic import ConicCoeffs, geometry, scale_normalized, shape_geometry
+from inellipse.conic import (NEAR_CIRCLE_ECC, ConicCoeffs, geometry, scale_normalized,
+                             shape_geometry)
 from inellipse.diameters import check_T2, t1_margin, tangency_chords
 from inellipse.errors import InEllipseError, NonConvexInput, NotMDQ
 from inellipse.family import InscribedEllipse, _at_ratio, _inscribed, inscribe
-from inellipse.minecc import (NEAR_CIRCLE_ECC, MinEccResult, T3Report, _positive_root,
-                              min_ecc, min_ecc_numeric, verify_T3)
+from inellipse.minecc import (MinEccResult, T3Report, _positive_root, min_ecc,
+                              min_ecc_numeric, verify_T3)
 from inellipse.quad import (Quadrilateral, _convex, canonicalize, classify, diagonals,
                             quadrilateral)
 

@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from inellipse.affine import alpha_coeffs, alpha_root, normalize_to_qstvw
+from inellipse.affine import (alpha_coeffs, alpha_root, check_qstvw_region,
+                              normalize_to_qstvw)
 from inellipse.conic import geometry, scale_normalized
 from inellipse.diameters import parallel_margin
-from inellipse.errors import NonConvexInput, NotMDQ, ParamOutOfRegion
+from inellipse.errors import NoRootInJ, NonConvexInput, NotMDQ, ParamOutOfRegion
 from inellipse import affine, minecc
 from inellipse.family import _at_ratio, inscribe
 from inellipse.minecc import (MinEccResult, min_ecc, min_ecc_numeric, verify_T3,
@@ -132,11 +134,32 @@ def _alpha_outcome(fn, s, v, w):
         return (type(exc).__name__, str(exc))
 
 
+NO_REAL_ROOT = ("NoRootInJ", "optimizer quadratic has no real root")
+
+
+def _exact_alpha(s, v, w, r):
+    """alpha(r) of the float inputs in exact rational arithmetic."""
+    s, v, w, r = map(Fraction, (s, v, w, r))
+    k = v * v + w * w + 1
+    return 2 * (s - v) * k * r * r + 2 * v * k * r - s * (v * v + (w + 1) ** 2)
+
+
+def _assert_root_brackets_the_sign_change(s, v, w, r):
+    # alpha(0) < 0 < alpha(1): the exact alpha changes sign within one float
+    # step of r on either side
+    assert 0.0 < r < 1.0
+    assert (_exact_alpha(s, v, w, math.nextafter(r, 0.0)) < 0
+            < _exact_alpha(s, v, w, math.nextafter(r, 1.0)))
+
+
 class TestAlphaRoot:
     def test_is_the_two_root_form(self, monkeypatch):
-        # bit for bit, errors included, the bracketed fallback among them:
-        # the draws reach it where the root rounds to 1 or near a double root
-        reached = []
+        # bit for bit, errors included, the bracketed fallback among them,
+        # which the draws reach where the root rounds to 1 or near a double
+        # root; where the two-root form's discriminant rounds below 0 (near a
+        # double root at 1), alpha_root returns a root where the exact alpha
+        # changes sign
+        reached, near_double = [], 0
 
         def counted(*args):
             reached.append(args)
@@ -144,15 +167,30 @@ class TestAlphaRoot:
         monkeypatch.setattr(affine, "_bracket_root", counted)
         outcomes = set()
         for s, v, w in _alpha_draws(np.random.default_rng(45), 5000):
+            want = _alpha_outcome(alpha_root_two_roots, s, v, w)
+            if want == NO_REAL_ROOT:
+                _assert_root_brackets_the_sign_change(s, v, w, alpha_root(s, v, w))
+                near_double += 1
+                continue
             got = _alpha_outcome(alpha_root, s, v, w)
-            assert got == _alpha_outcome(alpha_root_two_roots, s, v, w), (s, v, w)
+            assert got == want, (s, v, w)
             outcomes.add(got if isinstance(got, tuple) else "root")
         assert outcomes == {
             "root", ("ParamOutOfRegion", "type-1 frame requires s, v > 0"),
             ("ParamOutOfRegion", "type-1 frame requires 2s - v > 0"),
-            ("NoRootInJ", "optimizer quadratic has no real root"),
             ("NoRootInJ", "optimizer quadratic does not change sign on (0,1)")}
-        assert reached
+        assert reached and near_double
+
+    def test_admissible_frame_whose_discriminant_rounds_below_zero(self):
+        # near a double root at 1 the two-root form found no real root
+        s, t, v, w = (1.2398197809514492e-09, 1.0000000000341664,
+                      2.4796395618181778e-09, 0.9999999999999999)
+        check_qstvw_region(s, t, v, w)
+        a0, a1, a2 = alpha_coeffs(s, v, w)
+        assert a1 * a1 - 4.0 * a2 * a0 < 0.0
+        with pytest.raises(NoRootInJ, match="no real root"):
+            alpha_root_two_roots(s, v, w)
+        _assert_root_brackets_the_sign_change(s, v, w, alpha_root(s, v, w))
 
     def test_example_coefficients_exact(self):
         assert alpha_coeffs(8, 6, 2) == (-360.0, 492.0, 164.0)
