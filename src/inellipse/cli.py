@@ -7,25 +7,25 @@ Subcommands:
     classify                   full classification report
     inscribe --param R         inscribe the family member at R
     min-ecc                    minimal-eccentricity ellipse + verification
-    verify --theorem T         sampled theorem checks (t1 | t2 | t3)
+    verify --theorem T         theorem verdict (t1 | t2 | t3)
     plot --params R1,R2 --out  SVG figure
 
 Exit codes: 0 success, 1 any other library error (`InEllipseError`), 2
 parse error (including input that is not UTF-8 JSON, a coordinate that is
-not a JSON number, a non-numeric `--params` entry, `--trials` below 1, a
-negative `--seed` and a `--tol` that is not finite or is negative), 3
-non-convex input (a coordinate beyond the float range included), 4
-parameter out of range, 5 unwritable output path.  A failure prints one
-`error: ...` line on stderr and nothing on stdout.
+not a JSON number, a non-numeric `--params` entry and a `--tol` that is not
+finite or is negative), 3 non-convex input (a coordinate beyond the float
+range included), 4 parameter out of range, 5 unwritable output path.  A
+failure prints one `error: ...` line on stderr and nothing on stdout.
 
 `main(argv)` is the in-process entry point and the one path every command
 takes: it loads the document, runs the command, adds the document's
 `label`, maps library errors to exit codes and serializes.  A command that
 reads the quad's class classifies it once at the global `--tol`, and every
 decision it makes reads that one classification, or `min_ecc(quad, --tol)`'s
-two flags of it; `verify --theorem t1` and `t3` read none, and each `t3`
-trial classifies its moved quad at `--tol` instead.  One near-circle rule,
-the optimum's `EllipseGeometry.near_circle`, decides for `min-ecc` and
+two flags of it; `verify` answers T1 and T2 from the quad's midpoint
+defects |1/2 - a| and |1/2 - b|, which every member's margins carry as a
+factor, and T3 from `verify_T3` on `min_ecc(quad, --tol)`.  One near-circle
+rule, the optimum's `EllipseGeometry.near_circle`, decides for `min-ecc` and
 `plot`: where it holds, `near_circle` is true, no `equal_conjugate_angle`
 or `diagonal_angle` is printed and no equal conjugate diameters are drawn;
 elsewhere both angles are printed and an MDQ's two diameters drawn.  `main`
@@ -39,11 +39,10 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 
 from .affine import alpha_root, normalize_to_qstvw
-from .diameters import check_T2, equal_diameter_pair, t1_margin
+from .diameters import equal_diameter_pair
 from .errors import InEllipseError, NonConvexInput, ParamOutOfRegion
 from .family import InscribedEllipse, inscribe
 from .minecc import min_ecc, verify_T3
@@ -194,82 +193,30 @@ def cmd_min_ecc(quad: Quadrilateral, args: argparse.Namespace) -> dict:
     return out
 
 
-def _verify_t1_trial(quad: Quadrilateral, expected: None, rng, tol: float) -> dict:
-    r = rng.uniform(0.02, 0.98)
-    margin = t1_margin(quad, inscribe(quad, r).adjugate)  # no conic is built
-    return {"param": r, "margin": margin, "passed": bool(margin <= tol)}
-
-
-def _verify_t2_trial(quad: Quadrilateral, expected: tuple[set, set] | None, rng,
-                     tol: float) -> dict:
-    r = rng.uniform(0.02, 0.98)
-    t2 = check_T2(quad, inscribe(quad, r), tol)
-    if expected is None:
-        margin = min(min(t2.margins_d1.values()), min(t2.margins_d2.values()))
-        return {"param": r, "margin": margin, "passed": False}
-    expected1, expected2 = expected
-    ok = expected1 <= t2.parallel_to_d1 and expected2 <= t2.parallel_to_d2
-    margins = ([t2.margins_d1[n] for n in expected1]
-               + [t2.margins_d2[n] for n in expected2])
-    return {"param": r, "margin": max(margins), "passed": bool(ok)}
-
-
-def _similar_quad(quad: Quadrilateral, rng) -> Quadrilateral:
-    """`quad` rotated and scaled by 0.3 to 3 about A1, with A1 moved to within
-    5 diameters of the origin: built from the edges out of A1, so that the
-    copy carries rounding at the quad's scale, wherever the quad lies.  A quad
-    wider than 1/16 of the float range is moved and scaled as one that wide,
-    so that the copy, within 11 such widths of the origin, stays in range."""
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    d = quad.diameter()
-    shrink = min(1.0, sys.float_info.max / 16.0 / d)
-    k = math.exp(rng.uniform(math.log(0.3), math.log(3.0))) * shrink
-    d *= shrink
-    tx, ty = rng.uniform(-5.0, 5.0) * d, rng.uniform(-5.0, 5.0) * d
-    c, s = math.cos(angle) * k, math.sin(angle) * k
-    ox, oy = quad.a1
-    return canonicalize([(c * (x - ox) - s * (y - oy) + tx,
-                          s * (x - ox) + c * (y - oy) + ty)
-                         for x, y in quad.vertices])
-
-
-def _verify_t3_trial(quad: Quadrilateral, expected: None, rng, tol: float) -> dict:
-    # the quad's own class says nothing of the moved quad's
-    moved = _similar_quad(quad, rng)
-    moved_rep = classify(moved, tol)
-    if not moved_rep.mdq:
-        return {"margin": None, "passed": False, "reason": "not an MDQ"}
-    t3 = verify_T3(min_ecc(moved, tol), tol=max(tol, 1e-7))
-    margin = max(t3.parallel_margin, t3.length_margin)
-    return {"margin": margin, "passed": bool(t3.parallel and t3.equal_len)}
-
-
 def cmd_verify(quad: Quadrilateral, args: argparse.Namespace) -> dict:
-    if args.trials < 1:
-        raise _CliError(EXIT_PARSE, "--trials must be >= 1")
-    if args.seed < 0:
-        raise _CliError(EXIT_PARSE, "--seed must be >= 0")
-    runner = {"t1": _verify_t1_trial, "t2": _verify_t2_trial,
-              "t3": _verify_t3_trial}[args.theorem]
-    # only T2's trials read the input quad's class, once per run: the tangency
-    # chords T2 makes parallel to d1 and to d2, those of type 2 and those of
-    # type 1 (both on a parallelogram), or None when it is not an MDQ
-    expected = None
-    if args.theorem == "t2" and (rep := classify(quad, args.tol)).mdq:
-        expected = ({"q1q2", "q3q4"} if rep.mdq_type2 else set(),
-                    {"q2q3", "q1q4"} if rep.mdq_type1 else set())
-    results = [runner(quad, expected, random.Random(args.seed + i), args.tol)
-               for i in range(args.trials)]
-    margins = [r["margin"] for r in results if r["margin"] is not None]
-    return {
-        "theorem": args.theorem,
-        "trials": args.trials,
-        "seed": args.seed,
-        "passes": sum(1 for r in results if r["passed"]),
-        "failures": sum(1 for r in results if not r["passed"]),
-        "worst_margin": max(margins) if margins else None,
-        "per_trial": results,
-    }
+    # one answer for every member at once: in the pencil, D1's conjugate
+    # crossed with D2 carries the factor p q, and a tangency chord crossed
+    # with D1 (D2) carries p (q), p = 1/2 - a and q = 1/2 - b, so T1 and T2
+    # hold on every member exactly where the quad is an MDQ
+    rep = classify(quad, args.tol)
+    out = {"theorem": args.theorem, "holds": rep.mdq}
+    if args.theorem == "t3":
+        if not rep.mdq:
+            out["reason"] = "not an MDQ"
+            return out
+        t3 = verify_T3(min_ecc(quad, args.tol), tol=max(args.tol, 1e-7))
+        out.update(holds=t3.parallel and t3.equal_len, near_circle=t3.near_circle,
+                   parallel_margin=t3.parallel_margin, length_margin=t3.length_margin)
+        return out
+    dd = quad._diagonals
+    defect1, defect2 = abs(0.5 - dd.a), abs(0.5 - dd.b)
+    if args.theorem == "t1":
+        out["defect"] = min(defect1, defect2)
+    else:
+        out.update(defect_d1=defect1, defect_d2=defect2,
+                   parallel_to_d1=["q1q2", "q3q4"] if rep.mdq_type2 else [],
+                   parallel_to_d2=["q2q3", "q1q4"] if rep.mdq_type1 else [])
+    return out
 
 
 def cmd_plot(quad: Quadrilateral, args: argparse.Namespace) -> None:
@@ -338,11 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-ecc", help="minimal-eccentricity ellipse")
     add_input(p)
 
-    p = sub.add_parser("verify", help="sampled theorem verification")
+    p = sub.add_parser("verify", help="theorem verdict from the midpoint defects")
     add_input(p)
     p.add_argument("--theorem", choices=("t1", "t2", "t3"), required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("plot", help="render an SVG figure")
     add_input(p)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 from .conic import Direction, EllipseGeometry, Point
 from .errors import InEllipseError, IsCircle
 from .family import InscribedEllipse
-from .quad import Quadrilateral, diagonals
+from .quad import Quadrilateral
 
 PARALLEL_TOL = 1e-9
 
@@ -133,9 +133,3 @@ def check_T2(quad: Quadrilateral, ie: InscribedEllipse,
             par2.append(name)
     return tuple.__new__(T2Report, (  # skips __new__ and its field-count check
         frozenset(par1), frozenset(par2), margins_d1, margins_d2))
-
-
-def t1_margin(quad: Quadrilateral, conic: tuple) -> float:
-    """Angle margin between conj(direction of D1) and the direction of D2."""
-    dd = diagonals(quad)  # at unit scale, where no product of u1, u2 underflows
-    return parallel_margin(conjugate_direction(conic, dd.u1), dd.u2)

@@ -186,7 +186,7 @@ def verify_T3(quad: Quadrilateral | MinEccResult, tol: float = 1e-7) -> T3Report
         return tuple.__new__(T3Report, (  # skips __new__ and its field-count check
             True, True, 0.0, 0.0, True, 0.0, 0.0))
 
-    adj, dd = ie.adjugate, quad._diagonals  # `t1_margin` on adj(S), with the kept pencil
+    adj, dd = ie.adjugate, quad._diagonals  # conj(u1) against u2 on adj(S), kept pencil
     par_margin = parallel_margin(conjugate_direction(adj, dd.u1), dd.u2)
     (a, b, c), det, d, (x1, y1), (x2, y2) = adj, ie.shape[3], quad._diameter, dd.u1, dd.u2
     len1 = 4.0 * (x1 * x1 + y1 * y1) * det / (a * x1 * x1 + b * x1 * y1 + c * y1 * y1)

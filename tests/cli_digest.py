@@ -38,9 +38,9 @@ COMMANDS = (
     ["min-ecc", "-"],
     ["--tol", "1e-5", "min-ecc", "-"],
     ["--tol", "0", "min-ecc", "-"],
-    ["verify", "-", "--theorem", "t1", "--trials", "2"],
-    ["verify", "-", "--theorem", "t2", "--trials", "2"],
-    ["verify", "-", "--theorem", "t3", "--trials", "2"],
+    ["verify", "-", "--theorem", "t1"],
+    ["verify", "-", "--theorem", "t2"],
+    ["verify", "-", "--theorem", "t3"],
 )
 
 

@@ -7,11 +7,11 @@ A conic is the coefficient sextuple (a, b, c, d, e, f) of
 meaningful only up to a nonzero scalar: its sign normalization,
 discriminants and ellipse test, its centre, residual and gradient, its
 intersections with a line and proportionality of two sextuples, and, on
-top of them, a conic's diameters and the T1 check.  The package builds
-every member as (c, S) in the quad's dual pencil and reads none of these;
-`inellipse.conic` keeps the coefficient records, `scale_normalized` for
-the CLI's JSON and `geometry(conic)`, and `inellipse.diameters` keeps the
-pieces the CLI and the solvers read.
+top of them, a conic's diameters and the T1 margin and check.  The package
+builds every member as (c, S) in the quad's dual pencil and reads none of
+these; `inellipse.conic` keeps the coefficient records, `scale_normalized`
+for the CLI's JSON and `geometry(conic)`, and `inellipse.diameters` keeps
+the pieces the CLI and the solvers read.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 
 from inellipse.conic import ConicCoeffs, Direction, Point, geometry
-from inellipse.diameters import (PARALLEL_TOL, DiameterPair, equal_diameter_pair,
-                                 t1_margin)
+from inellipse.diameters import (PARALLEL_TOL, DiameterPair, conjugate_direction,
+                                 equal_diameter_pair, parallel_margin)
 from inellipse.errors import InEllipseError
-from inellipse.quad import Quadrilateral
+from inellipse.quad import Quadrilateral, diagonals
 
 #: relative discriminant tolerance used to flag a double root in line_intersect
 TANGENT_TOL = 1e-9
@@ -153,6 +153,13 @@ def equal_conjugate_diameters(conic: ConicCoeffs) -> DiameterPair:
     if not is_ellipse(conic):
         raise InEllipseError("equal conjugate diameters require an ellipse")
     return equal_diameter_pair(geometry(conic))
+
+
+def t1_margin(quad: Quadrilateral, conic: tuple) -> float:
+    """Angle margin between conj(direction of D1) and the direction of D2.
+    Only the quadratic part is read, so adj(S) serves as well as a conic."""
+    dd = diagonals(quad)  # at unit scale, where no product of u1, u2 underflows
+    return parallel_margin(conjugate_direction(conic, dd.u1), dd.u2)
 
 
 def check_T1(quad: Quadrilateral, conic: tuple, tol: float = PARALLEL_TOL) -> bool:

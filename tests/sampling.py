@@ -9,6 +9,7 @@ since downstream property checks assert tight numeric tolerances.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -111,6 +112,25 @@ def random_similarity(rng: np.random.Generator) -> AffineMap:
     m = rotation(rng.uniform(0.0, 2.0 * math.pi)).compose(
         scaling(math.exp(rng.uniform(math.log(0.3), math.log(3.0)))))
     return translation(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)).compose(m)
+
+
+def similar_quad(quad: Quadrilateral, rng: np.random.Generator) -> Quadrilateral:
+    """`quad` rotated and scaled by 0.3 to 3 about A1, with A1 moved to within
+    5 diameters of the origin: built from the edges out of A1, so that the
+    copy carries rounding at the quad's scale, wherever the quad lies.  A quad
+    wider than 1/16 of the float range is moved and scaled as one that wide,
+    so that the copy, within 11 such widths of the origin, stays in range."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    d = quad.diameter()
+    shrink = min(1.0, sys.float_info.max / 16.0 / d)
+    k = math.exp(rng.uniform(math.log(0.3), math.log(3.0))) * shrink
+    d *= shrink
+    tx, ty = rng.uniform(-5.0, 5.0) * d, rng.uniform(-5.0, 5.0) * d
+    c, s = math.cos(angle) * k, math.sin(angle) * k
+    ox, oy = quad.a1
+    return canonicalize([(c * (x - ox) - s * (y - oy) + tx,
+                          s * (x - ox) + c * (y - oy) + ty)
+                         for x, y in quad.vertices])
 
 
 def random_affine(rng: np.random.Generator, max_tries: int = 1000) -> AffineMap:

@@ -13,13 +13,14 @@ from numpy.polynomial import polynomial as npoly
 
 from inellipse.conic import scale_normalized
 from inellipse.diameters import (check_T2, conjugate_direction, parallel_margin,
-                                 t1_margin, tangency_chords)
+                                 tangency_chords)
 from inellipse.affine import alpha_coeffs
 from inellipse.family import inscribe
 from inellipse.minecc import min_ecc, min_ecc_numeric, verify_T3
 from inellipse.quad import canonicalize, classify
 
-from conics import center, equal_conjugate_diameters, line_intersect, proportional
+from conics import (center, equal_conjugate_diameters, line_intersect, proportional,
+                    t1_margin)
 from paper import (EccFunctional, closed_form_diameter_len_sq, marden_foci,
                    qst_conic)
 from sampling import (frame_quad, mdq_frame_margins, random_frame, random_kite,

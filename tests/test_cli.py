@@ -12,13 +12,14 @@ import inellipse
 from inellipse import affine, cli, minecc, quad
 from inellipse.cli import main
 from inellipse.conic import ConicCoeffs, geometry
+from inellipse.diameters import check_T2
 from inellipse.errors import InEllipseError
 from inellipse.family import inscribe
 from inellipse.minecc import verify_T3
-from inellipse.quad import canonicalize, classify, diagonals
+from inellipse.quad import CLASSIFY_TOL, canonicalize, classify, diagonals
 
 from conftest import EXAMPLE_R_STAR, EXAMPLE_VERTICES
-from conics import center, diameter_endpoints
+from conics import center, diameter_endpoints, t1_margin
 from sampling import random_mdq_quad
 
 
@@ -541,51 +542,17 @@ class TestMainPath:
 
     @pytest.mark.parametrize("argv", [
         ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-        ["verify", "--theorem", "t2", "--trials", "3"],
+        ["verify", "--theorem", "t1"], ["verify", "--theorem", "t2"],
+        ["verify", "--theorem", "t3"],
         ["plot", "--params", "0.3,0.6", "--out", "FIG"]],
-        ids=["classify", "inscribe", "min-ecc", "verify-t2", "plot"])
+        ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2",
+             "verify-t3", "plot"])
     def test_classifies_once(self, capsys, tmp_path, example_file,
                              call_counts, argv):
         argv = [str(tmp_path / "fig.svg") if a == "FIG" else a for a in argv]
         assert main(argv + [example_file]) == 0
         capsys.readouterr()
         assert call_counts["classify"] == 1
-
-    def test_verify_t1_does_not_classify(self, capsys, example_file, call_counts):
-        # T1 holds on every member of every quad, so no trial reads the class
-        assert main(["verify", "--theorem", "t1", "--trials", "3", example_file]) == 0
-        capsys.readouterr()
-        assert call_counts["classify"] == 0
-
-    def test_verify_t3_classifies_each_moved_quad_once(self, capsys, monkeypatch,
-                                                       example_file, call_counts):
-        # each trial classifies its moved quad, and none reads the input's class
-        counted, classified = cli.classify, []
-
-        def recording(q, *args):
-            classified.append(q.vertices)
-            return counted(q, *args)
-
-        monkeypatch.setattr(cli, "classify", recording)
-        assert main(["verify", "--theorem", "t3", "--trials", "4", example_file]) == 0
-        capsys.readouterr()
-        assert call_counts["classify"] == len(classified) == 4
-        assert canonicalize(EXAMPLE_VERTICES).vertices not in classified
-
-    def test_zero_trials_exit_2(self, capsys, example_file):
-        assert main(["verify", "--theorem", "t2", "--trials", "0",
-                     example_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --trials must be >= 1\n"
-
-    def test_negative_seed_exit_2(self, capsys, example_file):
-        # a negative seed would silently reuse the stream of its absolute value
-        assert main(["verify", "--theorem", "t2", "--seed", "-1",
-                     example_file]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --seed must be >= 0\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_exit_2(self, capsys, example_file, tol):
@@ -626,9 +593,8 @@ class TestMainPath:
              "generic"])
     @pytest.mark.parametrize("argv", [
         ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-        ["verify", "--theorem", "t1", "--trials", "3"],
-        ["verify", "--theorem", "t2", "--trials", "3"],
-        ["verify", "--theorem", "t3", "--trials", "3"]],
+        ["verify", "--theorem", "t1"], ["verify", "--theorem", "t2"],
+        ["verify", "--theorem", "t3"]],
         ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2",
              "verify-t3"])
     def test_stdout_is_strict_json(self, capsys, tmp_path, vertices, argv):
@@ -639,21 +605,18 @@ class TestMainPath:
         assert out.count("\n") == 1
         strict_loads(out)
 
-    def test_t3_trial_off_mdq_has_null_margin(self, capsys, near_mdq_file):
-        # at the default tolerance no moved copy of this quad is an MDQ
-        assert main(["verify", "--theorem", "t3", "--trials", "3",
-                     near_mdq_file]) == 0
+    def test_t3_off_an_mdq_gives_the_reason(self, capsys, near_mdq_file):
+        # at the default tolerance the quad is not an MDQ, so no optimum is
+        # checked and no margin printed
+        assert main(["verify", "--theorem", "t3", near_mdq_file]) == 0
         doc = strict_loads(capsys.readouterr().out)
-        assert doc["passes"] == 0
-        assert [t["margin"] for t in doc["per_trial"]] == [None, None, None]
-        assert doc["worst_margin"] is None
+        assert doc == {"theorem": "t3", "holds": False, "reason": "not an MDQ"}
 
 
 class TestOutput:
     @pytest.mark.parametrize("argv", [
         ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-        ["verify", "--theorem", "t2", "--trials", "3"],
-        ["verify", "--theorem", "t3", "--trials", "2"]])
+        ["verify", "--theorem", "t2"], ["verify", "--theorem", "t3"]])
     def test_one_compact_line(self, capsys, tmp_path, argv):
         # the second label holds what the encoder escapes: a quote, a
         # backslash, a tab and a control character
@@ -697,9 +660,8 @@ class TestImport:
 
     @pytest.mark.parametrize("argv", [
         ["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-        ["verify", "--theorem", "t1", "--trials", "3"],
-        ["verify", "--theorem", "t2", "--trials", "3"],
-        ["verify", "--theorem", "t3", "--trials", "3"],
+        ["verify", "--theorem", "t1"], ["verify", "--theorem", "t2"],
+        ["verify", "--theorem", "t3"],
         ["plot", "--params", "0.3,0.6", "--out", "FIG"]],
         ids=["classify", "inscribe", "min-ecc", "verify-t1", "verify-t2",
              "verify-t3", "plot"])
@@ -713,78 +675,152 @@ class TestImport:
         assert done.stderr == ""
 
 
+#: the generic quad of `test_exploratory_angle_block`, an MDQ of neither type
+GENERIC_VERTICES = [[0, 0], [0, 1], [2, 3], [1, 0]]
+
+
 class TestVerify:
+    """`verify` gives one answer per quad: T1 and T2 from the midpoint defects
+    |1/2 - a| and |1/2 - b| at `--tol`, which every member's margins carry as
+    a factor, and T3 from `verify_T3` on the quad's own optimum."""
+
     def test_t2_all_pass_on_example(self, capsys, example_file):
-        code, doc = run_json(capsys, ["verify", "--theorem", "t2",
-                                      "--trials", "50", "--seed", "7",
-                                      example_file])
+        # a type-1 MDQ: q2q3 and q1q4 are parallel to D2 on every member
+        code, doc = run_json(capsys, ["verify", "--theorem", "t2", example_file])
         assert code == 0
-        assert doc["passes"] == 50
-        assert doc["worst_margin"] < 1e-9
+        dd = diagonals(canonicalize(EXAMPLE_VERTICES))
+        assert doc == {"theorem": "t2", "holds": True, "defect_d1": abs(0.5 - dd.a),
+                       "defect_d2": abs(0.5 - dd.b), "parallel_to_d1": [],
+                       "parallel_to_d2": ["q2q3", "q1q4"], "label": "worked-example"}
+        assert doc["defect_d2"] <= 1e-15 < doc["defect_d1"]
 
     def test_t1_fails_on_non_mdq(self, capsys, tmp_path):
         path = tmp_path / "generic.json"
-        path.write_text(json.dumps({"vertices": [[0, 0], [0, 1], [2, 3], [1, 0]]}))
-        code, doc = run_json(capsys, ["verify", "--theorem", "t1",
-                                      "--trials", "20", "--seed", "3", str(path)])
-        assert doc["passes"] == 0
-        assert all(t["margin"] > 1e-6 for t in doc["per_trial"])
+        path.write_text(json.dumps({"vertices": GENERIC_VERTICES}))
+        code, doc = run_json(capsys, ["verify", "--theorem", "t1", str(path)])
+        assert code == 0
+        dd = diagonals(canonicalize(GENERIC_VERTICES))
+        assert doc == {"theorem": "t1", "holds": False,
+                       "defect": min(abs(0.5 - dd.a), abs(0.5 - dd.b))}
+        assert doc["defect"] > 1e-6
+
+    def test_t1_holds_on_an_mdq_whose_sampled_margins_round_past_tol(
+            self, capsys, tmp_path):
+        # an exact type-2 MDQ (a = 1/2 to the ulp, b about 1e-3): the T1
+        # margin of some of its members rounds above the default tol, which
+        # a verdict read from sampled members reported as failed trials
+        vertices = [[-5.384439723360918, 1.5199832756528544],
+                    [-2.7688047130892386, 3.8055929338165835],
+                    [-5.944904880591957, 1.1231298529213538],
+                    [-9.119507942658752, -1.5582731595489778]]
+        quad = canonicalize(vertices)
+        margins = [t1_margin(quad, inscribe(quad, r).adjugate) for r in (0.02, 0.5, 0.98)]
+        assert max(margins) > CLASSIFY_TOL
+        for name, verts, holds in (("mdq", vertices, True),
+                                   ("generic", GENERIC_VERTICES, False)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"vertices": verts}))
+            code, doc = run_json(capsys, ["verify", "--theorem", "t1", str(path)])
+            assert code == 0
+            assert doc["holds"] is holds, (name, doc)
+            assert (doc["defect"] <= CLASSIFY_TOL) is holds
+
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_holds_exactly_where_a_defect_is_within_tol(self, capsys, near_mdq_file,
+                                                        theorem):
+        with open(near_mdq_file) as fh:
+            dd = diagonals(canonicalize(json.load(fh)["vertices"]))
+        defect = min(abs(0.5 - dd.a), abs(0.5 - dd.b))
+        for tol, holds in ((defect, True), (math.nextafter(defect, 0.0), False)):
+            code, doc = run_json(capsys, ["--tol", repr(tol), "verify",
+                                          "--theorem", theorem, near_mdq_file])
+            assert code == 0
+            assert doc["holds"] is holds, tol
+
+    @pytest.mark.parametrize("vertices", [
+        EXAMPLE_VERTICES, [[0, 0], [0, 1], [1, 1], [1, 0]],
+        [[0, 0], [1, 2], [4, 2], [3, 0]], [[0, 0], [0.5, 3], [4, 2], [2.75, 0]],
+        GENERIC_VERTICES],
+        ids=["example", "square", "parallelogram", "type2", "generic"])
+    def test_verdict_agrees_with_sampled_members(self, capsys, tmp_path, vertices):
+        # the verdicts hold for every member at once, so each sampled member
+        # has the conjugacy and the chords they name, and a non-MDQ has none
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        _, t1 = run_json(capsys, ["verify", "--theorem", "t1", str(path)])
+        _, t2 = run_json(capsys, ["verify", "--theorem", "t2", str(path)])
+        assert t1["holds"] is t2["holds"]
+        quad = canonicalize(vertices)
+        for r in np.linspace(0.02, 0.98, 25).tolist():
+            member = inscribe(quad, 2.0 * r - 1.0 if quad._diagonals.names_v else r)
+            assert (t1_margin(quad, member.adjugate) <= 1e-9) is t1["holds"], r
+            report = check_T2(quad, member)
+            assert report.parallel_to_d1 == frozenset(t2["parallel_to_d1"]), r
+            assert report.parallel_to_d2 == frozenset(t2["parallel_to_d2"]), r
 
     def test_t3_on_example(self, capsys, example_file):
-        code, doc = run_json(capsys, ["verify", "--theorem", "t3",
-                                      "--trials", "5", "--seed", "1",
-                                      example_file])
-        assert doc["passes"] == 5
+        code, doc = run_json(capsys, ["verify", "--theorem", "t3", example_file])
+        assert code == 0
+        t3 = verify_T3(minecc.min_ecc(canonicalize(EXAMPLE_VERTICES)))
+        assert doc == {"theorem": "t3", "holds": True, "near_circle": False,
+                       "parallel_margin": t3.parallel_margin,
+                       "length_margin": t3.length_margin, "label": "worked-example"}
+        assert max(t3.parallel_margin, t3.length_margin) <= 1e-12
+
+    @pytest.mark.parametrize("parallel, equal_len", [(True, False), (False, True)])
+    def test_t3_holds_only_where_both_properties_hold(self, capsys, monkeypatch,
+                                                      example_file, parallel, equal_len):
+        report = verify_T3(minecc.min_ecc(canonicalize(EXAMPLE_VERTICES)))
+        monkeypatch.setattr(cli, "verify_T3", lambda res, tol: report._replace(
+            parallel=parallel, equal_len=equal_len))
+        code, doc = run_json(capsys, ["verify", "--theorem", "t3", example_file])
+        assert code == 0
+        assert doc["holds"] is False
 
     def test_t3_on_a_kite_far_from_the_origin(self, capsys, tmp_path):
-        # the kite (0, 0), (-1, 2), (0, 5), (1, 2) moved by (1e8, 1e8): each
-        # trial's copy is built from the edges out of A1, so the rounding of
-        # coordinates near 1e8 cannot undo its MDQ classification
+        # the kite (0, 0), (-1, 2), (0, 5), (1, 2) moved by (1e8, 1e8): its
+        # similar copies are checked in `test_scale.py`
         path = tmp_path / "far_kite.json"
         path.write_text(json.dumps({"vertices": [
             [1e8, 1e8], [1e8 - 1, 1e8 + 2], [1e8, 1e8 + 5], [1e8 + 1, 1e8 + 2]]}))
-        code, doc = run_json(capsys, ["verify", "--theorem", "t3",
-                                      "--trials", "6", str(path)])
+        code, doc = run_json(capsys, ["verify", "--theorem", "t3", str(path)])
         assert code == 0
-        assert doc["passes"] == 6
+        assert doc["holds"] is True
 
     def test_t2_classifies_once_per_command(self, capsys, example_file,
                                             call_counts):
-        # one classify in each trial's inscribe, one for the expected chords
-        code, doc = run_json(capsys, ["verify", "--theorem", "t2",
-                                      "--trials", "5", example_file])
+        # one classification, and no member is solved for
+        code, doc = run_json(capsys, ["verify", "--theorem", "t2", example_file])
         assert code == 0
-        assert doc["passes"] == 5
-        assert call_counts["classify"] <= 6
+        assert doc["holds"] is True
+        assert call_counts["classify"] == 1
+        assert call_counts["min_ecc"] == 0
 
     def test_t1_frames_once_per_command(self, capsys, example_file,
                                         call_counts):
-        # five trials inscribe five members of the quad's own pencil
-        code, doc = run_json(capsys, ["verify", "--theorem", "t1",
-                                      "--trials", "5", example_file])
+        # the quad's own pencil, with no frame and no optimum
+        code, doc = run_json(capsys, ["verify", "--theorem", "t1", example_file])
         assert code == 0
-        assert doc["passes"] == 5
-        assert call_counts["normalize_to_qstvw"] == 0
+        assert doc["holds"] is True
+        assert call_counts["normalize_to_qstvw"] == call_counts["min_ecc"] == 0
+        assert call_counts["_diagonal_data"] == 1
 
-    @pytest.mark.parametrize("theorem", ["t2", "t3"])
+    @pytest.mark.parametrize("theorem", ["t1", "t2", "t3"])
     def test_mdq_checks_follow_the_tol_classification(
             self, capsys, near_mdq_file, theorem):
-        # at --tol 1e-5 the quad is an MDQ, so T2 names the chords to check
-        # and T3 checks each moved quad's optimum; at the default tolerance
-        # it is not, and every trial fails
-        argv = ["verify", "--theorem", theorem, "--trials", "5", near_mdq_file]
+        # at --tol 1e-5 the quad is an MDQ, so every theorem holds; at the
+        # default tolerance it is not, and none does
+        argv = ["verify", "--theorem", theorem, near_mdq_file]
         code, doc = run_json(capsys, ["--tol", "1e-5"] + argv)
         assert code == 0
-        assert doc["passes"] == 5
+        assert doc["holds"] is True
         code, doc = run_json(capsys, argv)
         assert code == 0
-        assert doc["passes"] == 0
+        assert doc["holds"] is False
 
     def test_deterministic(self, capsys, example_file):
-        _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
-                                    "10", "--seed", "5", example_file])
-        _, doc2 = run_json(capsys, ["verify", "--theorem", "t2", "--trials",
-                                    "10", "--seed", "5", example_file])
+        _, doc1 = run_json(capsys, ["verify", "--theorem", "t2", example_file])
+        _, doc2 = run_json(capsys, ["verify", "--theorem", "t2", example_file])
         assert doc1 == doc2
 
 

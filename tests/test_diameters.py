@@ -5,13 +5,13 @@ import pytest
 
 from inellipse.conic import NEAR_CIRCLE_ECC, ConicCoeffs, shape_geometry
 from inellipse.diameters import (check_T2, conjugate_direction, equal_diameter_pair,
-                                 parallel_margin, slope_of, t1_margin, tangency_chords)
+                                 parallel_margin, slope_of, tangency_chords)
 from inellipse.errors import InEllipseError, IsCircle
 from inellipse.family import inscribe
 from inellipse.quad import canonicalize, quadrilateral
 
 from conics import (center, check_T1, diameter_endpoints,
-                    equal_conjugate_diameters, line_intersect)
+                    equal_conjugate_diameters, line_intersect, t1_margin)
 from sampling import (frame_quad, random_convex_quad, random_diagonal_quad,
                       random_ellipse, random_mdq_quad, random_nonmdq_frame,
                       random_parallelogram)

@@ -28,7 +28,7 @@ import pytest
 from inellipse.affine import normalize_to_qstvw
 from inellipse.conic import (NEAR_CIRCLE_ECC, ConicCoeffs, geometry, scale_normalized,
                              shape_geometry)
-from inellipse.diameters import check_T2, t1_margin, tangency_chords
+from inellipse.diameters import check_T2, tangency_chords
 from inellipse.errors import InEllipseError, NonConvexInput, NotMDQ
 from inellipse.family import InscribedEllipse, _at_ratio, _inscribed, inscribe
 from inellipse.minecc import (MinEccResult, T3Report, _positive_root, min_ecc,
@@ -36,7 +36,7 @@ from inellipse.minecc import (MinEccResult, T3Report, _positive_root, min_ecc,
 from inellipse.quad import (Quadrilateral, _convex, canonicalize, classify, diagonals,
                             quadrilateral)
 
-from conics import center, discriminants, sign_normalized
+from conics import center, discriminants, sign_normalized, t1_margin
 from paper import _weights, check_unit_interval
 from sampling import (random_convex_quad, random_diagonal_quad, random_kite,
                       random_mdq_quad, random_orthodiagonal_quad,

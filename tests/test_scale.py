@@ -25,7 +25,7 @@ from inellipse.minecc import min_ecc, verify_T3
 from inellipse.quad import canonicalize, classify, quadrilateral
 
 from conftest import EXAMPLE_VERTICES
-from sampling import random_convex_quad
+from sampling import random_convex_quad, similar_quad
 
 GENERIC = [(0.0, 0.0), (0.3, 1.0), (2.0, 1.4), (1.7, -0.2)]
 SQUARE = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
@@ -145,6 +145,23 @@ class TestScaleAndTranslation:
         assert rep.parallel and rep.equal_len
         assert rep.length_margin <= 1e-12
 
+    @pytest.mark.parametrize("vertices", [
+        [(x + 1e8, y + 1e8) for x, y in KITE], scaled(EXAMPLE_VERTICES, -100),
+        scaled(EXAMPLE_VERTICES, 200),
+        scaled(EXAMPLE_VERTICES, _top_exponent(EXAMPLE_VERTICES))],
+        ids=["far_kite", "example_1e-100", "example_1e200", "example_top"])
+    def test_every_similar_copy_is_an_mdq_that_passes_t3(self, vertices):
+        # each copy is built from the edges out of A1, so the rounding of
+        # coordinates near 1e8 cannot undo the kite's MDQ classification; the
+        # example at its largest accepted size is moved and scaled as a quad
+        # 1/16 of the float range wide, so that every copy stays in range
+        quad, rng = canonicalize(vertices), np.random.default_rng(36)
+        for i in range(200):
+            moved = similar_quad(quad, rng)
+            assert classify(moved).mdq, i
+            rep = verify_T3(min_ecc(moved))
+            assert rep.parallel and rep.equal_len, (i, rep)
+
     def test_member_geometry_matches_the_conic_at_unit_scale(self):
         # `InscribedEllipse.geometry` reads c and S; `geometry` reads the
         # rounded conic, through the same axis routine
@@ -177,9 +194,8 @@ def run_cli(tmp_path, argv, vertices):
 
 
 _COMMANDS = [["classify"], ["inscribe", "--param", "0.3"], ["min-ecc"],
-             ["verify", "--theorem", "t1", "--trials", "2"],
-             ["verify", "--theorem", "t2", "--trials", "2"],
-             ["verify", "--theorem", "t3", "--trials", "2"]]
+             ["verify", "--theorem", "t1"], ["verify", "--theorem", "t2"],
+             ["verify", "--theorem", "t3"]]
 
 
 class TestCliAtScale:
