@@ -22,7 +22,7 @@ takes: it loads the document, runs the command, adds the document's
 `label`, maps library errors to exit codes and serializes.  A command that
 reads the quad's class classifies it once at the global `--tol`, and every
 decision it makes reads that one classification, or `min_ecc(quad, --tol)`'s
-two flags of it; `verify` answers T1 and T2 from the quad's midpoint
+MDQ flags of it; `verify` answers T1 and T2 from the quad's midpoint
 defects |1/2 - a| and |1/2 - b|, which every member's margins carry as a
 factor, and T3 from `verify_T3` on `min_ecc(quad, --tol)`.  One near-circle
 rule, the optimum's `EllipseGeometry.near_circle`, decides for `min-ecc` and

@@ -24,7 +24,7 @@ from .diameters import conjugate_direction, parallel_margin
 from .errors import NotMDQ
 from .family import InscribedEllipse, _at_ratio
 from .quad import (CLASSIFY_TOL, DiagonalData, Quadrilateral, classify,
-                   diagonals, _mdq_types, _tangential)
+                   diagonals, _mdq_types)
 
 #: `_bracket_root`'s last step, relative to x: 4 eps, a power of two
 _STEP_TOL = 4.0 * sys.float_info.epsilon
@@ -135,24 +135,20 @@ def _numeric(quad: Quadrilateral, dd: DiagonalData) -> MinEccResult:
 
 def min_ecc(quad: Quadrilateral, tol: float = CLASSIFY_TOL) -> MinEccResult:
     """The unique minimal-eccentricity inscribed ellipse, in the quad's dual
-    pencil.  A tangential quad's incircle, whose diameters along the two
-    diagonals are equal, and an MDQ's optimum, parallelograms included, are
-    the T3 member (`_critical_quartic`'s root); every other quad gets
-    `min_ecc_numeric`'s optimum.  A parallelogram's `r_star` is v = 2r - 1.
+    pencil.  An MDQ's optimum, parallelograms included, is the T3 member
+    (`_critical_quartic`'s root), "alpha_closed_form"; every other quad gets
+    `min_ecc_numeric`'s optimum, "quartic_numeric".  A tangential quad's
+    inscribed circle has equal diameters in every direction, so it is the T3
+    root, where that solve starts.  A parallelogram's `r_star` is v = 2r - 1.
 
-    The method reads two predicates at `tol`, through the functions
-    `classify` itself calls: "incircle" if the quad is tangential
-    (`quad._tangential` on the side lengths), else "alpha_closed_form" if it
-    is an MDQ (`quad._mdq_types` on the kept pencil's fractions a and b), else
-    "quartic_numeric".  So the method is the one that `classify(quad, tol)`
-    names, and no full report is built."""
+    The method reads the MDQ flags at `tol` through `quad._mdq_types` on the
+    kept pencil's fractions a and b, the function `classify` calls, so it is
+    the one that `classify(quad, tol)`'s flags name."""
     dd = quad._diagonals
-    tangential = _tangential(quad.side_lengths(), tol)
     type1, type2 = _mdq_types(dd.a, dd.b, tol)
-    if tangential or type1 or type2:
+    if type1 or type2:
         return tuple.__new__(MinEccResult, (  # skips __new__ and its field-count check
-            _at_ratio(quad, dd, _critical_quartic(dd)[1]),
-            "incircle" if tangential else "alpha_closed_form"))
+            _at_ratio(quad, dd, _critical_quartic(dd)[1]), "alpha_closed_form"))
     return _numeric(quad, dd)
 
 

@@ -278,8 +278,8 @@ def _summable(sides: tuple[float, float, float, float]) -> tuple[float, ...]:
 
 def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
     """Pitot's test on the side lengths (a, b, c, d), `_summable` where their
-    sum overflows: a + c = b + d within `tol` of the perimeter.  `classify`
-    and `min_ecc` both read it."""
+    sum overflows: a + c = b + d within `tol` of the perimeter.  Only
+    `classify` reads it."""
     a, b, c, d = sides
     perim = a + b + c + d
     if not perim < math.inf:
@@ -290,7 +290,7 @@ def _tangential(sides: tuple[float, float, float, float], tol: float) -> bool:
 
 def _mdq_types(a: float, b: float, tol: float) -> tuple[bool, bool]:
     """(type 1, type 2): |1/2 - b| <= tol and |1/2 - a| <= tol, fractions of D2
-    and D1.  `classify`, `min_ecc` and the pencil's `names_v` all read it."""
+    and D1.  `classify`, `min_ecc`'s dispatch and the pencil's `names_v` read it."""
     return abs(0.5 - b) <= tol, abs(0.5 - a) <= tol
 
 

@@ -77,10 +77,43 @@ which Python checks exactly and about 20 times faster than the same sums in
 
     u1' adj(4 N^4 S) u2 = -L M (N - 2A)(N - 2B) X^2,
     N^5 (q3 - q2) x u2 W2 W3 = L M (N - A)^2 (N - 2B) X, and so on.
+
+The incircle is the T3 root.  A tangential quad's incircle is inscribed,
+so it is a member of the pencil, and it is the member centred at the
+circle's centre O: the centre c = lam M1 + mu M2 runs once along the open
+segment M1M2, so no other member has centre O.  In the ratio x = lam / mu,
+`_critical_quartic`'s T3 condition, that the diameters along u1 and u2 have
+equal length, |u1|^2 k1 = |u2|^2 k2 with k1 = lam (lam p^2 + al) and
+k2 = mu (mu q^2 + be), is over mu^2 (writing al = al (lam + mu) and
+be = be (lam + mu))
+
+    T(x) = |u1|^2 (p^2 + al) x^2 + (|u1|^2 al - |u2|^2 be) x
+           - |u2|^2 (q^2 + be) = 0.
+
+A circle has equal diameters in every direction, so the incircle's ratio
+x* satisfies T.  T's leading coefficient is positive and its constant term
+negative, so its roots have a negative product: x* is its one positive
+root, the member the closed form returns on an MDQ and the start of the
+numeric solve on every quad.  The numeric solve's quartic vanishes there
+too: H = det S / (tr S)^2 = k / (1 + k)^2 <= 1/4 for the squared axis
+ratio k, with equality only at k = 1, so the circle is H's maximum, where
+its derivative and the quartic N' t - 2 N t' (`_critical_quartic`) vanish.
+Each coefficient of T and of the quartic is homogeneous in |u1|^2, |u2|^2
+and u1 . u2, so the unscaled diagonals A3 - A1 and A4 - A2 give the same
+roots as the unit-scale u1 and u2.
+
+In rationals.  The tangent line of the unit circle at the rational point
+((1 - m^2) / (1 + m^2), 2m / (1 + m^2)) is t . X = 1, and four of them,
+in increasing angle with each turn between consecutive points below pi,
+meet consecutively in the vertices of a tangential quad with rational
+vertices and O the origin.  Its pencil is rational, so is x*, found from
+lam M1 + mu M2 = 0, and T(x*) = 0, the quartic at x* and S(x*) a multiple
+of I are identities that `fractions.Fraction` checks exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 Vec = tuple[int, int]
@@ -172,3 +205,73 @@ def t2_closed_forms(pen: Pencil, lam: int) -> dict[str, int]:
     k = lam * (n - lam) * cross(pen.u1, pen.u2)
     return {"q2q3": k * (n - a) ** 2 * (n - 2 * b), "q1q4": k * a * a * (2 * b - n),
             "q1q2": k * b * b * (n - 2 * a), "q3q4": k * (n - b) ** 2 * (n - 2 * a)}
+
+
+FVec = tuple[Fraction, Fraction]
+
+
+def tangent_point(m: Fraction) -> FVec:
+    """The unit circle's point ((1 - m^2) / (1 + m^2), 2m / (1 + m^2)), at
+    the angle 2 atan(m)."""
+    return (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
+
+
+def circumscribed(ms: list[Fraction]) -> tuple[FVec, ...] | None:
+    """The tangential quad whose sides touch the unit circle at the points
+    of the increasing slopes `ms`, counterclockwise, its vertex i where the
+    tangent lines at points i and i + 1 meet; None unless each turn between
+    consecutive points is below pi."""
+    ts = [tangent_point(m) for m in ms]
+    out = []
+    for (x0, y0), (x1, y1) in zip(ts, ts[1:] + ts[:1]):
+        det = x0 * y1 - y0 * x1  # the sine of the turn, > 0 below pi
+        if det <= 0:
+            return None
+        out.append(((y1 - y0) / det, (x0 - x1) / det))  # t0 . X = t1 . X = 1
+    return tuple(out)
+
+
+def fraction_pencil(verts: tuple[FVec, ...]) -> tuple[FVec, FVec, Fraction, Fraction]:
+    """The unscaled diagonals u1 = A3 - A1 and u2 = A4 - A2 and the fractions
+    a and b at which they cross, A1 + a u1 = A2 + b u2, as `quad` computes them."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = verts
+    u1, u2, e = (x3 - x1, y3 - y1), (x4 - x2, y4 - y2), (x2 - x1, y2 - y1)
+    x = cross(u1, u2)
+    return u1, u2, cross(e, u2) / x, cross(e, u1) / x
+
+
+def centred_ratio(verts: tuple[FVec, ...]) -> Fraction | None:
+    """The ratio x = lam / mu of the member centred at the origin,
+    lam M1 + mu M2 = 0, or None if the diagonal midpoints M1 and M2 are
+    not on opposite sides of the origin on one line."""
+    a1, a2, a3, a4 = verts
+    m1 = ((a1[0] + a3[0]) / 2, (a1[1] + a3[1]) / 2)
+    m2 = ((a2[0] + a4[0]) / 2, (a2[1] + a4[1]) / 2)
+    k = 0 if m1[0] != m2[0] else 1
+    if m1[k] == m2[k]:
+        return None
+    lam = m2[k] / (m2[k] - m1[k])
+    if not 0 < lam < 1 or lam * m1[1 - k] + (1 - lam) * m2[1 - k] != 0:
+        return None
+    return lam / (1 - lam)
+
+
+def t3_quadratic(u1: FVec, u2: FVec, a: Fraction, b: Fraction, x: Fraction) -> Fraction:
+    """T(x) = |u1|^2 (p^2 + al) x^2 + (|u1|^2 al - |u2|^2 be) x - |u2|^2 (q^2 + be)."""
+    n1, n2 = u1[0] ** 2 + u1[1] ** 2, u2[0] ** 2 + u2[1] ** 2
+    p, q, al, be = Fraction(1, 2) - a, Fraction(1, 2) - b, a * (1 - a), b * (1 - b)
+    return n1 * (p * p + al) * x * x + (n1 * al - n2 * be) * x - n2 * (q * q + be)
+
+
+def critical_quartic(u1: FVec, u2: FVec, a: Fraction,
+                     b: Fraction) -> tuple[Fraction, ...]:
+    """q0..q4 of N' t - 2 N t' in x, `minecc._critical_quartic`'s formulas
+    in Fractions: N = x (1 + x)(l1 x + l0), t = t2 x^2 + t1 x + t0."""
+    (x1, y1), (x2, y2) = u1, u2
+    n1, n2, c = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x1 * x2 + y1 * y2
+    p, q, al, be = Fraction(1, 2) - a, Fraction(1, 2) - b, a * (1 - a), b * (1 - b)
+    l0, l1 = al * (q * q + be), be * (p * p + al)
+    t0, t1, t2 = n2 * (q * q + be), n1 * al + n2 * be + 2 * c * p * q, n1 * (p * p + al)
+    return (l0 * t0, 2 * (l0 + l1) * t0 - l0 * t1, 3 * (l1 * t0 - l0 * t2),
+            l1 * t1 - 2 * (l0 + l1) * t2, -l1 * t2)
+

@@ -81,13 +81,15 @@ def strict_loads(text):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Calls of `classify`, `normalize_to_qstvw` and `min_ecc`, and builds of
-    the pencil (`_diagonal_data`), counted in every module namespace that
-    holds them, so calls between modules are counted too."""
+    """Calls of `classify`, `normalize_to_qstvw`, `min_ecc` and Pitot's test
+    (`_tangential`), and builds of the pencil (`_diagonal_data`), counted in
+    every module namespace that holds them, so calls between modules are
+    counted too."""
     calls = {"classify": 0, "normalize_to_qstvw": 0, "min_ecc": 0,
-             "_diagonal_data": 0}
+             "_diagonal_data": 0, "_tangential": 0}
     for name, fn in (("classify", quad.classify),
                      ("_diagonal_data", quad._diagonal_data),
+                     ("_tangential", quad._tangential),
                      ("normalize_to_qstvw", affine.normalize_to_qstvw),
                      ("min_ecc", minecc.min_ecc)):
         def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -377,7 +379,7 @@ class TestMinEcc:
     def test_square(self, capsys, square_file):
         code, doc = run_json(capsys, ["min-ecc", square_file])
         assert doc["min_ecc"]["eccentricity"] == 0.0
-        assert doc["min_ecc"]["method"] == "incircle"
+        assert doc["min_ecc"]["method"] == "alpha_closed_form"
         assert doc["verification"]["near_circle"] is True
 
     def test_non_mdq_numeric_no_t3_block(self, capsys, tmp_path):
@@ -502,10 +504,12 @@ class TestMinEcc:
 
     def test_classifies_at_most_twice(self, capsys, example_file, call_counts):
         # once, at --tol: the report and the verification block read that
-        # one classification, and min_ecc's dispatch its two predicates
+        # one classification, and min_ecc's dispatch its MDQ flags
         code, _ = run_json(capsys, ["min-ecc", example_file])
         assert code == 0
         assert call_counts["classify"] == 1
+        # Pitot's test is the classification's alone
+        assert call_counts["_tangential"] == 1
         # the report, the dispatch and the solver read one pencil
         assert call_counts["_diagonal_data"] == 1
 
@@ -903,6 +907,7 @@ class TestNearCircleRule:
         code, doc = run_json(capsys, ["min-ecc", str(path)])
         assert code == 0
         ver, block = doc["verification"], doc["min_ecc"]
+        assert block["method"] == "alpha_closed_form"
         assert ver["near_circle"] is near_circle
         assert ver["t3_parallel"] and ver["t3_equal_lengths"]
         assert ("equal_conjugate_angle" in block) is not near_circle

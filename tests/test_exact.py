@@ -2,9 +2,12 @@
 
 `exact`'s docstring derives both.  Each test draws rational pencils of one
 class and checks the identity at `exact.DEGREE` + 1 distinct rational
-weights, which proves it for every member of the drawn quad.  The last two
-tests tie `exact`'s integers to the pencil in `Fraction`s and to the
-package's float member, T1 margin and T2 margins.
+weights, which proves it for every member of the drawn quad.  Two tests
+tie `exact`'s integers to the pencil in `Fraction`s and to the package's
+float member, T1 margin and T2 margins.  The last two draw rational
+tangential quads and kites, prove that the incircle is the T3 root and a
+root of the critical quartic, which is why `min_ecc` needs no incircle
+branch, and check that the package's optimum is that circle.
 """
 
 import math
@@ -15,11 +18,13 @@ import pytest
 
 from inellipse.diameters import check_T2
 from inellipse.family import _inscribed
-from inellipse.quad import quadrilateral
+from inellipse.minecc import _critical_quartic, min_ecc
+from inellipse.quad import DiagonalData, canonicalize, quadrilateral
 
 from conics import t1_margin
-from exact import (CHORDS, DEGREE, Pencil, adjugate_form, chord_crosses, contacts,
-                   cross, shape, t1_closed_form, t2_closed_forms, vertices)
+from exact import (CHORDS, DEGREE, Pencil, adjugate_form, centred_ratio, chord_crosses,
+                   circumscribed, contacts, critical_quartic, cross, fraction_pencil,
+                   shape, t1_closed_form, t2_closed_forms, t3_quadratic, vertices)
 
 DRAWS = 1000
 CLASSES = ("generic", "type1", "type2", "parallelogram", "thin")
@@ -182,3 +187,65 @@ def test_package_member_and_margins_match_the_exact_pencil(kind):
                                        (dx * dx + dy * dy) * (ux * ux + uy * uy)))
             got = (t2.margins_d1, t2.margins_d2)[d][name]
             assert abs(got - exact) <= 1e-12, (i, pen, name)
+
+
+def _slope(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 10**3))
+
+
+def draw_tangential(rng: random.Random, kind: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """A rational tangential quad about the unit circle: four tangent points
+    at random rational slopes, or, for a kite, two and their mirror images
+    in the x-axis, which makes the x-axis a diagonal that bisects the other."""
+    while True:
+        if kind == "kite":
+            ms = [_slope(rng), _slope(rng)]
+            ms += [-m for m in ms]
+        else:
+            ms = [_slope(rng) for _ in range(4)]
+        if len(set(ms)) == 4:
+            verts = circumscribed(sorted(ms))
+            if verts is not None:
+                return verts
+
+
+@pytest.mark.parametrize("kind", ["tangential", "kite"])
+def test_incircle_is_the_t3_root_and_the_critical_point(kind):
+    # the member centred at the incircle's centre is the circle, and its
+    # ratio is the T3 quadratic's root and a root of the critical quartic
+    # that `min_ecc_numeric` solves: the solver needs no incircle branch
+    rng = random.Random(f"incircle {kind}")
+    for i in range(DRAWS):
+        verts = draw_tangential(rng, kind)
+        u1, u2, a, b = fraction_pencil(verts)
+        assert 0 < a < 1 and 0 < b < 1, (i, verts)
+        assert (a == Fraction(1, 2)) is (kind == "kite"), (i, verts)
+        x = centred_ratio(verts)
+        assert x is not None, (i, verts)
+        assert t3_quadratic(u1, u2, a, b, x) == 0, (i, verts)
+        crit = critical_quartic(u1, u2, a, b)
+        assert sum(c * x**k for k, c in enumerate(crit)) == 0, (i, verts)
+        assert crit[0] > 0 > crit[4], (i, verts)
+        # the package's quartic, on the rounded pencil, is this one
+        dd = DiagonalData((0.0, 0.0), *(tuple(map(float, u)) for u in (u1, u2)),
+                          float(a), float(b), False)
+        top = max(map(abs, crit))
+        for got, want in zip(_critical_quartic(dd)[0], crit):
+            assert abs(got - want) <= 1e-12 * top, (i, verts)
+        # S on the unscaled diagonals, D^2 times the unit-scale S
+        (sxx, sxy, syy), _, _ = _fraction_member(Pencil((0, 0), u1, u2, 1, a, b), x / (1 + x))
+        assert sxy == 0 and sxx == syy > 0, (i, verts)
+
+
+@pytest.mark.parametrize("kind", ["tangential", "kite"])
+def test_package_optimum_is_the_exact_incircle(kind):
+    # on the float copy of the quad, `min_ecc` returns the unit circle: its
+    # centre within 1e-12 of the origin and its squared axis ratio 1 to 1e-12
+    rng = random.Random(f"incircle float {kind}")
+    for i in range(200):
+        verts = draw_tangential(rng, kind)
+        quad = canonicalize([(float(x), float(y)) for x, y in verts])
+        res = min_ecc(quad)
+        assert res.method == ("alpha_closed_form" if kind == "kite" else "quartic_numeric")
+        assert math.hypot(*res.ellipse.center) <= 1e-12 * quad.diameter(), (i, verts)
+        assert res.axis_ratio_sq == pytest.approx(1.0, abs=1e-12), (i, verts)

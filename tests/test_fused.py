@@ -305,16 +305,17 @@ def _numeric(quad, dd):
 
 def _min_ecc(quad, tol):
     dd = diagonals(quad)
-    tangential = _tangential(_summable(quad.side_lengths()), tol)
-    if tangential or any(_mdq_types(dd, tol)):
-        return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)),
-                            "incircle" if tangential else "alpha_closed_form")
+    if any(_mdq_types(dd, tol)):
+        return MinEccResult(_at_ratio(quad, dd, _t3_root(dd)), "alpha_closed_form")
     return _numeric(quad, dd)
 
 
 def test_the_solve_draws_cover_every_method_and_an_overflowing_perimeter():
     methods = {_min_ecc(q, tol).method for q in QUADS + LARGEST for tol in TOLS}
-    assert methods == {"incircle", "alpha_closed_form", "quartic_numeric"}
+    assert methods == {"alpha_closed_form", "quartic_numeric"}
+    # tangential quads on both paths: kites by the closed form, the rest numeric
+    reps = [classify(q, tol) for q in QUADS + LARGEST for tol in TOLS]
+    assert {rep.mdq for rep in reps if rep.tangential} == {True, False}
     assert any(sum(q.side_lengths()) == math.inf for q in LARGEST)
 
 
@@ -386,8 +387,7 @@ def _degenerate_results():
 def test_verify_T3_is_the_composition_of_the_helpers():
     results = [min_ecc(q, tol) for q in QUADS + LARGEST for tol in TOLS]
     # MDQs and non-MDQs, and a near-circle optimum that takes the early return
-    assert {r.method for r in results} == {"incircle", "alpha_closed_form",
-                                           "quartic_numeric"}
+    assert {r.method for r in results} == {"alpha_closed_form", "quartic_numeric"}
     assert any(r.eccentricity < NEAR_CIRCLE_ECC for r in results)
     for res in results:
         for tol in (1e-7, 1e-12, 0.0):

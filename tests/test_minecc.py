@@ -244,8 +244,9 @@ class TestMinEcc:
         assert_inscribed(res.ellipse)
 
     def test_square_incircle(self):
+        # an MDQ: the closed form's T3 member is the incircle
         res = min_ecc(canonicalize([(0, 0), (0, 1), (1, 1), (1, 0)]))
-        assert res.method == "incircle"
+        assert res.method == "alpha_closed_form"
         assert res.eccentricity == 0.0
         assert_points_close(center(res.ellipse.conic), (0.5, 0.5), 1e-12)
 
@@ -254,7 +255,8 @@ class TestMinEcc:
         for _ in range(20):
             kite = random_kite(rng)
             res = min_ecc(kite)
-            assert res.method == "incircle"
+            assert res.method == "alpha_closed_form"
+            assert res.ellipse.geometry.near_circle
             assert_inscribed(res.ellipse, 1e-7)
 
     def test_rectangle_closed_form(self):
@@ -310,11 +312,14 @@ class TestMinEcc:
 
     def test_random_tangential_quads_return_inscribed(self):
         # MDQ or not, the inscribed circle is the optimum of a tangential
-        # quad, and the reported ratio is that of the returned conic
+        # quad: the closed form on an MDQ, the numeric solve elsewhere, and
+        # the reported ratio is that of the returned conic
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            res = min_ecc(random_tangential_quad(rng))
-            assert res.method == "incircle"
+            quad = random_tangential_quad(rng)
+            res = min_ecc(quad)
+            assert res.method == _named_method(classify(quad))
+            assert res.ellipse.geometry.near_circle
             assert_inscribed(res.ellipse, 1e-7)
             ratio = geometry(res.ellipse.conic).axis_ratio_sq
             assert abs(res.axis_ratio_sq - ratio) <= 1e-9
@@ -396,9 +401,8 @@ def _dispatch_fields(res):
 
 
 def _named_method(rep):
-    """The method that a `classify` report's flags name."""
-    return ("incircle" if rep.tangential
-            else "alpha_closed_form" if rep.mdq else "quartic_numeric")
+    """The method that a `classify` report's MDQ flags name."""
+    return "alpha_closed_form" if rep.mdq else "quartic_numeric"
 
 
 def _method_member(quad, method):
@@ -425,8 +429,8 @@ def _assert_flags_at_their_margins(quad):
 
 
 class TestDispatchWithoutReport:
-    """`min_ecc(quad, tol)` evaluates only the two predicates it dispatches
-    on, through the functions `classify` calls: it must take the method
+    """`min_ecc(quad, tol)` evaluates only the MDQ predicate it dispatches
+    on, through the function `classify` calls: it must take the method
     that `classify(quad, tol)`'s flags name, and build that method's member,
     at 1e-9 and at 1e-5, also on either side of each threshold, where a
     predicate edited in only one of the two places would send them apart.
@@ -452,23 +456,30 @@ class TestDispatchWithoutReport:
             assert min_ecc(quad) == min_ecc(quad, CLASSIFY_TOL)
             _assert_flags_at_their_margins(quad)
 
-    @pytest.mark.parametrize("make, method", [
-        (_near_tangential, "incircle"),
-        (lambda seed, k, tol: _near_mdq(seed, k, tol, True), "alpha_closed_form"),
-        (lambda seed, k, tol: _near_mdq(seed, k, tol, False), "alpha_closed_form"),
-    ], ids=["tangential", "type1", "type2"])
-    def test_same_result_at_either_side_of_a_threshold(self, make, method):
+    @pytest.mark.parametrize("type1", [True, False], ids=["type1", "type2"])
+    def test_same_result_at_either_side_of_a_threshold(self, type1):
         for tol in (CLASSIFY_TOL, 1e-5):
             for seed in range(20):
                 methods = []
                 for k in (0.99, 1.01):
-                    quad = make(seed, k, tol)
+                    quad = _near_mdq(seed, k, tol, type1)
                     res = min_ecc(quad, tol)
                     assert res.method == _named_method(classify(quad, tol))
                     assert _dispatch_fields(res) == _method_member(quad, res.method)
                     methods.append(res.method)
                     _assert_flags_at_their_margins(quad)
-                assert methods == [method, "quartic_numeric"], (tol, seed)
+                assert methods == ["alpha_closed_form", "quartic_numeric"], (tol, seed)
+
+    def test_pitot_threshold_does_not_reach_min_ecc(self):
+        # a tangential non-MDQ is solved numerically on either side of the
+        # tangential threshold, whichever way `classify` flags it
+        for tol in (CLASSIFY_TOL, 1e-5):
+            for seed in range(20):
+                for k in (0.99, 1.01):
+                    quad = _near_tangential(seed, k, tol)
+                    assert classify(quad, tol).tangential == (k < 1.0)
+                    assert (_dispatch_fields(min_ecc(quad, tol))
+                            == _dispatch_fields(min_ecc_numeric(quad))), (tol, seed, k)
 
 
 class TestMinEccNumeric:
@@ -637,16 +648,18 @@ class TestNumericMatchesT3:
     ], ids=["type1", "type2", "kite", "rhombus", "parallelogram", "tangential"])
     def test_numeric_is_the_t3_root(self, make):
         # the H quartic has no cusp at a circle, so the incircle of a
-        # tangential quad comes out to the same digits as the closed form
+        # tangential quad, MDQ or not, comes out to the same digits as the
+        # T3 member, here built from the test oracle's root
         rng = np.random.default_rng(74)
         for _ in range(300):
             quad = make(rng)
-            closed = min_ecc(quad)
-            assert closed.method in ("alpha_closed_form", "incircle")
+            dd = diagonals(quad)
+            t3 = _at_ratio(quad, dd, _t3_root(dd))
+            assert min_ecc(quad).method == _named_method(classify(quad))
             num = min_ecc_numeric(quad)
             assert num.method == "quartic_numeric"
-            assert abs(num.r_star - closed.r_star) <= 1e-9
-            assert abs(num.axis_ratio_sq - closed.axis_ratio_sq) <= 1e-12
+            assert abs(num.r_star - t3.param) <= 1e-9
+            assert abs(num.axis_ratio_sq - t3.geometry.axis_ratio_sq) <= 1e-12
 
 
 def _near_parallelogram(rng):
@@ -725,8 +738,8 @@ class TestRStarRoundTrip:
                            zip(ie.conic, scale_normalized(res.ellipse.conic))) <= 1e-12
                 for got, want in zip(ie.tangency, res.ellipse.tangency):
                     assert_points_close(got, want, 1e-12 * quad.diameter())
-                assert_inscribed(ie, 1e-7 if res.method == "incircle" else 1e-9)
-        assert methods == {"incircle", "alpha_closed_form", "quartic_numeric"}
+                assert_inscribed(ie, 1e-9)
+        assert methods == {"alpha_closed_form", "quartic_numeric"}
 
     def test_r_star_near_zero_round_trips(self):
         # a thin MDQ whose optimum touches S1 about 1.5306e-13 along it
@@ -747,8 +760,6 @@ class TestRStarRoundTrip:
             s, t, v, w = random_type1_frame(rng)
             quad = frame_quad(s, t, v, w)
             res = min_ecc(quad)
-            if res.method == "incircle":
-                continue
             assert res.method == "alpha_closed_form"
             assert abs(res.r_star - alpha_root(s, v, w)) <= 1e-10
 
